@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet build test race fuzz-smoke chaos dispatch-soak dispatch-soak-smoke cluster-smoke crash-smoke vulncheck ci conform conform-smoke cover serve loadtest bench bench-smoke clean
+.PHONY: all vet build test race fuzz-smoke chaos dispatch-soak dispatch-soak-smoke cluster-smoke crash-smoke vulncheck ci perfbench-check conform conform-smoke cover serve loadtest bench bench-smoke clean
 
 all: build
 
@@ -69,7 +69,13 @@ vulncheck:
 		echo "vulncheck: govulncheck not installed, skipping (go install golang.org/x/vuln/cmd/govulncheck@latest)"; \
 	fi
 
-ci: vet build test race fuzz-smoke conform-smoke dispatch-soak-smoke cluster-smoke crash-smoke cover vulncheck
+ci: vet build test race fuzz-smoke conform-smoke dispatch-soak-smoke cluster-smoke crash-smoke cover perfbench-check vulncheck
+
+# The benchmark under perfbench/ is a separate Go module, so the root
+# build and test skip it; compile and test it here so a change to an
+# API it imports fails CI rather than the next benchmark run.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Full metamorphic conformance matrix (nightly soak): every registered
 # scheduler × every generator regime × every relation, with minimized
@@ -105,11 +111,11 @@ LOAD_ADDR ?= http://localhost:8080
 loadtest:
 	$(GO) run ./cmd/schedload -addr $(LOAD_ADDR) -duration 10s
 
-# Run the fixed solver benchmark matrix and refresh the trajectory file,
-# comparing against the committed previous run
-# (override: make bench BENCH_OUT=BENCH_pr5.json BENCH_PREV=BENCH_pr4.json).
-BENCH_OUT ?= BENCH_pr4.json
-BENCH_PREV ?=
+# Run the fixed solver benchmark matrix into an untracked report,
+# comparing against the committed baseline. To extend the committed
+# trajectory: make bench BENCH_OUT=BENCH_pr5.json.
+BENCH_OUT ?= bench-latest.json
+BENCH_PREV ?= BENCH_pr4.json
 bench:
 	$(GO) run ./cmd/schedbench -o $(BENCH_OUT) $(if $(BENCH_PREV),-prev $(BENCH_PREV))
 
@@ -121,4 +127,4 @@ bench-smoke:
 
 clean:
 	$(GO) clean ./...
-	rm -f conform-report.json conform-smoke.json cover.out bench-smoke.json
+	rm -f conform-report.json conform-smoke.json cover.out bench-smoke.json bench-latest.json

@@ -59,7 +59,6 @@ func main() {
 		listRels   = fs.Bool("list", false, "list relations with their justifications and exit")
 		verbose    = fs.Bool("v", false, "progress output")
 	)
-	fs.Alias("max-tasks", "tasks")
 	fs.Parse(os.Args[1:])
 
 	if *listRels {

@@ -42,7 +42,6 @@ func main() {
 		cores = fs.Int("cores", 0, "cores (0 = random 2..6)")
 		vFlag = fs.Bool("v", false, "log each instance")
 	)
-	fs.Alias("ntasks", "tasks")
 	fs.Parse(os.Args[1:])
 	verbose = *vFlag
 

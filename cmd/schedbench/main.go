@@ -1,13 +1,14 @@
 // Command schedbench runs the repository's fixed solver benchmark
 // matrix (algorithms × instance sizes) with testing.Benchmark and writes
-// a machine-readable JSON report, so every PR leaves a comparable
-// performance data point (BENCH_pr4.json, BENCH_pr5.json, ...) at the
-// repo root and regressions show up as a broken trajectory rather than
-// an anecdote.
+// a machine-readable JSON report. A run written to a committed
+// BENCH_*.json file (BENCH_pr4.json, ...) becomes a comparable
+// performance data point at the repo root, so regressions show up as a
+// broken trajectory rather than an anecdote. The default output,
+// bench-latest.json, is untracked.
 //
 // Usage:
 //
-//	schedbench [-out BENCH.json] [-prev PREV.json] [-quick] [-note TEXT]
+//	schedbench [-o BENCH.json] [-prev PREV.json] [-quick] [-note TEXT]
 //
 // The matrix solves the paper-default workload (seed 20140901, unit
 // model p(f) = f³ + 0.05):
@@ -96,12 +97,11 @@ type benchCase struct {
 func main() {
 	fs := cliflag.New("schedbench")
 	var (
-		out   = fs.String("o", "BENCH_pr4.json", "output JSON path")
+		out   = fs.String("o", "bench-latest.json", "output JSON path")
 		prev  = fs.String("prev", "", "previous report whose results become the baseline block")
 		quick = fs.Bool("quick", false, "run only the small cases (CI smoke)")
 		note  = fs.String("note", "", "free-form annotation stored in the report")
 	)
-	fs.Alias("o", "out")
 	fs.Parse(os.Args[1:])
 
 	cases := matrix()

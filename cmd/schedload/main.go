@@ -252,15 +252,11 @@ func main() {
 	os.Exit(exit)
 }
 
-// retryableStatus reports whether an HTTP status is a transient failure
-// worth retrying: admission pushback and gateway-style server errors.
-func retryableStatus(code int) bool {
-	switch code {
-	case http.StatusTooManyRequests, http.StatusBadGateway,
-		http.StatusServiceUnavailable, http.StatusGatewayTimeout:
-		return true
-	}
-	return false
+// httpError renders a non-2xx reply as "HTTP <status>: <message>", the
+// message taken from the error envelope.
+func httpError(status int, body []byte) string {
+	d, _ := wire.DecodeError(body)
+	return fmt.Sprintf("HTTP %d: %s", status, d.Message)
 }
 
 // backoffWait computes the next retry delay: exponential from 50ms with
@@ -297,7 +293,7 @@ func shoot(client *http.Client, url string, body []byte, ts task.Set, cores int,
 			resp.Body.Close()
 			retryAfter = resp.Header.Get("Retry-After")
 		}
-		transient := err != nil || retryableStatus(resp.StatusCode)
+		transient := err != nil || wire.RetryableStatus(resp.StatusCode)
 		if !transient || attempt >= retries {
 			break
 		}
@@ -315,9 +311,7 @@ func shoot(client *http.Client, url string, body []byte, ts task.Set, cores int,
 	st.codes[resp.StatusCode]++
 	if resp.StatusCode != http.StatusOK {
 		if st.firstErr == "" {
-			var e wire.ErrorResponse
-			_ = json.Unmarshal(payload, &e)
-			st.firstErr = fmt.Sprintf("HTTP %d: %s", resp.StatusCode, e.Error)
+			st.firstErr = httpError(resp.StatusCode, payload)
 		}
 		return
 	}

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -183,12 +184,10 @@ func postJSON(cfg streamConfig, client *http.Client, rng *rand.Rand, method, url
 			lastStatus = resp.StatusCode
 		}
 		lastErr = err
-		transient := err != nil || retryableStatus(lastStatus)
-		if err == nil && !retryableStatus(lastStatus) {
+		transient := err != nil || wire.RetryableStatus(lastStatus)
+		if err == nil && !wire.RetryableStatus(lastStatus) {
 			if lastStatus/100 != 2 {
-				var e wire.ErrorResponse
-				_ = json.Unmarshal(payload, &e)
-				return lastStatus, fmt.Errorf("HTTP %d: %s", lastStatus, e.Error)
+				return lastStatus, errors.New(httpError(lastStatus, payload))
 			}
 			if v != nil {
 				if err := json.Unmarshal(payload, v); err != nil {
@@ -201,9 +200,7 @@ func postJSON(cfg streamConfig, client *http.Client, rng *rand.Rand, method, url
 			if lastErr != nil {
 				return 0, lastErr
 			}
-			var e wire.ErrorResponse
-			_ = json.Unmarshal(payload, &e)
-			return lastStatus, fmt.Errorf("HTTP %d: %s", lastStatus, e.Error)
+			return lastStatus, errors.New(httpError(lastStatus, payload))
 		}
 		time.Sleep(backoffWait(attempt, retryHdr, rng))
 	}

@@ -15,6 +15,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 
@@ -59,16 +60,18 @@ func main() {
 	}
 	fmt.Println()
 
-	even, der, err := easched.ScheduleBoth(ts, *cores, model)
+	ctx := context.Background()
+	evenRep, err := easched.Solve(ctx, easched.Spec{Tasks: ts, Cores: *cores, Model: model, Method: easched.MethodEven})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "schedviz: %v\n", err)
 		os.Exit(1)
 	}
-	sol, err := easched.Optimal(ts, *cores, model)
+	derRep, err := easched.Solve(ctx, easched.Spec{Tasks: ts, Cores: *cores, Model: model, Compare: true})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "schedviz: %v\n", err)
 		os.Exit(1)
 	}
+	even, der, sol := evenRep.Plan, derRep.Plan, derRep.Optimal
 
 	fmt.Printf("evenly allocating method: E^F1 = %.4f (intermediate %.4f)\n",
 		even.FinalEnergy, even.IntermediateEnergy)

@@ -26,27 +26,19 @@
 //	model := easched.NewModel(3, 0.05)     // p(f) = f³ + 0.05
 //	rep, err := easched.Solve(ctx, easched.Spec{Tasks: tasks, Cores: 4, Model: model})
 //	fmt.Println(rep.Energy, rep.Schedule.Gantt(64))
-//
-// The specialized entry points predating Solve (Schedule, ScheduleBoth,
-// Optimal, YDS, SchedulePartitioned, ScheduleOnline, ScheduleCapped)
-// remain as thin legacy wrappers.
 package easched
 
 import (
-	"context"
 	"math/rand"
 
 	"repro/internal/alloc"
 	"repro/internal/core"
 	"repro/internal/discrete"
 	"repro/internal/ideal"
-	"repro/internal/interval"
-	"repro/internal/opt"
 	"repro/internal/power"
 	"repro/internal/schedule"
 	"repro/internal/sim"
 	"repro/internal/task"
-	"repro/internal/yds"
 )
 
 // Task re-exports the aperiodic task model: τ = (Release, Work, Deadline).
@@ -133,38 +125,6 @@ func FitTable(t *Table) (Model, error) {
 	return fit.Model, nil
 }
 
-// Schedule runs the paper's subinterval-based scheduler and returns the
-// full plan, including the realized and validated final schedule
-// (res.Final) and its energy (res.FinalEnergy).
-//
-// Deprecated: new code should call [Solve], which adds context
-// cancellation, optimal comparison and quantization behind one Spec.
-// Schedule remains for existing callers and will keep working.
-func Schedule(ts TaskSet, cores int, m Model, method Method) (*Plan, error) {
-	sm := MethodDER
-	if method == Even {
-		sm = MethodEven
-	}
-	rep, err := Solve(context.Background(), Spec{Tasks: ts, Cores: cores, Model: m, Method: sm})
-	if err != nil {
-		return nil, err
-	}
-	return rep.Plan, nil
-}
-
-// ScheduleBoth runs both allocation methods and returns (even, der).
-//
-// Deprecated: new code should call [Solve] once per method (or
-// [SolveBatch] for many instances). ScheduleBoth remains for existing
-// callers and will keep working.
-func ScheduleBoth(ts TaskSet, cores int, m Model) (*Plan, *Plan, error) {
-	s, err := core.RunSuite(ts, cores, m, core.Options{Tolerance: 1e-9})
-	if err != nil {
-		return nil, nil, err
-	}
-	return s.Even, s.DER, nil
-}
-
 // SearchCores simulates every core count 1..maxCores and returns the
 // energy-minimal plan together with the per-count energy curve
 // (Section VI.D).
@@ -172,30 +132,8 @@ func SearchCores(ts TaskSet, maxCores int, m Model, method Method) (*core.Search
 	return core.SearchCores(ts, maxCores, m, method, core.Options{Tolerance: 1e-9})
 }
 
-// Optimal solves the reformulated convex program (Theorem 1) and returns
-// the optimal energy E^opt with a duality-gap certificate.
-//
-// Deprecated: [Solve] with Spec.Compare produces the same solution
-// alongside the heuristic schedule (and honors cancellation). Optimal
-// remains for existing callers and will keep working.
-func Optimal(ts TaskSet, cores int, m Model) (*opt.Solution, error) {
-	d, err := interval.Decompose(ts, 1e-9)
-	if err != nil {
-		return nil, err
-	}
-	return opt.Solve(d, cores, m, opt.Options{})
-}
-
 // Ideal computes the unlimited-core lower-bound plan S^O.
 func Ideal(ts TaskSet, m Model) (*ideal.Plan, error) { return ideal.Build(ts, m) }
-
-// YDS runs the classic uniprocessor optimal algorithm and returns the
-// realized schedule and speed profile.
-//
-// Deprecated: [Solve] with Spec{Method: MethodYDS} returns the same
-// schedule plus its energy under the spec's model. YDS remains for
-// existing callers and will keep working.
-func YDS(ts TaskSet) (*Timetable, *yds.Profile, error) { return yds.Schedule(ts) }
 
 // Quantize maps a continuous schedule onto a processor's discrete
 // operating points (rounding up, deadline-safe below f_max) and returns

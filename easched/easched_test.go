@@ -1,10 +1,21 @@
 package easched
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
 )
+
+// mustSolve runs one spec through Solve, failing the test on error.
+func mustSolve(t *testing.T, spec Spec) *Report {
+	t.Helper()
+	rep, err := Solve(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
 
 func TestQuickstartFlow(t *testing.T) {
 	tasks := MustTasks(
@@ -16,10 +27,7 @@ func TestQuickstartFlow(t *testing.T) {
 		T(12, 6, 22),
 	)
 	model := NewModel(3, 0)
-	res, err := Schedule(tasks, 4, model, DER)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mustSolve(t, Spec{Tasks: tasks, Cores: 4, Model: model}).Plan
 	// The Section V.D example through the public API.
 	if math.Abs(res.FinalEnergy-31.8362) > 5e-4 {
 		t.Errorf("FinalEnergy = %.4f, want 31.8362", res.FinalEnergy)
@@ -44,10 +52,8 @@ func TestScheduleBothOrdering(t *testing.T) {
 		T(0, 8, 10), T(2, 14, 18), T(4, 8, 16),
 		T(6, 4, 14), T(8, 10, 20), T(12, 6, 22),
 	)
-	even, der, err := ScheduleBoth(tasks, 4, NewModel(3, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
+	even := mustSolve(t, Spec{Tasks: tasks, Cores: 4, Model: NewModel(3, 0), Method: MethodEven}).Plan
+	der := mustSolve(t, Spec{Tasks: tasks, Cores: 4, Model: NewModel(3, 0), Method: MethodDER}).Plan
 	if der.FinalEnergy >= even.FinalEnergy {
 		t.Errorf("DER %.4f should beat Even %.4f here", der.FinalEnergy, even.FinalEnergy)
 	}
@@ -60,16 +66,9 @@ func TestOptimalLowerBounds(t *testing.T) {
 		t.Fatal(err)
 	}
 	model := NewModel(3, 0.1)
-	res, err := Schedule(tasks, 4, model, DER)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sol, err := Optimal(tasks, 4, model)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sol.Energy > res.FinalEnergy+sol.Gap+1e-6 {
-		t.Errorf("optimal %.6f above heuristic %.6f", sol.Energy, res.FinalEnergy)
+	rep := mustSolve(t, Spec{Tasks: tasks, Cores: 4, Model: model, Compare: true})
+	if sol := rep.Optimal; sol.Energy > rep.Energy+sol.Gap+1e-6 {
+		t.Errorf("optimal %.6f above heuristic %.6f", sol.Energy, rep.Energy)
 	}
 }
 
@@ -82,10 +81,8 @@ func TestIdealAndYDS(t *testing.T) {
 	if len(plan.Tasks) != 3 {
 		t.Fatalf("ideal plan covers %d tasks", len(plan.Tasks))
 	}
-	sched, prof, err := YDS(tasks)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := mustSolve(t, Spec{Tasks: tasks, Cores: 1, Model: NewModel(3, 0), Method: MethodYDS})
+	sched, prof := rep.Schedule, rep.YDSProfile
 	if got := prof.SpeedAt(5); math.Abs(got-1) > 1e-9 {
 		t.Errorf("YDS speed at 5 = %g, want 1", got)
 	}
@@ -105,10 +102,7 @@ func TestQuantizeAndFit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Schedule(tasks, 4, model, DER)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mustSolve(t, Spec{Tasks: tasks, Cores: 4, Model: model}).Plan
 	a := Quantize(res.Final, tab)
 	if a.Energy <= 0 {
 		t.Errorf("quantized energy = %g", a.Energy)

@@ -1,6 +1,7 @@
 package easched
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -28,12 +29,12 @@ func TestScheduleRejectsDegenerateInputs(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			if _, err := Schedule(c.tasks, c.cores, model, DER); err == nil {
+			if _, err := Solve(context.Background(), Spec{Tasks: c.tasks, Cores: c.cores, Model: model}); err == nil {
 				t.Error("expected an error")
 			}
 		})
 	}
-	if _, err := Schedule(TaskSet{}, 4, model, DER); !errors.Is(err, task.ErrEmptySet) {
+	if _, err := Solve(context.Background(), Spec{Tasks: TaskSet{}, Cores: 4, Model: model}); !errors.Is(err, task.ErrEmptySet) {
 		t.Errorf("empty-set error %v should wrap task.ErrEmptySet", err)
 	}
 }
@@ -63,11 +64,8 @@ func TestSingleTaskRunsAtIdealFrequency(t *testing.T) {
 	// E = C·f^(α−1) = 6·(6/12)² = 1.5.
 	tasks := MustTasks(T(2, 6, 14))
 	model := NewModel(3, 0)
-	for _, method := range []Method{Even, DER} {
-		res, err := Schedule(tasks, 4, model, method)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, method := range []SolveMethod{MethodEven, MethodDER} {
+		res := mustSolve(t, Spec{Tasks: tasks, Cores: 4, Model: model, Method: method}).Plan
 		if math.Abs(res.FinalEnergy-1.5) > 1e-9 {
 			t.Errorf("%v: energy %.6f, want 1.5", method, res.FinalEnergy)
 		}
@@ -93,10 +91,7 @@ func TestFewerTasksThanCoresIsUnconstrained(t *testing.T) {
 	for _, tk := range tasks {
 		want += model.TaskEnergy(tk.Work, tk.Window())
 	}
-	res, err := Schedule(tasks, len(tasks), model, DER)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mustSolve(t, Spec{Tasks: tasks, Cores: len(tasks), Model: model}).Plan
 	if math.Abs(res.FinalEnergy-want) > 1e-9 {
 		t.Errorf("energy %.6f, want ideal %.6f", res.FinalEnergy, want)
 	}
@@ -116,10 +111,7 @@ func TestTaskSpanningEverySubinterval(t *testing.T) {
 		T(24, 4, 29),
 	)
 	model := NewModel(3, 0.1)
-	res, err := Schedule(tasks, 2, model, DER)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mustSolve(t, Spec{Tasks: tasks, Cores: 2, Model: model}).Plan
 	if got, want := len(res.Decomp.SubsOf(0)), res.Decomp.NumSubs(); got != want {
 		t.Errorf("spanning task eligible in %d of %d subintervals", got, want)
 	}

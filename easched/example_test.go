@@ -10,7 +10,7 @@ import (
 // The paper's Section V.D worked example: six tasks on a quad-core with
 // p(f) = f³. The DER-based final schedule reproduces the published
 // energy of 31.8362.
-func ExampleSchedule() {
+func ExampleSolve_sectionVD() {
 	tasks := easched.MustTasks(
 		easched.T(0, 8, 10),
 		easched.T(2, 14, 18),
@@ -19,18 +19,20 @@ func ExampleSchedule() {
 		easched.T(8, 10, 20),
 		easched.T(12, 6, 22),
 	)
-	res, err := easched.Schedule(tasks, 4, easched.NewModel(3, 0), easched.DER)
+	rep, err := easched.Solve(context.Background(), easched.Spec{
+		Tasks: tasks, Cores: 4, Model: easched.NewModel(3, 0), Method: easched.MethodDER,
+	})
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("E^F2 = %.4f\n", res.FinalEnergy)
+	fmt.Printf("E^F2 = %.4f\n", rep.Energy)
 	// Output:
 	// E^F2 = 31.8362
 }
 
 // Both allocation methods on the same instance: the DER-based method
 // (the paper's recommendation) wins.
-func ExampleScheduleBoth() {
+func ExampleSolve_bothMethods() {
 	tasks := easched.MustTasks(
 		easched.T(0, 8, 10),
 		easched.T(2, 14, 18),
@@ -39,11 +41,15 @@ func ExampleScheduleBoth() {
 		easched.T(8, 10, 20),
 		easched.T(12, 6, 22),
 	)
-	even, der, err := easched.ScheduleBoth(tasks, 4, easched.NewModel(3, 0))
-	if err != nil {
-		panic(err)
+	for _, m := range []easched.SolveMethod{easched.MethodEven, easched.MethodDER} {
+		rep, err := easched.Solve(context.Background(), easched.Spec{
+			Tasks: tasks, Cores: 4, Model: easched.NewModel(3, 0), Method: m,
+		})
+		if err != nil {
+			panic(err)
+		}
+		fmt.Printf("%-5s %.4f\n", m+":", rep.Energy)
 	}
-	fmt.Printf("even: %.4f\nder:  %.4f\n", even.FinalEnergy, der.FinalEnergy)
 	// Output:
 	// even: 33.0642
 	// der:  31.8362
@@ -51,17 +57,19 @@ func ExampleScheduleBoth() {
 
 // The introductory YDS example (Fig. 1): speed 1 on the critical
 // interval [4,8], 0.75 elsewhere.
-func ExampleYDS() {
+func ExampleSolve_yds() {
 	tasks := easched.MustTasks(
 		easched.T(0, 4, 12),
 		easched.T(2, 2, 10),
 		easched.T(4, 4, 8),
 	)
-	_, profile, err := easched.YDS(tasks)
+	rep, err := easched.Solve(context.Background(), easched.Spec{
+		Tasks: tasks, Cores: 1, Model: easched.NewModel(3, 0), Method: easched.MethodYDS,
+	})
 	if err != nil {
 		panic(err)
 	}
-	for _, b := range profile.Bands {
+	for _, b := range rep.YDSProfile.Bands {
 		fmt.Printf("[%g, %g] speed %.2f\n", b.Start, b.End, b.Speed)
 	}
 	// Output:
@@ -73,17 +81,19 @@ func ExampleYDS() {
 // The motivational example of Section II: the convex optimum on two
 // cores with p(f) = f³ + 0.01 matches the paper's KKT solution,
 // 155/32 + 0.2.
-func ExampleOptimal() {
+func ExampleSolve_optimal() {
 	tasks := easched.MustTasks(
 		easched.T(0, 4, 12),
 		easched.T(2, 2, 10),
 		easched.T(4, 4, 8),
 	)
-	sol, err := easched.Optimal(tasks, 2, easched.NewModel(3, 0.01))
+	rep, err := easched.Solve(context.Background(), easched.Spec{
+		Tasks: tasks, Cores: 2, Model: easched.NewModel(3, 0.01), Compare: true,
+	})
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("E^opt = %.3f\n", sol.Energy)
+	fmt.Printf("E^opt = %.3f\n", rep.Optimal.Energy)
 	// Output:
 	// E^opt = 5.044
 }
@@ -115,11 +125,11 @@ func ExampleQuantize() {
 	}
 	// One job: 4000 Mcycles, must finish within 20 s → 200 MHz minimum.
 	tasks := easched.MustTasks(easched.T(0, 4000, 20))
-	res, err := easched.Schedule(tasks, 1, model, easched.DER)
+	rep, err := easched.Solve(context.Background(), easched.Spec{Tasks: tasks, Cores: 1, Model: model})
 	if err != nil {
 		panic(err)
 	}
-	a := easched.Quantize(res.Final, tab)
+	a := easched.Quantize(rep.Schedule, tab)
 	fmt.Printf("missed: %v\n", a.Missed)
 	// Output:
 	// missed: false
@@ -127,7 +137,6 @@ func ExampleQuantize() {
 
 // The current entry point: one Spec in, one unified Report out, with
 // context cancellation and the optimal comparison in the same call.
-// Replaces the deprecated Schedule/ScheduleBoth/Optimal wrappers.
 func ExampleSolve() {
 	tasks := easched.MustTasks(
 		easched.T(0, 8, 10),

@@ -11,7 +11,6 @@ import (
 	"repro/internal/hetero"
 	"repro/internal/interval"
 	"repro/internal/online"
-	"repro/internal/partition"
 	"repro/internal/periodic"
 	"repro/internal/trace"
 )
@@ -67,28 +66,6 @@ func Hyperperiod(s PeriodicSystem, quantum float64) (float64, error) {
 
 // --- Baselines ---
 
-// SchedulePartitioned runs the non-migratory baseline: tasks are
-// statically assigned to cores (first-fit decreasing) and each core runs
-// the YDS optimal uniprocessor algorithm with a critical-frequency floor.
-// Returns the realized schedule and its energy.
-//
-// Deprecated: prefer [Solve] with Spec{Method: MethodPartitioned}.
-// SchedulePartitioned remains for existing callers and will keep working.
-func SchedulePartitioned(ts TaskSet, cores int, m Model) (*Timetable, float64, error) {
-	return partition.Schedule(ts, cores, m)
-}
-
-// ScheduleOnline runs the non-clairvoyant deployment of the paper's
-// DER-based pipeline: re-plan at every task release, follow the plan
-// between releases. Never misses a deadline; pays an energy premium for
-// not knowing future arrivals.
-//
-// Deprecated: prefer [Solve] with Spec{Method: MethodOnline}.
-// ScheduleOnline remains for existing callers and will keep working.
-func ScheduleOnline(ts TaskSet, cores int, m Model) (*online.Result, error) {
-	return online.ReplanDER(ts, cores, m)
-}
-
 // ScheduleFixedSpeedEDF runs the no-DVFS baseline: global EDF at one
 // constant speed. The result reports deadline misses rather than failing.
 func ScheduleFixedSpeedEDF(ts TaskSet, cores int, m Model, speed float64) (*online.Result, error) {
@@ -125,19 +102,6 @@ type CappedPlan = capped.Result
 // ErrInfeasibleAtCap is returned when the task set cannot meet its
 // deadlines at the frequency cap on the given core count.
 var ErrInfeasibleAtCap = capped.ErrInfeasible
-
-// ScheduleCapped runs the paper's pipeline with a frequency ceiling:
-// when the plain final schedule would exceed the cap, a two-phase
-// max-flow allocation guarantees every frequency stays at or below it,
-// so no deadline can be missed on any instance that is feasible at the
-// cap (ErrInfeasibleAtCap otherwise).
-//
-// Deprecated: prefer [Solve] with Spec{Method: MethodCapped,
-// FrequencyCap: cap} (which always uses the DER allocation).
-// ScheduleCapped remains for existing callers and will keep working.
-func ScheduleCapped(ts TaskSet, cores int, m Model, method Method, frequencyCap float64) (*CappedPlan, error) {
-	return capped.Schedule(ts, cores, m, method, frequencyCap)
-}
 
 // --- Heterogeneous static power (extension beyond the paper) ---
 

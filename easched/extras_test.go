@@ -2,6 +2,8 @@ package easched
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"strings"
@@ -34,10 +36,8 @@ func TestPartitionedAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	model := NewModel(3, 0.1)
-	sched, energy, err := SchedulePartitioned(tasks, 3, model)
-	if err != nil {
-		t.Fatal(err)
-	}
+	part := mustSolve(t, Spec{Tasks: tasks, Cores: 3, Model: model, Method: MethodPartitioned})
+	sched, energy := part.Schedule, part.Energy
 	if energy <= 0 {
 		t.Errorf("energy = %g", energy)
 	}
@@ -60,17 +60,11 @@ func TestOnlineAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	model := NewModel(3, 0.05)
-	res, err := ScheduleOnline(tasks, 4, model)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mustSolve(t, Spec{Tasks: tasks, Cores: 4, Model: model, Method: MethodOnline}).Online
 	if len(res.MissedTasks) != 0 {
 		t.Errorf("online missed %v", res.MissedTasks)
 	}
-	off, err := Schedule(tasks, 4, model, DER)
-	if err != nil {
-		t.Fatal(err)
-	}
+	off := mustSolve(t, Spec{Tasks: tasks, Cores: 4, Model: model}).Plan
 	if res.Energy < off.FinalEnergy*0.9 {
 		t.Errorf("online energy %.4f suspiciously below offline %.4f", res.Energy, off.FinalEnergy)
 	}
@@ -98,10 +92,7 @@ func TestQuantizeSplitAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Schedule(tasks, 4, model, DER)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mustSolve(t, Spec{Tasks: tasks, Cores: 4, Model: model}).Plan
 	up := Quantize(res.Final, tab)
 	split := QuantizeSplit(res.Final, tab)
 	if split.Energy > up.Energy+1e-6 {
@@ -111,10 +102,7 @@ func TestQuantizeSplitAPI(t *testing.T) {
 
 func TestExportAPI(t *testing.T) {
 	tasks := MustTasks(T(0, 4, 12), T(2, 2, 10), T(4, 4, 8))
-	res, err := Schedule(tasks, 2, NewModel(3, 0.01), DER)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mustSolve(t, Spec{Tasks: tasks, Cores: 2, Model: NewModel(3, 0.01)}).Plan
 	var buf bytes.Buffer
 	if err := WriteChromeTrace(&buf, res.Final, 1e6); err != nil {
 		t.Fatal(err)
@@ -167,14 +155,16 @@ func TestScheduleCappedAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ScheduleCapped(tasks, 4, model, DER, tab.MaxFrequency())
-	if err == ErrInfeasibleAtCap {
+	rep, err := Solve(context.Background(), Spec{
+		Tasks: tasks, Cores: 4, Model: model, Method: MethodCapped, FrequencyCap: tab.MaxFrequency(),
+	})
+	if errors.Is(err, ErrInfeasibleAtCap) {
 		t.Skip("instance infeasible at f_max")
 	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := Quantize(res.Schedule, tab)
+	a := Quantize(rep.Capped.Schedule, tab)
 	if a.Missed {
 		t.Errorf("capped schedule missed %v", a.MissedTasks)
 	}

@@ -15,6 +15,7 @@ import (
 	"repro/internal/interval"
 	"repro/internal/online"
 	"repro/internal/opt"
+	"repro/internal/partition"
 	"repro/internal/yds"
 )
 
@@ -23,10 +24,7 @@ import (
 // Solve is the single front door of the library: one Spec describes the
 // instance (tasks, cores, power model), the algorithm, and any add-ons
 // (optimal comparison, discrete-table quantization), and one Report
-// carries everything produced. The seven specialized entry points kept
-// for compatibility (Schedule, ScheduleBoth, Optimal, YDS,
-// SchedulePartitioned, ScheduleOnline, ScheduleCapped) are thin legacy
-// wrappers over the same machinery.
+// carries everything produced.
 
 // SolveMethod selects the scheduling algorithm of a Spec. The zero value
 // is MethodDER, the paper's recommended configuration.
@@ -200,7 +198,7 @@ func solve(ctx context.Context, spec Spec) (*Report, error) {
 		rep.Energy = sched.Energy(spec.Model)
 		rep.YDSProfile = prof
 	case MethodPartitioned:
-		sched, energy, err := SchedulePartitioned(spec.Tasks, spec.Cores, spec.Model)
+		sched, energy, err := partition.Schedule(spec.Tasks, spec.Cores, spec.Model)
 		if err != nil {
 			return nil, err
 		}

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -42,13 +43,13 @@ func main() {
 	var rows []row
 
 	// The paper's pipeline, quantized to the real frequency grid.
-	plan, err := easched.Schedule(tasks, 4, model, easched.DER)
+	plan, err := easched.Solve(context.Background(), easched.Spec{Tasks: tasks, Cores: 4, Model: model, Discrete: tab})
 	if err != nil {
 		log.Fatal(err)
 	}
-	q := easched.Quantize(plan.Final, tab)
+	q := plan.Quantized
 	rows = append(rows, row{"DER schedule (paper, quantized)", q.Energy, len(q.MissedTasks)})
-	split := easched.QuantizeSplit(plan.Final, tab)
+	split := easched.QuantizeSplit(plan.Schedule, tab)
 	rows = append(rows, row{"DER schedule + two-level split", split.Energy, len(split.MissedTasks)})
 
 	for _, g := range []struct {

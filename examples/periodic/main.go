@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -55,11 +56,13 @@ func main() {
 
 	model := easched.NewModel(3, *p0)
 
-	// The paper's DER-based schedule.
-	plan, err := easched.Schedule(jobs, *cores, model, easched.DER)
+	// The paper's DER-based schedule, with the certified optimum for
+	// reference (Compare).
+	rep, err := easched.Solve(context.Background(), easched.Spec{Tasks: jobs, Cores: *cores, Model: model, Compare: true})
 	if err != nil {
 		log.Fatal(err)
 	}
+	plan, sol := rep.Plan, rep.Optimal
 	// Race-to-idle EDF: global EDF is not optimal on multiprocessors, so
 	// the minimal migratory-feasible speed may not suffice for it — step
 	// the speed up until EDF actually meets every deadline (what a
@@ -85,11 +88,6 @@ func main() {
 		log.Fatal("EDF never became feasible — raise the multiplier bound")
 	}
 	fmt.Printf("minimal migratory speed %.4f; EDF needs %.4f to meet all deadlines\n", minSpeed, speed)
-	// The certified optimum, for reference.
-	sol, err := easched.Optimal(jobs, *cores, model)
-	if err != nil {
-		log.Fatal(err)
-	}
 
 	fmt.Printf("%-34s %12s %10s\n", "scheduler", "energy", "NEC")
 	fmt.Printf("%-34s %12.4f %10.4f\n", "DER-based subinterval (paper)", plan.FinalEnergy, plan.FinalEnergy/sol.Energy)

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -27,12 +28,19 @@ func main() {
 	// A cubic dynamic power model without static power: p(f) = f³.
 	model := easched.NewModel(3, 0)
 
-	// Run both allocation methods on four cores.
-	even, der, err := easched.ScheduleBoth(tasks, 4, model)
+	// Run both allocation methods on four cores; the DER run also solves
+	// the convex program for the optimum (Compare).
+	ctx := context.Background()
+	even, err := easched.Solve(ctx, easched.Spec{Tasks: tasks, Cores: 4, Model: model, Method: easched.MethodEven})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("evenly allocating method: E = %.4f\n", even.FinalEnergy)
+	rep, err := easched.Solve(ctx, easched.Spec{Tasks: tasks, Cores: 4, Model: model, Compare: true})
+	if err != nil {
+		log.Fatal(err)
+	}
+	der := rep.Plan
+	fmt.Printf("evenly allocating method: E = %.4f\n", even.Energy)
 	fmt.Printf("DER-based method:         E = %.4f\n\n", der.FinalEnergy)
 
 	fmt.Println("DER-based final schedule:")
@@ -45,19 +53,15 @@ func main() {
 	}
 
 	// How close is the lightweight heuristic to the true optimum?
-	sol, err := easched.Optimal(tasks, 4, model)
-	if err != nil {
-		log.Fatal(err)
-	}
 	fmt.Printf("\nconvex optimum E^opt = %.4f → NEC of the heuristic = %.4f\n",
-		sol.Energy, der.FinalEnergy/sol.Energy)
+		rep.Optimal.Energy, rep.NEC)
 
 	// Replay the schedule in the discrete-event simulator as a final
 	// sanity check.
-	rep, err := easched.Simulate(der.Final, model)
+	simRep, err := easched.Simulate(der.Final, model)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("simulator: energy %.4f, ok=%v, %d preemptions, %d migrations\n",
-		rep.Energy, rep.OK(), rep.Preemptions, rep.Migrations)
+		simRep.Energy, simRep.OK(), simRep.Preemptions, simRep.Migrations)
 }

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -46,24 +47,26 @@ func main() {
 		log.Fatal(err)
 	}
 
-	even, der, err := easched.ScheduleBoth(tasks, 4, model)
+	// Both heuristics, each quantized onto the real operating points
+	// (Discrete); the DER run also solves for the optimum (Compare).
+	ctx := context.Background()
+	even, err := easched.Solve(ctx, easched.Spec{
+		Tasks: tasks, Cores: 4, Model: model, Method: easched.MethodEven, Discrete: tab,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	// Quantize the continuous schedules onto the real operating points.
-	qEven := easched.Quantize(even.Final, tab)
-	qDer := easched.Quantize(der.Final, tab)
-	sol, err := easched.Optimal(tasks, 4, model)
+	der, err := easched.Solve(ctx, easched.Spec{Tasks: tasks, Cores: 4, Model: model, Discrete: tab, Compare: true})
 	if err != nil {
 		log.Fatal(err)
 	}
+	qEven, qDer, sol := even.Quantized, der.Quantized, der.Optimal
 
 	fmt.Printf("%-28s %14s %14s %8s\n", "schedule", "E continuous", "E quantized", "misses")
 	fmt.Printf("%-28s %14.1f %14.1f %8d\n", "evenly allocating (F1)",
-		even.FinalEnergy, qEven.Energy, len(qEven.MissedTasks))
+		even.Energy, qEven.Energy, len(qEven.MissedTasks))
 	fmt.Printf("%-28s %14.1f %14.1f %8d\n", "DER-based (F2)",
-		der.FinalEnergy, qDer.Energy, len(qDer.MissedTasks))
+		der.Energy, qDer.Energy, len(qDer.MissedTasks))
 	fmt.Printf("%-28s %14.1f %14s %8s\n", "convex optimum", sol.Energy, "—", "—")
 
 	fmt.Printf("\nquantized NEC: F1 = %.4f, F2 = %.4f\n",

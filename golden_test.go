@@ -8,6 +8,7 @@ package repro
 // is absolute: the published values carry four decimals.
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -21,13 +22,25 @@ const (
 	goldenTol = 1e-3
 )
 
+// solveBoth runs the evenly allocating (S^F1) and the DER-based (S^F2)
+// subinterval heuristics on one instance through easched.Solve.
+func solveBoth(t *testing.T, ts easched.TaskSet, cores int, pm easched.Model) (even, der *easched.Plan) {
+	t.Helper()
+	plans := make([]*easched.Plan, 2)
+	for i, m := range []easched.SolveMethod{easched.MethodEven, easched.MethodDER} {
+		rep, err := easched.Solve(context.Background(), easched.Spec{Tasks: ts, Cores: cores, Model: pm, Method: m})
+		if err != nil {
+			t.Fatal(err)
+		}
+		plans[i] = rep.Plan
+	}
+	return plans[0], plans[1]
+}
+
 func TestGoldenSectionVD(t *testing.T) {
 	ts := task.SectionVDExample()
 	pm := easched.NewModel(3, 0)
-	even, der, err := easched.ScheduleBoth(ts, 4, pm)
-	if err != nil {
-		t.Fatal(err)
-	}
+	even, der := solveBoth(t, ts, 4, pm)
 	if got := even.FinalEnergy; math.Abs(got-paperEF1) > goldenTol {
 		t.Errorf("E^F1 = %.6f, paper Section V.D reports %.4f (tol %g)", got, paperEF1, goldenTol)
 	}
@@ -44,10 +57,7 @@ func TestGoldenSectionVD(t *testing.T) {
 func TestGoldenSectionVDSchedulesValidate(t *testing.T) {
 	ts := task.SectionVDExample()
 	pm := easched.NewModel(3, 0)
-	even, der, err := easched.ScheduleBoth(ts, 4, pm)
-	if err != nil {
-		t.Fatal(err)
-	}
+	even, der := solveBoth(t, ts, 4, pm)
 	for name, plan := range map[string]*easched.Plan{"even": even, "der": der} {
 		if errs := plan.Final.Validate(1e-6, true); len(errs) > 0 {
 			t.Errorf("%s golden schedule invalid: %v", name, errs[0])

@@ -8,6 +8,7 @@ package repro
 // hard assertions rather than statistical summaries.
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -158,19 +159,15 @@ func TestPublicAPISectionVDEndToEnd(t *testing.T) {
 		easched.T(6, 4, 14), easched.T(8, 10, 20), easched.T(12, 6, 22),
 	)
 	model := easched.NewModel(3, 0)
-	even, der, err := easched.ScheduleBoth(tasks, 4, model)
-	if err != nil {
-		t.Fatal(err)
-	}
+	even, der := solveBoth(t, tasks, 4, model)
 	if math.Abs(even.FinalEnergy-33.0642) > 5e-4 || math.Abs(der.FinalEnergy-31.8362) > 5e-4 {
 		t.Errorf("paper energies not reproduced: F1=%.4f F2=%.4f", even.FinalEnergy, der.FinalEnergy)
 	}
-	sol, err := easched.Optimal(tasks, 4, model)
+	cmp, err := easched.Solve(context.Background(), easched.Spec{Tasks: tasks, Cores: 4, Model: model, Compare: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	nec := der.FinalEnergy / sol.Energy
-	if nec < 1.0-1e-6 || nec > 1.05 {
+	if nec := cmp.NEC; nec < 1.0-1e-6 || nec > 1.05 {
 		t.Errorf("NEC(F2) = %.4f outside [1, 1.05] on the worked example", nec)
 	}
 	rep, err := easched.Simulate(der.Final, model)
@@ -192,10 +189,11 @@ func TestDiscretePipelineEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := easched.Schedule(tasks, 4, model, easched.DER)
+	rep, err := easched.Solve(context.Background(), easched.Spec{Tasks: tasks, Cores: 4, Model: model})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := rep.Plan
 	up := easched.Quantize(res.Final, tab)
 	split := easched.QuantizeSplit(res.Final, tab)
 	if split.Energy > up.Energy+1e-6 {

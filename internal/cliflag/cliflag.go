@@ -1,7 +1,6 @@
 // Package cliflag standardizes command-line handling across cmd/*: one
-// canonical name per flag with hidden back-compat aliases, and a
-// uniform failure mode — unknown or malformed flags print usage to
-// stderr and exit 2 instead of half-parsing.
+// name per flag, and a uniform failure mode — unknown or malformed
+// flags print usage to stderr and exit 2 instead of half-parsing.
 //
 // The repo-wide canonical vocabulary:
 //
@@ -12,9 +11,8 @@
 //	-o        output file path
 //	-ntasks   tasks per generated instance
 //
-// Tools that historically used other spellings register them via Alias;
-// aliases keep working but stay out of -h output so the documented
-// surface converges on the canonical names.
+// A renamed flag moves its callers in the same change; the old spelling
+// is not kept.
 package cliflag
 
 import (
@@ -22,16 +20,13 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"time"
 )
 
-// Set wraps a flag.FlagSet with alias support and exit-2-on-error
-// parsing.
+// Set wraps a flag.FlagSet with exit-2-on-error parsing.
 type Set struct {
-	fs      *flag.FlagSet
-	name    string
-	aliases map[string]string // alias -> canonical
+	fs   *flag.FlagSet
+	name string
 	// Exit is the exit seam (tests replace it). Defaults to os.Exit.
 	Exit func(code int)
 	// Output receives usage text. Defaults to os.Stderr.
@@ -41,11 +36,10 @@ type Set struct {
 // New builds an empty flag set named after the command.
 func New(name string) *Set {
 	s := &Set{
-		fs:      flag.NewFlagSet(name, flag.ContinueOnError),
-		name:    name,
-		aliases: make(map[string]string),
-		Exit:    os.Exit,
-		Output:  os.Stderr,
+		fs:     flag.NewFlagSet(name, flag.ContinueOnError),
+		name:   name,
+		Exit:   os.Exit,
+		Output: os.Stderr,
 	}
 	// The FlagSet's own error output is silenced: Parse prints one
 	// coherent usage block instead of flag's default interleaving.
@@ -78,43 +72,21 @@ func (s *Set) Duration(name string, value time.Duration, usage string) *time.Dur
 	return s.fs.Duration(name, value, usage)
 }
 
-// Var registers a custom flag.Value under the canonical name.
+// Var registers a custom flag.Value.
 func (s *Set) Var(v flag.Value, name, usage string) {
 	s.fs.Var(v, name, usage)
 }
 
-// Alias makes old spellings parse into an already-registered canonical
-// flag. Aliases are hidden from usage output. Panics on an unknown
-// canonical name (a programming error, caught by any test that builds
-// the flag set).
-func (s *Set) Alias(canonical string, aliases ...string) {
-	f := s.fs.Lookup(canonical)
-	if f == nil {
-		panic(fmt.Sprintf("cliflag: alias target -%s not registered", canonical))
-	}
-	for _, a := range aliases {
-		s.fs.Var(f.Value, a, f.Usage)
-		s.aliases[a] = canonical
-	}
-}
-
-// Usage prints the canonical flag surface (aliases omitted).
+// Usage prints the flag surface, sorted by name.
 func (s *Set) Usage() {
 	fmt.Fprintf(s.Output, "usage: %s [flags]\n", s.name)
-	var rows []*flag.Flag
 	s.fs.VisitAll(func(f *flag.Flag) {
-		if _, isAlias := s.aliases[f.Name]; !isAlias {
-			rows = append(rows, f)
-		}
-	})
-	sort.Slice(rows, func(i, j int) bool { return rows[i].Name < rows[j].Name })
-	for _, f := range rows {
 		def := ""
 		if f.DefValue != "" && f.DefValue != "false" {
 			def = fmt.Sprintf(" (default %s)", f.DefValue)
 		}
 		fmt.Fprintf(s.Output, "  -%s\n\t%s%s\n", f.Name, f.Usage, def)
-	}
+	})
 }
 
 // Parse parses args (not including the command name). Errors — unknown
@@ -138,18 +110,7 @@ func (s *Set) Parse(args []string) {
 // Args returns the non-flag arguments.
 func (s *Set) Args() []string { return s.fs.Args() }
 
-// Visit forwards to the underlying FlagSet (flags set on the command
-// line only), with alias hits reported under their canonical name.
+// Visit calls fn with the name of each flag set on the command line.
 func (s *Set) Visit(fn func(name string)) {
-	seen := make(map[string]bool)
-	s.fs.Visit(func(f *flag.Flag) {
-		name := f.Name
-		if c, ok := s.aliases[name]; ok {
-			name = c
-		}
-		if !seen[name] {
-			seen[name] = true
-			fn(name)
-		}
-	})
+	s.fs.Visit(func(f *flag.Flag) { fn(f.Name) })
 }

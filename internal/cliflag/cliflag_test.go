@@ -16,24 +16,9 @@ func newTestSet(t *testing.T) (*Set, *bytes.Buffer, *int) {
 	return s, &out, &code
 }
 
-func TestAliasParsesIntoCanonical(t *testing.T) {
-	s, _, code := newTestSet(t)
-	o := s.String("o", "", "output file")
-	s.Alias("o", "out")
-
-	s.Parse([]string{"-out", "result.json"})
-	if *code != -1 {
-		t.Fatalf("exit called with %d", *code)
-	}
-	if *o != "result.json" {
-		t.Fatalf("canonical flag = %q, want result.json", *o)
-	}
-}
-
 func TestCanonicalStillWorks(t *testing.T) {
 	s, _, code := newTestSet(t)
 	n := s.Int("ntasks", 10, "tasks per instance")
-	s.Alias("ntasks", "tasks")
 
 	s.Parse([]string{"-ntasks", "7"})
 	if *code != -1 || *n != 7 {
@@ -81,48 +66,17 @@ func TestHelpExitsZero(t *testing.T) {
 	}
 }
 
-func TestUsageHidesAliases(t *testing.T) {
-	s, out, _ := newTestSet(t)
-	s.String("o", "", "output file")
-	s.Alias("o", "out", "output")
-
-	s.Usage()
-	text := out.String()
-	if !strings.Contains(text, "-o\n") {
-		t.Fatalf("canonical -o missing:\n%s", text)
-	}
-	if strings.Contains(text, "-out") || strings.Contains(text, "-output") {
-		t.Fatalf("alias leaked into usage:\n%s", text)
-	}
-}
-
-func TestAliasUnknownCanonicalPanics(t *testing.T) {
-	s, _, _ := newTestSet(t)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for unknown canonical")
-		}
-	}()
-	s.Alias("missing", "m")
-}
-
 func TestVisitReportsCanonicalNames(t *testing.T) {
 	s, _, _ := newTestSet(t)
 	s.String("o", "", "output file")
-	s.Alias("o", "out")
 	s.Int("seed", 1, "rng seed")
+	s.Bool("v", false, "verbose")
 
-	s.Parse([]string{"-out", "x", "-seed", "3"})
+	s.Parse([]string{"-o", "x", "-seed", "3"})
 	var got []string
 	s.Visit(func(name string) { got = append(got, name) })
-	joined := strings.Join(got, ",")
-	if !strings.Contains(joined, "o") || !strings.Contains(joined, "seed") {
-		t.Fatalf("Visit reported %v", got)
-	}
-	for _, n := range got {
-		if n == "out" {
-			t.Fatalf("Visit leaked alias name: %v", got)
-		}
+	if strings.Join(got, ",") != "o,seed" {
+		t.Fatalf("Visit reported %v, want the set flags [o seed]", got)
 	}
 }
 

@@ -123,6 +123,8 @@ func TestOneShotAllBackendsDown(t *testing.T) {
 	_ = rt
 }
 
+// TestRouterCompatErrorShape checks that the retired ?compat=1 query no
+// longer selects the pre-envelope {"error":"..."} body on the router.
 func TestRouterCompatErrorShape(t *testing.T) {
 	_, b1 := newBackendServer(t)
 	_, rhs := newRouter(t, b1.URL)
@@ -135,12 +137,8 @@ func TestRouterCompatErrorShape(t *testing.T) {
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
-	var legacy wire.ErrorResponse
-	if err := json.Unmarshal(body, &legacy); err != nil || legacy.Error == "" {
-		t.Fatalf("compat=1 should produce the legacy shape, got: %s", body)
-	}
-	if bytes.Contains(body, []byte(`"code"`)) {
-		t.Fatalf("compat body leaked envelope fields: %s", body)
+	if d, ok := wire.DecodeError(body); !ok || d.Code != wire.CodeNotFound {
+		t.Fatalf("compat=1 should still produce the envelope, got: %s", body)
 	}
 }
 
@@ -431,9 +429,9 @@ func TestRendezvousStability(t *testing.T) {
 }
 
 // TestRouterErrorEnvelopeEveryEndpoint drives an error through every
-// v1 endpoint the router exposes and asserts the unified envelope plus
-// the ?compat=1 legacy fallback — whether the error originates at the
-// router itself or is relayed from a backend, clients see one shape.
+// v1 endpoint the router exposes and asserts the unified envelope, also
+// under the retired ?compat=1 query — whether the error originates at
+// the router itself or is relayed from a backend, clients see one shape.
 func TestRouterErrorEnvelopeEveryEndpoint(t *testing.T) {
 	_, b1 := newBackendServer(t)
 	_, rhs := newRouter(t, b1.URL)
@@ -474,38 +472,23 @@ func TestRouterErrorEnvelopeEveryEndpoint(t *testing.T) {
 		return resp.StatusCode, raw
 	}
 	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			status, body := do(t, tc.method, tc.path, tc.body)
-			if status != tc.status {
-				t.Fatalf("status = %d, want %d (%s)", status, tc.status, body)
-			}
-			var env wire.ErrorEnvelope
-			if err := json.Unmarshal(body, &env); err != nil {
-				t.Fatalf("not an envelope: %v\n%s", err, body)
-			}
-			if env.Version != wire.Version || env.Error.Code != tc.code || env.Error.Message == "" {
-				t.Errorf("envelope = %+v, want version %d code %q", env, wire.Version, tc.code)
-			}
-			if want := wire.RetryableStatus(tc.status); env.Error.Retryable != want {
-				t.Errorf("retryable = %t, want %t", env.Error.Retryable, want)
-			}
-		})
-		t.Run(tc.name+"_compat", func(t *testing.T) {
-			status, body := do(t, tc.method, tc.path+"?compat=1", tc.body)
-			if status != tc.status {
-				t.Fatalf("status = %d, want %d (%s)", status, tc.status, body)
-			}
-			var raw map[string]json.RawMessage
-			if err := json.Unmarshal(body, &raw); err != nil {
-				t.Fatalf("compat body is not JSON: %v\n%s", err, body)
-			}
-			var msg string
-			if err := json.Unmarshal(raw["error"], &msg); err != nil || msg == "" {
-				t.Fatalf(`compat "error" not a non-empty string: %s`, body)
-			}
-			if _, ok := raw["version"]; ok {
-				t.Errorf("compat body leaks version: %s", body)
-			}
-		})
+		for _, q := range []struct{ suffix, query string }{{"", ""}, {"_compat", "?compat=1"}} {
+			t.Run(tc.name+q.suffix, func(t *testing.T) {
+				status, body := do(t, tc.method, tc.path+q.query, tc.body)
+				if status != tc.status {
+					t.Fatalf("status = %d, want %d (%s)", status, tc.status, body)
+				}
+				var env wire.ErrorEnvelope
+				if err := json.Unmarshal(body, &env); err != nil {
+					t.Fatalf("not an envelope: %v\n%s", err, body)
+				}
+				if env.Version != wire.Version || env.Error.Code != tc.code || env.Error.Message == "" {
+					t.Errorf("envelope = %+v, want version %d code %q", env, wire.Version, tc.code)
+				}
+				if want := wire.RetryableStatus(tc.status); env.Error.Retryable != want {
+					t.Errorf("retryable = %t, want %t", env.Error.Retryable, want)
+				}
+			})
+		}
 	}
 }

@@ -20,24 +20,40 @@ import (
 // replayed duplicates within a generation. When the upstream connection
 // breaks without the graceful terminator, the pump triggers a migration
 // and resumes the stream from the session's new home.
+//
+// The 200 goes out only once the first upstream subscription is open
+// (schedd subscribes before its own 200), so a client that treats the
+// 200 as "subscribed" cannot post an arrival or a DELETE that the
+// stream then misses.
 func (rt *Router) handleSessionEvents(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	sess := rt.lookup(id)
 	if sess == nil {
-		writeError(w, r, http.StatusNotFound, wire.CodeNotFound, "unknown session %q", id)
+		wire.WriteError(w, http.StatusNotFound, wire.CodeNotFound, "unknown session %q", id)
 		return
 	}
 	flusher, ok := w.(http.Flusher)
 	if !ok {
-		writeError(w, r, http.StatusInternalServerError, wire.CodeInternal, "streaming unsupported by connection")
+		wire.WriteError(w, http.StatusInternalServerError, wire.CodeInternal, "streaming unsupported by connection")
 		return
 	}
-	h := w.Header()
-	h.Set("Content-Type", "text/event-stream")
-	h.Set("Cache-Control", "no-cache")
-	h.Set("X-Accel-Buffering", "no")
-	w.WriteHeader(http.StatusOK)
-	flusher.Flush()
+	started := false
+	start := func() {
+		if started {
+			return
+		}
+		started = true
+		h := w.Header()
+		h.Set("Content-Type", "text/event-stream")
+		h.Set("Cache-Control", "no-cache")
+		h.Set("X-Accel-Buffering", "no")
+		w.WriteHeader(http.StatusOK)
+		flusher.Flush()
+	}
+	end := func() {
+		start()
+		writeTerminator(w, flusher)
+	}
 
 	var outSeq int64
 	lastSeq := int64(-1)
@@ -45,7 +61,7 @@ func (rt *Router) handleSessionEvents(w http.ResponseWriter, r *http.Request) {
 	for {
 		home, gen, epoch, genCh, closed := rt.locationEpoch(sess)
 		if closed || home == nil {
-			writeTerminator(w, flusher)
+			end()
 			return
 		}
 		if epoch != curEpoch {
@@ -70,11 +86,12 @@ func (rt *Router) handleSessionEvents(w http.ResponseWriter, r *http.Request) {
 			if _, g, _, cl := rt.location(sess); cl || g == gen {
 				// Session finished (or was torn down) on its home while we
 				// were connecting: the stream is over.
-				writeTerminator(w, flusher)
+				end()
 				return
 			}
 			continue // migrated between location() and connect: re-resolve
 		}
+		start()
 		graceful := rt.pump(w, flusher, resp.Body, genCh, &outSeq, &lastSeq)
 		resp.Body.Close()
 		if r.Context().Err() != nil {
@@ -84,7 +101,7 @@ func (rt *Router) handleSessionEvents(w http.ResponseWriter, r *http.Request) {
 			if _, g, _, cl := rt.location(sess); !cl && g != gen {
 				continue // old copy closed because the session moved on
 			}
-			writeTerminator(w, flusher)
+			end()
 			return
 		}
 		// Mid-stream break without the terminator: the backend died.

@@ -20,35 +20,14 @@ import (
 // this, so the cap only guards against a misbehaving peer.
 const maxProxyBody = 64 << 20
 
-// writeJSON / writeError mirror the schedd wire conventions so a client
-// cannot tell router-origin errors from backend-origin ones: the same
-// versioned envelope, the same ?compat=1 legacy fallback.
+// writeJSON writes a 2xx body; errors go through wire.WriteError, the
+// same envelope writer schedd uses.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
 	enc.SetEscapeHTML(false)
 	_ = enc.Encode(v)
-}
-
-func compatRequested(r *http.Request) bool {
-	return r.URL.Query().Get("compat") == "1"
-}
-
-func writeError(w http.ResponseWriter, r *http.Request, status int, code wire.ErrorCode, format string, args ...any) {
-	msg := fmt.Sprintf(format, args...)
-	if compatRequested(r) {
-		writeJSON(w, status, wire.ErrorResponse{Error: msg})
-		return
-	}
-	writeJSON(w, status, wire.ErrorEnvelope{
-		Version: wire.Version,
-		Error: wire.ErrorDetail{
-			Code:      code,
-			Message:   msg,
-			Retryable: wire.RetryableStatus(status),
-		},
-	})
 }
 
 func retryAfter(w http.ResponseWriter, seconds int) {
@@ -232,7 +211,7 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, body []byte) {
 		return
 	}
 	retryAfter(w, 1)
-	writeError(w, r, http.StatusServiceUnavailable, wire.CodeUnavailable, "no healthy backend")
+	wire.WriteError(w, http.StatusServiceUnavailable, wire.CodeUnavailable, "no healthy backend")
 }
 
 // sleepRetryAfter pauses for the last reply's Retry-After hint (capped
@@ -264,12 +243,12 @@ func (rt *Router) sleepRetryAfter(ctx context.Context, last *reply) bool {
 func (rt *Router) handleOneShot(w http.ResponseWriter, r *http.Request) {
 	if rt.draining.Load() {
 		retryAfter(w, 1)
-		writeError(w, r, http.StatusServiceUnavailable, wire.CodeDraining, "router is draining")
+		wire.WriteError(w, http.StatusServiceUnavailable, wire.CodeDraining, "router is draining")
 		return
 	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxProxyBody))
 	if err != nil {
-		writeError(w, r, http.StatusBadRequest, wire.CodeBadRequest, "read body: %v", err)
+		wire.WriteError(w, http.StatusBadRequest, wire.CodeBadRequest, "read body: %v", err)
 		return
 	}
 	if len(body) == 0 {
@@ -286,21 +265,21 @@ func (rt *Router) handleOneShot(w http.ResponseWriter, r *http.Request) {
 func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if rt.draining.Load() {
 		retryAfter(w, 1)
-		writeError(w, r, http.StatusServiceUnavailable, wire.CodeDraining, "router is draining")
+		wire.WriteError(w, http.StatusServiceUnavailable, wire.CodeDraining, "router is draining")
 		return
 	}
 	if r.Method != http.MethodPost {
-		writeError(w, r, http.StatusMethodNotAllowed, wire.CodeMethodNotAllowed, "use POST")
+		wire.WriteError(w, http.StatusMethodNotAllowed, wire.CodeMethodNotAllowed, "use POST")
 		return
 	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxProxyBody))
 	if err != nil {
-		writeError(w, r, http.StatusBadRequest, wire.CodeBadRequest, "read body: %v", err)
+		wire.WriteError(w, http.StatusBadRequest, wire.CodeBadRequest, "read body: %v", err)
 		return
 	}
 	var req wire.BatchRequest
 	if err := json.Unmarshal(body, &req); err != nil {
-		writeError(w, r, http.StatusBadRequest, wire.CodeBadRequest, "decode: %v", err)
+		wire.WriteError(w, http.StatusBadRequest, wire.CodeBadRequest, "decode: %v", err)
 		return
 	}
 	shards := len(rt.healthy())

@@ -103,12 +103,12 @@ func (rt *Router) setSnapshot(s *routedSession, gen int64, snap *wire.SessionSna
 func (rt *Router) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	if rt.draining.Load() {
 		retryAfter(w, 1)
-		writeError(w, r, http.StatusServiceUnavailable, wire.CodeDraining, "router is draining")
+		wire.WriteError(w, http.StatusServiceUnavailable, wire.CodeDraining, "router is draining")
 		return
 	}
 	var req wire.SessionCreateRequest
 	if err := decodeStrict(w, r, &req); err != nil {
-		writeError(w, r, http.StatusBadRequest, wire.CodeBadRequest, "%v", err)
+		wire.WriteError(w, http.StatusBadRequest, wire.CodeBadRequest, "%v", err)
 		return
 	}
 	id := req.ID
@@ -123,7 +123,7 @@ func (rt *Router) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	rt.mu.Lock()
 	if rt.sessions[id] != nil {
 		rt.mu.Unlock()
-		writeError(w, r, http.StatusConflict, wire.CodeDuplicateSession, "session %q already routed", id)
+		wire.WriteError(w, http.StatusConflict, wire.CodeDuplicateSession, "session %q already routed", id)
 		return
 	}
 	rt.sessions[id] = sess
@@ -132,7 +132,7 @@ func (rt *Router) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	body, err := json.Marshal(req)
 	if err != nil {
 		rt.forget(id)
-		writeError(w, r, http.StatusInternalServerError, wire.CodeInternal, "encode: %v", err)
+		wire.WriteError(w, http.StatusInternalServerError, wire.CodeInternal, "encode: %v", err)
 		return
 	}
 	order := rank(id, rt.healthy())
@@ -171,7 +171,7 @@ func (rt *Router) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	retryAfter(w, 1)
-	writeError(w, r, http.StatusServiceUnavailable, wire.CodeUnavailable, "no healthy backend")
+	wire.WriteError(w, http.StatusServiceUnavailable, wire.CodeUnavailable, "no healthy backend")
 }
 
 // fetchSnapshot pulls a portable session snapshot from a backend.
@@ -203,19 +203,19 @@ func (rt *Router) handleSessionArrive(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	sess := rt.lookup(id)
 	if sess == nil {
-		writeError(w, r, http.StatusNotFound, wire.CodeNotFound, "unknown session %q", id)
+		wire.WriteError(w, http.StatusNotFound, wire.CodeNotFound, "unknown session %q", id)
 		return
 	}
 	body, err := readBody(w, r)
 	if err != nil {
-		writeError(w, r, http.StatusBadRequest, wire.CodeBadRequest, "read body: %v", err)
+		wire.WriteError(w, http.StatusBadRequest, wire.CodeBadRequest, "read body: %v", err)
 		return
 	}
 	const arrivalAttempts = 4
 	for attempt := 0; attempt < arrivalAttempts; attempt++ {
 		home, gen, _, closed := rt.location(sess)
 		if closed || home == nil {
-			writeError(w, r, http.StatusNotFound, wire.CodeNotFound, "unknown session %q", id)
+			wire.WriteError(w, http.StatusNotFound, wire.CodeNotFound, "unknown session %q", id)
 			return
 		}
 		rp, err := rt.do(r.Context(), home, http.MethodPost, "/v1/sessions/"+id+"/tasks", r.URL.RawQuery, body)
@@ -226,7 +226,7 @@ func (rt *Router) handleSessionArrive(w http.ResponseWriter, r *http.Request) {
 			}
 			if timeoutErr(err) {
 				retryAfter(w, 1)
-				writeError(w, r, http.StatusGatewayTimeout, wire.CodeTimeout, "backend %s timed out", home.name)
+				wire.WriteError(w, http.StatusGatewayTimeout, wire.CodeTimeout, "backend %s timed out", home.name)
 				return
 			}
 			rt.migrateFrom(sess, home, gen)
@@ -266,7 +266,7 @@ func (rt *Router) handleSessionArrive(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	retryAfter(w, 1)
-	writeError(w, r, http.StatusServiceUnavailable, wire.CodeUnavailable, "session %q unreachable after migration attempts", id)
+	wire.WriteError(w, http.StatusServiceUnavailable, wire.CodeUnavailable, "session %q unreachable after migration attempts", id)
 }
 
 // handleSessionGet proxies GET /v1/sessions/{id}/schedule.
@@ -286,13 +286,13 @@ func (rt *Router) proxySessionOnce(w http.ResponseWriter, r *http.Request, metho
 	id := r.PathValue("id")
 	sess := rt.lookup(id)
 	if sess == nil {
-		writeError(w, r, http.StatusNotFound, wire.CodeNotFound, "unknown session %q", id)
+		wire.WriteError(w, http.StatusNotFound, wire.CodeNotFound, "unknown session %q", id)
 		return
 	}
 	for attempt := 0; attempt < 3; attempt++ {
 		home, gen, _, closed := rt.location(sess)
 		if closed || home == nil {
-			writeError(w, r, http.StatusNotFound, wire.CodeNotFound, "unknown session %q", id)
+			wire.WriteError(w, http.StatusNotFound, wire.CodeNotFound, "unknown session %q", id)
 			return
 		}
 		// The terminal DELETE runs the clairvoyant-optimum solve on the
@@ -311,7 +311,7 @@ func (rt *Router) proxySessionOnce(w http.ResponseWriter, r *http.Request, metho
 			}
 			if timeoutErr(err) {
 				retryAfter(w, 1)
-				writeError(w, r, http.StatusGatewayTimeout, wire.CodeTimeout, "backend %s timed out", home.name)
+				wire.WriteError(w, http.StatusGatewayTimeout, wire.CodeTimeout, "backend %s timed out", home.name)
 				return
 			}
 			rt.migrateFrom(sess, home, gen)
@@ -333,7 +333,7 @@ func (rt *Router) proxySessionOnce(w http.ResponseWriter, r *http.Request, metho
 		return
 	}
 	retryAfter(w, 1)
-	writeError(w, r, http.StatusServiceUnavailable, wire.CodeUnavailable, "session %q unreachable", id)
+	wire.WriteError(w, http.StatusServiceUnavailable, wire.CodeUnavailable, "session %q unreachable", id)
 }
 
 // readBody buffers a request body under the proxy cap.

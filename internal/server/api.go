@@ -6,49 +6,7 @@ import (
 	"io"
 	"net/http"
 
-	"repro/internal/schedule"
-	"repro/internal/server/wire"
 	"repro/internal/task"
-)
-
-// The JSON request/response types live in internal/server/wire so that
-// clients (cmd/schedload, cmd/schedbench) share one definition with the
-// server; the aliases below keep the server package's existing surface.
-type (
-	// ModelJSON is the wire form of the continuous power model.
-	ModelJSON = wire.ModelJSON
-	// ScheduleRequest is the body of POST /v1/schedule.
-	ScheduleRequest = wire.ScheduleRequest
-	// SegmentJSON is one contiguous execution of a task on a core.
-	SegmentJSON = wire.SegmentJSON
-	// ScheduleResponse is the body of a successful POST /v1/schedule.
-	ScheduleResponse = wire.ScheduleResponse
-	// BatchRequest is the body of POST /v1/schedule/batch.
-	BatchRequest = wire.BatchRequest
-	// BatchItem is one outcome within a BatchResponse.
-	BatchItem = wire.BatchItem
-	// BatchResponse is the body of POST /v1/schedule/batch.
-	BatchResponse = wire.BatchResponse
-	// FeasibleRequest is the body of POST /v1/feasible.
-	FeasibleRequest = wire.FeasibleRequest
-	// FeasibleResponse reports the max-flow feasibility verdict.
-	FeasibleResponse = wire.FeasibleResponse
-	// AlgorithmsResponse is the body of GET /v1/algorithms.
-	AlgorithmsResponse = wire.AlgorithmsResponse
-	// ErrorResponse is the body of every non-2xx JSON response.
-	ErrorResponse = wire.ErrorResponse
-	// SessionCreateRequest is the body of POST /v1/sessions.
-	SessionCreateRequest = wire.SessionCreateRequest
-	// SessionCreateResponse is the body of a successful POST /v1/sessions.
-	SessionCreateResponse = wire.SessionCreateResponse
-	// ArrivalRequest is the body of POST /v1/sessions/{id}/tasks.
-	ArrivalRequest = wire.ArrivalRequest
-	// ArrivalResponse reports a session admission outcome.
-	ArrivalResponse = wire.ArrivalResponse
-	// SessionScheduleResponse is the body of GET /v1/sessions/{id}/schedule.
-	SessionScheduleResponse = wire.SessionScheduleResponse
-	// SessionFinalResponse is the body of DELETE /v1/sessions/{id}.
-	SessionFinalResponse = wire.SessionFinalResponse
 )
 
 // maxBodyBytes bounds request bodies so a single client cannot exhaust
@@ -84,9 +42,4 @@ func validateInstance(ts task.Set, cores, maxTasks int) error {
 		return err
 	}
 	return nil
-}
-
-// segmentsJSON converts schedule segments to the wire form.
-func segmentsJSON(s *schedule.Schedule) []SegmentJSON {
-	return wire.Segments(s)
 }

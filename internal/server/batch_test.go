@@ -11,9 +11,9 @@ import (
 	"repro/internal/server/wire"
 )
 
-func batchBody(t *testing.T, items []ScheduleRequest) []byte {
+func batchBody(t *testing.T, items []wire.ScheduleRequest) []byte {
 	t.Helper()
-	b, err := json.Marshal(BatchRequest{Items: items})
+	b, err := json.Marshal(wire.BatchRequest{Items: items})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,9 +27,9 @@ func TestScheduleBatch(t *testing.T) {
 	srv, hs := newTestServer(t, Config{})
 	ts := sectionVD(t)
 	pm := power.Model{Gamma: 1, Alpha: 3, P0: 0.05}
-	model := ModelJSON{Alpha: 3, P0: 0.05}
+	model := wire.ModelJSON{Alpha: 3, P0: 0.05}
 
-	items := []ScheduleRequest{
+	items := []wire.ScheduleRequest{
 		{Algorithm: "S^F2", Cores: 4, Model: model, Tasks: ts},
 		{Algorithm: "S^F1", Cores: 4, Model: model, Tasks: ts},
 		{Algorithm: "no-such-algorithm", Cores: 4, Model: model, Tasks: ts},
@@ -40,7 +40,7 @@ func TestScheduleBatch(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
-	var br BatchResponse
+	var br wire.BatchResponse
 	if err := json.Unmarshal(body, &br); err != nil {
 		t.Fatal(err)
 	}
@@ -95,16 +95,16 @@ func TestScheduleBatch(t *testing.T) {
 func TestScheduleBatchRejectsBadRequests(t *testing.T) {
 	_, hs := newTestServer(t, Config{})
 	ts := sectionVD(t)
-	model := ModelJSON{Alpha: 3, P0: 0.05}
+	model := wire.ModelJSON{Alpha: 3, P0: 0.05}
 
 	resp, _ := postJSON(t, hs.URL+"/v1/schedule/batch", batchBody(t, nil))
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("empty batch: status %d, want 400", resp.StatusCode)
 	}
 
-	big := make([]ScheduleRequest, maxBatchItems+1)
+	big := make([]wire.ScheduleRequest, maxBatchItems+1)
 	for i := range big {
-		big[i] = ScheduleRequest{Algorithm: "S^F2", Cores: 4, Model: model, Tasks: ts}
+		big[i] = wire.ScheduleRequest{Algorithm: "S^F2", Cores: 4, Model: model, Tasks: ts}
 	}
 	resp, _ = postJSON(t, hs.URL+"/v1/schedule/batch", batchBody(t, big))
 	if resp.StatusCode != http.StatusBadRequest {

@@ -34,6 +34,13 @@ var envelopeCases = []struct {
 	{"session_delete", http.MethodDelete, "/v1/sessions/nosuch", "", http.StatusNotFound, wire.CodeNotFound},
 }
 
+// envelopeQueries runs each case plain and with the retired ?compat=1
+// query, which must not change the error shape.
+var envelopeQueries = []struct{ suffix, query string }{
+	{"", ""},
+	{"_compat", "?compat=1"},
+}
+
 func doEnvelopeRequest(t *testing.T, base, method, path, body string) (*http.Response, []byte) {
 	t.Helper()
 	var rd *strings.Reader
@@ -80,25 +87,10 @@ func checkEnvelope(t *testing.T, body []byte, status int, code wire.ErrorCode) {
 	}
 }
 
-// checkCompat asserts the legacy pre-envelope {"error":"..."} shape.
-func checkCompat(t *testing.T, body []byte) {
-	t.Helper()
-	var raw map[string]json.RawMessage
-	if err := json.Unmarshal(body, &raw); err != nil {
-		t.Fatalf("compat body is not JSON: %v\n%s", err, body)
-	}
-	var msg string
-	if err := json.Unmarshal(raw["error"], &msg); err != nil || msg == "" {
-		t.Fatalf(`compat "error" is not a non-empty string: %s`, body)
-	}
-	if _, ok := raw["version"]; ok {
-		t.Errorf("compat body leaks the envelope version field: %s", body)
-	}
-}
-
 // TestErrorEnvelopeEveryEndpoint drives an error through every v1
-// endpoint and asserts both the unified envelope and, with ?compat=1,
-// the legacy error shape — the wire-API consolidation contract.
+// endpoint and asserts the unified envelope — also when the request
+// carries the retired ?compat=1 query, which no longer selects another
+// error shape.
 func TestErrorEnvelopeEveryEndpoint(t *testing.T) {
 	srv := New(Config{Addr: "127.0.0.1:0"})
 	defer srv.Close()
@@ -106,19 +98,14 @@ func TestErrorEnvelopeEveryEndpoint(t *testing.T) {
 	defer hs.Close()
 
 	for _, tc := range envelopeCases {
-		t.Run(tc.name, func(t *testing.T) {
-			resp, body := doEnvelopeRequest(t, hs.URL, tc.method, tc.path, tc.body)
-			if resp.StatusCode != tc.status {
-				t.Fatalf("status = %d, want %d (%s)", resp.StatusCode, tc.status, body)
-			}
-			checkEnvelope(t, body, tc.status, tc.code)
-		})
-		t.Run(tc.name+"_compat", func(t *testing.T) {
-			resp, body := doEnvelopeRequest(t, hs.URL, tc.method, tc.path+"?compat=1", tc.body)
-			if resp.StatusCode != tc.status {
-				t.Fatalf("status = %d, want %d (%s)", resp.StatusCode, tc.status, body)
-			}
-			checkCompat(t, body)
-		})
+		for _, q := range envelopeQueries {
+			t.Run(tc.name+q.suffix, func(t *testing.T) {
+				resp, body := doEnvelopeRequest(t, hs.URL, tc.method, tc.path+q.query, tc.body)
+				if resp.StatusCode != tc.status {
+					t.Fatalf("status = %d, want %d (%s)", resp.StatusCode, tc.status, body)
+				}
+				checkEnvelope(t, body, tc.status, tc.code)
+			})
+		}
 	}
 }

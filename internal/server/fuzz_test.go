@@ -58,7 +58,7 @@ func FuzzScheduleHandler(f *testing.F) {
 		defer res.Body.Close()
 		switch {
 		case res.StatusCode == http.StatusOK:
-			var sr ScheduleResponse
+			var sr wire.ScheduleResponse
 			if err := json.NewDecoder(res.Body).Decode(&sr); err != nil {
 				t.Fatalf("200 with unparseable body: %v", err)
 			}

@@ -87,33 +87,10 @@ func errorCode(status int, err error) wire.ErrorCode {
 	}
 }
 
-// compatRequested reports whether the client opted into the legacy
-// pre-envelope {"error":"..."} error shape (kept for one release).
-func compatRequested(r *http.Request) bool {
-	return r != nil && r.URL.Query().Get("compat") == "1"
-}
-
-// writeError emits the unified error envelope — or, when the request
-// carries ?compat=1, the legacy {"error":"..."} shape.
-func writeError(w http.ResponseWriter, r *http.Request, status int, code wire.ErrorCode, format string, args ...any) {
-	msg := fmt.Sprintf(format, args...)
-	if compatRequested(r) {
-		writeJSON(w, status, ErrorResponse{Error: msg})
-		return
-	}
-	writeJSON(w, status, wire.ErrorEnvelope{
-		Version: wire.Version,
-		Error: wire.ErrorDetail{
-			Code:      code,
-			Message:   msg,
-			Retryable: wire.RetryableStatus(status),
-		},
-	})
-}
-
-// writeErrorFor is writeError with the code derived from (status, err).
-func writeErrorFor(w http.ResponseWriter, r *http.Request, status int, err error) {
-	writeError(w, r, status, errorCode(status, err), "%v", err)
+// writeErrorFor writes the error envelope with the code derived from
+// (status, err).
+func writeErrorFor(w http.ResponseWriter, status int, err error) {
+	wire.WriteError(w, status, errorCode(status, err), "%v", err)
 }
 
 // retryAfter marks an overload/draining response as retryable.
@@ -178,7 +155,7 @@ func runSolve(ctx context.Context, in *fault.Injector, e check.Entry, ts task.Se
 // the per-attempt timeout, and the validator guardrail, and reports the
 // outcome with its HTTP-style status. It is the single attempt the
 // fallback chain composes.
-func (s *Server) runVerified(reqCtx context.Context, entry check.Entry, req *ScheduleRequest, pm power.Model) (*schedule.Schedule, float64, int, error) {
+func (s *Server) runVerified(reqCtx context.Context, entry check.Entry, req *wire.ScheduleRequest, pm power.Model) (*schedule.Schedule, float64, int, error) {
 	s.metrics.queueDepth.Observe(float64(s.gate.depth()))
 	ctx := reqCtx
 	if s.cfg.SolveTimeout > 0 {
@@ -262,7 +239,7 @@ func breakerCountable(status int, err error) bool {
 // returns the response (and the realized schedule when freshly solved)
 // or an HTTP-style status and error. Shared by POST /v1/schedule and
 // each item of POST /v1/schedule/batch.
-func (s *Server) solveOne(reqCtx context.Context, req *ScheduleRequest) (*ScheduleResponse, *schedule.Schedule, int, error) {
+func (s *Server) solveOne(reqCtx context.Context, req *wire.ScheduleRequest) (*wire.ScheduleResponse, *schedule.Schedule, int, error) {
 	if err := validateInstance(req.Tasks, req.Cores, s.cfg.MaxTasks); err != nil {
 		return nil, nil, http.StatusBadRequest, err
 	}
@@ -306,7 +283,7 @@ func (s *Server) solveOne(reqCtx context.Context, req *ScheduleRequest) (*Schedu
 		sched, energy, status, err := s.runVerified(reqCtx, entry, req, pm)
 		if err == nil {
 			br.Success()
-			resp := &ScheduleResponse{
+			resp := &wire.ScheduleResponse{
 				Version:   wire.Version,
 				Algorithm: req.Algorithm,
 				Cores:     req.Cores,
@@ -314,7 +291,7 @@ func (s *Server) solveOne(reqCtx context.Context, req *ScheduleRequest) (*Schedu
 				BusyTime:  sched.BusyTime(),
 				Makespan:  sched.Makespan(),
 				Verified:  !s.cfg.DisableVerify,
-				Segments:  segmentsJSON(sched),
+				Segments:  wire.Segments(sched),
 				Sim:       simReport(sched, pm),
 			}
 			s.cache.Put(key, resp)
@@ -373,7 +350,7 @@ func (s *Server) solveOne(reqCtx context.Context, req *ScheduleRequest) (*Schedu
 	s.metrics.degraded.Add(1)
 	s.cfg.Logger.Printf("msg=%q algorithm=%q fallback=%q cause=%q",
 		"degraded response", req.Algorithm, fb.Name, primaryErr)
-	resp := &ScheduleResponse{
+	resp := &wire.ScheduleResponse{
 		Version:           wire.Version,
 		Algorithm:         req.Algorithm,
 		Cores:             req.Cores,
@@ -381,7 +358,7 @@ func (s *Server) solveOne(reqCtx context.Context, req *ScheduleRequest) (*Schedu
 		BusyTime:          sched.BusyTime(),
 		Makespan:          sched.Makespan(),
 		Verified:          !s.cfg.DisableVerify,
-		Segments:          segmentsJSON(sched),
+		Segments:          wire.Segments(sched),
 		Degraded:          true,
 		FallbackAlgorithm: fb.Name,
 		Sim:               simReport(sched, pm),
@@ -439,20 +416,20 @@ func statusForSolveErr(err error) int {
 // handleSchedule serves POST /v1/schedule.
 func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeError(w, r, http.StatusMethodNotAllowed, wire.CodeMethodNotAllowed, "use POST")
+		wire.WriteError(w, http.StatusMethodNotAllowed, wire.CodeMethodNotAllowed, "use POST")
 		return
 	}
 	if s.draining.Load() {
 		retryAfter(w, 1)
 		s.metrics.draining.Add(1)
-		writeError(w, r, http.StatusServiceUnavailable, wire.CodeDraining, "server is draining")
+		wire.WriteError(w, http.StatusServiceUnavailable, wire.CodeDraining, "server is draining")
 		return
 	}
 	start := time.Now()
 
-	var req ScheduleRequest
+	var req wire.ScheduleRequest
 	if err := decodeJSON(w, r, &req); err != nil {
-		writeError(w, r, http.StatusBadRequest, wire.CodeBadRequest, "%v", err)
+		wire.WriteError(w, http.StatusBadRequest, wire.CodeBadRequest, "%v", err)
 		return
 	}
 	resp, sched, code, err := s.solveOne(r.Context(), &req)
@@ -460,7 +437,7 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		if code == http.StatusTooManyRequests || code == http.StatusServiceUnavailable {
 			retryAfter(w, 1)
 		}
-		writeErrorFor(w, r, code, err)
+		writeErrorFor(w, code, err)
 		return
 	}
 	resp.ElapsedMS = float64(time.Since(start)) / float64(time.Millisecond)
@@ -478,34 +455,34 @@ const maxBatchItems = 256
 // carry their own HTTP-equivalent status.
 func (s *Server) handleScheduleBatch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeError(w, r, http.StatusMethodNotAllowed, wire.CodeMethodNotAllowed, "use POST")
+		wire.WriteError(w, http.StatusMethodNotAllowed, wire.CodeMethodNotAllowed, "use POST")
 		return
 	}
 	if s.draining.Load() {
 		retryAfter(w, 1)
 		s.metrics.draining.Add(1)
-		writeError(w, r, http.StatusServiceUnavailable, wire.CodeDraining, "server is draining")
+		wire.WriteError(w, http.StatusServiceUnavailable, wire.CodeDraining, "server is draining")
 		return
 	}
 	start := time.Now()
 
-	var req BatchRequest
+	var req wire.BatchRequest
 	if err := decodeJSON(w, r, &req); err != nil {
-		writeError(w, r, http.StatusBadRequest, wire.CodeBadRequest, "%v", err)
+		wire.WriteError(w, http.StatusBadRequest, wire.CodeBadRequest, "%v", err)
 		return
 	}
 	if len(req.Items) == 0 {
-		writeError(w, r, http.StatusBadRequest, wire.CodeBadRequest, "batch has no items")
+		wire.WriteError(w, http.StatusBadRequest, wire.CodeBadRequest, "batch has no items")
 		return
 	}
 	if len(req.Items) > maxBatchItems {
-		writeError(w, r, http.StatusBadRequest, wire.CodeBadRequest,
+		wire.WriteError(w, http.StatusBadRequest, wire.CodeBadRequest,
 			"batch has %d items, limit is %d", len(req.Items), maxBatchItems)
 		return
 	}
 
 	s.metrics.batches.Add(1)
-	items := make([]BatchItem, len(req.Items))
+	items := make([]wire.BatchItem, len(req.Items))
 	// Fan out at most Workers items at a time: each still passes the
 	// admission gate, but a large batch queues here instead of flooding
 	// the shared admission queue (which would 429 its own tail).
@@ -523,7 +500,7 @@ func (s *Server) handleScheduleBatch(w http.ResponseWriter, r *http.Request) {
 				itemStart := time.Now()
 				resp, _, code, err := s.solveOne(r.Context(), &req.Items[i])
 				if err != nil {
-					items[i] = BatchItem{
+					items[i] = wire.BatchItem{
 						Index: i, Error: err.Error(), Status: code,
 						Code:      errorCode(code, err),
 						Retryable: wire.RetryableStatus(code),
@@ -531,7 +508,7 @@ func (s *Server) handleScheduleBatch(w http.ResponseWriter, r *http.Request) {
 					continue
 				}
 				resp.ElapsedMS = float64(time.Since(itemStart)) / float64(time.Millisecond)
-				items[i] = BatchItem{Index: i, Response: resp}
+				items[i] = wire.BatchItem{Index: i, Response: resp}
 			}
 		}()
 	}
@@ -540,7 +517,7 @@ func (s *Server) handleScheduleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	close(idx)
 	wg.Wait()
-	writeJSON(w, http.StatusOK, BatchResponse{
+	writeJSON(w, http.StatusOK, wire.BatchResponse{
 		Version:   wire.Version,
 		Items:     items,
 		ElapsedMS: float64(time.Since(start)) / float64(time.Millisecond),
@@ -551,7 +528,7 @@ func (s *Server) handleScheduleBatch(w http.ResponseWriter, r *http.Request) {
 // ?trace=chrome, a Chrome trace-event document of the schedule (ready
 // for chrome://tracing / Perfetto). Cached responses reconstruct the
 // schedule from the stored segments.
-func (s *Server) respondSchedule(w http.ResponseWriter, r *http.Request, resp *ScheduleResponse, sched *schedule.Schedule) {
+func (s *Server) respondSchedule(w http.ResponseWriter, r *http.Request, resp *wire.ScheduleResponse, sched *schedule.Schedule) {
 	if r.URL.Query().Get("trace") == "chrome" {
 		if sched == nil {
 			sched = &schedule.Schedule{Cores: resp.Cores}
@@ -586,16 +563,16 @@ func statusForCtxErr(err error) int {
 // normalized f_max) plus the bisected minimal feasible speed.
 func (s *Server) handleFeasible(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeError(w, r, http.StatusMethodNotAllowed, wire.CodeMethodNotAllowed, "use POST")
+		wire.WriteError(w, http.StatusMethodNotAllowed, wire.CodeMethodNotAllowed, "use POST")
 		return
 	}
-	var req FeasibleRequest
+	var req wire.FeasibleRequest
 	if err := decodeJSON(w, r, &req); err != nil {
-		writeError(w, r, http.StatusBadRequest, wire.CodeBadRequest, "%v", err)
+		wire.WriteError(w, http.StatusBadRequest, wire.CodeBadRequest, "%v", err)
 		return
 	}
 	if err := validateInstance(req.Tasks, req.Cores, s.cfg.MaxTasks); err != nil {
-		writeError(w, r, http.StatusBadRequest, wire.CodeBadRequest, "%v", err)
+		wire.WriteError(w, http.StatusBadRequest, wire.CodeBadRequest, "%v", err)
 		return
 	}
 	speed := req.Speed
@@ -603,25 +580,25 @@ func (s *Server) handleFeasible(w http.ResponseWriter, r *http.Request) {
 		speed = 1
 	}
 	if speed < 0 {
-		writeError(w, r, http.StatusBadRequest, wire.CodeBadRequest, "speed %g must be positive", speed)
+		wire.WriteError(w, http.StatusBadRequest, wire.CodeBadRequest, "speed %g must be positive", speed)
 		return
 	}
 	d, err := interval.Decompose(req.Tasks, 1e-9)
 	if err != nil {
-		writeError(w, r, http.StatusUnprocessableEntity, wire.CodeUnprocessable, "%v", err)
+		wire.WriteError(w, http.StatusUnprocessableEntity, wire.CodeUnprocessable, "%v", err)
 		return
 	}
 	feasible, _, err := feas.Feasible(d, req.Cores, speed)
 	if err != nil {
-		writeError(w, r, http.StatusUnprocessableEntity, wire.CodeUnprocessable, "%v", err)
+		wire.WriteError(w, http.StatusUnprocessableEntity, wire.CodeUnprocessable, "%v", err)
 		return
 	}
 	minSpeed, _, err := feas.MinSpeed(d, req.Cores, 1e-9)
 	if err != nil {
-		writeError(w, r, http.StatusUnprocessableEntity, wire.CodeUnprocessable, "%v", err)
+		wire.WriteError(w, http.StatusUnprocessableEntity, wire.CodeUnprocessable, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, FeasibleResponse{
+	writeJSON(w, http.StatusOK, wire.FeasibleResponse{
 		Feasible: feasible,
 		Speed:    speed,
 		MinSpeed: minSpeed,
@@ -631,10 +608,10 @@ func (s *Server) handleFeasible(w http.ResponseWriter, r *http.Request) {
 // handleAlgorithms serves GET /v1/algorithms.
 func (s *Server) handleAlgorithms(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeError(w, r, http.StatusMethodNotAllowed, wire.CodeMethodNotAllowed, "use GET")
+		wire.WriteError(w, http.StatusMethodNotAllowed, wire.CodeMethodNotAllowed, "use GET")
 		return
 	}
-	writeJSON(w, http.StatusOK, AlgorithmsResponse{Algorithms: check.Names()})
+	writeJSON(w, http.StatusOK, wire.AlgorithmsResponse{Algorithms: check.Names()})
 }
 
 // handleHealthz serves GET /healthz: pure liveness. It answers 200 as
@@ -656,10 +633,10 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case s.draining.Load():
 		retryAfter(w, 1)
-		writeError(w, r, http.StatusServiceUnavailable, wire.CodeDraining, "draining")
+		wire.WriteError(w, http.StatusServiceUnavailable, wire.CodeDraining, "draining")
 	case s.breakers.AllOpen():
 		retryAfter(w, 1)
-		writeError(w, r, http.StatusServiceUnavailable, wire.CodeBreakerOpen, "all circuit breakers open")
+		wire.WriteError(w, http.StatusServiceUnavailable, wire.CodeBreakerOpen, "all circuit breakers open")
 	default:
 		resp := map[string]any{"status": "ready"}
 		if s.journalStore() != nil {

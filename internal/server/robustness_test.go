@@ -16,6 +16,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/power"
 	"repro/internal/schedule"
+	"repro/internal/server/wire"
 	"repro/internal/task"
 )
 
@@ -38,9 +39,9 @@ func init() {
 // mustValidate re-validates a wire response client-side, exactly like
 // cmd/schedload: the chaos invariant is that every 200 is a correct
 // schedule, degraded or not.
-func mustValidate(t *testing.T, body []byte, ts task.Set) ScheduleResponse {
+func mustValidate(t *testing.T, body []byte, ts task.Set) wire.ScheduleResponse {
 	t.Helper()
-	var sr ScheduleResponse
+	var sr wire.ScheduleResponse
 	if err := json.Unmarshal(body, &sr); err != nil {
 		t.Fatal(err)
 	}
@@ -299,9 +300,9 @@ func TestCanceledProbeDoesNotWedgeBreaker(t *testing.T) {
 
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
-	req := &ScheduleRequest{
+	req := &wire.ScheduleRequest{
 		Algorithm: "S^F2", Cores: 3,
-		Model: ModelJSON{Alpha: 3, P0: 0.05},
+		Model: wire.ModelJSON{Alpha: 3, P0: 0.05},
 		Tasks: sectionVD(t),
 	}
 	if _, _, code, err := srv.solveOne(canceled, req); err == nil || code != http.StatusServiceUnavailable {

@@ -31,9 +31,7 @@
 //	DELETE /v1/sessions/{id}          finish, account vs optimum, tear down
 //
 // Errors: every non-2xx response carries the unified envelope
-// {"version":1,"error":{"code","message","retryable"}} (wire.ErrorEnvelope);
-// the legacy {"error":"..."} shape is still available via ?compat=1 for
-// one release.
+// {"version":1,"error":{"code","message","retryable"}} (wire.ErrorEnvelope).
 //
 // Session re-plans run through the same verified solve pipeline
 // (admission gate, timeout, validator guardrail, circuit breaker, fault

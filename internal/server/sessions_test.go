@@ -17,6 +17,7 @@ import (
 	"repro/internal/dispatch"
 	"repro/internal/power"
 	"repro/internal/schedule"
+	"repro/internal/server/wire"
 	"repro/internal/task"
 )
 
@@ -115,7 +116,7 @@ func (s *sseStream) collectUntilClosed(t *testing.T) []sseEvent {
 	}
 }
 
-func createSession(t *testing.T, baseURL string, req SessionCreateRequest) SessionCreateResponse {
+func createSession(t *testing.T, baseURL string, req wire.SessionCreateRequest) wire.SessionCreateResponse {
 	t.Helper()
 	body, err := json.Marshal(req)
 	if err != nil {
@@ -125,7 +126,7 @@ func createSession(t *testing.T, baseURL string, req SessionCreateRequest) Sessi
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("create status %d: %s", resp.StatusCode, payload)
 	}
-	var out SessionCreateResponse
+	var out wire.SessionCreateResponse
 	if err := json.Unmarshal(payload, &out); err != nil {
 		t.Fatal(err)
 	}
@@ -135,19 +136,19 @@ func createSession(t *testing.T, baseURL string, req SessionCreateRequest) Sessi
 	return out
 }
 
-func arrive(t *testing.T, baseURL, id string, at float64, ts task.Set) (*http.Response, ArrivalResponse) {
+func arrive(t *testing.T, baseURL, id string, at float64, ts task.Set) (*http.Response, wire.ArrivalResponse) {
 	t.Helper()
-	body, err := json.Marshal(ArrivalRequest{At: at, Tasks: ts})
+	body, err := json.Marshal(wire.ArrivalRequest{At: at, Tasks: ts})
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp, payload := postJSON(t, baseURL+"/v1/sessions/"+id+"/tasks", body)
-	var ar ArrivalResponse
+	var ar wire.ArrivalResponse
 	_ = json.Unmarshal(payload, &ar)
 	return resp, ar
 }
 
-func deleteSession(t *testing.T, baseURL, id string) (*http.Response, SessionFinalResponse) {
+func deleteSession(t *testing.T, baseURL, id string) (*http.Response, wire.SessionFinalResponse) {
 	t.Helper()
 	req, err := http.NewRequest(http.MethodDelete, baseURL+"/v1/sessions/"+id, nil)
 	if err != nil {
@@ -158,7 +159,7 @@ func deleteSession(t *testing.T, baseURL, id string) (*http.Response, SessionFin
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var out SessionFinalResponse
+	var out wire.SessionFinalResponse
 	_ = json.NewDecoder(resp.Body).Decode(&out)
 	return resp, out
 }
@@ -168,8 +169,8 @@ func deleteSession(t *testing.T, baseURL, id string) (*http.Response, SessionFin
 // that is re-validated client-side, and a clean stream teardown.
 func TestSessionLifecycleHTTP(t *testing.T) {
 	srv, hs := newTestServer(t, Config{})
-	created := createSession(t, hs.URL, SessionCreateRequest{
-		Cores: 2, Model: ModelJSON{Alpha: 3, P0: 0.05},
+	created := createSession(t, hs.URL, wire.SessionCreateRequest{
+		Cores: 2, Model: wire.ModelJSON{Alpha: 3, P0: 0.05},
 	})
 	if created.Algorithm != dispatch.DefaultAlgorithm {
 		t.Fatalf("default algorithm %q", created.Algorithm)
@@ -193,7 +194,7 @@ func TestSessionLifecycleHTTP(t *testing.T) {
 	if sr.StatusCode != http.StatusOK {
 		t.Fatalf("schedule status %d: %s", sr.StatusCode, payload)
 	}
-	var sched SessionScheduleResponse
+	var sched wire.SessionScheduleResponse
 	if err := json.Unmarshal(payload, &sched); err != nil {
 		t.Fatal(err)
 	}
@@ -263,8 +264,8 @@ func TestSessionLifecycleHTTP(t *testing.T) {
 // is visible in the response body, the metrics, and as a shed event.
 func TestSessionBacklogShedding(t *testing.T) {
 	srv, hs := newTestServer(t, Config{})
-	created := createSession(t, hs.URL, SessionCreateRequest{
-		Cores: 2, Model: ModelJSON{Alpha: 3, P0: 0.05}, Backlog: 2,
+	created := createSession(t, hs.URL, wire.SessionCreateRequest{
+		Cores: 2, Model: wire.ModelJSON{Alpha: 3, P0: 0.05}, Backlog: 2,
 		// Debounce keeps the backlog full: nothing runs, nothing drains.
 		DebounceMS: 60_000, SkipRatio: true,
 	})
@@ -319,12 +320,12 @@ func TestSessionErrorPaths(t *testing.T) {
 	_, hs := newTestServer(t, Config{})
 
 	// Unknown algorithm: 404 at create time.
-	body, _ := json.Marshal(SessionCreateRequest{Algorithm: "no-such", Cores: 2, Model: ModelJSON{Alpha: 3, P0: 0.05}})
+	body, _ := json.Marshal(wire.SessionCreateRequest{Algorithm: "no-such", Cores: 2, Model: wire.ModelJSON{Alpha: 3, P0: 0.05}})
 	if resp, _ := postJSON(t, hs.URL+"/v1/sessions", body); resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown algorithm create = %d, want 404", resp.StatusCode)
 	}
 	// Bad cores: 400.
-	body, _ = json.Marshal(SessionCreateRequest{Cores: 0, Model: ModelJSON{Alpha: 3, P0: 0.05}})
+	body, _ = json.Marshal(wire.SessionCreateRequest{Cores: 0, Model: wire.ModelJSON{Alpha: 3, P0: 0.05}})
 	if resp, _ := postJSON(t, hs.URL+"/v1/sessions", body); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("zero cores create = %d, want 400", resp.StatusCode)
 	}
@@ -336,7 +337,7 @@ func TestSessionErrorPaths(t *testing.T) {
 		t.Fatalf("unknown arrive = %d, want 404", resp.StatusCode)
 	}
 
-	created := createSession(t, hs.URL, SessionCreateRequest{Cores: 2, Model: ModelJSON{Alpha: 3, P0: 0.05}, SkipRatio: true})
+	created := createSession(t, hs.URL, wire.SessionCreateRequest{Cores: 2, Model: wire.ModelJSON{Alpha: 3, P0: 0.05}, SkipRatio: true})
 	// Dead-on-arrival task: 400 for the whole batch, nothing admitted.
 	resp, ar := arrive(t, hs.URL, created.ID, 10, mustTasks(t, task.Task{Release: 0, Work: 1, Deadline: 5}))
 	if resp.StatusCode != http.StatusBadRequest {
@@ -346,7 +347,7 @@ func TestSessionErrorPaths(t *testing.T) {
 		t.Fatalf("bad arrival admitted %d", ar.Admitted)
 	}
 	// Empty batch: 400.
-	body, _ = json.Marshal(ArrivalRequest{At: 0})
+	body, _ = json.Marshal(wire.ArrivalRequest{At: 0})
 	if resp, _ := postJSON(t, hs.URL+"/v1/sessions/"+created.ID+"/tasks", body); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("empty batch = %d, want 400", resp.StatusCode)
 	}
@@ -355,8 +356,8 @@ func TestSessionErrorPaths(t *testing.T) {
 // TestSessionLimit429 checks the manager's session cap surfaces as 429.
 func TestSessionLimit429(t *testing.T) {
 	_, hs := newTestServer(t, Config{SessionLimit: 1})
-	createSession(t, hs.URL, SessionCreateRequest{Cores: 2, Model: ModelJSON{Alpha: 3, P0: 0.05}, SkipRatio: true})
-	body, _ := json.Marshal(SessionCreateRequest{Cores: 2, Model: ModelJSON{Alpha: 3, P0: 0.05}})
+	createSession(t, hs.URL, wire.SessionCreateRequest{Cores: 2, Model: wire.ModelJSON{Alpha: 3, P0: 0.05}, SkipRatio: true})
+	body, _ := json.Marshal(wire.SessionCreateRequest{Cores: 2, Model: wire.ModelJSON{Alpha: 3, P0: 0.05}})
 	resp, _ := postJSON(t, hs.URL+"/v1/sessions", body)
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("over-limit create = %d, want 429", resp.StatusCode)
@@ -377,8 +378,8 @@ func TestSessionDrainOnShutdown(t *testing.T) {
 	const n = 3
 	streams := make([]*sseStream, n)
 	for i := 0; i < n; i++ {
-		created := createSession(t, hs.URL, SessionCreateRequest{
-			Cores: 2, Model: ModelJSON{Alpha: 3, P0: 0.05}, SkipRatio: true,
+		created := createSession(t, hs.URL, wire.SessionCreateRequest{
+			Cores: 2, Model: wire.ModelJSON{Alpha: 3, P0: 0.05}, SkipRatio: true,
 		})
 		streams[i] = openSSE(t, hs.URL+"/v1/sessions/"+created.ID+"/events")
 		resp, ar := arrive(t, hs.URL, created.ID, 0, mustTasks(t,
@@ -411,7 +412,7 @@ func TestSessionDrainOnShutdown(t *testing.T) {
 	}
 
 	// New session work is rejected while draining.
-	body, _ := json.Marshal(SessionCreateRequest{Cores: 2, Model: ModelJSON{Alpha: 3, P0: 0.05}})
+	body, _ := json.Marshal(wire.SessionCreateRequest{Cores: 2, Model: wire.ModelJSON{Alpha: 3, P0: 0.05}})
 	if resp, _ := postJSON(t, hs.URL+"/v1/sessions", body); resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("create while draining = %d, want 503", resp.StatusCode)
 	}
@@ -439,8 +440,8 @@ func TestSessionConcurrentHTTPSoak(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			created := createSession(t, hs.URL, SessionCreateRequest{
-				Cores: 2, Model: ModelJSON{Alpha: 3, P0: 0.05},
+			created := createSession(t, hs.URL, wire.SessionCreateRequest{
+				Cores: 2, Model: wire.ModelJSON{Alpha: 3, P0: 0.05},
 				DebounceMS: float64(i % 3), SkipRatio: true,
 			})
 			stream := openSSE(t, hs.URL+"/v1/sessions/"+created.ID+"/events")

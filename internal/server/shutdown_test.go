@@ -6,6 +6,8 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"repro/internal/server/wire"
 )
 
 // waitGoroutines polls until the goroutine count drops to at most want,
@@ -31,9 +33,9 @@ func TestShutdownWithInflightBatch(t *testing.T) {
 	})
 	ts := sectionVD(t)
 
-	batch, err := json.Marshal(BatchRequest{Items: []ScheduleRequest{
-		{Algorithm: "test-block", Cores: 4, Model: ModelJSON{Alpha: 3, P0: 0.05}, Tasks: ts},
-		{Algorithm: "S^F2", Cores: 4, Model: ModelJSON{Alpha: 3, P0: 0.05}, Tasks: ts},
+	batch, err := json.Marshal(wire.BatchRequest{Items: []wire.ScheduleRequest{
+		{Algorithm: "test-block", Cores: 4, Model: wire.ModelJSON{Alpha: 3, P0: 0.05}, Tasks: ts},
+		{Algorithm: "S^F2", Cores: 4, Model: wire.ModelJSON{Alpha: 3, P0: 0.05}, Tasks: ts},
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -66,7 +68,7 @@ func TestShutdownWithInflightBatch(t *testing.T) {
 	if out.resp.StatusCode != http.StatusOK {
 		t.Fatalf("in-flight batch = %d, want 200: %s", out.resp.StatusCode, out.body)
 	}
-	var br BatchResponse
+	var br wire.BatchResponse
 	if err := json.Unmarshal(out.body, &br); err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,10 @@
 package wire
 
-import "encoding/json"
+import (
+	"encoding/json"
+	"fmt"
+	"net/http"
+)
 
 // ErrorCode is the machine-readable classification carried by every
 // non-2xx v1 response. Codes are stable API: clients switch on them,
@@ -42,9 +46,6 @@ type ErrorDetail struct {
 // ErrorEnvelope is the body of every non-2xx v1 response:
 //
 //	{"version":1,"error":{"code":"overloaded","message":"...","retryable":true}}
-//
-// The pre-envelope {"error":"..."} shape is still served when the
-// request carries ?compat=1; that fallback is kept for one release.
 type ErrorEnvelope struct {
 	Version int         `json:"version"`
 	Error   ErrorDetail `json:"error"`
@@ -60,17 +61,28 @@ func RetryableStatus(status int) bool {
 	return false
 }
 
-// DecodeError extracts the error detail from a non-2xx response body,
-// accepting both the unified envelope and the legacy {"error":"..."}
-// compat shape. ok is false when the body carries neither.
+// WriteError writes the envelope for a non-2xx reply. schedd and the
+// router both answer through it, so a client cannot tell a
+// router-origin error from a backend-origin one.
+func WriteError(w http.ResponseWriter, status int, code ErrorCode, format string, args ...any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	_ = json.NewEncoder(w).Encode(ErrorEnvelope{
+		Version: Version,
+		Error: ErrorDetail{
+			Code:      code,
+			Message:   fmt.Sprintf(format, args...),
+			Retryable: RetryableStatus(status),
+		},
+	})
+}
+
+// DecodeError extracts the error detail from a non-2xx response body.
+// ok is false when the body is not an envelope.
 func DecodeError(body []byte) (d ErrorDetail, ok bool) {
 	var env ErrorEnvelope
-	if err := json.Unmarshal(body, &env); err == nil && env.Error.Code != "" {
-		return env.Error, true
+	if err := json.Unmarshal(body, &env); err != nil || env.Error.Code == "" {
+		return ErrorDetail{}, false
 	}
-	var legacy ErrorResponse
-	if err := json.Unmarshal(body, &legacy); err == nil && legacy.Error != "" {
-		return ErrorDetail{Code: CodeInternal, Message: legacy.Error}, true
-	}
-	return ErrorDetail{}, false
+	return env.Error, true
 }

@@ -173,14 +173,6 @@ type AlgorithmsResponse struct {
 	Algorithms []string `json:"algorithms"`
 }
 
-// ErrorResponse is the legacy pre-envelope error body, still served
-// when a request carries ?compat=1.
-//
-// Deprecated: new clients should read ErrorEnvelope (see errors.go).
-type ErrorResponse struct {
-	Error string `json:"error"`
-}
-
 // SessionStats is a point-in-time summary of a streaming session
 // (re-exported from the dispatch runtime; it already carries JSON tags).
 type SessionStats = dispatch.Stats
