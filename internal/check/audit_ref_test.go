@@ -1,0 +1,252 @@
+package check
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"sort"
+	"testing"
+
+	"repro/internal/numeric"
+	"repro/internal/power"
+	"repro/internal/schedule"
+	"repro/internal/task"
+)
+
+// naiveSweep is the original all-pairs sweep: for every elementary
+// slice it rescans every segment. It is O(slices·segments) and reports
+// overlap offenders in map order, but it is the direct transcription of
+// the contract, so sweepAudit must reproduce its energy, busy time and
+// work bit for bit and its violations as a multiset.
+func naiveSweep(segs []schedule.Segment, ts task.Set, m int, pm power.Model, opts Options,
+	res *Result, add func(Kind, int, float64, string, ...any)) {
+	if len(segs) == 0 {
+		return
+	}
+	pts := make([]float64, 0, 2*len(segs))
+	for _, seg := range segs {
+		pts = append(pts, seg.Start, seg.End)
+	}
+	sort.Float64s(pts)
+	uniq := pts[:0]
+	for _, p := range pts {
+		if len(uniq) == 0 || p > uniq[len(uniq)-1] {
+			uniq = append(uniq, p)
+		}
+	}
+
+	var energy, busy numeric.KahanSum
+	work := make(map[int]*numeric.KahanSum, len(ts))
+	// Violations are reported once per offender, at the first offending
+	// slice, rather than once per slice — a long overlap is one bug.
+	conReported := false
+	coreReported := make(map[int]bool)
+	taskReported := make(map[int]bool)
+
+	for k := 0; k+1 < len(uniq); k++ {
+		lo, hi := uniq[k], uniq[k+1]
+		dt := hi - lo
+		if dt <= opts.Tol*1e-3 {
+			// Slivers below the tolerance floor carry no measurable work
+			// or energy and only amplify float noise.
+			continue
+		}
+		var active []schedule.Segment
+		for _, seg := range segs {
+			if seg.Start <= lo+opts.Tol*1e-3 && seg.End >= hi-opts.Tol*1e-3 {
+				active = append(active, seg)
+			}
+		}
+		if len(active) > m && !conReported {
+			add(KindConcurrency, -1, lo, "%d segments active during [%g, %g] on %d cores", len(active), lo, hi, m)
+			conReported = true
+		}
+		perCore := make(map[int]int, len(active))
+		perTask := make(map[int]int, len(active))
+		for _, seg := range active {
+			perCore[seg.Core]++
+			perTask[seg.Task]++
+			energy.Add(pm.Power(seg.Frequency) * dt)
+			busy.Add(dt)
+			w, ok := work[seg.Task]
+			if !ok {
+				w = &numeric.KahanSum{}
+				work[seg.Task] = w
+			}
+			w.Add(seg.Frequency * dt)
+		}
+		for c, cnt := range perCore {
+			if cnt > 1 && !coreReported[c] {
+				add(KindCoreOverlap, -1, lo, "core %d hosts %d segments during [%g, %g]", c, cnt, lo, hi)
+				coreReported[c] = true
+			}
+		}
+		for id, cnt := range perTask {
+			if cnt > 1 && !taskReported[id] {
+				add(KindTaskParallel, id, lo, "task runs on %d cores during [%g, %g]", cnt, lo, hi)
+				taskReported[id] = true
+			}
+		}
+	}
+	res.Energy = energy.Value()
+	res.BusyTime = busy.Value()
+	for id, w := range work {
+		res.Work[id] = w.Value()
+	}
+}
+
+// sweepKinds are the violation kinds only the sweep reports.
+var sweepKinds = map[Kind]bool{KindConcurrency: true, KindCoreOverlap: true, KindTaskParallel: true}
+
+// wellFormed mirrors Audit's structural pass: the segments it lets
+// through to the sweep.
+func wellFormed(seg schedule.Segment, n, m int) bool {
+	finite := func(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
+	return seg.Task >= 0 && seg.Task < n && seg.Core >= 0 && seg.Core < m &&
+		seg.End > seg.Start && finite(seg.Start) && finite(seg.End) &&
+		seg.Frequency > 0 && finite(seg.Frequency)
+}
+
+func violationKeys(vs []Violation) []string {
+	keys := make([]string, len(vs))
+	for i, v := range vs {
+		keys[i] = fmt.Sprintf("%s|%d|%x|%s", v.Kind, v.Task, math.Float64bits(v.Time), v.Detail)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// compareWithNaive audits segs and checks that the sweep's outputs match
+// naiveSweep run over the segments Audit's structural pass keeps.
+func compareWithNaive(t *testing.T, segs []schedule.Segment, ts task.Set, m int, opts Options) {
+	t.Helper()
+	pm := power.Unit(3, 0.05)
+	s := schedule.New(ts, m)
+	s.Segments = segs
+	got := Audit(s, ts, m, pm, opts)
+
+	if opts.Tol <= 0 {
+		opts.Tol = 1e-6
+	}
+	want := &Result{Work: make(map[int]float64, len(ts))}
+	add := func(kind Kind, taskID int, tm float64, format string, args ...any) {
+		want.Violations = append(want.Violations, Violation{
+			Kind: kind, Task: taskID, Time: tm, Detail: fmt.Sprintf(format, args...),
+		})
+	}
+	var kept []schedule.Segment
+	for _, seg := range segs {
+		if wellFormed(seg, len(ts), m) {
+			kept = append(kept, seg)
+		}
+	}
+	naiveSweep(kept, ts, m, pm, opts, want, add)
+
+	if math.Float64bits(got.Energy) != math.Float64bits(want.Energy) {
+		t.Fatalf("energy %v, naive %v (segments %v)", got.Energy, want.Energy, segs)
+	}
+	if math.Float64bits(got.BusyTime) != math.Float64bits(want.BusyTime) {
+		t.Fatalf("busy time %v, naive %v (segments %v)", got.BusyTime, want.BusyTime, segs)
+	}
+	if len(got.Work) != len(want.Work) {
+		t.Fatalf("work %v, naive %v (segments %v)", got.Work, want.Work, segs)
+	}
+	for id, w := range want.Work {
+		if g, ok := got.Work[id]; !ok || math.Float64bits(g) != math.Float64bits(w) {
+			t.Fatalf("work[%d] %v, naive %v (segments %v)", id, g, w, segs)
+		}
+	}
+	var gotSweep []Violation
+	for _, v := range got.Violations {
+		if sweepKinds[v.Kind] {
+			gotSweep = append(gotSweep, v)
+		}
+	}
+	gk, wk := violationKeys(gotSweep), violationKeys(want.Violations)
+	if fmt.Sprint(gk) != fmt.Sprint(wk) {
+		t.Fatalf("violations %v, naive %v (segments %v)", gk, wk, segs)
+	}
+}
+
+// jitters perturb grid boundaries by amounts on both sides of the sweep's
+// ε = Tol·1e-3 (1e-9 at the default tolerance).
+var jitters = []float64{0, 1e-12, -1e-12, 5e-10, -5e-10, 1e-9, -1e-9, 2e-9}
+
+func wideTasks(n int) task.Set {
+	triples := make([][3]float64, n)
+	for i := range triples {
+		triples[i] = [3]float64{0, 1, 20}
+	}
+	return task.MustNew(triples...)
+}
+
+// TestSweepMatchesNaive runs the event-range sweep against the naive
+// sweep on seeded adversarial schedules: boundaries on a coarse grid
+// (many coincide) nudged by sub-ε jitter, random cores and tasks (core
+// overlaps, task parallelism, more than m segments active), duplicated
+// segments, and empty schedules. Frequencies span six decades so that
+// the energy sum's rounding depends on the order it adds terms in.
+func TestSweepMatchesNaive(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	tols := []float64{0, 1e-6, 1e-3, 0.3}
+	for trial := 0; trial < 3000; trial++ {
+		n, m, count := 1+rng.Intn(6), 1+rng.Intn(4), rng.Intn(25)
+		if trial%50 == 0 {
+			n, m, count = 40, 16, 400
+		}
+		ts := wideTasks(n)
+		var segs []schedule.Segment
+		for i := 0; i < count; i++ {
+			if len(segs) > 0 && rng.Intn(6) == 0 {
+				segs = append(segs, segs[rng.Intn(len(segs))])
+				continue
+			}
+			start := float64(rng.Intn(12))/2 + jitters[rng.Intn(len(jitters))]
+			end := start + float64(rng.Intn(8))/2 + jitters[rng.Intn(len(jitters))]
+			if !(end > start) {
+				end = start + 1e-10
+			}
+			segs = append(segs, schedule.Segment{
+				Task: rng.Intn(n), Core: rng.Intn(m), Start: start, End: end,
+				Frequency: math.Pow(10, 6*rng.Float64()-3),
+			})
+		}
+		opts := DefaultOptions()
+		opts.Tol = tols[rng.Intn(len(tols))]
+		compareWithNaive(t, segs, ts, m, opts)
+	}
+}
+
+// FuzzAudit decodes arbitrary bytes into a segment list (malformed
+// segments included) and checks Audit against the naive sweep.
+func FuzzAudit(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{3, 1, 0, 0, 0, 0, 8, 0, 64, 1, 0, 0, 0, 0, 8, 0, 64})
+	f.Add([]byte{5, 2, 1, 0, 0, 4, 3, 12, 100, 1, 1, 4, 4, 3, 17, 90, 2, 0, 5, 0, 6, 200})
+	f.Add([]byte{2, 3, 0, 1, 2, 255, 0, 4, 30, 0, 0, 254, 0, 4, 30, 1, 1, 2, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 1 {
+			return
+		}
+		n, m := 1+int(data[0]%6), 1+int(data[0]/6%4)
+		tols := []float64{1e-6, 1e-3, 1e-9, 0.3}
+		opts := DefaultOptions()
+		opts.Tol = tols[data[0]/24%4]
+		var segs []schedule.Segment
+		for p := data[1:]; len(p) >= 6; p = p[6:] {
+			start := float64(p[2]%64)/4 + jitters[p[3]%8]
+			switch p[2] {
+			case 255:
+				start = math.NaN()
+			case 254:
+				start = math.Inf(1)
+			}
+			end := start + float64(p[4]%32)/4 + jitters[p[4]>>5]
+			segs = append(segs, schedule.Segment{
+				Task: int(p[0]) % (n + 1), Core: int(p[1]) % (m + 1),
+				Start: start, End: end, Frequency: math.Ldexp(float64(p[5]&31), int(p[5]>>5)*3-12),
+			})
+		}
+		compareWithNaive(t, segs, wideTasks(n), m, opts)
+	})
+}

@@ -8,7 +8,10 @@
 //   - Validate re-derives every constraint from the raw segments alone,
 //     without trusting any of the scheduler's own bookkeeping, and
 //     re-integrates energy independently by sweeping instantaneous total
-//     power over time (rather than summing per-segment energies);
+//     power over time (rather than summing per-segment energies). The
+//     sweep finds each segment's run of elementary slices by binary
+//     search, so it costs O(S log S + Σ active segments per slice) for S
+//     segments rather than O(slices·S);
 //   - a registry lets every scheduler package self-register a runner, so
 //     new schedulers are picked up by the cross-checks without edits here;
 //   - Differential runs all registered schedulers on one instance and
@@ -130,7 +133,9 @@ func Validate(s *schedule.Schedule, ts task.Set, m int, pm power.Model) []Violat
 //
 // Unlike schedule.Validate, which audits per-segment bookkeeping, this
 // sweep computes every instantaneous quantity from scratch, so the two
-// validators fail independently.
+// validators fail independently. Each overlap offender is reported once,
+// at its first offending slice, in segment order. For S segments the
+// audit costs O(S log S + Σ active segments per slice).
 func Audit(s *schedule.Schedule, ts task.Set, m int, pm power.Model, opts Options) *Result {
 	if opts.Tol <= 0 {
 		opts.Tol = 1e-6
@@ -204,6 +209,13 @@ func Audit(s *schedule.Schedule, ts task.Set, m int, pm power.Model, opts Option
 // sweepAudit walks the elementary time slices cut at every segment
 // boundary, re-deriving concurrency, per-core and per-task exclusivity,
 // per-task work, busy time, and the energy integral.
+//
+// Segment i is active in slice k = [uniq[k], uniq[k+1]] iff
+// Start ≤ uniq[k]+ε and End ≥ uniq[k+1]−ε. Both tests are monotone in k,
+// so each segment is active over one contiguous run of slices
+// [first, stop) found by two binary searches. Segments are bucketed by
+// first and the active set is kept in segment order, so every sum adds
+// its terms in the same order a per-slice rescan of all segments would.
 func sweepAudit(segs []schedule.Segment, ts task.Set, m int, pm power.Model, opts Options,
 	res *Result, add func(Kind, int, float64, string, ...any)) {
 	if len(segs) == 0 {
@@ -220,63 +232,112 @@ func sweepAudit(segs []schedule.Segment, ts task.Set, m int, pm power.Model, opt
 			uniq = append(uniq, p)
 		}
 	}
+	slices := len(uniq) - 1
+	eps := opts.Tol * 1e-3
+
+	// bucket[k]..bucket[k+1] indexes, in order, the segments whose active
+	// run starts at slice k (a counting sort on first). stop negates the
+	// activity test rather than flipping its comparison, so the two agree
+	// exactly on every float input.
+	first := make([]int, len(segs))
+	stop := make([]int, len(segs))
+	segPower := make([]float64, len(segs))
+	bucket := make([]int, slices+2)
+	for i, seg := range segs {
+		first[i] = sort.Search(slices, func(k int) bool { return seg.Start <= uniq[k]+eps })
+		stop[i] = sort.Search(slices, func(k int) bool { return !(seg.End >= uniq[k+1]-eps) })
+		segPower[i] = pm.Power(seg.Frequency)
+		if first[i] < stop[i] {
+			bucket[first[i]+2]++
+		}
+	}
+	for k := 2; k < len(bucket); k++ {
+		bucket[k] += bucket[k-1]
+	}
+	order := make([]int, bucket[len(bucket)-1])
+	for i := range segs {
+		if first[i] < stop[i] {
+			order[bucket[first[i]+1]] = i
+			bucket[first[i]+1]++
+		}
+	}
 
 	var energy, busy numeric.KahanSum
-	work := make(map[int]*numeric.KahanSum, len(ts))
+	work := make([]numeric.KahanSum, len(ts))
+	ran := make([]bool, len(ts))
+	perCore := make([]int, m)
+	perTask := make([]int, len(ts))
 	// Violations are reported once per offender, at the first offending
 	// slice, rather than once per slice — a long overlap is one bug.
 	conReported := false
-	coreReported := make(map[int]bool)
-	taskReported := make(map[int]bool)
+	coreReported := make([]bool, m)
+	taskReported := make([]bool, len(ts))
 
-	for k := 0; k+1 < len(uniq); k++ {
+	active := make([]int, 0, len(segs))
+	next := make([]int, 0, len(segs))
+	for k := 0; k < slices; k++ {
+		// Retire segments whose run ended and merge in those whose run
+		// starts here; both lists are in segment order.
+		admit := order[bucket[k]:bucket[k+1]]
+		next = next[:0]
+		for _, i := range active {
+			if stop[i] <= k {
+				continue
+			}
+			for len(admit) > 0 && admit[0] < i {
+				next = append(next, admit[0])
+				admit = admit[1:]
+			}
+			next = append(next, i)
+		}
+		next = append(next, admit...)
+		active, next = next, active
+
 		lo, hi := uniq[k], uniq[k+1]
 		dt := hi - lo
-		if dt <= opts.Tol*1e-3 {
+		if dt <= eps {
 			// Slivers below the tolerance floor carry no measurable work
 			// or energy and only amplify float noise.
 			continue
-		}
-		var active []schedule.Segment
-		for _, seg := range segs {
-			if seg.Start <= lo+opts.Tol*1e-3 && seg.End >= hi-opts.Tol*1e-3 {
-				active = append(active, seg)
-			}
 		}
 		if len(active) > m && !conReported {
 			add(KindConcurrency, -1, lo, "%d segments active during [%g, %g] on %d cores", len(active), lo, hi, m)
 			conReported = true
 		}
-		perCore := make(map[int]int, len(active))
-		perTask := make(map[int]int, len(active))
-		for _, seg := range active {
+		for _, i := range active {
+			seg := segs[i]
 			perCore[seg.Core]++
 			perTask[seg.Task]++
-			energy.Add(pm.Power(seg.Frequency) * dt)
+			energy.Add(segPower[i] * dt)
 			busy.Add(dt)
-			w, ok := work[seg.Task]
-			if !ok {
-				w = &numeric.KahanSum{}
-				work[seg.Task] = w
-			}
-			w.Add(seg.Frequency * dt)
+			work[seg.Task].Add(seg.Frequency * dt)
+			ran[seg.Task] = true
 		}
-		for c, cnt := range perCore {
-			if cnt > 1 && !coreReported[c] {
+		// Offenders are reported in segment order. Each counter is
+		// cleared at its first visit, which is where its offender (if
+		// any) is reported, so later visits see zero.
+		for _, i := range active {
+			c := segs[i].Core
+			if cnt := perCore[c]; cnt > 1 && !coreReported[c] {
 				add(KindCoreOverlap, -1, lo, "core %d hosts %d segments during [%g, %g]", c, cnt, lo, hi)
 				coreReported[c] = true
 			}
+			perCore[c] = 0
 		}
-		for id, cnt := range perTask {
-			if cnt > 1 && !taskReported[id] {
+		for _, i := range active {
+			id := segs[i].Task
+			if cnt := perTask[id]; cnt > 1 && !taskReported[id] {
 				add(KindTaskParallel, id, lo, "task runs on %d cores during [%g, %g]", cnt, lo, hi)
 				taskReported[id] = true
 			}
+			perTask[id] = 0
 		}
 	}
 	res.Energy = energy.Value()
 	res.BusyTime = busy.Value()
-	for id, w := range work {
-		res.Work[id] = w.Value()
+	for id := range work {
+		if ran[id] {
+			res.Work[id] = work[id].Value()
+		}
 	}
 }

@@ -7,6 +7,7 @@ package check_test
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/alloc"
@@ -191,6 +192,34 @@ func TestRegistryContainsAllSchedulers(t *testing.T) {
 	for i, e := range got {
 		if e.Name != want[i] {
 			t.Errorf("entry %d = %q, want %q (sorted)", i, e.Name, want[i])
+		}
+	}
+}
+
+// TestAuditOverlapOrderDeterministic audits a slice with two core
+// overlaps and two parallel tasks. Segment 2 enters the sweep one slice
+// before the others, so admission order differs from segment order; the
+// offenders must still be reported in segment order, identically on
+// every run.
+func TestAuditOverlapOrderDeterministic(t *testing.T) {
+	ts := task.MustNew([3]float64{0, 1, 10}, [3]float64{0, 1, 10})
+	sched := schedule.New(ts, 4)
+	sched.Segments = []schedule.Segment{
+		{Task: 0, Core: 3, Start: 1, End: 10, Frequency: 0.1},
+		{Task: 1, Core: 3, Start: 1, End: 10, Frequency: 0.1},
+		{Task: 1, Core: 1, Start: 0, End: 10, Frequency: 0.1},
+		{Task: 0, Core: 1, Start: 1, End: 10, Frequency: 0.1},
+	}
+	want := []check.Violation{
+		{Kind: check.KindCoreOverlap, Task: -1, Time: 1, Detail: "core 3 hosts 2 segments during [1, 10]"},
+		{Kind: check.KindCoreOverlap, Task: -1, Time: 1, Detail: "core 1 hosts 2 segments during [1, 10]"},
+		{Kind: check.KindTaskParallel, Task: 0, Time: 1, Detail: "task runs on 2 cores during [1, 10]"},
+		{Kind: check.KindTaskParallel, Task: 1, Time: 1, Detail: "task runs on 2 cores during [1, 10]"},
+	}
+	for run := 0; run < 50; run++ {
+		vs := check.Validate(sched, ts, 4, power.Unit(3, 0))
+		if !reflect.DeepEqual(vs, want) {
+			t.Fatalf("run %d: violations %v, want %v", run, vs, want)
 		}
 	}
 }

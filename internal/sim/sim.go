@@ -13,7 +13,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"sort"
@@ -31,29 +30,57 @@ const (
 	evStart
 )
 
-type eventQueue []eventNode
-
 type eventNode struct {
 	t    float64
 	kind eventKind
 	seg  schedule.Segment
 }
 
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
+// eventQueue is a binary min-heap of events ordered by (t, kind). init,
+// pop and down follow container/heap's Init, Pop and down step for step,
+// so events that tie on (t, kind) pop in the order container/heap would
+// give them, without boxing every popped event in an interface.
+type eventQueue []eventNode
+
+func (q eventQueue) less(i, j int) bool {
 	if q[i].t != q[j].t {
 		return q[i].t < q[j].t
 	}
 	return q[i].kind < q[j].kind
 }
-func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x any)   { *q = append(*q, x.(eventNode)) }
-func (q *eventQueue) Pop() any {
+
+func (q eventQueue) init() {
+	n := len(q)
+	for i := n/2 - 1; i >= 0; i-- {
+		q.down(i, n)
+	}
+}
+
+func (q *eventQueue) pop() eventNode {
 	old := *q
-	n := len(old)
-	it := old[n-1]
-	*q = old[:n-1]
-	return it
+	n := len(old) - 1
+	old[0], old[n] = old[n], old[0]
+	old.down(0, n)
+	*q = old[:n]
+	return old[n]
+}
+
+func (q eventQueue) down(i, n int) {
+	for {
+		j1 := 2*i + 1
+		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
+			break
+		}
+		j := j1 // left child
+		if j2 := j1 + 1; j2 < n && q.less(j2, j1) {
+			j = j2 // right child
+		}
+		if !q.less(j, i) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		i = j
+	}
 }
 
 // Report is the outcome of a simulated execution.
@@ -142,7 +169,7 @@ func Run(s *schedule.Schedule, pm power.Model) (*Report, error) {
 		q = append(q, eventNode{t: seg.Start, kind: evStart, seg: seg})
 		q = append(q, eventNode{t: seg.End, kind: evEnd, seg: seg})
 	}
-	heap.Init(&q)
+	q.init()
 
 	const eps = 1e-9
 	coreTask := make([]int, s.Cores) // -1 when idle
@@ -174,8 +201,8 @@ func Run(s *schedule.Schedule, pm power.Model) (*Report, error) {
 	}
 	rep.Horizon = end - start
 
-	for q.Len() > 0 {
-		ev := heap.Pop(&q).(eventNode)
+	for len(q) > 0 {
+		ev := q.pop()
 		seg := ev.seg
 		id := seg.Task
 		switch ev.kind {

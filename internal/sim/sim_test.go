@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"container/heap"
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -302,5 +304,82 @@ func TestResponseTimes(t *testing.T) {
 	rt = rep.ResponseTimes(nil)
 	if !math.IsNaN(rt[0]) {
 		t.Errorf("expected NaN without release data, got %g", rt[0])
+	}
+}
+
+// refQueue drives eventNodes through container/heap, the queue Run used
+// before its typed heap.
+type refQueue []eventNode
+
+func (q refQueue) Len() int           { return len(q) }
+func (q refQueue) Less(i, j int) bool { return eventQueue(q).less(i, j) }
+func (q refQueue) Swap(i, j int)      { q[i], q[j] = q[j], q[i] }
+func (q *refQueue) Push(x any)        { *q = append(*q, x.(eventNode)) }
+func (q *refQueue) Pop() any {
+	old := *q
+	it := old[len(old)-1]
+	*q = old[:len(old)-1]
+	return it
+}
+
+// TestEventQueueMatchesContainerHeap pops random events with many
+// (t, kind) ties through both heaps; ties are told apart by seg.Task,
+// so the pop sequences must agree element for element.
+func TestEventQueueMatchesContainerHeap(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	for trial := 0; trial < 500; trial++ {
+		evs := make([]eventNode, rng.Intn(200))
+		for i := range evs {
+			evs[i] = eventNode{t: float64(rng.Intn(6)), kind: eventKind(rng.Intn(2)), seg: schedule.Segment{Task: i}}
+		}
+		q := append(eventQueue(nil), evs...)
+		ref := append(refQueue(nil), evs...)
+		q.init()
+		heap.Init(&ref)
+		for i := 0; len(q) > 0; i++ {
+			got, want := q.pop(), heap.Pop(&ref).(eventNode)
+			if got != want {
+				t.Fatalf("trial %d pop %d: got %+v, container/heap %+v", trial, i, got, want)
+			}
+		}
+		if len(ref) != 0 {
+			t.Fatalf("trial %d: container/heap has %d events left", trial, len(ref))
+		}
+	}
+}
+
+// TestRunMatchesRecordedSectionVD replays the Section V.D S^F1 and S^F2
+// schedules and compares the reports with ones recorded from the
+// container/heap simulator.
+func TestRunMatchesRecordedSectionVD(t *testing.T) {
+	recorded := []struct {
+		method alloc.Method
+		want   Report
+	}{
+		{alloc.Even, Report{
+			Energy: 33.064176187300625, Horizon: 22,
+			CoreBusy:    []float64{22, 18, 14, 10},
+			Utilization: []float64{1, 0.8181818181818182, 0.6363636363636364, 0.45454545454545453},
+			Completion:  []float64{9.6, 17.999999999999996, 15.999999999999996, 14, 20, 22},
+			Preemptions: 34, Migrations: 12, Wakeups: 4,
+		}},
+		{alloc.DER, Report{
+			Energy: 31.836176466133516, Horizon: 22,
+			CoreBusy:    []float64{22, 18, 14, 9.999999999999998},
+			Utilization: []float64{1, 0.8181818181818182, 0.6363636363636364, 0.4545454545454545},
+			Completion:  []float64{9.741496598639456, 18.000000000000004, 15.999999999999998, 14.000000000000002, 20, 22},
+			Preemptions: 33, Migrations: 10, Wakeups: 4,
+		}},
+	}
+	pm := power.Unit(3, 0)
+	for _, r := range recorded {
+		res := core.MustSchedule(task.SectionVDExample(), 4, pm, r.method, core.Options{})
+		rep, err := Run(res.Final, pm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(*rep, r.want) {
+			t.Errorf("%v: report %+v, recorded %+v", r.method, *rep, r.want)
+		}
 	}
 }
