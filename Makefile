@@ -4,8 +4,11 @@ GO ?= go
 
 all: build
 
+# vet also fails when any Go file needs gofmt.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l: these files need formatting:"; echo "$$unformatted"; exit 1; fi
 
 build:
 	$(GO) build ./...

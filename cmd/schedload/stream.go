@@ -66,6 +66,7 @@ type sessionOutcome struct {
 	events      int
 	seqGaps     int // SSE id discontinuities (must be 0, even across migrations)
 	finalEvent  bool
+	dupFinals   int // final events after the first (must be 0)
 	streamClean bool
 	err         string // written by driveSession only
 	sseErr      string // written by the consumeSSE goroutine only
@@ -402,6 +403,9 @@ func consumeSSEOnce(ctx context.Context, client *http.Client, url string, out *s
 			if json.Unmarshal(data, &ev) == nil {
 				out.events++
 				if ev.Type == "final" {
+					if out.finalEvent {
+						out.dupFinals++
+					}
 					out.finalEvent = true
 				}
 			}
@@ -421,7 +425,7 @@ func consumeSSEOnce(ctx context.Context, client *http.Client, url string, out *s
 // reportStream prints the aggregate summary and returns the exit code.
 func reportStream(outcomes []*sessionOutcome, elapsed time.Duration, tolerate bool) int {
 	var sessionsOK, tasks, admitted, shed, replans, completed, missed, violations, events int
-	var dirtyStreams, noFinal, seqGaps int
+	var dirtyStreams, noFinal, seqGaps, dupFinals int
 	var ratios []float64
 	firstErr := ""
 	for _, o := range outcomes {
@@ -434,6 +438,7 @@ func reportStream(outcomes []*sessionOutcome, elapsed time.Duration, tolerate bo
 		violations += o.violations
 		events += o.events
 		seqGaps += o.seqGaps
+		dupFinals += o.dupFinals
 		errMsg := o.err
 		if errMsg == "" {
 			errMsg = o.sseErr
@@ -457,8 +462,8 @@ func reportStream(outcomes []*sessionOutcome, elapsed time.Duration, tolerate bo
 	fmt.Printf("tasks:      %d sent, %d admitted, %d shed, %d completed, %d missed deadlines\n",
 		tasks, admitted, shed, completed, missed)
 	fmt.Printf("replans:    %d total (%.1f per session)\n", replans, float64(replans)/float64(len(outcomes)))
-	fmt.Printf("events:     %d received, %d seq gaps, %d sessions without final event, %d streams closed uncleanly\n",
-		events, seqGaps, noFinal, dirtyStreams)
+	fmt.Printf("events:     %d received, %d seq gaps, %d sessions without final event, %d streams closed uncleanly, %d duplicate final events\n",
+		events, seqGaps, noFinal, dirtyStreams, dupFinals)
 	fmt.Printf("validator:  %d failures\n", violations)
 	if len(ratios) > 0 {
 		sort.Float64s(ratios)
@@ -473,9 +478,10 @@ func reportStream(outcomes []*sessionOutcome, elapsed time.Duration, tolerate bo
 		fmt.Printf("first error: %s\n", firstErr)
 	}
 
-	// An invalid schedule, a missed deadline, or an SSE sequence gap is
-	// never tolerable; other failures respect -tolerate-errors.
-	if violations > 0 || missed > 0 || seqGaps > 0 {
+	// An invalid schedule, a missed deadline, an SSE sequence gap or a
+	// second final event is never tolerable; other failures respect
+	// -tolerate-errors.
+	if violations > 0 || missed > 0 || seqGaps > 0 || dupFinals > 0 {
 		return 1
 	}
 	if (sessionsOK < len(outcomes) || dirtyStreams > 0 || noFinal > 0) && !tolerate {

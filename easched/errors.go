@@ -26,8 +26,8 @@ var (
 	// with *PanicError recovers the panic value and stack.
 	ErrSolverPanic = check.ErrSolverPanic
 	// ErrInvalidSchedule marks a produced schedule the universal
-	// validator rejected.
-	ErrInvalidSchedule = errors.New("easched: produced schedule failed validation")
+	// validator rejected (see RunAlgorithm).
+	ErrInvalidSchedule = check.ErrInvalidSchedule
 )
 
 // PanicError carries a recovered solver panic (value + stack). It is

@@ -49,7 +49,9 @@ func Algorithms() []string { return check.Names() }
 // the realized schedule together with the energy the scheduler itself
 // reports. Unknown names are an error; see Algorithms for the valid set.
 // The context is threaded into the solver, which aborts promptly when it
-// is canceled.
+// is canceled. A solver panic is returned as a *PanicError matching
+// ErrSolverPanic, and a schedule the universal validator rejects as an
+// error matching ErrInvalidSchedule.
 func RunAlgorithm(ctx context.Context, name string, tasks TaskSet, cores int, m Model) (*Timetable, float64, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -58,5 +60,5 @@ func RunAlgorithm(ctx context.Context, name string, tasks TaskSet, cores int, m 
 	if !ok {
 		return nil, 0, fmt.Errorf("easched: unknown algorithm %q (have %v)", name, check.Names())
 	}
-	return e.Run(ctx, tasks, cores, m)
+	return e.RunVerified(ctx, tasks, cores, m)
 }

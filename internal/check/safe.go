@@ -16,6 +16,12 @@ import (
 // carries the panic value and stack.
 var ErrSolverPanic = errors.New("solver panicked")
 
+// ErrInvalidSchedule marks a produced schedule the universal validator
+// rejected. Match with errors.Is; the message names the first violation.
+// easched re-exports it, and its text is the one served error bodies
+// carry, hence the easched prefix.
+var ErrInvalidSchedule = errors.New("easched: produced schedule failed validation")
+
 // PanicError is a recovered scheduler panic converted into an error.
 type PanicError struct {
 	// Value is the value passed to panic.
@@ -31,9 +37,8 @@ func (e *PanicError) Is(target error) bool { return target == ErrSolverPanic }
 
 // RunSafe executes the entry's runner with panic containment: a panic
 // inside the scheduler becomes a *PanicError instead of crashing the
-// caller. The differential harness and the serving layer both go
-// through this, so one pathological instance cannot take down a whole
-// audit (or the daemon).
+// caller. The differential harness goes through this, so one
+// pathological instance cannot take down a whole audit.
 func (e Entry) RunSafe(ctx context.Context, ts task.Set, m int, pm power.Model) (s *schedule.Schedule, energy float64, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -42,4 +47,20 @@ func (e Entry) RunSafe(ctx context.Context, ts task.Set, m int, pm power.Model) 
 		}
 	}()
 	return e.Run(ctx, ts, m, pm)
+}
+
+// RunVerified is RunSafe followed by Validate: it returns only a
+// schedule the universal validator accepts. An invalid schedule becomes
+// an error wrapping ErrInvalidSchedule that names the first violation.
+// Every caller that serves or scores a registered scheduler's output
+// goes through this, so the registry runners need not check themselves.
+func (e Entry) RunVerified(ctx context.Context, ts task.Set, m int, pm power.Model) (*schedule.Schedule, float64, error) {
+	s, energy, err := e.RunSafe(ctx, ts, m, pm)
+	if err != nil {
+		return nil, 0, err
+	}
+	if v := Validate(s, ts, m, pm); len(v) > 0 {
+		return nil, 0, fmt.Errorf("%w: %v (+%d more)", ErrInvalidSchedule, v[0], len(v)-1)
+	}
+	return s, energy, nil
 }

@@ -54,3 +54,52 @@ func TestRunSafePassesThroughResults(t *testing.T) {
 		t.Fatalf("passthrough broken: %v %g %v", s, energy, err)
 	}
 }
+
+func TestRunVerified(t *testing.T) {
+	ts := task.MustNew([3]float64{0, 1, 2})
+	pm := power.Unit(3, 0)
+	valid := schedule.New(ts, 1)
+	valid.Add(schedule.Segment{Task: 0, Core: 0, Start: 0, End: 2, Frequency: 0.5})
+	// Half the required work: a work-conservation violation.
+	short := schedule.New(ts, 1)
+	short.Add(schedule.Segment{Task: 0, Core: 0, Start: 0, End: 1, Frequency: 0.5})
+	returning := func(s *schedule.Schedule) check.Runner {
+		return func(context.Context, task.Set, int, power.Model) (*schedule.Schedule, float64, error) {
+			return s, s.Energy(pm), nil
+		}
+	}
+	tests := []struct {
+		name string
+		run  check.Runner
+		want error // nil: the runner's own result passes through
+		msg  string
+	}{
+		{"valid", returning(valid), nil, ""},
+		{"invalid", returning(short), check.ErrInvalidSchedule, check.Validate(short, ts, 1, pm)[0].Error()},
+		{"panic", func(context.Context, task.Set, int, power.Model) (*schedule.Schedule, float64, error) {
+			panic("boom")
+		}, check.ErrSolverPanic, "boom"},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			e := check.Entry{Name: tt.name, Run: tt.run}
+			s, energy, err := e.RunVerified(context.Background(), ts, 1, pm)
+			if tt.want == nil {
+				if err != nil || s != valid || energy != valid.Energy(pm) {
+					t.Fatalf("valid result altered: %p %g %v, want %p %g", s, energy, err, valid, valid.Energy(pm))
+				}
+				return
+			}
+			if s != nil || energy != 0 || !errors.Is(err, tt.want) {
+				t.Fatalf("got %v %g %v, want errors.Is(err, %v)", s, energy, err, tt.want)
+			}
+			if !strings.Contains(err.Error(), tt.msg) {
+				t.Fatalf("error %q does not name %q", err, tt.msg)
+			}
+			var pe *check.PanicError
+			if isPanic := errors.As(err, &pe); isPanic != (tt.want == check.ErrSolverPanic) {
+				t.Fatalf("errors.As(*PanicError) = %v for %v", isPanic, err)
+			}
+		})
+	}
+}

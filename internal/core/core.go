@@ -73,7 +73,8 @@ type Options struct {
 	// epsilon.
 	Tolerance float64
 	// SkipValidation disables the internal feasibility check of the
-	// realized schedules (useful only in microbenchmarks).
+	// realized schedules, for callers that validate the schedule they
+	// take themselves (the registry runners, online.ReplanDER).
 	SkipValidation bool
 	// Context, when non-nil, is checked between subinterval passes so a
 	// canceled request aborts the solve instead of running to completion.

@@ -176,23 +176,12 @@ func (c Config) withDefaults() (Config, error) {
 }
 
 // registrySolve adapts a registered scheduler into a SolveFunc with
-// panic containment and the same in-band validator guardrail the
-// one-shot serving path applies: an invalid residual schedule is an
-// error, never a plan the session follows.
+// panic containment and the universal validator guardrail: an invalid
+// residual schedule is an error, never a plan the session follows.
 func registrySolve(algorithm string) (SolveFunc, error) {
 	e, ok := check.Lookup(algorithm)
 	if !ok {
 		return nil, fmt.Errorf("dispatch: unknown algorithm %q (have %v)", algorithm, check.Names())
 	}
-	return func(ctx context.Context, ts task.Set, m int, pm power.Model) (*schedule.Schedule, float64, error) {
-		s, energy, err := e.RunSafe(ctx, ts, m, pm)
-		if err != nil {
-			return nil, 0, err
-		}
-		if v := check.Validate(s, ts, m, pm); len(v) > 0 {
-			return nil, 0, fmt.Errorf("dispatch: %q produced an invalid residual schedule: %v (+%d more)",
-				algorithm, v[0], len(v)-1)
-		}
-		return s, energy, nil
-	}, nil
+	return e.RunVerified, nil
 }

@@ -232,8 +232,9 @@ func Eval(ctx context.Context, inst Instance, o Options) (*Outcome, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		// RunSafe: a panicking scheduler becomes a finding, not a crash.
-		_, energy, err := e.RunSafe(ctx, inst.Tasks, inst.Cores, inst.Model)
+		// A panic or an invalid schedule becomes a finding, not a crash
+		// and not a scored energy.
+		_, energy, err := e.RunVerified(ctx, inst.Tasks, inst.Cores, inst.Model)
 		if err != nil {
 			out.Errs[e.Name] = err
 			continue

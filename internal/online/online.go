@@ -88,7 +88,8 @@ func ReplanDER(ts task.Set, m int, pm power.Model) (*Result, error) {
 		if len(residual) == 0 {
 			continue
 		}
-		plan, err := core.Schedule(residual, m, pm, alloc.DER, core.Options{Tolerance: 1e-9})
+		// The final out.Validate covers every segment taken from plan.
+		plan, err := core.Schedule(residual, m, pm, alloc.DER, core.Options{Tolerance: 1e-9, SkipValidation: true})
 		if err != nil {
 			return nil, fmt.Errorf("online: replanning at t=%g: %w", t0, err)
 		}

@@ -105,25 +105,19 @@ type solveResult struct {
 	err    error
 }
 
-// runSolve executes a registered scheduler under ctx. Runners observe
-// ctx and abort between solver passes, so a canceled request frees its
-// worker slot promptly instead of holding it until convergence; the
-// select below additionally unblocks the handler immediately, and the
-// slot is released only when the solver goroutine actually returns.
-//
-// A panic inside the solver (real or injected) is recovered into a
-// typed error matching easched.ErrSolverPanic — the daemon never
-// crashes on a pathological instance.
+// runSolve executes a registered scheduler under ctx through
+// check.Entry.RunVerified, which contains solver panics (real or
+// injected) as errors matching easched.ErrSolverPanic and rejects any
+// schedule the universal validator does not accept with an error
+// matching easched.ErrInvalidSchedule. Runners observe ctx and abort
+// between solver passes, so a canceled request frees its worker slot
+// promptly instead of holding it until convergence; the select below
+// additionally unblocks the handler immediately, and the slot is
+// released only when the solver goroutine actually returns.
 func runSolve(ctx context.Context, in *fault.Injector, e check.Entry, ts task.Set, m int, pm power.Model, done func()) solveResult {
-	ch := make(chan solveResult, 1)
-	go func() {
-		defer done()
-		defer func() {
-			if r := recover(); r != nil {
-				ch <- solveResult{err: &check.PanicError{Value: r}}
-			}
-		}()
-		if in != nil {
+	if in != nil {
+		run := e.Run
+		e.Run = func(ctx context.Context, ts task.Set, m int, pm power.Model) (*schedule.Schedule, float64, error) {
 			if in.Should(fault.SolverPanic) {
 				panic("injected solver panic")
 			}
@@ -136,11 +130,15 @@ func runSolve(ctx context.Context, in *fault.Injector, e check.Entry, ts task.Se
 				}
 			}
 			if ferr := in.Err(fault.AllocError); ferr != nil {
-				ch <- solveResult{err: ferr}
-				return
+				return nil, 0, ferr
 			}
+			return run(ctx, ts, m, pm)
 		}
-		s, energy, err := e.Run(ctx, ts, m, pm)
+	}
+	ch := make(chan solveResult, 1)
+	go func() {
+		defer done()
+		s, energy, err := e.RunVerified(ctx, ts, m, pm)
 		ch <- solveResult{sched: s, energy: energy, err: err}
 	}()
 	select {
@@ -151,11 +149,10 @@ func runSolve(ctx context.Context, in *fault.Injector, e check.Entry, ts task.Se
 	}
 }
 
-// runVerified pushes one (algorithm, instance) solve through admission,
+// attempt pushes one (algorithm, instance) solve through admission,
 // the per-attempt timeout, and the validator guardrail, and reports the
-// outcome with its HTTP-style status. It is the single attempt the
-// fallback chain composes.
-func (s *Server) runVerified(reqCtx context.Context, entry check.Entry, req *wire.ScheduleRequest, pm power.Model) (*schedule.Schedule, float64, int, error) {
+// outcome with its HTTP-style status.
+func (s *Server) attempt(reqCtx context.Context, entry check.Entry, req *wire.ScheduleRequest, pm power.Model) (*schedule.Schedule, float64, int, error) {
 	s.metrics.queueDepth.Observe(float64(s.gate.depth()))
 	ctx := reqCtx
 	if s.cfg.SolveTimeout > 0 {
@@ -179,36 +176,56 @@ func (s *Server) runVerified(reqCtx context.Context, entry check.Entry, req *wir
 	// so an abandoned solve keeps its worker until it actually returns.
 	s.metrics.solves.Add(1)
 	res := runSolve(ctx, s.faults(), entry, req.Tasks, req.Cores, pm, s.gate.release)
-	if res.err != nil {
-		switch {
-		case errors.Is(res.err, context.DeadlineExceeded), errors.Is(res.err, context.Canceled):
-			s.metrics.canceled.Add(1)
-			return nil, 0, statusForCtxErr(res.err), fmt.Errorf("solve aborted: %w", res.err)
-		case errors.Is(res.err, easched.ErrSolverPanic):
-			s.metrics.solvePanics.Add(1)
-			return nil, 0, statusForSolveErr(res.err), fmt.Errorf("solve failed: %w", res.err)
-		default:
-			s.metrics.solveErrors.Add(1)
-			return nil, 0, statusForSolveErr(res.err), fmt.Errorf("solve failed: %w", res.err)
-		}
-	}
-
-	// Guardrail: never ship a schedule the universal validator rejects.
 	// The validator_reject fault point simulates a guardrail rejection of
 	// a good schedule, exercising the same degradation path.
-	if !s.cfg.DisableVerify {
-		violations := check.Validate(res.sched, req.Tasks, req.Cores, pm)
-		if len(violations) == 0 && s.faults().Should(fault.ValidatorReject) {
-			violations = []check.Violation{{Kind: check.KindEnergy, Task: -1, Detail: "injected validator rejection"}}
-		}
-		if len(violations) > 0 {
-			s.metrics.verifyFailures.Add(1)
-			return nil, 0, http.StatusInternalServerError,
-				fmt.Errorf("produced schedule failed verification: %w: %v (+%d more)",
-					easched.ErrInvalidSchedule, violations[0], len(violations)-1)
-		}
+	if res.err == nil && s.faults().Should(fault.ValidatorReject) {
+		res.err = fmt.Errorf("%w: %v (+0 more)", easched.ErrInvalidSchedule,
+			check.Violation{Kind: check.KindEnergy, Task: -1, Detail: "injected validator rejection"})
 	}
-	return res.sched, res.energy, http.StatusOK, nil
+	switch {
+	case res.err == nil:
+		return res.sched, res.energy, http.StatusOK, nil
+	case errors.Is(res.err, context.DeadlineExceeded), errors.Is(res.err, context.Canceled):
+		s.metrics.canceled.Add(1)
+		return nil, 0, statusForCtxErr(res.err), fmt.Errorf("solve aborted: %w", res.err)
+	case errors.Is(res.err, easched.ErrInvalidSchedule):
+		// Guardrail: never ship a schedule the universal validator rejects.
+		s.metrics.verifyFailures.Add(1)
+		return nil, 0, http.StatusInternalServerError,
+			fmt.Errorf("produced schedule failed verification: %w", res.err)
+	case errors.Is(res.err, easched.ErrSolverPanic):
+		s.metrics.solvePanics.Add(1)
+	default:
+		s.metrics.solveErrors.Add(1)
+	}
+	return nil, 0, statusForSolveErr(res.err), fmt.Errorf("solve failed: %w", res.err)
+}
+
+// guardedSolve is one solve attempt behind the algorithm's circuit
+// breaker: a denial is a 503 wrapping errBreakerOpen, and the attempt's
+// outcome is recorded on the breaker. The one-shot primary attempt, its
+// fallback and every session re-plan go through here.
+func (s *Server) guardedSolve(ctx context.Context, entry check.Entry, req *wire.ScheduleRequest, pm power.Model) (*schedule.Schedule, float64, int, error) {
+	br := s.breakers.Get(entry.Name)
+	ok, probe := br.Admit()
+	if !ok {
+		s.metrics.breakerDenials.Add(1)
+		return nil, 0, http.StatusServiceUnavailable,
+			fmt.Errorf("%w for algorithm %q", errBreakerOpen, entry.Name)
+	}
+	sched, energy, status, err := s.attempt(ctx, entry, req, pm)
+	switch {
+	case err == nil:
+		br.Success()
+	case breakerCountable(status, err):
+		br.Failure()
+	case probe:
+		// The probe's outcome says nothing about the algorithm
+		// (cancellation / admission pushback): release the slot, or
+		// the stuck `probing` flag would deny this algorithm forever.
+		br.ProbeAborted()
+	}
+	return sched, energy, status, err
 }
 
 // fallbackEligible reports whether a failed primary attempt should walk
@@ -275,46 +292,15 @@ func (s *Server) solveOne(reqCtx context.Context, req *wire.ScheduleRequest) (*w
 	}
 	s.metrics.cacheMisses.Add(1)
 
-	// Primary attempt, guarded by the algorithm's circuit breaker.
-	br := s.breakers.Get(req.Algorithm)
-	var primaryErr error
-	primaryStatus := http.StatusOK
-	if ok, probe := br.Admit(); ok {
-		sched, energy, status, err := s.runVerified(reqCtx, entry, req, pm)
-		if err == nil {
-			br.Success()
-			resp := &wire.ScheduleResponse{
-				Version:   wire.Version,
-				Algorithm: req.Algorithm,
-				Cores:     req.Cores,
-				Energy:    energy,
-				BusyTime:  sched.BusyTime(),
-				Makespan:  sched.Makespan(),
-				Verified:  !s.cfg.DisableVerify,
-				Segments:  wire.Segments(sched),
-				Sim:       simReport(sched, pm),
-			}
-			s.cache.Put(key, resp)
-			out := *resp
-			return &out, sched, http.StatusOK, nil
-		}
-		switch {
-		case breakerCountable(status, err):
-			br.Failure()
-		case probe:
-			// The probe's outcome says nothing about the algorithm
-			// (cancellation / admission pushback): release the slot, or
-			// the stuck `probing` flag would deny this algorithm forever.
-			br.ProbeAborted()
-		}
-		if !fallbackEligible(status, err) {
-			return nil, nil, status, err
-		}
-		primaryStatus, primaryErr = status, err
-	} else {
-		s.metrics.breakerDenials.Add(1)
-		primaryStatus = http.StatusServiceUnavailable
-		primaryErr = fmt.Errorf("%w for algorithm %q", errBreakerOpen, req.Algorithm)
+	sched, energy, primaryStatus, primaryErr := s.guardedSolve(reqCtx, entry, req, pm)
+	if primaryErr == nil {
+		resp := scheduleResponse(req, sched, energy, pm)
+		s.cache.Put(key, resp)
+		out := *resp
+		return &out, sched, http.StatusOK, nil
+	}
+	if !fallbackEligible(primaryStatus, primaryErr) {
+		return nil, nil, primaryStatus, primaryErr
 	}
 
 	// Fallback chain: requested algorithm failed (or its breaker is
@@ -326,44 +312,39 @@ func (s *Server) solveOne(reqCtx context.Context, req *wire.ScheduleRequest) (*w
 	if fb == nil {
 		return nil, nil, primaryStatus, primaryErr
 	}
-	fbBr := s.breakers.Get(fb.Name)
-	fbOK, fbProbe := fbBr.Admit()
-	if !fbOK {
-		s.metrics.breakerDenials.Add(1)
-		s.metrics.fallbackFailures.Add(1)
-		return nil, nil, http.StatusServiceUnavailable,
-			fmt.Errorf("%v; fallback %q %w", primaryErr, fb.Name, errBreakerOpen)
-	}
-	sched, energy, status, err := s.runVerified(reqCtx, *fb, req, pm)
+	sched, energy, _, err = s.guardedSolve(reqCtx, *fb, req, pm)
 	if err != nil {
-		switch {
-		case breakerCountable(status, err):
-			fbBr.Failure()
-		case fbProbe:
-			fbBr.ProbeAborted()
-		}
 		s.metrics.fallbackFailures.Add(1)
+		if errors.Is(err, errBreakerOpen) {
+			return nil, nil, http.StatusServiceUnavailable,
+				fmt.Errorf("%v; fallback %q %w", primaryErr, fb.Name, errBreakerOpen)
+		}
 		return nil, nil, http.StatusServiceUnavailable,
 			fmt.Errorf("%v; fallback %q also failed: %v", primaryErr, fb.Name, err)
 	}
-	fbBr.Success()
 	s.metrics.degraded.Add(1)
 	s.cfg.Logger.Printf("msg=%q algorithm=%q fallback=%q cause=%q",
 		"degraded response", req.Algorithm, fb.Name, primaryErr)
-	resp := &wire.ScheduleResponse{
-		Version:           wire.Version,
-		Algorithm:         req.Algorithm,
-		Cores:             req.Cores,
-		Energy:            energy,
-		BusyTime:          sched.BusyTime(),
-		Makespan:          sched.Makespan(),
-		Verified:          !s.cfg.DisableVerify,
-		Segments:          wire.Segments(sched),
-		Degraded:          true,
-		FallbackAlgorithm: fb.Name,
-		Sim:               simReport(sched, pm),
-	}
+	resp := scheduleResponse(req, sched, energy, pm)
+	resp.Degraded = true
+	resp.FallbackAlgorithm = fb.Name
 	return resp, sched, http.StatusOK, nil
+}
+
+// scheduleResponse is the wire form of a verified schedule. Verified is
+// always true: only schedules that passed the guardrail get here.
+func scheduleResponse(req *wire.ScheduleRequest, sched *schedule.Schedule, energy float64, pm power.Model) *wire.ScheduleResponse {
+	return &wire.ScheduleResponse{
+		Version:   wire.Version,
+		Algorithm: req.Algorithm,
+		Cores:     req.Cores,
+		Energy:    energy,
+		BusyTime:  sched.BusyTime(),
+		Makespan:  sched.Makespan(),
+		Verified:  true,
+		Segments:  wire.Segments(sched),
+		Sim:       simReport(sched, pm),
+	}
 }
 
 // simReport runs the discrete-event simulator over a freshly produced

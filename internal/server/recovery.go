@@ -99,9 +99,9 @@ func (s *Server) recoverSession(ctx context.Context, id string, r *journal.Sessi
 		backlog = s.cfg.MaxTasks
 	}
 	sess, err := dispatch.Restore(ctx, r.Snapshot, dispatch.Config{
-		Backlog:   backlog,
-		Solve:     solve,
-		Hooks:     s.sessionHooks(),
+		Backlog: backlog,
+		Solve:   solve,
+		Hooks:   s.sessionHooks(),
 		// The create-time SkipRatio choice is not journaled; recovered
 		// sessions skip the clairvoyant-optimum solve on finish —
 		// competitive-ratio accounting across a crash is best-effort.

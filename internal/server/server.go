@@ -85,9 +85,6 @@ type Config struct {
 	SolveTimeout time.Duration
 	// MaxTasks rejects larger instances with 400 (default 10000).
 	MaxTasks int
-	// DisableVerify turns off the in-band schedule verification
-	// guardrail (only sensible in microbenchmarks).
-	DisableVerify bool
 	// GraceTimeout bounds draining on shutdown (default 5s).
 	GraceTimeout time.Duration
 	// Logger receives one structured line per request; nil discards.

@@ -328,14 +328,6 @@ func TestVerifyGuardrail(t *testing.T) {
 	if srv.metrics.verifyFailures.Load() != 1 {
 		t.Fatal("verify failure not counted")
 	}
-
-	// With the guardrail disabled the broken schedule is shipped as-is —
-	// the knob exists only for microbenchmarks.
-	_, hs2 := newTestServer(t, Config{DisableVerify: true})
-	resp, _ = postJSON(t, hs2.URL+"/v1/schedule", scheduleBody(t, "test-broken", sectionVD(t), 4))
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("no-verify status %d, want 200", resp.StatusCode)
-	}
 }
 
 func TestFeasibleEndpoint(t *testing.T) {

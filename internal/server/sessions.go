@@ -29,25 +29,9 @@ func (s *Server) sessionSolve(algorithm string) (dispatch.SolveFunc, error) {
 		return nil, fmt.Errorf("%w %q (have %v)", errUnknownAlgorithm, algorithm, check.Names())
 	}
 	return func(ctx context.Context, ts task.Set, m int, pm power.Model) (*schedule.Schedule, float64, error) {
-		br := s.breakers.Get(algorithm)
-		allowed, probe := br.Admit()
-		if !allowed {
-			s.metrics.breakerDenials.Add(1)
-			return nil, 0, fmt.Errorf("%w for algorithm %q", errBreakerOpen, algorithm)
-		}
 		req := &wire.ScheduleRequest{Algorithm: algorithm, Cores: m, Tasks: ts}
-		sched, energy, status, err := s.runVerified(ctx, entry, req, pm)
-		if err == nil {
-			br.Success()
-			return sched, energy, nil
-		}
-		switch {
-		case breakerCountable(status, err):
-			br.Failure()
-		case probe:
-			br.ProbeAborted()
-		}
-		return nil, 0, err
+		sched, energy, _, err := s.guardedSolve(ctx, entry, req, pm)
+		return sched, energy, err
 	}, nil
 }
 

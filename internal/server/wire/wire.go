@@ -71,8 +71,9 @@ type ScheduleResponse struct {
 	// BusyTime and Makespan summarize the schedule shape.
 	BusyTime float64 `json:"busy_time"`
 	Makespan float64 `json:"makespan"`
-	// Verified reports whether the in-band easched.Verify guardrail ran
-	// and found no contract violations.
+	// Verified reports that the in-band check.Validate guardrail found
+	// no contract violations. It is always true: a schedule that fails
+	// the guardrail is never served.
 	Verified bool `json:"verified"`
 	// Cached is true when the response was served from the solve cache.
 	Cached   bool          `json:"cached"`

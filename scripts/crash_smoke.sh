@@ -168,8 +168,8 @@ if ! grep -q "validator:  0 failures" "$workdir/stream.out"; then
     echo "crash-smoke: FAIL: validator failures in final schedules" >&2
     exit 1
 fi
-if ! grep -qE "events: +[0-9]+ received, 0 seq gaps" "$workdir/stream.out"; then
-    echo "crash-smoke: FAIL: SSE sequence gaps across the crash" >&2
+if ! grep -qE "^events: +[0-9]+ received, 0 seq gaps, 0 sessions without final event, 0 streams closed uncleanly, 0 duplicate final events$" "$workdir/stream.out"; then
+    echo "crash-smoke: FAIL: SSE stream oracle broken (seq gaps, missing, duplicate or unclean finals)" >&2
     exit 1
 fi
 
