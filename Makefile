@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet build test race fuzz-smoke chaos dispatch-soak dispatch-soak-smoke cluster-smoke crash-smoke vulncheck ci perfbench-check conform conform-smoke cover serve loadtest bench bench-smoke clean
+.PHONY: all vet build test race stress fuzz-smoke chaos dispatch-soak dispatch-soak-smoke cluster-smoke crash-smoke vulncheck ci perfbench-check conform conform-smoke cover serve loadtest bench bench-smoke clean
 
 all: build
 
@@ -19,10 +19,16 @@ test:
 race:
 	$(GO) test -race ./...
 
+# Race stress (nightly in CI): the concurrent serving packages, many
+# repetitions at one and four procs under the race detector.
+stress:
+	$(GO) test -count=50 -cpu=1,4 -race ./internal/cluster ./internal/dispatch ./internal/journal ./internal/server
+
 # Short differential-fuzz pass: every registered scheduler against the
 # independent oracles on randomized instances, the journal replay
-# engine against arbitrary log bytes, and the validator's sweep against
-# its naive all-pairs reference on arbitrary segment lists. The
+# engine against arbitrary log bytes, the validator's sweep against
+# its naive all-pairs reference on arbitrary segment lists, and the
+# pre-encoded schedule replies against encoding/json. The
 # checked-in corpus under testdata/fuzz/ also replays during plain
 # `make test`.
 # -fuzzminimizetime=0x skips corpus minimization, which dominates wall
@@ -31,6 +37,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz=FuzzSchedulers -fuzztime=10s .
 	$(GO) test -run '^$$' -fuzz=FuzzJournalReplay -fuzztime=10s -fuzzminimizetime=0x ./internal/journal
 	$(GO) test -run '^$$' -fuzz=FuzzAudit -fuzztime=10s -fuzzminimizetime=0x ./internal/check
+	$(GO) test -run '^$$' -fuzz=FuzzEncodedResponse -fuzztime=10s -fuzzminimizetime=0x ./internal/server
 
 # Fault-injection soak: schedd under every injection point, validating
 # client, zero crashes and zero invalid schedules tolerated. Tune with

@@ -42,13 +42,15 @@ type reply struct {
 }
 
 // relay copies a backend reply to the client, preserving the headers
-// that carry protocol meaning.
+// that carry protocol meaning. The body is fully buffered, so its
+// length is known up front.
 func (rp *reply) relay(w http.ResponseWriter) {
 	for _, h := range []string{"Content-Type", "Retry-After"} {
 		if v := rp.header.Get(h); v != "" {
 			w.Header().Set(h, v)
 		}
 	}
+	w.Header().Set("Content-Length", strconv.Itoa(len(rp.body)))
 	w.WriteHeader(rp.status)
 	w.Write(rp.body)
 }
@@ -92,20 +94,41 @@ func (rt *Router) doTimeout(ctx context.Context, timeout time.Duration, b *backe
 	b.inflight.Add(1)
 	b.requests.Add(1)
 	start := rt.cfg.Now()
+	// The exchange ends when the body is in, not when the headers are:
+	// a large reply's transfer is part of the proxy latency.
+	defer func() {
+		b.inflight.Add(-1)
+		rt.metrics.proxyMS.Observe(rt.cfg.Now().Sub(start).Seconds() * 1e3)
+	}()
 	resp, err := rt.client.Do(req)
-	b.inflight.Add(-1)
-	rt.metrics.proxyMS.Observe(rt.cfg.Now().Sub(start).Seconds() * 1e3)
 	if err != nil {
 		b.failures.Add(1)
 		return nil, err
 	}
 	defer resp.Body.Close()
-	buf, err := io.ReadAll(io.LimitReader(resp.Body, maxProxyBody))
+	buf, err := readReply(resp)
 	if err != nil {
 		b.failures.Add(1)
 		return nil, err
 	}
 	return &reply{status: resp.StatusCode, header: resp.Header, body: buf}, nil
+}
+
+// readReply buffers a backend reply, capped at maxProxyBody, into one
+// allocation sized from Content-Length when the backend sent one. A
+// body shorter than its Content-Length is an error, so the caller
+// retries instead of relaying a truncated reply.
+func readReply(resp *http.Response) ([]byte, error) {
+	body := io.LimitReader(resp.Body, maxProxyBody)
+	n := resp.ContentLength
+	if n < 0 || n > maxProxyBody {
+		return io.ReadAll(body)
+	}
+	buf := make([]byte, n)
+	if _, err := io.ReadFull(body, buf); err != nil {
+		return nil, err
+	}
+	return buf, nil
 }
 
 // pick selects the least-loaded live backend whose breaker admits the

@@ -4,7 +4,7 @@ import (
 	"container/list"
 	"crypto/sha256"
 	"encoding/binary"
-	"hash/fnv"
+	"hash/crc32"
 	"math"
 	"sync"
 
@@ -48,9 +48,9 @@ func solveKey(algorithm string, ts task.Set, cores int, pm power.Model) cacheKey
 	return k
 }
 
-// solveCache is a mutex-guarded LRU over completed solve outcomes. Only
-// successful, verified solves are inserted, so a hit can be served
-// without re-running the guardrail.
+// solveCache is a mutex-guarded LRU over completed solve outcomes, each
+// held as its encoded reply. Only successful, verified solves are
+// inserted, so a hit can be served without re-running the guardrail.
 type solveCache struct {
 	mu       sync.Mutex
 	capacity int
@@ -60,39 +60,14 @@ type solveCache struct {
 
 type cacheEntry struct {
 	key cacheKey
-	val *wire.ScheduleResponse
-	// sum is an integrity checksum over the response content, verified on
-	// every hit so a corrupted entry (bit rot, or the cache_corrupt fault
-	// injection point) is detected and dropped instead of served.
-	sum uint64
+	val *wire.EncodedSchedule
+	// sum is a CRC32C over val.Body, verified on every hit so a
+	// corrupted entry (bit rot, or the cache_corrupt fault injection
+	// point) is detected and dropped instead of served.
+	sum uint32
 }
 
-// respSum hashes the solve-relevant content of a cached response. Floats
-// hash by IEEE-754 bit pattern, exactly like solveKey.
-func respSum(r *wire.ScheduleResponse) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	put := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
-	}
-	putF := func(f float64) { put(math.Float64bits(f)) }
-	h.Write([]byte(r.Algorithm))
-	h.Write([]byte{0})
-	put(uint64(r.Cores))
-	putF(r.Energy)
-	putF(r.BusyTime)
-	putF(r.Makespan)
-	put(uint64(len(r.Segments)))
-	for _, s := range r.Segments {
-		put(uint64(s.Task))
-		put(uint64(s.Core))
-		putF(s.Start)
-		putF(s.End)
-		putF(s.Frequency)
-	}
-	return h.Sum64()
-}
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // newSolveCache returns a cache holding up to capacity outcomes; a
 // capacity ≤ 0 disables caching (every Get misses, Put is a no-op).
@@ -108,7 +83,7 @@ func newSolveCache(capacity int) *solveCache {
 // A hit whose integrity checksum no longer matches is evicted and
 // reported as corrupted (and a miss), so the caller re-solves instead of
 // shipping a damaged schedule.
-func (c *solveCache) Get(key cacheKey) (resp *wire.ScheduleResponse, ok, corrupted bool) {
+func (c *solveCache) Get(key cacheKey) (val *wire.EncodedSchedule, ok, corrupted bool) {
 	if c.capacity <= 0 {
 		return nil, false, false
 	}
@@ -119,7 +94,7 @@ func (c *solveCache) Get(key cacheKey) (resp *wire.ScheduleResponse, ok, corrupt
 		return nil, false, false
 	}
 	e := el.Value.(*cacheEntry)
-	if respSum(e.val) != e.sum {
+	if crc32.Checksum(e.val.Body, castagnoli) != e.sum {
 		c.order.Remove(el)
 		delete(c.byKey, key)
 		return nil, false, true
@@ -129,15 +104,15 @@ func (c *solveCache) Get(key cacheKey) (resp *wire.ScheduleResponse, ok, corrupt
 }
 
 // Put inserts (or refreshes) the outcome for key, evicting the least
-// recently used entry when over capacity. The stored response is shared
-// between hits, so callers must treat it as immutable.
-func (c *solveCache) Put(key cacheKey, val *wire.ScheduleResponse) {
+// recently used entry when over capacity. The stored bytes are shared
+// between hits, so callers must treat them as immutable.
+func (c *solveCache) Put(key cacheKey, val *wire.EncodedSchedule) {
 	if c.capacity <= 0 {
 		return
 	}
+	sum := crc32.Checksum(val.Body, castagnoli)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	sum := respSum(val)
 	if el, ok := c.byKey[key]; ok {
 		e := el.Value.(*cacheEntry)
 		e.val, e.sum = val, sum
@@ -161,10 +136,10 @@ func (c *solveCache) Len() int {
 
 // Corrupt damages the stored entry for key without updating its
 // checksum — the realization of the cache_corrupt fault-injection
-// point. The entry's value is replaced with a corrupted copy (never
-// mutated in place: earlier Get results share the old segments slice),
-// so the next Get must detect the mismatch. Returns whether an entry
-// was present to corrupt.
+// point. The entry's bytes are replaced with a damaged copy (never
+// mutated in place: replies in flight share the old bytes), so the next
+// Get must detect the mismatch. Returns whether an entry was present to
+// corrupt.
 func (c *solveCache) Corrupt(key cacheKey) bool {
 	if c.capacity <= 0 {
 		return false
@@ -177,12 +152,8 @@ func (c *solveCache) Corrupt(key cacheKey) bool {
 	}
 	e := el.Value.(*cacheEntry)
 	bad := *e.val
-	bad.Segments = append([]wire.SegmentJSON(nil), e.val.Segments...)
-	if len(bad.Segments) > 0 {
-		bad.Segments[0].Frequency *= 1.75 // silently wrong answer
-	} else {
-		bad.Energy += 1
-	}
+	bad.Body = append([]byte(nil), e.val.Body...)
+	bad.Body[len(bad.Body)/2] ^= 1 // one flipped bit: a silently wrong digit
 	e.val = &bad
 	return true
 }

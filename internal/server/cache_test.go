@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/power"
@@ -45,15 +46,29 @@ func TestSolveKeyDistinguishesInputs(t *testing.T) {
 	}
 }
 
+// encoded is a small encoded reply naming alg, for cache tests.
+func encoded(t *testing.T, alg string) *wire.EncodedSchedule {
+	t.Helper()
+	enc, err := wire.EncodeSchedule(&wire.ScheduleResponse{
+		Algorithm: alg, Cores: 1,
+		Segments: []wire.SegmentJSON{{Start: 0, End: 1, Frequency: 0.5}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return enc
+}
+
 func TestSolveCacheLRU(t *testing.T) {
 	c := newSolveCache(2)
 	pm := power.Model{Gamma: 1, Alpha: 3}
 	ka := solveKey("a", nil, 1, pm)
 	kb := solveKey("b", nil, 1, pm)
 	kc := solveKey("c", nil, 1, pm)
+	a, b, cc := encoded(t, "a"), encoded(t, "b"), encoded(t, "c")
 
-	c.Put(ka, &wire.ScheduleResponse{Algorithm: "a"})
-	c.Put(kb, &wire.ScheduleResponse{Algorithm: "b"})
+	c.Put(ka, a)
+	c.Put(kb, b)
 	if c.Len() != 2 {
 		t.Fatalf("len %d, want 2", c.Len())
 	}
@@ -62,20 +77,21 @@ func TestSolveCacheLRU(t *testing.T) {
 	if _, ok, _ := c.Get(ka); !ok {
 		t.Fatal("a missing")
 	}
-	c.Put(kc, &wire.ScheduleResponse{Algorithm: "c"})
+	c.Put(kc, cc)
 	if _, ok, _ := c.Get(kb); ok {
 		t.Fatal("b should have been evicted")
 	}
-	if v, ok, _ := c.Get(ka); !ok || v.Algorithm != "a" {
+	if v, ok, _ := c.Get(ka); !ok || v != a {
 		t.Fatal("a should have survived (it was promoted)")
 	}
-	if v, ok, _ := c.Get(kc); !ok || v.Algorithm != "c" {
+	if v, ok, _ := c.Get(kc); !ok || v != cc {
 		t.Fatal("c missing")
 	}
 
 	// Refreshing an existing key replaces the value without growing.
-	c.Put(ka, &wire.ScheduleResponse{Algorithm: "a2"})
-	if v, _, _ := c.Get(ka); v.Algorithm != "a2" {
+	a2 := encoded(t, "a2")
+	c.Put(ka, a2)
+	if v, _, _ := c.Get(ka); v != a2 {
 		t.Fatal("refresh did not replace the value")
 	}
 	if c.Len() != 2 {
@@ -83,10 +99,43 @@ func TestSolveCacheLRU(t *testing.T) {
 	}
 }
 
+// TestSolveCacheCorrupt: a damaged entry fails its CRC32C on the next
+// Get, which reports it corrupted and evicts it; the bytes earlier hits
+// returned stay intact, and a later Put restores the entry.
+func TestSolveCacheCorrupt(t *testing.T) {
+	c := newSolveCache(2)
+	k := solveKey("a", nil, 1, power.Model{Gamma: 1, Alpha: 3})
+	if c.Corrupt(k) {
+		t.Fatal("corrupted an absent entry")
+	}
+	a := encoded(t, "a")
+	body := append([]byte(nil), a.Body...)
+	c.Put(k, a)
+	if !c.Corrupt(k) {
+		t.Fatal("Corrupt found no entry")
+	}
+	if !bytes.Equal(a.Body, body) {
+		t.Fatal("Corrupt mutated bytes a reply may still be writing")
+	}
+	if v, ok, corrupted := c.Get(k); ok || !corrupted || v != nil {
+		t.Fatalf("Get after Corrupt: ok=%v corrupted=%v, want a reported corruption", ok, corrupted)
+	}
+	if c.Len() != 0 {
+		t.Fatalf("corrupted entry not evicted: len %d", c.Len())
+	}
+	if _, ok, corrupted := c.Get(k); ok || corrupted {
+		t.Fatal("evicted entry still present")
+	}
+	c.Put(k, a)
+	if v, ok, corrupted := c.Get(k); !ok || corrupted || v != a {
+		t.Fatal("Put did not restore the entry")
+	}
+}
+
 func TestSolveCacheDisabled(t *testing.T) {
 	c := newSolveCache(0)
 	k := solveKey("a", nil, 1, power.Model{Alpha: 2, Gamma: 1})
-	c.Put(k, &wire.ScheduleResponse{})
+	c.Put(k, encoded(t, "a"))
 	if _, ok, _ := c.Get(k); ok {
 		t.Fatal("disabled cache returned a hit")
 	}

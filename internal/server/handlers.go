@@ -5,7 +5,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net"
 	"net/http"
+	"strconv"
 	"sync"
 	"time"
 
@@ -252,11 +254,11 @@ func breakerCountable(status int, err error) bool {
 
 // solveOne runs the full per-instance pipeline — cache lookup (with
 // integrity check), circuit breaker, admission, solve under a per-item
-// timeout, validator guardrail, fallback chain, cache fill — and
-// returns the response (and the realized schedule when freshly solved)
-// or an HTTP-style status and error. Shared by POST /v1/schedule and
-// each item of POST /v1/schedule/batch.
-func (s *Server) solveOne(reqCtx context.Context, req *wire.ScheduleRequest) (*wire.ScheduleResponse, *schedule.Schedule, int, error) {
+// timeout, validator guardrail, fallback chain, encode, cache fill — and
+// returns the encoded reply plus the realized schedule (nil exactly when
+// the reply is a cache hit), or an HTTP-style status and error. Shared
+// by POST /v1/schedule and each item of POST /v1/schedule/batch.
+func (s *Server) solveOne(reqCtx context.Context, req *wire.ScheduleRequest) (*wire.EncodedSchedule, *schedule.Schedule, int, error) {
 	if err := validateInstance(req.Tasks, req.Cores, s.cfg.MaxTasks); err != nil {
 		return nil, nil, http.StatusBadRequest, err
 	}
@@ -280,11 +282,9 @@ func (s *Server) solveOne(reqCtx context.Context, req *wire.ScheduleRequest) (*w
 	if s.faults().Should(fault.CacheCorrupt) {
 		s.cache.Corrupt(key)
 	}
-	if cached, ok, corrupted := s.cache.Get(key); ok {
+	if enc, ok, corrupted := s.cache.Get(key); ok {
 		s.metrics.cacheHits.Add(1)
-		resp := *cached // shallow copy; Segments slice is shared read-only
-		resp.Cached = true
-		return &resp, nil, http.StatusOK, nil
+		return enc, nil, http.StatusOK, nil
 	} else if corrupted {
 		// Detected corruption degrades to a re-solve, never to a wrong
 		// answer: the entry was dropped, so this is now a clean miss.
@@ -294,10 +294,12 @@ func (s *Server) solveOne(reqCtx context.Context, req *wire.ScheduleRequest) (*w
 
 	sched, energy, primaryStatus, primaryErr := s.guardedSolve(reqCtx, entry, req, pm)
 	if primaryErr == nil {
-		resp := scheduleResponse(req, sched, energy, pm)
-		s.cache.Put(key, resp)
-		out := *resp
-		return &out, sched, http.StatusOK, nil
+		enc, err := encodeResponse(req, sched, energy, pm, "")
+		if err != nil {
+			return nil, nil, http.StatusInternalServerError, err
+		}
+		s.cache.Put(key, enc)
+		return enc, sched, http.StatusOK, nil
 	}
 	if !fallbackEligible(primaryStatus, primaryErr) {
 		return nil, nil, primaryStatus, primaryErr
@@ -325,26 +327,35 @@ func (s *Server) solveOne(reqCtx context.Context, req *wire.ScheduleRequest) (*w
 	s.metrics.degraded.Add(1)
 	s.cfg.Logger.Printf("msg=%q algorithm=%q fallback=%q cause=%q",
 		"degraded response", req.Algorithm, fb.Name, primaryErr)
-	resp := scheduleResponse(req, sched, energy, pm)
-	resp.Degraded = true
-	resp.FallbackAlgorithm = fb.Name
-	return resp, sched, http.StatusOK, nil
+	enc, err := encodeResponse(req, sched, energy, pm, fb.Name)
+	if err != nil {
+		return nil, nil, http.StatusInternalServerError, err
+	}
+	return enc, sched, http.StatusOK, nil
 }
 
-// scheduleResponse is the wire form of a verified schedule. Verified is
-// always true: only schedules that passed the guardrail get here.
-func scheduleResponse(req *wire.ScheduleRequest, sched *schedule.Schedule, energy float64, pm power.Model) *wire.ScheduleResponse {
-	return &wire.ScheduleResponse{
-		Version:   wire.Version,
-		Algorithm: req.Algorithm,
-		Cores:     req.Cores,
-		Energy:    energy,
-		BusyTime:  sched.BusyTime(),
-		Makespan:  sched.Makespan(),
-		Verified:  true,
-		Segments:  wire.Segments(sched),
-		Sim:       simReport(sched, pm),
+// encodeResponse encodes the reply for a verified schedule, once: every
+// reply for it is written from these bytes. Verified is always true:
+// only schedules that passed the guardrail get here. A non-empty
+// fallback marks the reply degraded, produced by that algorithm.
+func encodeResponse(req *wire.ScheduleRequest, sched *schedule.Schedule, energy float64, pm power.Model, fallback string) (*wire.EncodedSchedule, error) {
+	enc, err := wire.EncodeSchedule(&wire.ScheduleResponse{
+		Version:           wire.Version,
+		Algorithm:         req.Algorithm,
+		Cores:             req.Cores,
+		Energy:            energy,
+		BusyTime:          sched.BusyTime(),
+		Makespan:          sched.Makespan(),
+		Verified:          true,
+		Segments:          wire.Segments(sched),
+		Degraded:          fallback != "",
+		FallbackAlgorithm: fallback,
+		Sim:               simReport(sched, pm),
+	})
+	if err != nil {
+		return nil, fmt.Errorf("encode response: %w", err)
 	}
+	return enc, nil
 }
 
 // simReport runs the discrete-event simulator over a freshly produced
@@ -413,7 +424,7 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		wire.WriteError(w, http.StatusBadRequest, wire.CodeBadRequest, "%v", err)
 		return
 	}
-	resp, sched, code, err := s.solveOne(r.Context(), &req)
+	enc, sched, code, err := s.solveOne(r.Context(), &req)
 	if err != nil {
 		if code == http.StatusTooManyRequests || code == http.StatusServiceUnavailable {
 			retryAfter(w, 1)
@@ -421,8 +432,12 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		writeErrorFor(w, code, err)
 		return
 	}
-	resp.ElapsedMS = float64(time.Since(start)) / float64(time.Millisecond)
-	s.respondSchedule(w, r, resp, sched)
+	s.respondSchedule(w, r, enc, sched, sinceMS(start))
+}
+
+// sinceMS is the wall time since start in milliseconds.
+func sinceMS(start time.Time) float64 {
+	return float64(time.Since(start)) / float64(time.Millisecond)
 }
 
 // maxBatchItems bounds one batch request; larger batches should be
@@ -463,7 +478,7 @@ func (s *Server) handleScheduleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 
 	s.metrics.batches.Add(1)
-	items := make([]wire.BatchItem, len(req.Items))
+	items := make([]wire.EncodedBatchItem, len(req.Items))
 	// Fan out at most Workers items at a time: each still passes the
 	// admission gate, but a large batch queues here instead of flooding
 	// the shared admission queue (which would 429 its own tail).
@@ -479,17 +494,20 @@ func (s *Server) handleScheduleBatch(w http.ResponseWriter, r *http.Request) {
 			defer wg.Done()
 			for i := range idx {
 				itemStart := time.Now()
-				resp, _, code, err := s.solveOne(r.Context(), &req.Items[i])
-				if err != nil {
-					items[i] = wire.BatchItem{
-						Index: i, Error: err.Error(), Status: code,
-						Code:      errorCode(code, err),
-						Retryable: wire.RetryableStatus(code),
+				enc, sched, code, err := s.solveOne(r.Context(), &req.Items[i])
+				if err == nil {
+					var parts net.Buffers
+					if parts, err = enc.Parts(sched == nil, sinceMS(itemStart)); err == nil {
+						items[i].Response = parts
+						continue
 					}
-					continue
+					code = http.StatusInternalServerError
 				}
-				resp.ElapsedMS = float64(time.Since(itemStart)) / float64(time.Millisecond)
-				items[i] = wire.BatchItem{Index: i, Response: resp}
+				items[i].Err = wire.BatchItem{
+					Index: i, Error: err.Error(), Status: code,
+					Code:      errorCode(code, err),
+					Retryable: wire.RetryableStatus(code),
+				}
 			}
 		}()
 	}
@@ -498,20 +516,40 @@ func (s *Server) handleScheduleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	close(idx)
 	wg.Wait()
-	writeJSON(w, http.StatusOK, wire.BatchResponse{
-		Version:   wire.Version,
-		Items:     items,
-		ElapsedMS: float64(time.Since(start)) / float64(time.Millisecond),
-	})
+	body, err := wire.EncodeBatch(items, sinceMS(start))
+	if err != nil {
+		writeErrorFor(w, http.StatusInternalServerError, err)
+		return
+	}
+	writeEncoded(w, body)
 }
 
-// respondSchedule writes either the JSON schedule payload or, with
+// writeEncoded writes a 200 reply from pre-encoded parts with its
+// Content-Length, ending it with the newline json.Encoder adds.
+func writeEncoded(w http.ResponseWriter, parts net.Buffers) {
+	parts = append(parts, []byte("\n"))
+	n := 0
+	for _, p := range parts {
+		n += len(p)
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(n))
+	w.WriteHeader(http.StatusOK)
+	_, _ = parts.WriteTo(w) // a failed write means the client is gone
+}
+
+// respondSchedule writes either the encoded schedule reply or, with
 // ?trace=chrome, a Chrome trace-event document of the schedule (ready
-// for chrome://tracing / Perfetto). Cached responses reconstruct the
-// schedule from the stored segments.
-func (s *Server) respondSchedule(w http.ResponseWriter, r *http.Request, resp *wire.ScheduleResponse, sched *schedule.Schedule) {
+// for chrome://tracing / Perfetto). A cache hit (sched == nil) decodes
+// the schedule from the stored reply, only on this path.
+func (s *Server) respondSchedule(w http.ResponseWriter, r *http.Request, enc *wire.EncodedSchedule, sched *schedule.Schedule, elapsedMS float64) {
 	if r.URL.Query().Get("trace") == "chrome" {
 		if sched == nil {
+			var resp wire.ScheduleResponse
+			if err := json.Unmarshal(enc.Body, &resp); err != nil {
+				writeErrorFor(w, http.StatusInternalServerError, fmt.Errorf("decode cached response: %w", err))
+				return
+			}
 			sched = &schedule.Schedule{Cores: resp.Cores}
 			for _, seg := range resp.Segments {
 				sched.Add(schedule.Segment{
@@ -527,7 +565,12 @@ func (s *Server) respondSchedule(w http.ResponseWriter, r *http.Request, resp *w
 		}
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	parts, err := enc.Parts(sched == nil, elapsedMS)
+	if err != nil {
+		writeErrorFor(w, http.StatusInternalServerError, err)
+		return
+	}
+	writeEncoded(w, parts)
 }
 
 // statusForCtxErr maps a context error to the HTTP status of the (likely

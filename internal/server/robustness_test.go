@@ -234,8 +234,52 @@ func TestInjectedFaultsAreTypedAndSurvivable(t *testing.T) {
 		if second.Energy != first.Energy {
 			t.Fatalf("re-solve diverged: %g vs %g", second.Energy, first.Energy)
 		}
-		if srv.metrics.cacheCorruptions.Load() == 0 {
-			t.Fatal("corruption not counted")
+		if srv.metrics.cacheCorruptions.Load() != 1 {
+			t.Fatalf("corruptions counted %d, want 1", srv.metrics.cacheCorruptions.Load())
+		}
+
+		// A batch item reads the same entry: it too re-solves.
+		batch, err := json.Marshal(wire.BatchRequest{Items: []wire.ScheduleRequest{{
+			Algorithm: "S^F2", Cores: 4, Model: wire.ModelJSON{Alpha: 3, P0: 0.05}, Tasks: ts,
+		}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, body = postJSON(t, hs.URL+"/v1/schedule/batch", batch)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("batch status %d: %s", resp.StatusCode, body)
+		}
+		var br wire.BatchResponse
+		if err := json.Unmarshal(body, &br); err != nil {
+			t.Fatal(err)
+		}
+		if len(br.Items) != 1 || br.Items[0].Response == nil {
+			t.Fatalf("batch item failed: %s", body)
+		}
+		item, err := json.Marshal(br.Items[0].Response)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sr := mustValidate(t, item, ts); sr.Cached || sr.Energy != first.Energy {
+			t.Fatalf("batch item served a corrupted entry: cached=%v energy=%g", sr.Cached, sr.Energy)
+		}
+
+		// So does ?trace=chrome, which decodes a hit's stored bytes.
+		resp, body = postJSON(t, hs.URL+"/v1/schedule?trace=chrome", scheduleBody(t, "S^F2", ts, 4))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("trace status %d: %s", resp.StatusCode, body)
+		}
+		var doc struct {
+			TraceEvents []map[string]any `json:"traceEvents"`
+		}
+		if err := json.Unmarshal(body, &doc); err != nil || len(doc.TraceEvents) == 0 {
+			t.Fatalf("trace after corruption broken: %v %s", err, body)
+		}
+		if n := srv.metrics.cacheCorruptions.Load(); n != 3 {
+			t.Fatalf("corruptions counted %d after batch and trace, want 3", n)
+		}
+		if n := srv.metrics.cacheHits.Load(); n != 0 {
+			t.Fatalf("%d corrupted entries served as hits", n)
 		}
 	})
 

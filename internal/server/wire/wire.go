@@ -61,6 +61,9 @@ type SegmentJSON struct {
 }
 
 // ScheduleResponse is the body of a successful POST /v1/schedule.
+// schedd encodes it once per solve (EncodeSchedule), which finds Cached
+// and ElapsedMS as the first "cached" and "elapsed_ms" keys of the
+// encoding: no nested value ahead of them may carry either key.
 type ScheduleResponse struct {
 	// Version is the wire-format version (see Version).
 	Version   int    `json:"version,omitempty"`
