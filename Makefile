@@ -133,10 +133,14 @@ bench:
 	$(GO) run ./cmd/schedbench -o $(BENCH_OUT) $(if $(BENCH_PREV),-prev $(BENCH_PREV))
 
 # Small-case benchmark smoke for CI: exercises the matrix end to end
-# without meaningful machine-time cost.
+# without meaningful machine-time cost, then runs every benchmark of
+# the packages with a kernel_bench_test.go once, so the per-layer
+# kernel benchmarks keep compiling and running.
+KERNEL_BENCH_PKGS = $(patsubst %/kernel_bench_test.go,./%,$(shell find internal -name kernel_bench_test.go))
 bench-smoke:
 	$(GO) run ./cmd/schedbench -quick -o bench-smoke.json
 	cat bench-smoke.json
+	$(GO) test -run '^$$' -bench . -benchtime=1x $(KERNEL_BENCH_PKGS)
 
 clean:
 	$(GO) clean ./...

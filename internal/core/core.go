@@ -109,15 +109,36 @@ func Schedule(ts task.Set, m int, pm power.Model, method alloc.Method, opts Opti
 }
 
 // Schedule runs the full pipeline of Section V for one allocation method,
-// reusing the solver's scratch arenas.
+// reusing the solver's scratch arenas. It builds both S^I and S^F; a
+// caller that takes only one of them should call Intermediate or Final.
 func (sv *Solver) Schedule(ts task.Set, m int, pm power.Model, method alloc.Method, opts Options) (*Result, error) {
+	return sv.solve(ts, m, pm, method, opts, (*Solver).intermediate, (*Solver).final)
+}
+
+// Intermediate runs the pipeline up to S^I only: the returned Result has
+// no Final, FinalFrequencies or AvailableTime.
+func (sv *Solver) Intermediate(ts task.Set, m int, pm power.Model, method alloc.Method, opts Options) (*Result, error) {
+	return sv.solve(ts, m, pm, method, opts, (*Solver).intermediate)
+}
+
+// Final runs the pipeline up to S^F only: S^F needs the allocation
+// totals A_i, not S^I's packed segments, so the returned Result has no
+// Intermediate.
+func (sv *Solver) Final(ts task.Set, m int, pm power.Model, method alloc.Method, opts Options) (*Result, error) {
+	return sv.solve(ts, m, pm, method, opts, (*Solver).final)
+}
+
+// solve runs the stages every schedule shares (the subinterval
+// decomposition, the ideal plan S^O and the time allocation), then
+// builds, in order, the schedules asked for.
+func (sv *Solver) solve(ts task.Set, m int, pm power.Model, method alloc.Method, opts Options,
+	builds ...func(*Solver, *Result, Options) error) (*Result, error) {
 	if m <= 0 {
 		return nil, fmt.Errorf("core: need at least one core, have %d", m)
 	}
 	if err := pm.Validate(); err != nil {
 		return nil, err
 	}
-	ctx := opts.Context
 	d, err := interval.Decompose(ts, opts.Tolerance)
 	if err != nil {
 		return nil, err
@@ -126,8 +147,8 @@ func (sv *Solver) Schedule(ts task.Set, m int, pm power.Model, method alloc.Meth
 	if err != nil {
 		return nil, err
 	}
-	if ctx != nil && ctx.Err() != nil {
-		return nil, fmt.Errorf("core: solve aborted: %w", ctx.Err())
+	if err := aborted(opts.Context); err != nil {
+		return nil, err
 	}
 	al, err := sv.allocB.Build(d, m, method, plan)
 	if err != nil {
@@ -142,24 +163,50 @@ func (sv *Solver) Schedule(ts task.Set, m int, pm power.Model, method alloc.Meth
 		Ideal:  plan,
 		Alloc:  al,
 	}
-	if err := sv.buildIntermediate(ctx, res); err != nil {
-		return nil, fmt.Errorf("core: intermediate schedule: %w", err)
-	}
-	if err := sv.buildFinal(ctx, res); err != nil {
-		return nil, fmt.Errorf("core: final schedule: %w", err)
-	}
-	if !opts.SkipValidation {
-		if ctx != nil && ctx.Err() != nil {
-			return nil, fmt.Errorf("core: solve aborted: %w", ctx.Err())
-		}
-		if errs := res.Intermediate.Validate(1e-6, true); len(errs) > 0 {
-			return nil, fmt.Errorf("core: intermediate schedule infeasible: %v", errs[0])
-		}
-		if errs := res.Final.Validate(1e-6, true); len(errs) > 0 {
-			return nil, fmt.Errorf("core: final schedule infeasible: %v", errs[0])
+	for _, build := range builds {
+		if err := build(sv, res, opts); err != nil {
+			return nil, err
 		}
 	}
 	return res, nil
+}
+
+// intermediate builds S^I into res and, unless opts skips it, checks it.
+func (sv *Solver) intermediate(res *Result, opts Options) error {
+	if err := sv.buildIntermediate(opts.Context, res); err != nil {
+		return fmt.Errorf("core: intermediate schedule: %w", err)
+	}
+	return verify("intermediate", res.Intermediate, opts)
+}
+
+// final builds S^F into res and, unless opts skips it, checks it.
+func (sv *Solver) final(res *Result, opts Options) error {
+	if err := sv.buildFinal(opts.Context, res); err != nil {
+		return fmt.Errorf("core: final schedule: %w", err)
+	}
+	return verify("final", res.Final, opts)
+}
+
+// verify checks a realized schedule's feasibility unless opts skips it.
+func verify(name string, s *schedule.Schedule, opts Options) error {
+	if opts.SkipValidation {
+		return nil
+	}
+	if err := aborted(opts.Context); err != nil {
+		return err
+	}
+	if errs := s.Validate(1e-6, true); len(errs) > 0 {
+		return fmt.Errorf("core: %s schedule infeasible: %v", name, errs[0])
+	}
+	return nil
+}
+
+// aborted reports a canceled or expired ctx (nil ctx never aborts).
+func aborted(ctx context.Context) error {
+	if ctx != nil && ctx.Err() != nil {
+		return fmt.Errorf("core: solve aborted: %w", ctx.Err())
+	}
+	return nil
 }
 
 // MustSchedule is Schedule but panics on error.
@@ -171,17 +218,24 @@ func MustSchedule(ts task.Set, m int, pm power.Model, method alloc.Method, opts 
 	return r
 }
 
-// grow readies the per-task scratch for n tasks and estimates the segment
-// count of one realized schedule (eligibility pairs plus wrap slack).
-func (sv *Solver) grow(d *interval.Decomposition) int {
+// grow readies the per-task scratch for d's tasks and bounds the segment
+// count of one schedule realized on m cores. Each builder calls it
+// before touching that scratch, so either one can run first on a fresh
+// Solver.
+func (sv *Solver) grow(d *interval.Decomposition, m int) int {
 	n := len(d.Tasks)
 	if cap(sv.freqOf) < n {
 		sv.freqOf = make([]float64, n)
 		sv.useTime = make([]float64, n)
 	}
+	// Algorithm 1 packs k requests onto at most min(k, m) cores and
+	// splits a task only where it wraps from one core to the next, so a
+	// subinterval yields at most k + min(k, m) − 1 pieces.
 	segs := 0
 	for j := range d.Subs {
-		segs += d.Subs[j].Count() + 1
+		if k := d.Subs[j].Count(); k > 0 {
+			segs += k + min(k, m) - 1
+		}
 	}
 	return segs
 }
@@ -191,9 +245,10 @@ func (sv *Solver) grow(d *interval.Decomposition) int {
 // ideal execution the frequency is raised to complete the same work
 // (Sections V.B.1 and V.C.1).
 func (sv *Solver) buildIntermediate(ctx context.Context, r *Result) error {
-	sched := schedule.New(r.Tasks, r.Cores)
-	sched.Grow(sv.grow(r.Decomp))
+	segs := sv.grow(r.Decomp, r.Cores)
 	freqOf := sv.freqOf[:len(r.Tasks)]
+	sched := schedule.New(r.Tasks, r.Cores)
+	sched.Grow(segs)
 	var energy numeric.KahanSum
 	for j := range r.Decomp.Subs {
 		if ctx != nil && j%ctxCheckStride == 0 && ctx.Err() != nil {
@@ -246,6 +301,7 @@ func (sv *Solver) buildIntermediate(ctx context.Context, r *Result) error {
 // per-subinterval caps, so Algorithm 1 applies).
 func (sv *Solver) buildFinal(ctx context.Context, r *Result) error {
 	n := len(r.Tasks)
+	segs := sv.grow(r.Decomp, r.Cores)
 	r.FinalFrequencies = make([]float64, n)
 	r.AvailableTime = make([]float64, n)
 	useTime := sv.useTime[:n]
@@ -264,7 +320,7 @@ func (sv *Solver) buildFinal(ctx context.Context, r *Result) error {
 		energy.Add(r.Model.Energy(tk.Work, f))
 	}
 	sched := schedule.New(r.Tasks, r.Cores)
-	sched.Grow(sv.grow(r.Decomp))
+	sched.Grow(segs)
 	for j := range r.Decomp.Subs {
 		if ctx != nil && j%ctxCheckStride == 0 && ctx.Err() != nil {
 			return ctx.Err()

@@ -12,18 +12,25 @@ import (
 
 // The four schedulers of Section V self-register with the universal
 // cross-check; any test or tool that imports this package gets them
-// audited by check.Differential automatically. They skip Schedule's own
-// feasibility check: every registry caller validates the one schedule
-// it takes (check.Entry.RunVerified, or Differential's audit).
+// audited by check.Differential automatically. Each builds only the
+// schedule it returns (S^I runners call Solver.Intermediate, S^F runners
+// Solver.Final) and skips the solver's own feasibility check: every
+// registry caller validates the one schedule it takes
+// (check.Entry.RunVerified, or Differential's audit).
 func init() {
 	run := func(method alloc.Method, final bool) check.Runner {
 		return func(ctx context.Context, ts task.Set, m int, pm power.Model) (*schedule.Schedule, float64, error) {
-			res, err := Schedule(ts, m, pm, method, Options{Tolerance: 1e-9, Context: ctx, SkipValidation: true})
+			opts := Options{Tolerance: 1e-9, Context: ctx, SkipValidation: true}
+			if final {
+				res, err := NewSolver().Final(ts, m, pm, method, opts)
+				if err != nil {
+					return nil, 0, err
+				}
+				return res.Final, res.FinalEnergy, nil
+			}
+			res, err := NewSolver().Intermediate(ts, m, pm, method, opts)
 			if err != nil {
 				return nil, 0, err
-			}
-			if final {
-				return res.Final, res.FinalEnergy, nil
 			}
 			return res.Intermediate, res.IntermediateEnergy, nil
 		}

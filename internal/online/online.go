@@ -64,6 +64,7 @@ func ReplanDER(ts task.Set, m int, pm power.Model) (*Result, error) {
 		remaining[i] = tk.Work
 	}
 	out := schedule.New(ts, m)
+	sv := core.NewSolver()
 	replans := 0
 	for k, t0 := range releases {
 		t1 := math.Inf(1)
@@ -88,8 +89,9 @@ func ReplanDER(ts task.Set, m int, pm power.Model) (*Result, error) {
 		if len(residual) == 0 {
 			continue
 		}
-		// The final out.Validate covers every segment taken from plan.
-		plan, err := core.Schedule(residual, m, pm, alloc.DER, core.Options{Tolerance: 1e-9, SkipValidation: true})
+		// Only S^F is followed, so S^I is not built. The final
+		// out.Validate covers every segment taken from plan.
+		plan, err := sv.Final(residual, m, pm, alloc.DER, core.Options{Tolerance: 1e-9, SkipValidation: true})
 		if err != nil {
 			return nil, fmt.Errorf("online: replanning at t=%g: %w", t0, err)
 		}

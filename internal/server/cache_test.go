@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/power"
+	"repro/internal/schedule"
 	"repro/internal/server/wire"
 	"repro/internal/task"
 )
@@ -49,10 +50,8 @@ func TestSolveKeyDistinguishesInputs(t *testing.T) {
 // encoded is a small encoded reply naming alg, for cache tests.
 func encoded(t *testing.T, alg string) *wire.EncodedSchedule {
 	t.Helper()
-	enc, err := wire.EncodeSchedule(&wire.ScheduleResponse{
-		Algorithm: alg, Cores: 1,
-		Segments: []wire.SegmentJSON{{Start: 0, End: 1, Frequency: 0.5}},
-	})
+	enc, err := wire.EncodeSchedule(&wire.ScheduleResponse{Algorithm: alg, Cores: 1},
+		[]schedule.Segment{{Start: 0, End: 1, Frequency: 0.5}})
 	if err != nil {
 		t.Fatal(err)
 	}

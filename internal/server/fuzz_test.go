@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"testing"
 
+	"repro/internal/schedule"
 	"repro/internal/server/wire"
 )
 
@@ -96,8 +97,9 @@ func segBytes(task, core byte, start, end, freq float64) []byte {
 // FuzzEncodedResponse checks that a reply written from the bytes the
 // cache stores is byte-identical to json.Encoder's output for the
 // equivalent ScheduleResponse, for any segment values (floats below
-// 1e-6 and at or above 1e21, negative zero, non-finite), with and
-// without a sim report, degraded or not, cached both ways and any
+// 1e-6 and at or above 1e21, negative zero, subnormals, non-finite,
+// values repeated across segments), nil or empty segment lists, with
+// and without a sim report, degraded or not, cached both ways and any
 // elapsed_ms; and that a batch assembled from those bytes equals
 // json.Encoder's output for the equivalent BatchResponse.
 func FuzzEncodedResponse(f *testing.F) {
@@ -105,25 +107,51 @@ func FuzzEncodedResponse(f *testing.F) {
 	seg = append(seg, segBytes(0, 1, 0, 1e-7, 0.5)...)
 	seg = append(seg, segBytes(1, 0, math.Copysign(0, -1), 1e21, 3.5e-300)...)
 	seg = append(seg, segBytes(255, 3, 123456789.125, 1e20, 1)...)
-	f.Add(seg, true, false, false, 0.0, "")
-	f.Add(seg, false, true, true, 12.345678, "MaxFreq")
-	f.Add(seg, true, true, true, 1e-9, `"cached":false,"segments":[],"elapsed_ms":0`)
-	f.Add(segBytes(2, 2, math.NaN(), 1, 1), true, false, false, 3.0, "<&>")
-	f.Add([]byte{}, true, false, true, math.Inf(1), "\xff")
-	f.Add([]byte{}, false, false, false, math.Copysign(0, -1), "S^F2")
+	f.Add(seg, true, false, false, 0.0, "", false)
+	f.Add(seg, false, true, true, 12.345678, "MaxFreq", false)
+	f.Add(seg, true, true, true, 1e-9, `"cached":false,"segments":[],"elapsed_ms":0`, false)
+	f.Add(segBytes(2, 2, math.NaN(), 1, 1), true, false, false, 3.0, "<&>", false)
+	f.Add([]byte{}, true, false, true, math.Inf(1), "\xff", false)
+	f.Add([]byte{}, false, false, false, math.Copysign(0, -1), "S^F2", false)
+	// A nil segment list (null); the two seeds above send an empty one ([]).
+	f.Add([]byte{}, false, false, false, 1.0, "S^F2", true)
 
-	f.Fuzz(func(t *testing.T, raw []byte, withSim, degraded, cached bool, elapsed float64, name string) {
+	var edges []byte
+	// The same float bits repeated across segments and fields.
+	edges = append(edges, segBytes(3, 0, 2.5, 7.75, 0.8125)...)
+	edges = append(edges, segBytes(3, 1, 7.75, 2.5, 0.8125)...)
+	// +0 and -0 in one reply, in both orders.
+	edges = append(edges, segBytes(4, 2, 0, math.Copysign(0, -1), 0)...)
+	edges = append(edges, segBytes(4, 2, math.Copysign(0, -1), 0, math.Copysign(0, -1))...)
+	// Both sides of the 1e-6 and 1e21 format switches, both signs.
+	edges = append(edges, segBytes(5, 3, 1e-6, math.Nextafter(1e-6, 0), -1e-6)...)
+	edges = append(edges, segBytes(5, 3, 1e21, math.Nextafter(1e21, 0), -math.Nextafter(1e21, 0))...)
+	edges = append(edges, segBytes(6, 4, -1e21, 1e-7, 1.5e-10)...)
+	// Subnormals and the smallest normal.
+	edges = append(edges, segBytes(7, 5, math.SmallestNonzeroFloat64, 2.2250738585072014e-308, -4.9e-320)...)
+	f.Add(edges, true, false, false, 2.0, "S^F2", false)
+	// A NaN or an infinity after values already formatted once.
+	f.Add(append(segBytes(8, 0, 1, 2, 0.5), segBytes(8, 1, 2, 1, math.NaN())...), false, false, false, 1.0, "", false)
+	f.Add(append(segBytes(8, 0, 1, 2, 0.5), segBytes(8, 1, 0.5, math.Inf(-1), 1)...), false, false, true, 1.0, "", false)
+	f.Add(append(segBytes(8, 0, 1, 2, 0.5), segBytes(8, 1, math.Inf(1), 1, 2)...), true, true, false, 1.0, "", false)
+
+	f.Fuzz(func(t *testing.T, raw []byte, withSim, degraded, cached bool, elapsed float64, name string, nilSegs bool) {
 		resp := wire.ScheduleResponse{
 			Version: wire.Version, Algorithm: name, Cores: 4,
 			Verified: true, Cached: cached, ElapsedMS: elapsed,
 		}
+		var segs []schedule.Segment
+		if !nilSegs {
+			segs, resp.Segments = []schedule.Segment{}, []wire.SegmentJSON{}
+		}
 		var floats []float64
 		for len(raw) >= 26 {
-			s := wire.SegmentJSON{Task: int(int8(raw[0])), Core: int(raw[1])}
+			s := schedule.Segment{Task: int(int8(raw[0])), Core: int(raw[1])}
 			s.Start = math.Float64frombits(binary.LittleEndian.Uint64(raw[2:]))
 			s.End = math.Float64frombits(binary.LittleEndian.Uint64(raw[10:]))
 			s.Frequency = math.Float64frombits(binary.LittleEndian.Uint64(raw[18:]))
-			resp.Segments = append(resp.Segments, s)
+			segs = append(segs, s)
+			resp.Segments = append(resp.Segments, wire.SegmentJSON(s))
 			floats = append(floats, s.Start, s.End, s.Frequency)
 			raw = raw[26:]
 		}
@@ -146,7 +174,7 @@ func FuzzEncodedResponse(f *testing.F) {
 
 		var want bytes.Buffer
 		wantErr := json.NewEncoder(&want).Encode(resp)
-		enc, err := wire.EncodeSchedule(&resp)
+		enc, err := wire.EncodeSchedule(&resp, segs)
 		var parts net.Buffers
 		if err == nil {
 			parts, err = enc.Parts(cached, elapsed)
@@ -156,6 +184,9 @@ func FuzzEncodedResponse(f *testing.F) {
 		}
 		if err != nil {
 			return
+		}
+		if len(enc.Body) != cap(enc.Body) {
+			t.Fatalf("body len %d, cap %d: the buffer is not sized exactly", len(enc.Body), cap(enc.Body))
 		}
 		rec := httptest.NewRecorder()
 		writeEncoded(rec, parts)

@@ -339,6 +339,10 @@ func (s *Server) solveOne(reqCtx context.Context, req *wire.ScheduleRequest) (*w
 // only schedules that passed the guardrail get here. A non-empty
 // fallback marks the reply degraded, produced by that algorithm.
 func encodeResponse(req *wire.ScheduleRequest, sched *schedule.Schedule, energy float64, pm power.Model, fallback string) (*wire.EncodedSchedule, error) {
+	segs := sched.Segments
+	if segs == nil {
+		segs = []schedule.Segment{} // served replies carry an array, never null
+	}
 	enc, err := wire.EncodeSchedule(&wire.ScheduleResponse{
 		Version:           wire.Version,
 		Algorithm:         req.Algorithm,
@@ -347,11 +351,10 @@ func encodeResponse(req *wire.ScheduleRequest, sched *schedule.Schedule, energy 
 		BusyTime:          sched.BusyTime(),
 		Makespan:          sched.Makespan(),
 		Verified:          true,
-		Segments:          wire.Segments(sched),
 		Degraded:          fallback != "",
 		FallbackAlgorithm: fallback,
 		Sim:               simReport(sched, pm),
-	})
+	}, segs)
 	if err != nil {
 		return nil, fmt.Errorf("encode response: %w", err)
 	}

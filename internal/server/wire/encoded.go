@@ -6,13 +6,15 @@ import (
 	"fmt"
 	"net"
 	"strconv"
+
+	"repro/internal/schedule"
 )
 
-// EncodedSchedule is a ScheduleResponse marshalled once by encoding/json
-// and served many times. Body is encoded with cached=false and
-// elapsed_ms=0; Parts splices each reply's own values over those two
-// literals, so a reply is byte-identical to encoding/json's output for
-// the equivalent struct without encoding the segments again.
+// EncodedSchedule is a ScheduleResponse encoded once and served many
+// times. Body is encoded with cached=false and elapsed_ms=0; Parts
+// splices each reply's own values over those two literals, so a reply
+// is byte-identical to encoding/json's output for the equivalent struct
+// without encoding the segments again.
 type EncodedSchedule struct {
 	Body []byte
 	// cachedAt and elapsedAt are the offsets in Body of the `false`
@@ -23,32 +25,51 @@ type EncodedSchedule struct {
 const (
 	cachedField  = `"cached":`
 	elapsedField = `"elapsed_ms":`
+	// frameMid is what encoding/json writes for the three adjacent
+	// fields of ScheduleResponse that EncodeSchedule fills in itself.
+	// The segment array replaces the null that follows frameHead.
+	frameHead = cachedField + `false,"segments":`
+	frameMid  = frameHead + `null,` + elapsedField + `0`
 )
 
-// EncodeSchedule marshals r (with Cached and ElapsedMS zeroed) into an
-// EncodedSchedule. It fails only where encoding/json does, on a
-// non-finite float.
-func EncodeSchedule(r *ScheduleResponse) (*EncodedSchedule, error) {
+// EncodeSchedule encodes r, with Cached and ElapsedMS zeroed and segs in
+// place of r.Segments (which is not read), into an EncodedSchedule. The
+// body equals encoding/json's output for r with Segments set to the
+// SegmentJSON form of segs: a nil segs encodes as null, an empty one as
+// []. It fails only where encoding/json does, on a non-finite float.
+//
+// Every field but the segment array goes through encoding/json, which
+// owns string escaping. The array, almost all of the body, is appended
+// directly, formatting each distinct float once (see segEncoder).
+func EncodeSchedule(r *ScheduleResponse, segs []schedule.Segment) (*EncodedSchedule, error) {
 	v := *r
-	v.Cached, v.ElapsedMS = false, 0
-	body, err := json.Marshal(&v)
+	v.Cached, v.Segments, v.ElapsedMS = false, nil, 0
+	frame, err := json.Marshal(&v)
 	if err != nil {
 		return nil, err
 	}
-	// The field order of ScheduleResponse is the format: "cached" comes
-	// before "segments" and "elapsed_ms" right after it. Every quote
-	// inside a JSON string is escaped and a segment has neither key, so
-	// the first match of each is the top-level field.
-	c := bytes.Index(body, []byte(cachedField+"false,"))
-	if c < 0 {
-		return nil, fmt.Errorf("wire: encoded schedule has no %s field", cachedField)
+	// The field order of ScheduleResponse is the format: "cached",
+	// "segments" and "elapsed_ms" are adjacent, in that order. Every
+	// quote inside a JSON string is escaped, so the first match is the
+	// top-level run of fields.
+	at, err := index(frame, frameMid)
+	if err != nil {
+		return nil, err
 	}
-	c += len(cachedField)
-	e := bytes.Index(body[c:], []byte(elapsedField+"0"))
-	if e < 0 {
-		return nil, fmt.Errorf("wire: encoded schedule has no %s field", elapsedField)
+	head, tail := frame[:at+len(frameHead)], frame[at+len(frameHead+"null"):]
+
+	se := segEncoders.Get().(*segEncoder)
+	defer se.release(len(segs))
+	n, err := se.measure(segs)
+	if err != nil {
+		return nil, err
 	}
-	e += c + len(elapsedField)
+	body := make([]byte, 0, len(head)+n+len(tail))
+	body = append(body, head...)
+	body = se.appendArray(body, segs)
+	body = append(body, tail...)
+	c := at + len(cachedField)
+	e := len(head) + n + len(`,`+elapsedField)
 	return &EncodedSchedule{Body: body, cachedAt: c, elapsedAt: e}, nil
 }
 
@@ -89,7 +110,11 @@ func EncodeBatch(items []EncodedBatchItem, elapsedMS float64) (net.Buffers, erro
 	if err != nil {
 		return nil, err
 	}
-	at := bytes.Index(env, []byte(`"items":[]`)) + len(`"items":[`)
+	at, err := index(env, `"items":[]`)
+	if err != nil {
+		return nil, err
+	}
+	at += len(`"items":[`)
 	out := net.Buffers{env[:at]}
 	for i, it := range items {
 		if i > 0 {
@@ -110,4 +135,15 @@ func EncodeBatch(items []EncodedBatchItem, elapsedMS float64) (net.Buffers, erro
 		out = append(out, []byte("}"))
 	}
 	return append(out, env[at:]), nil
+}
+
+// index returns the offset of the first lit in body, an encoding/json
+// output the caller splices at lit; a body without it is an error, not
+// a splice at a wrong offset.
+func index(body []byte, lit string) (int, error) {
+	at := bytes.Index(body, []byte(lit))
+	if at < 0 {
+		return 0, fmt.Errorf("wire: encoded body has no %s", lit)
+	}
+	return at, nil
 }

@@ -61,9 +61,10 @@ type SegmentJSON struct {
 }
 
 // ScheduleResponse is the body of a successful POST /v1/schedule.
-// schedd encodes it once per solve (EncodeSchedule), which finds Cached
-// and ElapsedMS as the first "cached" and "elapsed_ms" keys of the
-// encoding: no nested value ahead of them may carry either key.
+// schedd encodes it once per solve with EncodeSchedule, which owns the
+// field order: it appends the segment array itself between encoding/json's
+// "cached" and "elapsed_ms", so those three fields must stay adjacent and
+// in this order, and no nested value ahead of them may carry their keys.
 type ScheduleResponse struct {
 	// Version is the wire-format version (see Version).
 	Version   int    `json:"version,omitempty"`
