@@ -10,6 +10,7 @@ import (
 	"repro/internal/numeric"
 	"repro/internal/power"
 	"repro/internal/schedule"
+	"repro/internal/sim"
 	"repro/internal/task"
 )
 
@@ -124,6 +125,7 @@ func compareWithNaive(t *testing.T, segs []schedule.Segment, ts task.Set, m int,
 	s := schedule.New(ts, m)
 	s.Segments = segs
 	got := Audit(s, ts, m, pm, opts)
+	compareWithSim(t, s, pm, got)
 
 	if opts.Tol <= 0 {
 		opts.Tol = 1e-6
@@ -166,6 +168,88 @@ func compareWithNaive(t *testing.T, segs []schedule.Segment, ts task.Set, m int,
 	if fmt.Sprint(gk) != fmt.Sprint(wk) {
 		t.Fatalf("violations %v, naive %v (segments %v)", gk, wk, segs)
 	}
+}
+
+// simTies reports whether two segments of one core, or of one task,
+// start at the same instant or end at the same instant. sim.Run pops
+// such events in the order of its heap's layout, and that order decides
+// its wake-up, migration, busy-time and preemption figures, so no pass
+// over the segments reproduces them; the profile takes tied segments in
+// segment order.
+func simTies(segs []schedule.Segment) bool {
+	type event struct {
+		byTask, end bool
+		id          int
+		t           float64
+	}
+	seen := make(map[event]bool, 4*len(segs))
+	for _, seg := range segs {
+		for _, ev := range []event{
+			{false, false, seg.Core, seg.Start}, {false, true, seg.Core, seg.End},
+			{true, false, seg.Task, seg.Start}, {true, true, seg.Task, seg.End},
+		} {
+			if seen[ev] {
+				return true
+			}
+			seen[ev] = true
+		}
+	}
+	return false
+}
+
+// compareWithSim checks that an audit which found no violations carries
+// sim.Run's execution profile of the same schedule, bit for bit, unless
+// simTies leaves sim.Run's figures to its heap layout.
+func compareWithSim(t *testing.T, s *schedule.Schedule, pm power.Model, got *Result) {
+	t.Helper()
+	if !got.OK() || simTies(s.Segments) {
+		return
+	}
+	rep, err := sim.Run(s, pm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Profile{
+		Energy: rep.Energy, Horizon: rep.Horizon, CoreBusy: rep.CoreBusy, Utilization: rep.Utilization,
+		Preemptions: rep.Preemptions, Migrations: rep.Migrations, Wakeups: rep.Wakeups,
+	}
+	if d := profileDiff(got.Profile, want); d != "" {
+		t.Fatalf("profile %s (segments %v)", d, s.Segments)
+	}
+}
+
+// profileDiff names the first field where two profiles differ, floats
+// compared bit for bit, or returns "".
+func profileDiff(got, want Profile) string {
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	sameAll := func(a, b []float64) bool {
+		if len(a) != len(b) {
+			return false
+		}
+		for i := range a {
+			if !same(a[i], b[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	switch {
+	case !same(got.Energy, want.Energy):
+		return fmt.Sprintf("energy %v, sim %v", got.Energy, want.Energy)
+	case !same(got.Horizon, want.Horizon):
+		return fmt.Sprintf("horizon %v, sim %v", got.Horizon, want.Horizon)
+	case !sameAll(got.CoreBusy, want.CoreBusy):
+		return fmt.Sprintf("core busy %v, sim %v", got.CoreBusy, want.CoreBusy)
+	case !sameAll(got.Utilization, want.Utilization):
+		return fmt.Sprintf("utilization %v, sim %v", got.Utilization, want.Utilization)
+	case got.Preemptions != want.Preemptions:
+		return fmt.Sprintf("preemptions %d, sim %d", got.Preemptions, want.Preemptions)
+	case got.Migrations != want.Migrations:
+		return fmt.Sprintf("migrations %d, sim %d", got.Migrations, want.Migrations)
+	case got.Wakeups != want.Wakeups:
+		return fmt.Sprintf("wakeups %d, sim %d", got.Wakeups, want.Wakeups)
+	}
+	return ""
 }
 
 // jitters perturb grid boundaries by amounts on both sides of the sweep's
@@ -218,12 +302,19 @@ func TestSweepMatchesNaive(t *testing.T) {
 }
 
 // FuzzAudit decodes arbitrary bytes into a segment list (malformed
-// segments included) and checks Audit against the naive sweep.
+// segments included) and checks Audit against the naive sweep and,
+// when it finds no violations, its profile against sim.Run's (see
+// compareWithSim).
 func FuzzAudit(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 1, 0, 0, 0, 0, 8, 0, 64, 1, 0, 0, 0, 0, 8, 0, 64})
 	f.Add([]byte{5, 2, 1, 0, 0, 4, 3, 12, 100, 1, 1, 4, 4, 3, 17, 90, 2, 0, 5, 0, 6, 200})
 	f.Add([]byte{2, 3, 0, 1, 2, 255, 0, 4, 30, 0, 0, 254, 0, 4, 30, 1, 1, 2, 0, 0, 0})
+	// Schedules the audit accepts, so the profile is compared with
+	// sim.Run: one segment; then a migration, a wake-up after idle time
+	// and a 1e-12 sliver that no slice holds.
+	f.Add([]byte{0, 0, 0, 0, 0, 4, 129})
+	f.Add([]byte{7, 0, 0, 0, 0, 2, 129, 0, 1, 2, 0, 2, 129, 1, 0, 2, 0, 2, 129, 1, 0, 8, 0, 2, 129, 1, 1, 12, 0, 32, 129})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 1 {
 			return

@@ -11,7 +11,9 @@
 //     power over time (rather than summing per-segment energies). The
 //     sweep finds each segment's run of elementary slices by binary
 //     search, so it costs O(S log S + Σ active segments per slice) for S
-//     segments rather than O(slices·S);
+//     segments rather than O(slices·S). The same boundary sort yields the
+//     schedule's execution profile (Profile), the figures a served reply
+//     carries, which sim.Run derives independently;
 //   - a registry lets every scheduler package self-register a runner, so
 //     new schedulers are picked up by the cross-checks without edits here;
 //   - Differential runs all registered schedulers on one instance and
@@ -106,6 +108,9 @@ type Result struct {
 	BusyTime float64
 	// Work[i] is the re-derived completed work of task i.
 	Work map[int]float64
+	// Profile is the schedule's execution profile, derived in the same
+	// pass. It is only meaningful when the audit found no violations.
+	Profile Profile
 }
 
 // OK reports whether the audit found no violations.
@@ -130,6 +135,10 @@ func Validate(s *schedule.Schedule, ts task.Set, m int, pm power.Model) []Violat
 //  4. every task's work is conserved: Σ f·dt = C_i within tolerance;
 //  5. energy is re-integrated as ∫ Σ_active (γ·f^α + p0) dt and, when
 //     Options.ReportedEnergy is set, compared against it.
+//
+// Audit also derives the schedule's execution profile (Result.Profile)
+// from the same boundary sort, so a caller that serves the schedule
+// need not replay it through sim.Run.
 //
 // Unlike schedule.Validate, which audits per-segment bookkeeping, this
 // sweep computes every instantaneous quantity from scratch, so the two
@@ -182,7 +191,9 @@ func Audit(s *schedule.Schedule, ts task.Set, m int, pm power.Model, opts Option
 		sweep = append(sweep, seg)
 	}
 
-	sweepAudit(sweep, ts, m, pm, opts, res, add)
+	runs := newSliceRuns(sweep, opts.Tol*1e-3)
+	sweepAudit(sweep, &runs, ts, m, pm, res, add)
+	res.Profile = executionProfile(sweep, &runs, ts, s.Cores, pm)
 
 	// Work conservation, from the sweep's own integration.
 	for _, tk := range ts {
@@ -206,20 +217,24 @@ func Audit(s *schedule.Schedule, ts task.Set, m int, pm power.Model, opts Option
 	return res
 }
 
-// sweepAudit walks the elementary time slices cut at every segment
-// boundary, re-deriving concurrency, per-core and per-task exclusivity,
-// per-task work, busy time, and the energy integral.
+// sliceRuns cuts the time line at every segment boundary and locates
+// each segment's run of elementary slices. uniq holds the distinct
+// boundaries in increasing order; slice k is [uniq[k], uniq[k+1]].
 //
-// Segment i is active in slice k = [uniq[k], uniq[k+1]] iff
-// Start ≤ uniq[k]+ε and End ≥ uniq[k+1]−ε. Both tests are monotone in k,
-// so each segment is active over one contiguous run of slices
-// [first, stop) found by two binary searches. Segments are bucketed by
-// first and the active set is kept in segment order, so every sum adds
-// its terms in the same order a per-slice rescan of all segments would.
-func sweepAudit(segs []schedule.Segment, ts task.Set, m int, pm power.Model, opts Options,
-	res *Result, add func(Kind, int, float64, string, ...any)) {
+// Segment i is active in slice k iff Start ≤ uniq[k]+ε and
+// End ≥ uniq[k+1]−ε. Both tests are monotone in k, so each segment is
+// active over one contiguous run of slices [first[i], stop[i]) found by
+// two binary searches. first[i] is non-decreasing in Start and stop[i]
+// in End, so they double as coarse ranks of the two.
+type sliceRuns struct {
+	eps         float64
+	uniq        []float64
+	first, stop []int
+}
+
+func newSliceRuns(segs []schedule.Segment, eps float64) sliceRuns {
 	if len(segs) == 0 {
-		return
+		return sliceRuns{eps: eps}
 	}
 	pts := make([]float64, 0, 2*len(segs))
 	for _, seg := range segs {
@@ -232,20 +247,37 @@ func sweepAudit(segs []schedule.Segment, ts task.Set, m int, pm power.Model, opt
 			uniq = append(uniq, p)
 		}
 	}
+	r := sliceRuns{eps: eps, uniq: uniq, first: make([]int, len(segs)), stop: make([]int, len(segs))}
 	slices := len(uniq) - 1
-	eps := opts.Tol * 1e-3
+	// stop negates the activity test rather than flipping its
+	// comparison, so the two agree exactly on every float input.
+	for i, seg := range segs {
+		r.first[i] = sort.Search(slices, func(k int) bool { return seg.Start <= uniq[k]+eps })
+		r.stop[i] = sort.Search(slices, func(k int) bool { return !(seg.End >= uniq[k+1]-eps) })
+	}
+	return r
+}
+
+// sweepAudit walks the elementary time slices of runs, re-deriving
+// concurrency, per-core and per-task exclusivity, per-task work, busy
+// time, and the energy integral.
+//
+// Segments are bucketed by the first slice of their run and the active
+// set is kept in segment order, so every sum adds its terms in the same
+// order a per-slice rescan of all segments would.
+func sweepAudit(segs []schedule.Segment, runs *sliceRuns, ts task.Set, m int, pm power.Model,
+	res *Result, add func(Kind, int, float64, string, ...any)) {
+	if len(segs) == 0 {
+		return
+	}
+	uniq, first, stop, eps := runs.uniq, runs.first, runs.stop, runs.eps
+	slices := len(uniq) - 1
 
 	// bucket[k]..bucket[k+1] indexes, in order, the segments whose active
-	// run starts at slice k (a counting sort on first). stop negates the
-	// activity test rather than flipping its comparison, so the two agree
-	// exactly on every float input.
-	first := make([]int, len(segs))
-	stop := make([]int, len(segs))
+	// run starts at slice k (a counting sort on first).
 	segPower := make([]float64, len(segs))
 	bucket := make([]int, slices+2)
 	for i, seg := range segs {
-		first[i] = sort.Search(slices, func(k int) bool { return seg.Start <= uniq[k]+eps })
-		stop[i] = sort.Search(slices, func(k int) bool { return !(seg.End >= uniq[k+1]-eps) })
 		segPower[i] = pm.Power(seg.Frequency)
 		if first[i] < stop[i] {
 			bucket[first[i]+2]++

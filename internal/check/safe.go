@@ -53,14 +53,23 @@ func (e Entry) RunSafe(ctx context.Context, ts task.Set, m int, pm power.Model) 
 // schedule the universal validator accepts. An invalid schedule becomes
 // an error wrapping ErrInvalidSchedule that names the first violation.
 // Every caller that serves or scores a registered scheduler's output
-// goes through this, so the registry runners need not check themselves.
+// goes through this (or RunAudited), so the registry runners need not
+// check themselves.
 func (e Entry) RunVerified(ctx context.Context, ts task.Set, m int, pm power.Model) (*schedule.Schedule, float64, error) {
+	s, energy, _, err := e.RunAudited(ctx, ts, m, pm)
+	return s, energy, err
+}
+
+// RunAudited is RunVerified that also returns the execution profile its
+// audit derived, for callers that report it alongside the schedule.
+func (e Entry) RunAudited(ctx context.Context, ts task.Set, m int, pm power.Model) (*schedule.Schedule, float64, Profile, error) {
 	s, energy, err := e.RunSafe(ctx, ts, m, pm)
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, Profile{}, err
 	}
-	if v := Validate(s, ts, m, pm); len(v) > 0 {
-		return nil, 0, fmt.Errorf("%w: %v (+%d more)", ErrInvalidSchedule, v[0], len(v)-1)
+	res := Audit(s, ts, m, pm, DefaultOptions())
+	if v := res.Violations; len(v) > 0 {
+		return nil, 0, Profile{}, fmt.Errorf("%w: %v (+%d more)", ErrInvalidSchedule, v[0], len(v)-1)
 	}
-	return s, energy, nil
+	return s, energy, res.Profile, nil
 }

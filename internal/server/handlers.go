@@ -20,7 +20,6 @@ import (
 	"repro/internal/power"
 	"repro/internal/schedule"
 	"repro/internal/server/wire"
-	"repro/internal/sim"
 	"repro/internal/task"
 	"repro/internal/trace"
 )
@@ -100,15 +99,18 @@ func retryAfter(w http.ResponseWriter, seconds int) {
 	w.Header().Set("Retry-After", fmt.Sprintf("%d", seconds))
 }
 
-// solveResult carries one solver outcome across the cancellation select.
+// solveResult is one solver outcome: the verified schedule, its
+// reported energy and the execution profile its guardrail audit
+// derived, or the error.
 type solveResult struct {
-	sched  *schedule.Schedule
-	energy float64
-	err    error
+	sched   *schedule.Schedule
+	energy  float64
+	profile check.Profile
+	err     error
 }
 
 // runSolve executes a registered scheduler under ctx through
-// check.Entry.RunVerified, which contains solver panics (real or
+// check.Entry.RunAudited, which contains solver panics (real or
 // injected) as errors matching easched.ErrSolverPanic and rejects any
 // schedule the universal validator does not accept with an error
 // matching easched.ErrInvalidSchedule. Runners observe ctx and abort
@@ -140,8 +142,8 @@ func runSolve(ctx context.Context, in *fault.Injector, e check.Entry, ts task.Se
 	ch := make(chan solveResult, 1)
 	go func() {
 		defer done()
-		s, energy, err := e.RunVerified(ctx, ts, m, pm)
-		ch <- solveResult{sched: s, energy: energy, err: err}
+		s, energy, profile, err := e.RunAudited(ctx, ts, m, pm)
+		ch <- solveResult{sched: s, energy: energy, profile: profile, err: err}
 	}()
 	select {
 	case res := <-ch:
@@ -154,7 +156,7 @@ func runSolve(ctx context.Context, in *fault.Injector, e check.Entry, ts task.Se
 // attempt pushes one (algorithm, instance) solve through admission,
 // the per-attempt timeout, and the validator guardrail, and reports the
 // outcome with its HTTP-style status.
-func (s *Server) attempt(reqCtx context.Context, entry check.Entry, req *wire.ScheduleRequest, pm power.Model) (*schedule.Schedule, float64, int, error) {
+func (s *Server) attempt(reqCtx context.Context, entry check.Entry, req *wire.ScheduleRequest, pm power.Model) (solveResult, int) {
 	s.metrics.queueDepth.Observe(float64(s.gate.depth()))
 	ctx := reqCtx
 	if s.cfg.SolveTimeout > 0 {
@@ -166,12 +168,10 @@ func (s *Server) attempt(reqCtx context.Context, entry check.Entry, req *wire.Sc
 		switch {
 		case errors.Is(err, errOverload):
 			s.metrics.overload.Add(1)
-			return nil, 0, http.StatusTooManyRequests,
-				fmt.Errorf("admission queue full, retry later")
+			return solveResult{err: fmt.Errorf("admission queue full, retry later")}, http.StatusTooManyRequests
 		default:
 			s.metrics.canceled.Add(1)
-			return nil, 0, statusForCtxErr(err),
-				fmt.Errorf("request ended while queued: %w", err)
+			return solveResult{err: fmt.Errorf("request ended while queued: %w", err)}, statusForCtxErr(err)
 		}
 	}
 	// The slot is released by the solve goroutine itself (see runSolve),
@@ -186,40 +186,40 @@ func (s *Server) attempt(reqCtx context.Context, entry check.Entry, req *wire.Sc
 	}
 	switch {
 	case res.err == nil:
-		return res.sched, res.energy, http.StatusOK, nil
+		return res, http.StatusOK
 	case errors.Is(res.err, context.DeadlineExceeded), errors.Is(res.err, context.Canceled):
 		s.metrics.canceled.Add(1)
-		return nil, 0, statusForCtxErr(res.err), fmt.Errorf("solve aborted: %w", res.err)
+		return solveResult{err: fmt.Errorf("solve aborted: %w", res.err)}, statusForCtxErr(res.err)
 	case errors.Is(res.err, easched.ErrInvalidSchedule):
 		// Guardrail: never ship a schedule the universal validator rejects.
 		s.metrics.verifyFailures.Add(1)
-		return nil, 0, http.StatusInternalServerError,
-			fmt.Errorf("produced schedule failed verification: %w", res.err)
+		return solveResult{err: fmt.Errorf("produced schedule failed verification: %w", res.err)},
+			http.StatusInternalServerError
 	case errors.Is(res.err, easched.ErrSolverPanic):
 		s.metrics.solvePanics.Add(1)
 	default:
 		s.metrics.solveErrors.Add(1)
 	}
-	return nil, 0, statusForSolveErr(res.err), fmt.Errorf("solve failed: %w", res.err)
+	return solveResult{err: fmt.Errorf("solve failed: %w", res.err)}, statusForSolveErr(res.err)
 }
 
 // guardedSolve is one solve attempt behind the algorithm's circuit
 // breaker: a denial is a 503 wrapping errBreakerOpen, and the attempt's
 // outcome is recorded on the breaker. The one-shot primary attempt, its
 // fallback and every session re-plan go through here.
-func (s *Server) guardedSolve(ctx context.Context, entry check.Entry, req *wire.ScheduleRequest, pm power.Model) (*schedule.Schedule, float64, int, error) {
+func (s *Server) guardedSolve(ctx context.Context, entry check.Entry, req *wire.ScheduleRequest, pm power.Model) (solveResult, int) {
 	br := s.breakers.Get(entry.Name)
 	ok, probe := br.Admit()
 	if !ok {
 		s.metrics.breakerDenials.Add(1)
-		return nil, 0, http.StatusServiceUnavailable,
-			fmt.Errorf("%w for algorithm %q", errBreakerOpen, entry.Name)
+		return solveResult{err: fmt.Errorf("%w for algorithm %q", errBreakerOpen, entry.Name)},
+			http.StatusServiceUnavailable
 	}
-	sched, energy, status, err := s.attempt(ctx, entry, req, pm)
+	res, status := s.attempt(ctx, entry, req, pm)
 	switch {
-	case err == nil:
+	case res.err == nil:
 		br.Success()
-	case breakerCountable(status, err):
+	case breakerCountable(status, res.err):
 		br.Failure()
 	case probe:
 		// The probe's outcome says nothing about the algorithm
@@ -227,7 +227,7 @@ func (s *Server) guardedSolve(ctx context.Context, entry check.Entry, req *wire.
 		// the stuck `probing` flag would deny this algorithm forever.
 		br.ProbeAborted()
 	}
-	return sched, energy, status, err
+	return res, status
 }
 
 // fallbackEligible reports whether a failed primary attempt should walk
@@ -292,14 +292,15 @@ func (s *Server) solveOne(reqCtx context.Context, req *wire.ScheduleRequest) (*w
 	}
 	s.metrics.cacheMisses.Add(1)
 
-	sched, energy, primaryStatus, primaryErr := s.guardedSolve(reqCtx, entry, req, pm)
+	res, primaryStatus := s.guardedSolve(reqCtx, entry, req, pm)
+	primaryErr := res.err
 	if primaryErr == nil {
-		enc, err := encodeResponse(req, sched, energy, pm, "")
+		enc, err := encodeResponse(req, res, "")
 		if err != nil {
 			return nil, nil, http.StatusInternalServerError, err
 		}
 		s.cache.Put(key, enc)
-		return enc, sched, http.StatusOK, nil
+		return enc, res.sched, http.StatusOK, nil
 	}
 	if !fallbackEligible(primaryStatus, primaryErr) {
 		return nil, nil, primaryStatus, primaryErr
@@ -314,8 +315,8 @@ func (s *Server) solveOne(reqCtx context.Context, req *wire.ScheduleRequest) (*w
 	if fb == nil {
 		return nil, nil, primaryStatus, primaryErr
 	}
-	sched, energy, _, err = s.guardedSolve(reqCtx, *fb, req, pm)
-	if err != nil {
+	res, _ = s.guardedSolve(reqCtx, *fb, req, pm)
+	if err := res.err; err != nil {
 		s.metrics.fallbackFailures.Add(1)
 		if errors.Is(err, errBreakerOpen) {
 			return nil, nil, http.StatusServiceUnavailable,
@@ -327,18 +328,21 @@ func (s *Server) solveOne(reqCtx context.Context, req *wire.ScheduleRequest) (*w
 	s.metrics.degraded.Add(1)
 	s.cfg.Logger.Printf("msg=%q algorithm=%q fallback=%q cause=%q",
 		"degraded response", req.Algorithm, fb.Name, primaryErr)
-	enc, err := encodeResponse(req, sched, energy, pm, fb.Name)
+	enc, err := encodeResponse(req, res, fb.Name)
 	if err != nil {
 		return nil, nil, http.StatusInternalServerError, err
 	}
-	return enc, sched, http.StatusOK, nil
+	return enc, res.sched, http.StatusOK, nil
 }
 
-// encodeResponse encodes the reply for a verified schedule, once: every
+// encodeResponse encodes the reply for a verified solve, once: every
 // reply for it is written from these bytes. Verified is always true:
-// only schedules that passed the guardrail get here. A non-empty
-// fallback marks the reply degraded, produced by that algorithm.
-func encodeResponse(req *wire.ScheduleRequest, sched *schedule.Schedule, energy float64, pm power.Model, fallback string) (*wire.EncodedSchedule, error) {
+// only schedules that passed the guardrail get here, and the reply's
+// execution profile is the one that guardrail's audit derived. A
+// non-empty fallback marks the reply degraded, produced by that
+// algorithm.
+func encodeResponse(req *wire.ScheduleRequest, res solveResult, fallback string) (*wire.EncodedSchedule, error) {
+	sched := res.sched
 	segs := sched.Segments
 	if segs == nil {
 		segs = []schedule.Segment{} // served replies carry an array, never null
@@ -347,30 +351,18 @@ func encodeResponse(req *wire.ScheduleRequest, sched *schedule.Schedule, energy 
 		Version:           wire.Version,
 		Algorithm:         req.Algorithm,
 		Cores:             req.Cores,
-		Energy:            energy,
+		Energy:            res.energy,
 		BusyTime:          sched.BusyTime(),
 		Makespan:          sched.Makespan(),
 		Verified:          true,
 		Degraded:          fallback != "",
 		FallbackAlgorithm: fallback,
-		Sim:               simReport(sched, pm),
+		Sim:               wire.ProfileReport(res.profile),
 	}, segs)
 	if err != nil {
 		return nil, fmt.Errorf("encode response: %w", err)
 	}
 	return enc, nil
-}
-
-// simReport runs the discrete-event simulator over a freshly produced
-// schedule to expose its execution profile (preemption and migration
-// counts, per-core utilization) in the response; nil when the replay
-// fails, which never fails the solve itself.
-func simReport(sched *schedule.Schedule, pm power.Model) *wire.SimReportJSON {
-	rep, err := sim.Run(sched, pm)
-	if err != nil {
-		return nil
-	}
-	return wire.SimReport(rep)
 }
 
 // fallbackEntry resolves the configured fallback algorithm, or nil when

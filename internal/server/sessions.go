@@ -30,8 +30,8 @@ func (s *Server) sessionSolve(algorithm string) (dispatch.SolveFunc, error) {
 	}
 	return func(ctx context.Context, ts task.Set, m int, pm power.Model) (*schedule.Schedule, float64, error) {
 		req := &wire.ScheduleRequest{Algorithm: algorithm, Cores: m, Tasks: ts}
-		sched, energy, _, err := s.guardedSolve(ctx, entry, req, pm)
-		return sched, energy, err
+		res, _ := s.guardedSolve(ctx, entry, req, pm)
+		return res.sched, res.energy, res.err
 	}, nil
 }
 

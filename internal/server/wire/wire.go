@@ -4,6 +4,7 @@
 package wire
 
 import (
+	"repro/internal/check"
 	"repro/internal/dispatch"
 	"repro/internal/power"
 	"repro/internal/schedule"
@@ -92,12 +93,20 @@ type ScheduleResponse struct {
 	// FallbackAlgorithm names the algorithm that actually produced a
 	// degraded response (set exactly when Degraded is true).
 	FallbackAlgorithm string `json:"fallback_algorithm,omitempty"`
-	// Sim is the simulator's execution report for the schedule
-	// (preemption/migration counts, per-core utilization).
+	// Sim is the schedule's execution profile (energy, horizon,
+	// per-core busy time and utilization, preemption, migration and
+	// wake-up counts). schedd takes it from the guardrail's audit
+	// (check.Profile); sim.Run computes the same values independently,
+	// bit for bit on the registered schedulers' output
+	// (TestProfileMatchesSim in internal/server).
 	Sim *SimReportJSON `json:"sim,omitempty"`
 }
 
-// SimReportJSON is the wire form of the simulator's execution report.
+// SimReportJSON is the wire form of a schedule's execution profile. A
+// one-shot reply fills it from the guardrail audit's check.Profile
+// (ProfileReport) and never carries violations; a session's final
+// report fills it from sim.Run (SimReport), the independent simulator,
+// which gives the same profile (check.Profile states when).
 type SimReportJSON struct {
 	Energy      float64   `json:"energy"`
 	Horizon     float64   `json:"horizon"`
@@ -123,6 +132,21 @@ func SimReport(r *sim.Report) *SimReportJSON {
 		Migrations:  r.Migrations,
 		Wakeups:     r.Wakeups,
 		Violations:  r.Violations,
+	}
+}
+
+// ProfileReport converts the guardrail audit's execution profile to the
+// wire form. Where check.Profile equals sim.Run's figures, it marshals
+// to the same bytes as SimReport of sim.Run's report.
+func ProfileReport(p check.Profile) *SimReportJSON {
+	return &SimReportJSON{
+		Energy:      p.Energy,
+		Horizon:     p.Horizon,
+		CoreBusy:    p.CoreBusy,
+		Utilization: p.Utilization,
+		Preemptions: p.Preemptions,
+		Migrations:  p.Migrations,
+		Wakeups:     p.Wakeups,
 	}
 }
 

@@ -10,6 +10,13 @@
 // is an independent check that the analytically constructed schedules
 // actually execute: every invariant is re-derived from the event
 // semantics rather than from interval arithmetic.
+//
+// Energy is summed per segment, in segment order, over the segments the
+// simulator accepts. Accumulating it at end events instead would add the
+// terms in heap pop order, which breaks (t, kind) ties in a way no
+// linear pass can reproduce; in segment order, the guardrail audit's
+// execution profile (check.Profile) sums the same terms in the same
+// order and agrees with Run bit for bit.
 package sim
 
 import (
@@ -23,17 +30,19 @@ import (
 
 // eventKind orders simultaneous events: ends before starts, so
 // back-to-back segments on one core do not report a spurious conflict.
-type eventKind int
+type eventKind int32
 
 const (
 	evEnd eventKind = iota
 	evStart
 )
 
+// eventNode is one start or end event of the segment at index idx of
+// the schedule being run.
 type eventNode struct {
 	t    float64
+	idx  int32
 	kind eventKind
-	seg  schedule.Segment
 }
 
 // eventQueue is a binary min-heap of events ordered by (t, kind). init,
@@ -85,7 +94,8 @@ func (q eventQueue) down(i, n int) {
 
 // Report is the outcome of a simulated execution.
 type Report struct {
-	// Energy integrated from p(f) over every executed segment.
+	// Energy integrated from p(f) over every executed segment, summed
+	// in segment order.
 	Energy float64
 	// Horizon is the simulated time span [start of first segment, end of
 	// last segment].
@@ -157,7 +167,7 @@ func Run(s *schedule.Schedule, pm power.Model) (*Report, error) {
 	}
 
 	q := make(eventQueue, 0, 2*len(s.Segments))
-	for _, seg := range s.Segments {
+	for i, seg := range s.Segments {
 		if seg.Core < 0 || seg.Core >= s.Cores {
 			rep.Violations = append(rep.Violations, fmt.Sprintf("segment %v on unknown core", seg))
 			continue
@@ -166,8 +176,9 @@ func Run(s *schedule.Schedule, pm power.Model) (*Report, error) {
 			rep.Violations = append(rep.Violations, fmt.Sprintf("segment %v for unknown task", seg))
 			continue
 		}
-		q = append(q, eventNode{t: seg.Start, kind: evStart, seg: seg})
-		q = append(q, eventNode{t: seg.End, kind: evEnd, seg: seg})
+		rep.Energy += pm.EnergyForTime(seg.Duration(), seg.Frequency)
+		q = append(q, eventNode{t: seg.Start, idx: int32(i), kind: evStart})
+		q = append(q, eventNode{t: seg.End, idx: int32(i), kind: evEnd})
 	}
 	q.init()
 
@@ -203,7 +214,7 @@ func Run(s *schedule.Schedule, pm power.Model) (*Report, error) {
 
 	for len(q) > 0 {
 		ev := q.pop()
-		seg := ev.seg
+		seg := s.Segments[ev.idx]
 		id := seg.Task
 		switch ev.kind {
 		case evStart:
@@ -256,7 +267,6 @@ func Run(s *schedule.Schedule, pm power.Model) (*Report, error) {
 			}
 			dur := seg.Duration()
 			rep.CoreBusy[seg.Core] += dur
-			rep.Energy += pm.EnergyForTime(dur, seg.Frequency)
 			before := remaining[id]
 			remaining[id] -= seg.Work()
 			if before > eps && remaining[id] <= eps && math.IsNaN(rep.Completion[id]) {

@@ -323,14 +323,14 @@ func (q *refQueue) Pop() any {
 }
 
 // TestEventQueueMatchesContainerHeap pops random events with many
-// (t, kind) ties through both heaps; ties are told apart by seg.Task,
-// so the pop sequences must agree element for element.
+// (t, kind) ties through both heaps; ties are told apart by idx, so the
+// pop sequences must agree element for element.
 func TestEventQueueMatchesContainerHeap(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	for trial := 0; trial < 500; trial++ {
 		evs := make([]eventNode, rng.Intn(200))
 		for i := range evs {
-			evs[i] = eventNode{t: float64(rng.Intn(6)), kind: eventKind(rng.Intn(2)), seg: schedule.Segment{Task: i}}
+			evs[i] = eventNode{t: float64(rng.Intn(6)), idx: int32(i), kind: eventKind(rng.Intn(2))}
 		}
 		q := append(eventQueue(nil), evs...)
 		ref := append(refQueue(nil), evs...)
