@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet build test race stress fuzz-smoke chaos dispatch-soak dispatch-soak-smoke cluster-smoke crash-smoke vulncheck ci perfbench-check conform conform-smoke cover serve loadtest bench bench-smoke clean
+.PHONY: all vet build test race stress fuzz-smoke crosscheck-smoke chaos dispatch-soak dispatch-soak-smoke cluster-smoke crash-smoke vulncheck ci perfbench-check conform conform-smoke cover serve loadtest bench bench-smoke clean
 
 all: build
 
@@ -38,6 +38,13 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz=FuzzJournalReplay -fuzztime=10s -fuzzminimizetime=0x ./internal/journal
 	$(GO) test -run '^$$' -fuzz=FuzzAudit -fuzztime=10s -fuzzminimizetime=0x ./internal/check
 	$(GO) test -run '^$$' -fuzz=FuzzEncodedResponse -fuzztime=10s -fuzzminimizetime=0x ./internal/server
+
+# Short soak of the differential harness: every registered scheduler
+# against every oracle (validator, simulator, max-flow feasibility,
+# convex optimum and its realized schedule, brute force) on 20 random
+# instances. Longer soaks: go run ./cmd/crosscheck -n 500 -seed 77.
+crosscheck-smoke:
+	$(GO) run ./cmd/crosscheck -n 20 -seed 1
 
 # Fault-injection soak: schedd under every injection point, validating
 # client, zero crashes and zero invalid schedules tolerated. Tune with
@@ -82,7 +89,7 @@ vulncheck:
 		echo "vulncheck: govulncheck not installed, skipping (go install golang.org/x/vuln/cmd/govulncheck@latest)"; \
 	fi
 
-ci: vet build test race fuzz-smoke conform-smoke dispatch-soak-smoke cluster-smoke crash-smoke cover perfbench-check vulncheck
+ci: vet build test race fuzz-smoke crosscheck-smoke conform-smoke dispatch-soak-smoke cluster-smoke crash-smoke cover perfbench-check vulncheck
 
 # The benchmark under perfbench/ is a separate Go module, so the root
 # build and test skip it; compile and test it here so a change to an

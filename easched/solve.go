@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sync"
-	"time"
 
 	"repro/internal/capped"
 	"repro/internal/core"
@@ -135,21 +134,8 @@ func Solve(ctx context.Context, spec Spec) (rep *Report, err error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if in := fault.Active(); in != nil {
-		if in.Should(fault.SolverPanic) {
-			panic("injected solver panic")
-		}
-		if in.Should(fault.SolverDelay) {
-			t := time.NewTimer(in.Delay())
-			select {
-			case <-t.C:
-			case <-ctx.Done():
-				t.Stop()
-			}
-		}
-		if ferr := in.Err(fault.AllocError); ferr != nil {
-			return nil, ferr
-		}
+	if ferr := fault.Active().BeforeSolve(ctx); ferr != nil {
+		return nil, ferr
 	}
 	rep, err = solve(ctx, spec)
 	if err != nil {

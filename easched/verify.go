@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/check"
+	"repro/internal/crosscheck"
 )
 
 // --- Universal schedule verification (internal/check) ---
@@ -18,9 +19,9 @@ type ViolationKind = check.Kind
 
 // CrossCheckReport is the outcome of running every registered scheduler
 // on one instance and cross-checking the ensemble against the
-// independent oracles (feasibility analyzer, convex optimum, brute
-// force on small instances).
-type CrossCheckReport = check.DiffReport
+// independent oracles (simulator, feasibility analyzer, convex optimum
+// and its realized schedule, brute force on small instances).
+type CrossCheckReport = crosscheck.DiffReport
 
 // Verify re-derives the scheduling contract from the raw schedule alone
 // — work conservation per task, window containment, per-instant core
@@ -36,7 +37,7 @@ func Verify(t *Timetable, tasks TaskSet, cores int, m Model) []Violation {
 // cross-validates them against each other and the oracles; see
 // CrossCheckReport.OK and CrossCheckReport.Summary.
 func CrossCheck(tasks TaskSet, cores int, m Model) (*CrossCheckReport, error) {
-	return check.Differential(tasks, cores, m)
+	return crosscheck.Differential(tasks, cores, m)
 }
 
 // Algorithms returns the sorted names of every scheduler registered with

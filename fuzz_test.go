@@ -4,7 +4,8 @@ package repro
 // decoded (internal/fuzzenc) into a well-formed scheduling instance,
 // every registered scheduler runs on it, and the ensemble is
 // cross-checked against the independent oracles (universal validator,
-// max-flow feasibility, convex optimum, small-instance brute force). Any
+// simulator, max-flow feasibility, convex optimum and its realized
+// schedule, small-instance brute force). Any
 // disagreement is a bug in one of the schedulers or one of the oracles.
 //
 // Run the seeds with plain `go test`; explore with
@@ -19,7 +20,7 @@ package repro
 import (
 	"testing"
 
-	"repro/internal/check"
+	"repro/internal/crosscheck"
 	"repro/internal/fuzzenc"
 	"repro/internal/opt"
 
@@ -49,7 +50,7 @@ func FuzzSchedulers(f *testing.F) {
 		if ts == nil {
 			return
 		}
-		rep, err := check.DifferentialOpts(ts, m, pm, check.DiffOptions{
+		rep, err := crosscheck.DifferentialOpts(ts, m, pm, crosscheck.DiffOptions{
 			// The fuzz loop trades oracle sharpness for iteration count:
 			// a looser solver gap widens every bound it certifies, and
 			// brute force runs only on the smallest instances.

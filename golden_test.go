@@ -59,8 +59,8 @@ func TestGoldenSectionVDSchedulesValidate(t *testing.T) {
 	pm := easched.NewModel(3, 0)
 	even, der := solveBoth(t, ts, 4, pm)
 	for name, plan := range map[string]*easched.Plan{"even": even, "der": der} {
-		if errs := plan.Final.Validate(1e-6, true); len(errs) > 0 {
-			t.Errorf("%s golden schedule invalid: %v", name, errs[0])
+		if v := easched.Verify(plan.Final, ts, 4, pm); len(v) > 0 {
+			t.Errorf("%s golden schedule invalid: %v", name, v[0])
 		}
 		if got := plan.Final.Energy(pm); math.Abs(got-plan.FinalEnergy) > 1e-6*plan.FinalEnergy {
 			t.Errorf("%s realized energy %.6f != closed form %.6f", name, got, plan.FinalEnergy)

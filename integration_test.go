@@ -15,6 +15,7 @@ import (
 
 	"repro/easched"
 	"repro/internal/alloc"
+	"repro/internal/check"
 	"repro/internal/core"
 	"repro/internal/feas"
 	"repro/internal/interval"
@@ -32,8 +33,8 @@ import (
 // and verifies energy agreement with the analytic value.
 func oracleCheck(t *testing.T, s *schedule.Schedule, pm power.Model, wantEnergy float64, label string) {
 	t.Helper()
-	if errs := s.Validate(1e-6, true); len(errs) > 0 {
-		t.Fatalf("%s: validator: %v", label, errs[0])
+	if v := check.Validate(s, s.Tasks, s.Cores, pm); len(v) > 0 {
+		t.Fatalf("%s: validator: %v", label, v[0])
 	}
 	rep, err := sim.Run(s, pm)
 	if err != nil {

@@ -24,6 +24,7 @@ import (
 	"fmt"
 
 	"repro/internal/alloc"
+	"repro/internal/check"
 	"repro/internal/core"
 	"repro/internal/ideal"
 	"repro/internal/interval"
@@ -52,8 +53,9 @@ type Result struct {
 // at the frequency cap on the given core count — no scheduler could.
 var ErrInfeasible = fmt.Errorf("capped: instance infeasible at the frequency cap")
 
-// Schedule runs the cap-aware pipeline. The cap must exceed the model's
-// critical frequency (otherwise running at the cap is forced anyway).
+// Schedule runs the cap-aware pipeline and checks the realized schedule
+// with the universal validator. The cap must exceed the model's critical
+// frequency (otherwise running at the cap is forced anyway).
 func Schedule(ts task.Set, m int, pm power.Model, method alloc.Method, cap float64) (*Result, error) {
 	if !(cap > 0) {
 		return nil, fmt.Errorf("capped: cap %g must be positive", cap)
@@ -61,26 +63,23 @@ func Schedule(ts task.Set, m int, pm power.Model, method alloc.Method, cap float
 	if pm.CriticalFrequency() > cap {
 		return nil, fmt.Errorf("capped: critical frequency %g above the cap %g", pm.CriticalFrequency(), cap)
 	}
-	base, err := core.Schedule(ts, m, pm, method, core.Options{Tolerance: 1e-9})
+	base, err := core.NewSolver().Final(ts, m, pm, method, core.Options{Tolerance: 1e-9, SkipValidation: true})
 	if err != nil {
 		return nil, err
 	}
-	within := true
+	r := &Result{Schedule: base.Final, Energy: base.FinalEnergy, Frequencies: base.FinalFrequencies}
 	for _, f := range base.FinalFrequencies {
 		if f > cap*(1+1e-12) {
-			within = false
+			if r, err = fallback(base.Decomp, base.Ideal, m, pm, cap); err != nil {
+				return nil, err
+			}
 			break
 		}
 	}
-	if within {
-		return &Result{
-			Schedule:     base.Final,
-			Energy:       base.FinalEnergy,
-			Frequencies:  base.FinalFrequencies,
-			UsedFallback: false,
-		}, nil
+	if v := check.Validate(r.Schedule, ts, m, pm); len(v) > 0 {
+		return nil, fmt.Errorf("capped: realized schedule infeasible: %v", v[0])
 	}
-	return fallback(base.Decomp, base.Ideal, m, pm, cap)
+	return r, nil
 }
 
 // fallback builds the two-phase flow allocation and realizes it.
@@ -200,9 +199,6 @@ func fallback(d *interval.Decomposition, plan *ideal.Plan, m int, pm power.Model
 				Frequency: freqs[p.Task],
 			})
 		}
-	}
-	if errs := out.Validate(1e-6, true); len(errs) > 0 {
-		return nil, fmt.Errorf("capped: realized schedule infeasible: %v", errs[0])
 	}
 	return &Result{
 		Schedule:     out,

@@ -16,10 +16,15 @@
 //     carries, which sim.Run derives independently;
 //   - a registry lets every scheduler package self-register a runner, so
 //     new schedulers are picked up by the cross-checks without edits here;
-//   - Differential runs all registered schedulers on one instance and
-//     cross-checks them against the independent oracles already in-tree:
-//     the max-flow feasibility test, the convex optimal solver, and (on
-//     small instances) the brute-force optimum.
+//     Entry.RunVerified runs one with panic containment and the audit.
+//
+// check imports only numeric, power, schedule and task, so every
+// scheduler package (core, yds, partition, online, opt, capped) checks
+// its own output with Validate. The differential harness, which runs
+// all registered schedulers on one instance against the other
+// independent oracles (sim.Run, the max-flow feasibility test, the
+// convex optimal solver and its realized schedule, the small-instance
+// brute-force optimum), lives in internal/crosscheck.
 package check
 
 import (
@@ -140,9 +145,10 @@ func Validate(s *schedule.Schedule, ts task.Set, m int, pm power.Model) []Violat
 // from the same boundary sort, so a caller that serves the schedule
 // need not replay it through sim.Run.
 //
-// Unlike schedule.Validate, which audits per-segment bookkeeping, this
-// sweep computes every instantaneous quantity from scratch, so the two
-// validators fail independently. Each overlap offender is reported once,
+// The sweep computes every instantaneous quantity from scratch rather
+// than trusting per-segment bookkeeping; sim.Run, which replays the
+// segments as events, is the independent check on it (see
+// internal/crosscheck). Each overlap offender is reported once,
 // at its first offending slice, in segment order. For S segments the
 // audit costs O(S log S + Σ active segments per slice).
 func Audit(s *schedule.Schedule, ts task.Set, m int, pm power.Model, opts Options) *Result {

@@ -16,6 +16,11 @@ import (
 	"repro/internal/power"
 	"repro/internal/schedule"
 	"repro/internal/task"
+
+	// Every scheduler self-registers on import.
+	_ "repro/internal/online"
+	_ "repro/internal/partition"
+	_ "repro/internal/yds"
 )
 
 func sectionVDFinal(t *testing.T, method alloc.Method) (*core.Result, *schedule.Schedule) {
@@ -76,24 +81,50 @@ func TestMutationDroppedWork(t *testing.T) {
 }
 
 func TestMutationExcessConcurrency(t *testing.T) {
-	// Three tasks simultaneously active on a two-core machine. The third
-	// segment reuses an occupied (but in-range) core, so this is both a
-	// concurrency and a core-overlap breach — the sweep must see both.
 	ts := task.MustNew(
 		[3]float64{0, 5, 10},
 		[3]float64{0, 5, 10},
 		[3]float64{0, 5, 10},
 	)
-	sched := schedule.New(ts, 2)
-	sched.Add(schedule.Segment{Task: 0, Core: 0, Start: 0, End: 10, Frequency: 0.5})
-	sched.Add(schedule.Segment{Task: 1, Core: 1, Start: 0, End: 10, Frequency: 0.5})
-	sched.Add(schedule.Segment{Task: 2, Core: 0, Start: 0, End: 10, Frequency: 0.5})
-	vs := check.Validate(sched, ts, 2, power.Unit(3, 0))
-	if !hasKind(vs, check.KindConcurrency) {
-		t.Fatalf("3 concurrent tasks on 2 cores not flagged as %q: %v", check.KindConcurrency, vs)
-	}
-	if !hasKind(vs, check.KindCoreOverlap) {
-		t.Fatalf("shared core not flagged as %q: %v", check.KindCoreOverlap, vs)
+	for _, tc := range []struct {
+		name        string
+		segs        []schedule.Segment
+		concurrency bool
+	}{
+		{
+			// Three tasks simultaneously active on a two-core machine. The
+			// third segment reuses an occupied (but in-range) core, so this
+			// is both a concurrency and a core-overlap breach — the sweep
+			// must see both.
+			name: "three on two cores",
+			segs: []schedule.Segment{
+				{Task: 0, Core: 0, Start: 0, End: 10, Frequency: 0.5},
+				{Task: 1, Core: 1, Start: 0, End: 10, Frequency: 0.5},
+				{Task: 2, Core: 0, Start: 0, End: 10, Frequency: 0.5},
+			},
+			concurrency: true,
+		},
+		{
+			// Two tasks share core 0 during [5, 6] while core 1 idles: at
+			// most m segments are ever active, so only the per-core clause
+			// can catch it.
+			name: "shared core within the core count",
+			segs: []schedule.Segment{
+				{Task: 0, Core: 0, Start: 0, End: 6, Frequency: 5.0 / 6},
+				{Task: 1, Core: 0, Start: 5, End: 10, Frequency: 1},
+				{Task: 2, Core: 1, Start: 6, End: 10, Frequency: 1.25},
+			},
+		},
+	} {
+		sched := schedule.New(ts, 2)
+		sched.Segments = tc.segs
+		vs := check.Validate(sched, ts, 2, power.Unit(3, 0))
+		if hasKind(vs, check.KindConcurrency) != tc.concurrency {
+			t.Errorf("%s: %q flagged = %v, want %v: %v", tc.name, check.KindConcurrency, !tc.concurrency, tc.concurrency, vs)
+		}
+		if !hasKind(vs, check.KindCoreOverlap) {
+			t.Errorf("%s: shared core not flagged as %q: %v", tc.name, check.KindCoreOverlap, vs)
+		}
 	}
 }
 
@@ -140,14 +171,26 @@ func TestAuditRejectsMalformedSegments(t *testing.T) {
 	ts := task.MustNew([3]float64{0, 2, 10})
 	sched := schedule.New(ts, 1)
 	sched.Segments = []schedule.Segment{
-		{Task: 5, Core: 0, Start: 0, End: 4, Frequency: 0.5},  // unknown task
-		{Task: 0, Core: 3, Start: 0, End: 4, Frequency: 0.5},  // core out of range
-		{Task: 0, Core: 0, Start: 4, End: 4, Frequency: 0.5},  // empty duration
-		{Task: 0, Core: 0, Start: 0, End: 4, Frequency: 0.25}, // the only real one
+		{Task: 5, Core: 0, Start: 0, End: 4, Frequency: 0.5},        // unknown task
+		{Task: 0, Core: 3, Start: 0, End: 4, Frequency: 0.5},        // core out of range
+		{Task: 0, Core: 0, Start: 4, End: 4, Frequency: 0.5},        // empty duration
+		{Task: 0, Core: 0, Start: 5, End: 6, Frequency: math.NaN()}, // invalid frequency
+		{Task: 0, Core: 0, Start: 0, End: 4, Frequency: 0.25},       // the only real one
 	}
 	vs := check.Validate(sched, ts, 1, power.Unit(3, 0))
-	if !hasKind(vs, check.KindSegment) {
-		t.Fatalf("malformed segments not flagged: %v", vs)
+	// Each malformed segment is its own violation, so one bad reference
+	// cannot hide another.
+	var segs []check.Violation
+	for _, v := range vs {
+		if v.Kind == check.KindSegment {
+			segs = append(segs, v)
+		}
+	}
+	if len(segs) != 3 {
+		t.Fatalf("want 3 %q violations (task, core, duration), got %v", check.KindSegment, segs)
+	}
+	if !hasKind(vs, check.KindFrequency) {
+		t.Fatalf("NaN frequency not flagged as %q: %v", check.KindFrequency, vs)
 	}
 	// The well-formed segment alone completes 1 of 2 units.
 	if !hasKind(vs, check.KindWork) {
@@ -167,6 +210,12 @@ func TestAuditStrictOverwork(t *testing.T) {
 	audit := check.Audit(sched, ts, 1, power.Unit(3, 0), opts)
 	if !hasKind(audit.Violations, check.KindWork) {
 		t.Fatalf("overwork not flagged under strict options: %v", audit.Violations)
+	}
+	// Exact work passes the strict check: the schedulers deliver C_i,
+	// not more.
+	res, exact := sectionVDFinal(t, alloc.DER)
+	if vs := check.Audit(exact, res.Tasks, 4, res.Model, opts).Violations; len(vs) > 0 {
+		t.Fatalf("exact-work schedule rejected under strict options: %v", vs[0])
 	}
 }
 

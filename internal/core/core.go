@@ -29,6 +29,7 @@ import (
 	"fmt"
 
 	"repro/internal/alloc"
+	"repro/internal/check"
 	"repro/internal/ideal"
 	"repro/internal/interval"
 	"repro/internal/numeric"
@@ -74,7 +75,8 @@ type Options struct {
 	Tolerance float64
 	// SkipValidation disables the internal feasibility check of the
 	// realized schedules, for callers that validate the schedule they
-	// take themselves (the registry runners, online.ReplanDER).
+	// take themselves (the registry runners, online and capped, and
+	// perfbench's trace replay).
 	SkipValidation bool
 	// Context, when non-nil, is checked between subinterval passes so a
 	// canceled request aborts the solve instead of running to completion.
@@ -176,7 +178,7 @@ func (sv *Solver) intermediate(res *Result, opts Options) error {
 	if err := sv.buildIntermediate(opts.Context, res); err != nil {
 		return fmt.Errorf("core: intermediate schedule: %w", err)
 	}
-	return verify("intermediate", res.Intermediate, opts)
+	return verify("intermediate", res.Intermediate, res, opts)
 }
 
 // final builds S^F into res and, unless opts skips it, checks it.
@@ -184,19 +186,20 @@ func (sv *Solver) final(res *Result, opts Options) error {
 	if err := sv.buildFinal(opts.Context, res); err != nil {
 		return fmt.Errorf("core: final schedule: %w", err)
 	}
-	return verify("final", res.Final, opts)
+	return verify("final", res.Final, res, opts)
 }
 
-// verify checks a realized schedule's feasibility unless opts skips it.
-func verify(name string, s *schedule.Schedule, opts Options) error {
+// verify checks a realized schedule of res with the universal validator
+// unless opts skips it.
+func verify(name string, s *schedule.Schedule, res *Result, opts Options) error {
 	if opts.SkipValidation {
 		return nil
 	}
 	if err := aborted(opts.Context); err != nil {
 		return err
 	}
-	if errs := s.Validate(1e-6, true); len(errs) > 0 {
-		return fmt.Errorf("core: %s schedule infeasible: %v", name, errs[0])
+	if v := check.Validate(s, res.Tasks, res.Cores, res.Model); len(v) > 0 {
+		return fmt.Errorf("core: %s schedule infeasible: %v", name, v[0])
 	}
 	return nil
 }

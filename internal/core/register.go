@@ -12,7 +12,7 @@ import (
 
 // The four schedulers of Section V self-register with the universal
 // cross-check; any test or tool that imports this package gets them
-// audited by check.Differential automatically. Each builds only the
+// audited by crosscheck.Differential automatically. Each builds only the
 // schedule it returns (S^I runners call Solver.Intermediate, S^F runners
 // Solver.Final) and skips the solver's own feasibility check: every
 // registry caller validates the one schedule it takes

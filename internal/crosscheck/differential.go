@@ -1,14 +1,23 @@
-package check
+// Package crosscheck is the differential harness: it runs every
+// scheduler registered with package check on one instance against the
+// independent oracles in-tree (see Differential). It lives apart from
+// check so that check imports no oracle and every scheduler package can
+// call check.Validate.
+package crosscheck
 
 import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
+	"repro/internal/check"
 	"repro/internal/feas"
 	"repro/internal/interval"
 	"repro/internal/opt"
 	"repro/internal/power"
+	"repro/internal/schedule"
+	"repro/internal/sim"
 	"repro/internal/task"
 )
 
@@ -47,8 +56,8 @@ type DiffResult struct {
 	Energy float64
 	// Recomputed is the validator's independent re-integration.
 	Recomputed float64
-	// Violations are the contract failures found by Audit.
-	Violations []Violation
+	// Violations are the contract failures found by check.Audit.
+	Violations []check.Violation
 	// Err is set when the scheduler failed to produce a schedule at all.
 	Err error
 }
@@ -118,13 +127,16 @@ func (r *DiffReport) Summary() string {
 // Differential runs every registered scheduler on one instance and
 // cross-checks the ensemble:
 //
-//   - each realized schedule passes the full Audit, including the
+//   - each realized schedule passes the full check.Audit, including the
 //     independent energy re-integration against the reported energy;
+//   - each schedule the audit accepts also runs clean through sim.Run
+//     (no shared code, tighter time tolerances) at the reported energy;
 //   - each schedule is feasible at its own peak frequency according to
 //     the max-flow analyzer (the schedule itself is a witness, so a
 //     disagreement convicts one of the two);
 //   - every energy is at least the convex solver's certified lower bound
-//     Optimum − Gap;
+//     Optimum − Gap, and the solver's optimum, realized with
+//     opt.Realize, passes the audit and the simulator at that energy;
 //   - on instances with at most BruteMaxTasks tasks, the grid-search
 //     optimum must agree with the convex solver, and every scheduler
 //     must sit inside the brute-force envelope;
@@ -139,7 +151,21 @@ func Differential(ts task.Set, m int, pm power.Model) (*DiffReport, error) {
 
 // DifferentialOpts is Differential with explicit options.
 func DifferentialOpts(ts task.Set, m int, pm power.Model, o DiffOptions) (*DiffReport, error) {
-	o = o.withDefaults()
+	entries := check.Entries()
+	if o.Only != nil {
+		keep := entries[:0]
+		for _, e := range entries {
+			if slices.Contains(o.Only, e.Name) {
+				keep = append(keep, e)
+			}
+		}
+		entries = keep
+	}
+	return differential(ts, m, pm, o.withDefaults(), entries)
+}
+
+// differential cross-checks the given schedulers on one instance.
+func differential(ts task.Set, m int, pm power.Model, o DiffOptions, entries []check.Entry) (*DiffReport, error) {
 	if err := ts.Validate(); err != nil {
 		return nil, err
 	}
@@ -147,7 +173,7 @@ func DifferentialOpts(ts task.Set, m int, pm power.Model, o DiffOptions) (*DiffR
 		return nil, err
 	}
 	if m <= 0 {
-		return nil, fmt.Errorf("check: need at least one core, have %d", m)
+		return nil, fmt.Errorf("crosscheck: need at least one core, have %d", m)
 	}
 	d, err := interval.Decompose(ts, 1e-9)
 	if err != nil {
@@ -157,33 +183,46 @@ func DifferentialOpts(ts task.Set, m int, pm power.Model, o DiffOptions) (*DiffR
 	problem := func(format string, args ...any) {
 		rep.Problems = append(rep.Problems, fmt.Sprintf(format, args...))
 	}
+	// audit runs check.Audit against the reported energy and, when it
+	// passes, replays the schedule through the simulator, which must
+	// execute it cleanly at that energy (1e-5 relative).
+	audit := func(name string, sched *schedule.Schedule, energy float64) *check.Result {
+		opts := check.DefaultOptions()
+		opts.ReportedEnergy = energy
+		opts.EnergyTol = math.Max(opts.EnergyTol, o.Tol)
+		res := check.Audit(sched, ts, m, pm, opts)
+		if len(res.Violations) > 0 {
+			return res
+		}
+		switch r, err := sim.Run(sched, pm); {
+		case err != nil:
+			problem("%s: sim: %v", name, err)
+		case !r.OK():
+			problem("%s: sim: %s", name, r.Violations[0])
+		case math.Abs(r.Energy-energy) > 1e-5*math.Max(1, energy):
+			problem("%s: sim energy %.9g disagrees with reported %.9g", name, r.Energy, energy)
+		}
+		return res
+	}
 
 	sol, err := opt.Solve(d, m, pm, o.Solver)
 	if err != nil {
-		return nil, fmt.Errorf("check: optimal solver: %w", err)
+		return nil, fmt.Errorf("crosscheck: optimal solver: %w", err)
 	}
 	rep.Optimum = sol.Energy
 	rep.Gap = sol.Gap
 	lower := sol.Energy - sol.Gap
+	if optSched, rerr := opt.Realize(d, m, pm, sol); rerr != nil {
+		problem("realized optimum: %v", rerr)
+	} else if v := audit("realized optimum", optSched, sol.Energy).Violations; len(v) > 0 {
+		problem("realized optimum: %v", v[0])
+	}
 
 	rep.MinSpeed, _, err = feas.MinSpeed(d, m, 1e-9)
 	if err != nil {
-		return nil, fmt.Errorf("check: min speed: %w", err)
+		return nil, fmt.Errorf("crosscheck: min speed: %w", err)
 	}
 
-	entries := Entries()
-	if o.Only != nil {
-		keep := entries[:0]
-		for _, e := range entries {
-			for _, name := range o.Only {
-				if e.Name == name {
-					keep = append(keep, e)
-					break
-				}
-			}
-		}
-		entries = keep
-	}
 	for _, e := range entries {
 		res := DiffResult{Name: e.Name}
 		// RunSafe: a panicking scheduler becomes one ERROR row instead of
@@ -195,14 +234,11 @@ func DifferentialOpts(ts task.Set, m int, pm power.Model, o DiffOptions) (*DiffR
 			continue
 		}
 		res.Energy = energy
-		opts := DefaultOptions()
-		opts.ReportedEnergy = energy
-		opts.EnergyTol = math.Max(opts.EnergyTol, o.Tol)
-		audit := Audit(sched, ts, m, pm, opts)
-		res.Recomputed = audit.Energy
-		res.Violations = audit.Violations
+		a := audit(e.Name, sched, energy)
+		res.Recomputed = a.Energy
+		res.Violations = a.Violations
 		rep.Results = append(rep.Results, res)
-		if len(audit.Violations) > 0 {
+		if len(a.Violations) > 0 {
 			continue
 		}
 

@@ -1,11 +1,11 @@
-package check_test
+package crosscheck_test
 
 import (
 	"math"
 	"math/rand"
 	"testing"
 
-	"repro/internal/check"
+	"repro/internal/crosscheck"
 	"repro/internal/power"
 	"repro/internal/task"
 
@@ -21,7 +21,7 @@ import (
 // the oracles, and the published energies reappear through the
 // validator's independent re-integration.
 func TestSectionVDWorkedExample(t *testing.T) {
-	rep, err := check.Differential(task.SectionVDExample(), 4, power.Unit(3, 0))
+	rep, err := crosscheck.Differential(task.SectionVDExample(), 4, power.Unit(3, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestDifferentialRandomInstances(t *testing.T) {
 	} {
 		rng := rand.New(rand.NewSource(tc.seed))
 		ts := task.MustGenerate(rng, task.PaperDefaults(tc.n))
-		rep, err := check.Differential(ts, tc.m, power.Unit(tc.alpha, tc.p0))
+		rep, err := crosscheck.Differential(ts, tc.m, power.Unit(tc.alpha, tc.p0))
 		if err != nil {
 			t.Fatalf("seed %d: %v", tc.seed, err)
 		}
@@ -76,7 +76,7 @@ func TestDifferentialRandomInstances(t *testing.T) {
 func TestDifferentialUniprocessorExactness(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	ts := task.MustGenerate(rng, task.PaperDefaults(6))
-	rep, err := check.Differential(ts, 1, power.Unit(3, 0))
+	rep, err := crosscheck.Differential(ts, 1, power.Unit(3, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,8 +94,8 @@ func TestDifferentialUniprocessorExactness(t *testing.T) {
 }
 
 func TestDifferentialOnlyFilter(t *testing.T) {
-	rep, err := check.DifferentialOpts(task.Fig1Example(), 2, power.Unit(3, 0),
-		check.DiffOptions{Only: []string{"S^F2", "YDS"}})
+	rep, err := crosscheck.DifferentialOpts(task.Fig1Example(), 2, power.Unit(3, 0),
+		crosscheck.DiffOptions{Only: []string{"S^F2", "YDS"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,13 +109,13 @@ func TestDifferentialOnlyFilter(t *testing.T) {
 
 func TestDifferentialInputValidation(t *testing.T) {
 	ts := task.Fig1Example()
-	if _, err := check.Differential(ts, 0, power.Unit(3, 0)); err == nil {
+	if _, err := crosscheck.Differential(ts, 0, power.Unit(3, 0)); err == nil {
 		t.Error("m=0 accepted")
 	}
-	if _, err := check.Differential(ts, 2, power.Model{Gamma: 1, Alpha: 1.5}); err == nil {
+	if _, err := crosscheck.Differential(ts, 2, power.Model{Gamma: 1, Alpha: 1.5}); err == nil {
 		t.Error("non-convex power model accepted")
 	}
-	if _, err := check.Differential(task.Set{}, 2, power.Unit(3, 0)); err == nil {
+	if _, err := crosscheck.Differential(task.Set{}, 2, power.Unit(3, 0)); err == nil {
 		t.Error("empty task set accepted")
 	}
 }

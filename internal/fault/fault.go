@@ -3,7 +3,8 @@
 // firing probability and a seeded RNG; callers ask Should(point) at each
 // injection site and act out the fault themselves (panic, sleep past the
 // deadline, return an error, corrupt a cache entry, reject a valid
-// schedule, fail I/O transiently).
+// schedule, fail I/O transiently). The solver-entry faults are acted out
+// in one place, BeforeSolve.
 //
 // Injection is always off by default: the process-wide injector is nil
 // until Enable is called (cmd/schedd gates that behind -faults /
@@ -13,6 +14,7 @@
 package fault
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -195,6 +197,28 @@ func (in *Injector) Delay() time.Duration {
 		return 0
 	}
 	return in.delay
+}
+
+// BeforeSolve acts out the solver-entry faults, in order: it panics
+// when SolverPanic fires, stalls for Delay (or until ctx ends) when
+// SolverDelay fires, and returns the typed error when AllocError fires.
+// A nil Injector does nothing.
+func (in *Injector) BeforeSolve(ctx context.Context) error {
+	if in == nil {
+		return nil
+	}
+	if in.Should(SolverPanic) {
+		panic("injected solver panic")
+	}
+	if in.Should(SolverDelay) {
+		t := time.NewTimer(in.delay)
+		select {
+		case <-t.C:
+		case <-ctx.Done():
+			t.Stop()
+		}
+	}
+	return in.Err(AllocError)
 }
 
 // Fired returns how many times p has fired.

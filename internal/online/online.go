@@ -24,6 +24,7 @@ import (
 	"sort"
 
 	"repro/internal/alloc"
+	"repro/internal/check"
 	"repro/internal/core"
 	"repro/internal/power"
 	"repro/internal/schedule"
@@ -46,8 +47,21 @@ type Result struct {
 
 const workEps = 1e-9
 
-// ReplanDER runs the event-driven re-planning policy.
+// ReplanDER runs the event-driven re-planning policy and checks the
+// realized schedule with the universal validator.
 func ReplanDER(ts task.Set, m int, pm power.Model) (*Result, error) {
+	r, err := replanDER(ts, m, pm)
+	if err != nil {
+		return nil, err
+	}
+	if v := check.Validate(r.Schedule, ts, m, pm); len(v) > 0 {
+		return nil, fmt.Errorf("online: realized schedule infeasible: %v", v[0])
+	}
+	return r, nil
+}
+
+// replanDER is ReplanDER without the feasibility check.
+func replanDER(ts task.Set, m int, pm power.Model) (*Result, error) {
 	if err := ts.Validate(); err != nil {
 		return nil, err
 	}
@@ -89,8 +103,8 @@ func ReplanDER(ts task.Set, m int, pm power.Model) (*Result, error) {
 		if len(residual) == 0 {
 			continue
 		}
-		// Only S^F is followed, so S^I is not built. The final
-		// out.Validate covers every segment taken from plan.
+		// Only S^F is followed, so S^I is not built. ReplanDER's final
+		// check covers every segment taken from plan.
 		plan, err := sv.Final(residual, m, pm, alloc.DER, core.Options{Tolerance: 1e-9, SkipValidation: true})
 		if err != nil {
 			return nil, fmt.Errorf("online: replanning at t=%g: %w", t0, err)
@@ -114,9 +128,6 @@ func ReplanDER(ts task.Set, m int, pm power.Model) (*Result, error) {
 		if r > 1e-6*math.Max(1, ts[i].Work) {
 			return nil, fmt.Errorf("online: task %d left with %g work (internal error)", i, r)
 		}
-	}
-	if errs := out.Validate(1e-6, true); len(errs) > 0 {
-		return nil, fmt.Errorf("online: realized schedule infeasible: %v", errs[0])
 	}
 	return &Result{Schedule: out, Energy: out.Energy(pm), Replans: replans}, nil
 }

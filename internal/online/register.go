@@ -12,7 +12,9 @@ import (
 // The never-missing online policy self-registers with the universal
 // cross-check. FixedSpeedEDF is deliberately left out: it is allowed to
 // miss deadlines by design, so the contract the validator enforces does
-// not apply to it.
+// not apply to it. The runner builds without the self-check: every
+// registry caller audits the schedule it takes, a session replan
+// included.
 func init() {
 	check.Register(check.Entry{
 		Name: "ReplanDER",
@@ -20,7 +22,7 @@ func init() {
 			if err := ctx.Err(); err != nil {
 				return nil, 0, err
 			}
-			r, err := ReplanDER(ts, m, pm)
+			r, err := replanDER(ts, m, pm)
 			if err != nil {
 				return nil, 0, err
 			}

@@ -3,6 +3,7 @@ package opt
 import (
 	"fmt"
 
+	"repro/internal/check"
 	"repro/internal/interval"
 	"repro/internal/pack"
 	"repro/internal/power"
@@ -10,12 +11,13 @@ import (
 )
 
 // Realize turns a Solution into a concrete collision-free schedule,
-// proving constructively that the convex program's allocation is
-// achievable (the second half of Theorem 1's argument). Each task runs at
-// the single frequency C_i/a_i, where a_i = min(A_i, C_i/f*) is the
-// portion of its granted time the energy-optimal execution actually uses;
-// its execution time is spread over subintervals proportionally to the
-// solution's x_{i,j} and packed with Algorithm 1.
+// checked with the universal validator, proving constructively that the
+// convex program's allocation is achievable (the second half of Theorem
+// 1's argument). Each task runs at the single frequency C_i/a_i, where
+// a_i = min(A_i, C_i/f*) is the portion of its granted time the
+// energy-optimal execution actually uses; its execution time is spread
+// over subintervals proportionally to the solution's x_{i,j} and packed
+// with Algorithm 1.
 //
 // The realized schedule's energy equals the Solution's Energy exactly (up
 // to float arithmetic), so Realize also serves as an end-to-end check of
@@ -65,8 +67,8 @@ func Realize(d *interval.Decomposition, m int, pm power.Model, sol *Solution) (*
 			})
 		}
 	}
-	if errs := out.Validate(1e-6, true); len(errs) > 0 {
-		return nil, fmt.Errorf("opt: realized optimal schedule infeasible: %v", errs[0])
+	if v := check.Validate(out, d.Tasks, m, pm); len(v) > 0 {
+		return nil, fmt.Errorf("opt: realized optimal schedule infeasible: %v", v[0])
 	}
 	return out, nil
 }

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/check"
 	"repro/internal/feas"
 	"repro/internal/interval"
 	"repro/internal/power"
@@ -85,8 +86,21 @@ func Assign(ts task.Set, m int) (*Assignment, error) {
 
 // Schedule builds the full partitioned schedule: per-core YDS with the
 // critical-frequency floor, mapped back to original task IDs and core
-// indices. Returns the realized schedule and its energy under the model.
+// indices. Returns the realized schedule, checked with the universal
+// validator, and its energy under the model.
 func Schedule(ts task.Set, m int, pm power.Model) (*schedule.Schedule, float64, error) {
+	out, energy, err := build(ts, m, pm)
+	if err != nil {
+		return nil, 0, err
+	}
+	if v := check.Validate(out, ts, m, pm); len(v) > 0 {
+		return nil, 0, fmt.Errorf("partition: realized schedule infeasible: %v", v[0])
+	}
+	return out, energy, nil
+}
+
+// build is Schedule without the feasibility check.
+func build(ts task.Set, m int, pm power.Model) (*schedule.Schedule, float64, error) {
 	if err := pm.Validate(); err != nil {
 		return nil, 0, err
 	}
@@ -105,7 +119,7 @@ func Schedule(ts task.Set, m int, pm power.Model) (*schedule.Schedule, float64, 
 			sub[i] = ts[id]
 			sub[i].ID = i
 		}
-		coreSched, _, err := yds.Schedule(sub)
+		coreSched, _, err := yds.Build(sub)
 		if err != nil {
 			return nil, 0, fmt.Errorf("partition: core %d: %w", k, err)
 		}
@@ -129,9 +143,6 @@ func Schedule(ts task.Set, m int, pm power.Model) (*schedule.Schedule, float64, 
 				Frequency: f,
 			})
 		}
-	}
-	if errs := out.Validate(1e-6, true); len(errs) > 0 {
-		return nil, 0, fmt.Errorf("partition: realized schedule infeasible: %v", errs[0])
 	}
 	return out, out.Energy(pm), nil
 }

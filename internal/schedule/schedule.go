@@ -211,7 +211,7 @@ func (s *Schedule) Makespan() float64 {
 	return m
 }
 
-// ValidationError describes one feasibility violation.
+// ValidationError describes one feasibility violation found by Validate.
 type ValidationError struct {
 	Kind   string // "core-overlap", "task-parallel", "window", "work", "frequency", "core-range", "task-range"
 	Detail string
@@ -233,6 +233,12 @@ func (e ValidationError) Error() string { return e.Kind + ": " + e.Detail }
 //     never breaks timing).
 //
 // All violations found are returned, not just the first.
+//
+// check.Validate is the feasibility checker every scheduler and server
+// path uses. This older copy is kept only because the benchmark's trace
+// replay (perfbench/trace.go) still times it; delete it, together with
+// ValidationError and core.Options.SkipValidation, in the change that
+// moves that replay off it.
 func (s *Schedule) Validate(tol float64, allowOverwork bool) []ValidationError {
 	if tol <= 0 {
 		tol = 1e-6
@@ -290,14 +296,6 @@ func (s *Schedule) Validate(tol float64, allowOverwork bool) []ValidationError {
 		}
 	}
 	return errs
-}
-
-// AssertValid panics with a descriptive message when the schedule is
-// infeasible; intended for tests and internal consistency checks.
-func (s *Schedule) AssertValid(tol float64) {
-	if errs := s.Validate(tol, true); len(errs) > 0 {
-		panic(fmt.Sprintf("schedule invalid: %v (and %d more)", errs[0], len(errs)-1))
-	}
 }
 
 // TaskFrequencies returns the set of distinct frequencies used by each

@@ -165,18 +165,6 @@ func TestValidateDetectsBadReferences(t *testing.T) {
 	}
 }
 
-func TestAssertValidPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("AssertValid should panic on infeasible schedule")
-		}
-	}()
-	ts := task.Fig1Example()
-	s := New(ts, 2)
-	s.Add(Segment{Task: 0, Core: 0, Start: 0, End: 1, Frequency: 1})
-	s.AssertValid(1e-9)
-}
-
 func TestTaskFrequencies(t *testing.T) {
 	s := fig2b(t)
 	freqs := s.TaskFrequencies()

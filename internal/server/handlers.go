@@ -122,19 +122,8 @@ func runSolve(ctx context.Context, in *fault.Injector, e check.Entry, ts task.Se
 	if in != nil {
 		run := e.Run
 		e.Run = func(ctx context.Context, ts task.Set, m int, pm power.Model) (*schedule.Schedule, float64, error) {
-			if in.Should(fault.SolverPanic) {
-				panic("injected solver panic")
-			}
-			if in.Should(fault.SolverDelay) {
-				t := time.NewTimer(in.Delay())
-				select {
-				case <-t.C:
-				case <-ctx.Done():
-					t.Stop()
-				}
-			}
-			if ferr := in.Err(fault.AllocError); ferr != nil {
-				return nil, 0, ferr
+			if err := in.BeforeSolve(ctx); err != nil {
+				return nil, 0, err
 			}
 			return run(ctx, ts, m, pm)
 		}

@@ -266,8 +266,8 @@ func (s *Server) handleSessionSchedule(w http.ResponseWriter, r *http.Request) {
 		Algorithm: sess.Algorithm(),
 		Cores:     sess.Cores(),
 		Stats:     sess.Stats(),
-		Committed: segmentsToWire(sess.Committed()),
-		Planned:   segmentsToWire(sess.Plan()),
+		Committed: wire.FromSegments(sess.Committed()),
+		Planned:   wire.FromSegments(sess.Plan()),
 	})
 }
 
@@ -499,17 +499,4 @@ func (s *Server) handleSessionRestore(w http.ResponseWriter, r *http.Request) {
 		Cores:     req.Snapshot.Cores,
 		Backlog:   backlog,
 	})
-}
-
-// segmentsToWire converts raw segments (session committed/planned
-// slices) to the wire form.
-func segmentsToWire(segs []schedule.Segment) []wire.SegmentJSON {
-	out := make([]wire.SegmentJSON, len(segs))
-	for i, seg := range segs {
-		out[i] = wire.SegmentJSON{
-			Task: seg.Task, Core: seg.Core,
-			Start: seg.Start, End: seg.End, Frequency: seg.Frequency,
-		}
-	}
-	return out
 }

@@ -324,10 +324,14 @@ type SessionRestoreRequest struct {
 	SkipRatio  bool             `json:"skip_ratio,omitempty"`
 }
 
-// Segments converts schedule segments to the wire form.
-func Segments(s *schedule.Schedule) []SegmentJSON {
-	out := make([]SegmentJSON, len(s.Segments))
-	for i, seg := range s.Segments {
+// Segments converts a schedule's segments to the wire form.
+func Segments(s *schedule.Schedule) []SegmentJSON { return FromSegments(s.Segments) }
+
+// FromSegments converts raw segments (a schedule's, or a session's
+// committed or planned slices) to the wire form.
+func FromSegments(segs []schedule.Segment) []SegmentJSON {
+	out := make([]SegmentJSON, len(segs))
+	for i, seg := range segs {
 		out[i] = SegmentJSON{
 			Task: seg.Task, Core: seg.Core,
 			Start: seg.Start, End: seg.End, Frequency: seg.Frequency,

@@ -6,7 +6,7 @@
 // any runtime violations (core conflicts, work shortfalls, deadline
 // overruns).
 //
-// The simulator deliberately shares no code with schedule.Validate — it
+// The simulator deliberately shares no code with check.Validate — it
 // is an independent check that the analytically constructed schedules
 // actually execute: every invariant is re-derived from the event
 // semantics rather than from interval arithmetic.

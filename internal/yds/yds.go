@@ -16,6 +16,7 @@ import (
 	"math"
 	"sort"
 
+	"repro/internal/check"
 	"repro/internal/power"
 	"repro/internal/schedule"
 	"repro/internal/task"
@@ -182,8 +183,25 @@ func criticalInterval(rem []ctask) (t1, t2, speed float64, inside map[int]bool) 
 }
 
 // Schedule runs EDF over the YDS profile and returns the realized
-// uniprocessor schedule. The schedule is validated before returning.
+// uniprocessor schedule, checked with the universal validator.
 func Schedule(ts task.Set) (*schedule.Schedule, *Profile, error) {
+	sched, prof, err := Build(ts)
+	if err != nil {
+		return nil, nil, err
+	}
+	// YDS has no power model and the check compares no energy, so the
+	// zero model serves.
+	if v := check.Validate(sched, ts, 1, power.Model{}); len(v) > 0 {
+		return nil, nil, fmt.Errorf("yds: realized schedule infeasible: %v", v[0])
+	}
+	return sched, prof, nil
+}
+
+// Build is Schedule without the feasibility check, for callers that
+// check the schedule they take: the registry runner, which
+// check.Entry.RunVerified audits, and partition, which checks the
+// schedule it assembles from one YDS run per core.
+func Build(ts task.Set) (*schedule.Schedule, *Profile, error) {
 	prof, err := BuildProfile(ts)
 	if err != nil {
 		return nil, nil, err
@@ -237,9 +255,6 @@ func Schedule(ts task.Set) (*schedule.Schedule, *Profile, error) {
 			remaining[cur] -= (end - t) * band.Speed
 			t = end
 		}
-	}
-	if errs := sched.Validate(1e-6, true); len(errs) > 0 {
-		return nil, nil, fmt.Errorf("yds: realized schedule infeasible: %v", errs[0])
 	}
 	return sched, prof, nil
 }
