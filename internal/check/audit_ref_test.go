@@ -96,6 +96,68 @@ func naiveSweep(segs []schedule.Segment, ts task.Set, m int, pm power.Model, opt
 	}
 }
 
+// refRuns is the boundary pass refSliceRuns computes: the distinct
+// boundaries and each segment's run of slices [first[i], stop[i]).
+type refRuns struct {
+	eps         float64
+	uniq        []float64
+	first, stop []int
+}
+
+// refSliceRuns is the original boundary pass: sort every Start and End,
+// drop repeats, and find each segment's run by two binary searches.
+// newSliceRuns must return the same uniq, first and stop.
+func refSliceRuns(segs []schedule.Segment, eps float64) refRuns {
+	if len(segs) == 0 {
+		return refRuns{eps: eps}
+	}
+	pts := make([]float64, 0, 2*len(segs))
+	for _, seg := range segs {
+		pts = append(pts, seg.Start, seg.End)
+	}
+	sort.Float64s(pts)
+	uniq := pts[:0]
+	for _, p := range pts {
+		if len(uniq) == 0 || p > uniq[len(uniq)-1] {
+			uniq = append(uniq, p)
+		}
+	}
+	r := refRuns{eps: eps, uniq: uniq, first: make([]int, len(segs)), stop: make([]int, len(segs))}
+	slices := len(uniq) - 1
+	// stop negates the activity test rather than flipping its
+	// comparison, so the two agree exactly on every float input.
+	for i, seg := range segs {
+		r.first[i] = sort.Search(slices, func(k int) bool { return seg.Start <= uniq[k]+eps })
+		r.stop[i] = sort.Search(slices, func(k int) bool { return !(seg.End >= uniq[k+1]-eps) })
+	}
+	return r
+}
+
+// compareWithRef checks newSliceRuns against refSliceRuns on well-formed
+// segments of cores 0..m−1: the same boundaries, a zero held as +0, the
+// same runs, and exact Start and End ranks.
+func compareWithRef(t *testing.T, segs []schedule.Segment, m int, eps float64) {
+	t.Helper()
+	got, want := newSliceRuns(segs, m, eps), refSliceRuns(segs, eps)
+	if len(got.uniq) != len(want.uniq) {
+		t.Fatalf("%d boundaries, reference %d (segments %v)", len(got.uniq), len(want.uniq), segs)
+	}
+	for k, u := range got.uniq {
+		if u != want.uniq[k] || math.Signbit(u) && u == 0 {
+			t.Fatalf("boundary %d is %v, reference %v (segments %v)", k, u, want.uniq[k], segs)
+		}
+	}
+	for i, seg := range segs {
+		if int(got.first[i]) != want.first[i] || int(got.stop[i]) != want.stop[i] {
+			t.Fatalf("segment %d runs over [%d, %d), reference [%d, %d) (segments %v)",
+				i, got.first[i], got.stop[i], want.first[i], want.stop[i], segs)
+		}
+		if got.uniq[got.start[i]] != seg.Start || got.uniq[got.end[i]] != seg.End {
+			t.Fatalf("segment %d ranks %d, %d do not hold %v (segments %v)", i, got.start[i], got.end[i], seg, segs)
+		}
+	}
+}
+
 // sweepKinds are the violation kinds only the sweep reports.
 var sweepKinds = map[Kind]bool{KindConcurrency: true, KindCoreOverlap: true, KindTaskParallel: true}
 
@@ -118,7 +180,8 @@ func violationKeys(vs []Violation) []string {
 }
 
 // compareWithNaive audits segs and checks that the sweep's outputs match
-// naiveSweep run over the segments Audit's structural pass keeps.
+// naiveSweep run over the segments Audit's structural pass keeps, and
+// that the boundary pass matches refSliceRuns on them.
 func compareWithNaive(t *testing.T, segs []schedule.Segment, ts task.Set, m int, opts Options) {
 	t.Helper()
 	pm := power.Unit(3, 0.05)
@@ -143,6 +206,7 @@ func compareWithNaive(t *testing.T, segs []schedule.Segment, ts task.Set, m int,
 		}
 	}
 	naiveSweep(kept, ts, m, pm, opts, want, add)
+	compareWithRef(t, kept, m, opts.Tol*1e-3)
 
 	if math.Float64bits(got.Energy) != math.Float64bits(want.Energy) {
 		t.Fatalf("energy %v, naive %v (segments %v)", got.Energy, want.Energy, segs)
@@ -298,6 +362,91 @@ func TestSweepMatchesNaive(t *testing.T) {
 		opts := DefaultOptions()
 		opts.Tol = tols[rng.Intn(len(tols))]
 		compareWithNaive(t, segs, ts, m, opts)
+	}
+}
+
+// TestAuditReversedStartOrder lists 16 cores of back-to-back segments in
+// decreasing start order, which sends every Start's rank search the
+// wrong way from its hint.
+func TestAuditReversedStartOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	ts, m := wideTasks(40), 16
+	var segs []schedule.Segment
+	for c := 0; c < m; c++ {
+		for at := float64(rng.Intn(8)) / 4; at < 19; {
+			// Ends on a coarse grid are shared across cores.
+			end := at + float64(1+rng.Intn(6))/8
+			if rng.Intn(3) == 0 {
+				end = at + 0.01 + rng.Float64()
+			}
+			segs = append(segs, schedule.Segment{
+				Task: rng.Intn(len(ts)), Core: c, Start: at, End: end, Frequency: math.Pow(10, 2*rng.Float64()-1),
+			})
+			at = end
+			if rng.Intn(4) == 0 {
+				at += float64(rng.Intn(4)) / 8
+			}
+		}
+	}
+	sort.SliceStable(segs, func(i, j int) bool { return segs[i].Start > segs[j].Start })
+	for _, tol := range []float64{1e-6, 0.3} {
+		opts := DefaultOptions()
+		opts.Tol = tol
+		compareWithNaive(t, segs, ts, m, opts)
+	}
+}
+
+// TestAuditPackedBoundaries packs 3 000 boundaries inside one ε = Tol·1e-3
+// window, and 3 000 more inside another: each segment's run then starts
+// or stops up to thousands of boundaries away from its own rank, which
+// the ε-walk must reach without stepping boundary by boundary.
+func TestAuditPackedBoundaries(t *testing.T) {
+	const count = 3000
+	opts := DefaultOptions()
+	step := opts.Tol * 1e-3 / (2 * count) // all 3 000 within ε/2
+	ts, m := wideTasks(6), 4
+	segs := make([]schedule.Segment, 0, 2*count)
+	for k := 0; k < count; k++ {
+		segs = append(segs,
+			schedule.Segment{Task: k % len(ts), Core: k % m, Start: 1 + float64(k)*step, End: 2 + float64(k%40)/40, Frequency: 0.5},
+			schedule.Segment{Task: k % len(ts), Core: (k + 1) % m, Start: 3 + float64(k%40)/40, End: 5 + float64(k)*step, Frequency: 2})
+	}
+	compareWithNaive(t, segs, ts, m, opts)
+}
+
+// TestAuditSignedZeroBoundary gives the schedule a boundary at both −0
+// and +0. They are one boundary, which the audit holds and reports as
+// +0 whichever order the segments list them in.
+func TestAuditSignedZeroBoundary(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	ts := wideTasks(2)
+	for _, zeros := range [][2]float64{{negZero, 0}, {0, negZero}} {
+		segs := []schedule.Segment{
+			{Task: 0, Core: 0, Start: zeros[0], End: 1, Frequency: 0.5},
+			{Task: 1, Core: 1, Start: zeros[1], End: 2, Frequency: 0.5},
+			{Task: 0, Core: 0, Start: 1, End: 2, Frequency: 0.5},
+		}
+		compareWithNaive(t, segs, ts, 2, DefaultOptions())
+		if runs := newSliceRuns(segs, 2, 1e-9); math.Signbit(runs.uniq[0]) {
+			t.Fatalf("zeros %v: first boundary is %v, want +0", zeros, runs.uniq[0])
+		}
+		s := schedule.New(ts, 2)
+		s.Segments = segs
+		if res := Audit(s, ts, 2, power.Unit(3, 0.05), DefaultOptions()); !res.OK() {
+			t.Fatalf("zeros %v: %v", zeros, res.Violations)
+		}
+
+		// Two segments sharing core 0 from the zero boundary on: the
+		// overlap is reported at +0.
+		s.Segments = []schedule.Segment{
+			{Task: 0, Core: 0, Start: zeros[0], End: 1, Frequency: 1},
+			{Task: 1, Core: 0, Start: zeros[1], End: 1, Frequency: 1},
+		}
+		want := []Violation{{Kind: KindCoreOverlap, Task: -1, Time: 0, Detail: "core 0 hosts 2 segments during [0, 1]"}}
+		vs := Validate(s, ts, 2, power.Unit(3, 0.05))
+		if fmt.Sprint(vs) != fmt.Sprint(want) || math.Signbit(vs[0].Time) {
+			t.Fatalf("zeros %v: violations %v, want %v at +0", zeros, vs, want)
+		}
 	}
 }
 

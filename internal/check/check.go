@@ -9,14 +9,18 @@
 //     without trusting any of the scheduler's own bookkeeping, and
 //     re-integrates energy independently by sweeping instantaneous total
 //     power over time (rather than summing per-segment energies). The
-//     sweep finds each segment's run of elementary slices by binary
-//     search, so it costs O(S log S + Σ active segments per slice) for S
-//     segments rather than O(slices·S). The same boundary sort yields the
-//     schedule's execution profile (Profile), the figures a served reply
-//     carries, which sim.Run derives independently;
+//     sweep sorts the distinct segment boundaries once and finds each
+//     segment's run of elementary slices by galloping from the ranks of
+//     a segment listed before it, so it costs at most
+//     O(S log S + Σ active segments per slice) for S segments rather
+//     than O(slices·S). Audit also derives the schedule's execution
+//     profile (Profile) from the same ranks, the figures a served reply
+//     carries, which sim.Run derives independently; Validate, which has
+//     no use for it, skips it;
 //   - a registry lets every scheduler package self-register a runner, so
 //     new schedulers are picked up by the cross-checks without edits here;
-//     Entry.RunVerified runs one with panic containment and the audit.
+//     Entry.RunVerified runs one with panic containment and the audit,
+//     and Entry.RunAudited also returns the profile.
 //
 // check imports only numeric, power, schedule and task, so every
 // scheduler package (core, yds, partition, online, opt, capped) checks
@@ -30,7 +34,7 @@ package check
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/numeric"
 	"repro/internal/power"
@@ -123,9 +127,9 @@ func (r *Result) OK() bool { return len(r.Violations) == 0 }
 
 // Validate re-derives the scheduling contract from the raw schedule
 // alone and returns all violations found. It is the 4-argument form of
-// Audit with DefaultOptions.
+// Audit with DefaultOptions, and skips the execution profile.
 func Validate(s *schedule.Schedule, ts task.Set, m int, pm power.Model) []Violation {
-	return Audit(s, ts, m, pm, DefaultOptions()).Violations
+	return audit(s, ts, m, pm, DefaultOptions(), false).Violations
 }
 
 // Audit checks a schedule against the contract of Section III.C using
@@ -142,7 +146,7 @@ func Validate(s *schedule.Schedule, ts task.Set, m int, pm power.Model) []Violat
 //     Options.ReportedEnergy is set, compared against it.
 //
 // Audit also derives the schedule's execution profile (Result.Profile)
-// from the same boundary sort, so a caller that serves the schedule
+// from the same boundary ranks, so a caller that serves the schedule
 // need not replay it through sim.Run.
 //
 // The sweep computes every instantaneous quantity from scratch rather
@@ -150,8 +154,14 @@ func Validate(s *schedule.Schedule, ts task.Set, m int, pm power.Model) []Violat
 // segments as events, is the independent check on it (see
 // internal/crosscheck). Each overlap offender is reported once,
 // at its first offending slice, in segment order. For S segments the
-// audit costs O(S log S + Σ active segments per slice).
+// audit costs at most O(S log S + Σ active segments per slice).
 func Audit(s *schedule.Schedule, ts task.Set, m int, pm power.Model, opts Options) *Result {
+	return audit(s, ts, m, pm, opts, true)
+}
+
+// audit is Audit; it derives the execution profile only when profile is
+// set, for the callers that serve or test it.
+func audit(s *schedule.Schedule, ts task.Set, m int, pm power.Model, opts Options, profile bool) *Result {
 	if opts.Tol <= 0 {
 		opts.Tol = 1e-6
 	}
@@ -166,9 +176,10 @@ func Audit(s *schedule.Schedule, ts task.Set, m int, pm power.Model, opts Option
 	}
 
 	// Per-segment structural checks. Segments that fail them are excluded
-	// from the sweep so one malformed segment does not cascade.
-	sweep := make([]schedule.Segment, 0, len(s.Segments))
-	for _, seg := range s.Segments {
+	// from the sweep so one malformed segment does not cascade. The sweep
+	// reads s.Segments in place until the first such segment.
+	sweep, copied := s.Segments, false
+	for i, seg := range s.Segments {
 		bad := false
 		if seg.Task < 0 || seg.Task >= len(ts) {
 			add(KindSegment, -1, seg.Start, "segment %v references unknown task (n=%d)", seg, len(ts))
@@ -188,18 +199,30 @@ func Audit(s *schedule.Schedule, ts task.Set, m int, pm power.Model, opts Option
 			bad = true
 		}
 		if bad {
+			if !copied {
+				sweep = append(make([]schedule.Segment, 0, len(s.Segments)-1), s.Segments[:i]...)
+				copied = true
+			}
 			continue
 		}
 		tk := ts[seg.Task]
 		if seg.Start < tk.Release-opts.Tol || seg.End > tk.Deadline+opts.Tol {
 			add(KindWindow, seg.Task, seg.Start, "segment %v outside window [%g, %g]", seg, tk.Release, tk.Deadline)
 		}
-		sweep = append(sweep, seg)
+		if copied {
+			sweep = append(sweep, seg)
+		}
 	}
 
-	runs := newSliceRuns(sweep, opts.Tol*1e-3)
-	sweepAudit(sweep, &runs, ts, m, pm, res, add)
-	res.Profile = executionProfile(sweep, &runs, ts, s.Cores, pm)
+	runs := newSliceRuns(sweep, m, opts.Tol*1e-3)
+	segPower := make([]float64, len(sweep))
+	for i := range sweep {
+		segPower[i] = pm.Power(sweep[i].Frequency)
+	}
+	sweepAudit(sweep, segPower, &runs, ts, m, res, add)
+	if profile {
+		res.Profile = executionProfile(sweep, segPower, &runs, ts, s.Cores)
+	}
 
 	// Work conservation, from the sweep's own integration.
 	for _, tk := range ts {
@@ -225,43 +248,185 @@ func Audit(s *schedule.Schedule, ts task.Set, m int, pm power.Model, opts Option
 
 // sliceRuns cuts the time line at every segment boundary and locates
 // each segment's run of elementary slices. uniq holds the distinct
-// boundaries in increasing order; slice k is [uniq[k], uniq[k+1]].
+// boundaries in increasing order; slice k is [uniq[k], uniq[k+1]]. −0
+// and +0 are one boundary, held in uniq as +0.
 //
-// Segment i is active in slice k iff Start ≤ uniq[k]+ε and
+// start[i] and end[i] are the exact ranks of segment i's Start and End
+// in uniq. Segment i is active in slice k iff Start ≤ uniq[k]+ε and
 // End ≥ uniq[k+1]−ε. Both tests are monotone in k, so each segment is
-// active over one contiguous run of slices [first[i], stop[i]) found by
-// two binary searches. first[i] is non-decreasing in Start and stop[i]
-// in End, so they double as coarse ranks of the two.
+// active over one contiguous run of slices [first[i], stop[i]), with
+// first[i] ≤ start[i] and stop[i] ≥ end[i]. first[i] is non-decreasing
+// in Start and stop[i] in End.
 type sliceRuns struct {
-	eps         float64
-	uniq        []float64
-	first, stop []int
+	eps                     float64
+	uniq                    []float64
+	first, stop, start, end []int32
 }
 
-func newSliceRuns(segs []schedule.Segment, eps float64) sliceRuns {
+// newSliceRuns finds the runs of segments on cores 0..m−1 without a
+// binary search per segment. A small cache of recent boundaries drops
+// most repeats before the sort. Each Start's rank is then found by
+// galloping from the End rank of the previous segment on its core, and
+// each End's from its own Start's, unless the cache holds it: a
+// schedule whose cores run their segments back to back costs
+// O(log length) per segment. first and stop are walked from those exact
+// ranks by the activity tests themselves, galloping too, so boundaries
+// packed within ε cannot make the walk quadratic. The runs equal what a
+// binary search over uniq finds.
+func newSliceRuns(segs []schedule.Segment, m int, eps float64) sliceRuns {
 	if len(segs) == 0 {
 		return sliceRuns{eps: eps}
 	}
+	var cache boundaryCache
+	cache.reset()
 	pts := make([]float64, 0, 2*len(segs))
-	for _, seg := range segs {
-		pts = append(pts, seg.Start, seg.End)
+	for i := range segs {
+		for _, p := range [2]float64{segs[i].Start, segs[i].End} {
+			if p == 0 {
+				p = 0 // −0 → +0
+			}
+			if !cache.insert(p) {
+				pts = append(pts, p)
+			}
+		}
 	}
-	sort.Float64s(pts)
-	uniq := pts[:0]
-	for _, p := range pts {
-		if len(uniq) == 0 || p > uniq[len(uniq)-1] {
+	slices.Sort(pts)
+	uniq := pts[:1]
+	for _, p := range pts[1:] {
+		if p > uniq[len(uniq)-1] {
 			uniq = append(uniq, p)
 		}
 	}
-	r := sliceRuns{eps: eps, uniq: uniq, first: make([]int, len(segs)), stop: make([]int, len(segs))}
-	slices := len(uniq) - 1
-	// stop negates the activity test rather than flipping its
-	// comparison, so the two agree exactly on every float input.
-	for i, seg := range segs {
-		r.first[i] = sort.Search(slices, func(k int) bool { return seg.Start <= uniq[k]+eps })
-		r.stop[i] = sort.Search(slices, func(k int) bool { return !(seg.End >= uniq[k+1]-eps) })
+
+	n := len(segs)
+	ranks := make([]int32, 4*n+m)
+	r := sliceRuns{eps: eps, uniq: uniq,
+		first: ranks[:n:n], stop: ranks[n : 2*n : 2*n], start: ranks[2*n : 3*n : 3*n], end: ranks[3*n : 4*n : 4*n]}
+	coreEnd := ranks[4*n:] // End rank of the core's previous segment
+	last := len(uniq) - 1  // the last slice is [uniq[last-1], uniq[last]]
+	cache.reset()
+	for i := range segs {
+		start, end, c := segs[i].Start, segs[i].End, segs[i].Core
+		sr := cache.rank(uniq, start, int(coreEnd[c]))
+		er := cache.rank(uniq, end, sr+1)
+		coreEnd[c] = int32(er)
+
+		// first: the least k ≤ sr with start ≤ uniq[k]+ε, which holds at
+		// sr. Gallop down while it still holds, then bisect.
+		f, step := sr, 1
+		for f-step >= 0 && start <= uniq[f-step]+eps {
+			f -= step
+			step *= 2
+		}
+		for lo := max(f-step, -1); f-lo > 1; {
+			if mid := int(uint(lo+f) >> 1); start <= uniq[mid]+eps {
+				f = mid
+			} else {
+				lo = mid
+			}
+		}
+
+		// stop: the least k ≥ er with end < uniq[k+1]−ε, or the slice
+		// count; the test fails below er. It negates the activity test
+		// rather than flipping its comparison, so the two agree exactly on
+		// every float input.
+		s := er
+		if s < last && end >= uniq[s+1]-eps {
+			lo := s
+			for step = 1; lo+step < last && end >= uniq[lo+step+1]-eps; step *= 2 {
+				lo += step
+			}
+			for s = min(lo+step, last); s-lo > 1; {
+				if mid := int(uint(lo+s) >> 1); end >= uniq[mid+1]-eps {
+					lo = mid
+				} else {
+					s = mid
+				}
+			}
+		}
+		r.first[i], r.stop[i], r.start[i], r.end[i] = int32(f), int32(s), int32(sr), int32(er)
 	}
 	return r
+}
+
+// cacheBits sizes boundaryCache at 256 slots. Boundaries repeat mostly
+// within a few neighbouring segments (one segment's End is the next
+// one's Start, cores switch at the same instants), which a small table
+// catches.
+const cacheBits = 8
+
+// boundaryCache is a direct-mapped table of recently seen boundaries,
+// keyed on their bits, and of their ranks once those are known.
+type boundaryCache struct {
+	bits  [1 << cacheBits]uint64
+	ranks [1 << cacheBits]int32
+}
+
+// reset empties the cache. No finite boundary has a NaN's bits, so an
+// unused slot never matches.
+func (c *boundaryCache) reset() {
+	for k := range c.bits {
+		c.bits[k] = math.Float64bits(math.NaN())
+	}
+}
+
+// cacheSlot returns x's bits and its slot, by Fibonacci hashing.
+func cacheSlot(x float64) (bits, slot uint64) {
+	bits = math.Float64bits(x)
+	return bits, bits * 0x9E3779B97F4A7C15 >> (64 - cacheBits)
+}
+
+// insert records x and reports whether its slot already held it.
+func (c *boundaryCache) insert(x float64) bool {
+	b, k := cacheSlot(x)
+	held := c.bits[k] == b
+	c.bits[k] = b
+	return held
+}
+
+// rank returns the index of x in uniq, which holds it, from the cache or
+// by rankFrom from hint.
+func (c *boundaryCache) rank(uniq []float64, x float64, hint int) int {
+	b, k := cacheSlot(x)
+	if c.bits[k] == b {
+		return int(c.ranks[k])
+	}
+	r := rankFrom(uniq, x, hint)
+	c.bits[k], c.ranks[k] = b, int32(r)
+	return r
+}
+
+// rankFrom returns the index of x in xs, which is sorted, duplicate-free
+// and holds x, galloping out from the index hint.
+func rankFrom(xs []float64, x float64, hint int) int {
+	hint = min(hint, len(xs)-1)
+	if xs[hint] < x {
+		lo, step := hint, 1 // xs[lo] < x
+		for lo+step < len(xs) && xs[lo+step] < x {
+			lo += step
+			step *= 2
+		}
+		return lowerBound(xs, x, lo, min(lo+step, len(xs)-1))
+	}
+	hi, step := hint, 1 // xs[hi] ≥ x
+	for hi-step >= 0 && xs[hi-step] >= x {
+		hi -= step
+		step *= 2
+	}
+	return lowerBound(xs, x, max(hi-step, -1), hi)
+}
+
+// lowerBound returns the least index in (lo, hi] whose value is at least
+// x, given xs[lo] < x (or lo = −1) and xs[hi] ≥ x.
+func lowerBound(xs []float64, x float64, lo, hi int) int {
+	for hi-lo > 1 {
+		if mid := int(uint(lo+hi) >> 1); xs[mid] < x {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return hi
 }
 
 // sweepAudit walks the elementary time slices of runs, re-deriving
@@ -270,21 +435,35 @@ func newSliceRuns(segs []schedule.Segment, eps float64) sliceRuns {
 //
 // Segments are bucketed by the first slice of their run and the active
 // set is kept in segment order, so every sum adds its terms in the same
-// order a per-slice rescan of all segments would.
-func sweepAudit(segs []schedule.Segment, runs *sliceRuns, ts task.Set, m int, pm power.Model,
+// order a per-slice rescan of all segments would. One pass per slice
+// adds the terms and stamps each core and task with the slice; only a
+// slice where a stamp repeats is counted again to report its offenders.
+func sweepAudit(segs []schedule.Segment, segPower []float64, runs *sliceRuns, ts task.Set, m int,
 	res *Result, add func(Kind, int, float64, string, ...any)) {
 	if len(segs) == 0 {
 		return
 	}
 	uniq, first, stop, eps := runs.uniq, runs.first, runs.stop, runs.eps
 	slices := len(uniq) - 1
+	n := len(ts)
 
+	// One allocation each for the int32 scratch and the per-task work
+	// sums.
+	ints := make([]int32, slices+2+3*len(segs)+2*(m+n))
 	// bucket[k]..bucket[k+1] indexes, in order, the segments whose active
 	// run starts at slice k (a counting sort on first).
-	segPower := make([]float64, len(segs))
-	bucket := make([]int, slices+2)
-	for i, seg := range segs {
-		segPower[i] = pm.Power(seg.Frequency)
+	bucket, ints := ints[:slices+2], ints[slices+2:]
+	order, ints := ints[:0:len(segs)], ints[len(segs):]
+	active, ints := ints[:0:len(segs)], ints[len(segs):]
+	next, ints := ints[:0:len(segs)], ints[len(segs):]
+	// coreSeen[c] and taskSeen[id] hold 1 + the last slice that summed a
+	// segment of the core or task: a task ran iff its stamp is set.
+	// perCore and perTask count a clashing slice's segments.
+	coreSeen, perCore, ints := ints[:m], ints[m:2*m], ints[2*m:]
+	taskSeen, perTask := ints[:n], ints[n:]
+	work := make([]numeric.KahanSum, n)
+
+	for i := range segs {
 		if first[i] < stop[i] {
 			bucket[first[i]+2]++
 		}
@@ -292,34 +471,28 @@ func sweepAudit(segs []schedule.Segment, runs *sliceRuns, ts task.Set, m int, pm
 	for k := 2; k < len(bucket); k++ {
 		bucket[k] += bucket[k-1]
 	}
-	order := make([]int, bucket[len(bucket)-1])
+	order = order[:bucket[len(bucket)-1]]
 	for i := range segs {
 		if first[i] < stop[i] {
-			order[bucket[first[i]+1]] = i
+			order[bucket[first[i]+1]] = int32(i)
 			bucket[first[i]+1]++
 		}
 	}
 
 	var energy, busy numeric.KahanSum
-	work := make([]numeric.KahanSum, len(ts))
-	ran := make([]bool, len(ts))
-	perCore := make([]int, m)
-	perTask := make([]int, len(ts))
 	// Violations are reported once per offender, at the first offending
 	// slice, rather than once per slice — a long overlap is one bug.
 	conReported := false
-	coreReported := make([]bool, m)
-	taskReported := make([]bool, len(ts))
+	reported := make([]bool, m+n)
+	coreReported, taskReported := reported[:m], reported[m:]
 
-	active := make([]int, 0, len(segs))
-	next := make([]int, 0, len(segs))
 	for k := 0; k < slices; k++ {
 		// Retire segments whose run ended and merge in those whose run
 		// starts here; both lists are in segment order.
 		admit := order[bucket[k]:bucket[k+1]]
 		next = next[:0]
 		for _, i := range active {
-			if stop[i] <= k {
+			if int(stop[i]) <= k {
 				continue
 			}
 			for len(admit) > 0 && admit[0] < i {
@@ -342,14 +515,23 @@ func sweepAudit(segs []schedule.Segment, runs *sliceRuns, ts task.Set, m int, pm
 			add(KindConcurrency, -1, lo, "%d segments active during [%g, %g] on %d cores", len(active), lo, hi, m)
 			conReported = true
 		}
+		stamp, clash := int32(k+1), false
 		for _, i := range active {
-			seg := segs[i]
-			perCore[seg.Core]++
-			perTask[seg.Task]++
+			seg := &segs[i]
+			if coreSeen[seg.Core] == stamp || taskSeen[seg.Task] == stamp {
+				clash = true
+			}
+			coreSeen[seg.Core], taskSeen[seg.Task] = stamp, stamp
 			energy.Add(segPower[i] * dt)
 			busy.Add(dt)
 			work[seg.Task].Add(seg.Frequency * dt)
-			ran[seg.Task] = true
+		}
+		if !clash {
+			continue
+		}
+		for _, i := range active {
+			perCore[segs[i].Core]++
+			perTask[segs[i].Task]++
 		}
 		// Offenders are reported in segment order. Each counter is
 		// cleared at its first visit, which is where its offender (if
@@ -374,7 +556,7 @@ func sweepAudit(segs []schedule.Segment, runs *sliceRuns, ts task.Set, m int, pm
 	res.Energy = energy.Value()
 	res.BusyTime = busy.Value()
 	for id := range work {
-		if ran[id] {
+		if taskSeen[id] != 0 {
 			res.Work[id] = work[id].Value()
 		}
 	}

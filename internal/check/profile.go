@@ -3,7 +3,6 @@ package check
 import (
 	"math"
 
-	"repro/internal/power"
 	"repro/internal/schedule"
 	"repro/internal/task"
 )
@@ -42,19 +41,20 @@ type Profile struct {
 const simEps = 1e-9
 
 // executionProfile derives the profile of the audited segments of a
-// schedule with the given core count. Like sim.Run, it ignores segments
+// schedule with the given core count, segPower[i] being segment i's
+// power. Like sim.Run, it ignores segments
 // on cores outside 0..cores−1 except for the horizon, and it counts
 // segments no longer than ε, whose slices the sweep skips.
 //
 // Wake-ups and migrations depend on each core's and each task's
 // segments in start order, busy time and preemptions on them in end
-// order; sim.Run pops its events in those orders. The boundaries the
-// sweep sorted give every segment the exact ranks of its Start and End,
+// order; sim.Run pops its events in those orders. runs holds the exact
+// ranks of every segment's Start and End among the sorted boundaries,
 // so two counting sorts order the segments in O(S + boundaries). Where
 // two segments of one core or one task start or end at the same
 // instant, the simulator's order is that of its heap; the profile takes
 // them in segment order.
-func executionProfile(segs []schedule.Segment, runs *sliceRuns, ts task.Set, cores int, pm power.Model) Profile {
+func executionProfile(segs []schedule.Segment, segPower []float64, runs *sliceRuns, ts task.Set, cores int) Profile {
 	cores = max(cores, 0)
 	// One float and one int32 allocation, carved into the profile's
 	// slices and the walks' scratch: the guardrail runs on every solve
@@ -66,37 +66,20 @@ func executionProfile(segs []schedule.Segment, runs *sliceRuns, ts task.Set, cor
 	}
 	coreEnd := floats[2*cores : 3*cores] // end of the core's previous segment
 	remaining := floats[3*cores:]        // work the task has left
-	uniq, s := runs.uniq, len(segs)
-	ints := make([]int32, 3*s+len(ts)+len(uniq)+1)
-	startRank, endRank, order := ints[:s], ints[s:2*s], ints[2*s:3*s]
-	lastCore := ints[3*s : 3*s+len(ts)] // core of the task's previous segment
-	count := ints[3*s+len(ts):]
+	s := len(segs)
+	ints := make([]int32, s+len(ts)+len(runs.uniq)+1)
+	order := ints[:s]
+	lastCore := ints[s : s+len(ts)] // core of the task's previous segment
+	count := ints[s+len(ts):]
 
-	// first[i] and stop[i] are ε-snapped ranks of Start and End; the
-	// exact boundary lies at or after first[i] and at or before stop[i].
-	lo, hi := segs[0].Start, segs[0].End
-	for i, seg := range segs {
-		if seg.Start < lo {
-			lo = seg.Start
+	// The first boundary is the earliest Start and the last the latest
+	// End.
+	p.Horizon = runs.uniq[len(runs.uniq)-1] - runs.uniq[0]
+	for i := range segs {
+		if seg := &segs[i]; seg.Core < cores {
+			p.Energy += segPower[i] * seg.Duration()
 		}
-		if seg.End > hi {
-			hi = seg.End
-		}
-		if seg.Core < cores {
-			p.Energy += pm.EnergyForTime(seg.Duration(), seg.Frequency)
-		}
-		r := runs.first[i]
-		for uniq[r] < seg.Start {
-			r++
-		}
-		startRank[i] = int32(r)
-		r = runs.stop[i]
-		for uniq[r] > seg.End {
-			r--
-		}
-		endRank[i] = int32(r)
 	}
-	p.Horizon = hi - lo
 
 	for k := range coreEnd {
 		coreEnd[k] = math.NaN() // the core has not run yet
@@ -104,7 +87,7 @@ func executionProfile(segs []schedule.Segment, runs *sliceRuns, ts task.Set, cor
 	for i := range lastCore {
 		lastCore[i] = -1
 	}
-	sortByRank(order, count, startRank)
+	sortByRank(order, count, runs.start)
 	for _, i := range order {
 		seg := &segs[i]
 		if seg.Core >= cores {
@@ -123,7 +106,7 @@ func executionProfile(segs []schedule.Segment, runs *sliceRuns, ts task.Set, cor
 	for i, tk := range ts {
 		remaining[i] = tk.Work
 	}
-	sortByRank(order, count, endRank)
+	sortByRank(order, count, runs.end)
 	for _, i := range order {
 		seg := &segs[i]
 		if seg.Core >= cores {

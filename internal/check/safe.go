@@ -56,18 +56,24 @@ func (e Entry) RunSafe(ctx context.Context, ts task.Set, m int, pm power.Model) 
 // goes through this (or RunAudited), so the registry runners need not
 // check themselves.
 func (e Entry) RunVerified(ctx context.Context, ts task.Set, m int, pm power.Model) (*schedule.Schedule, float64, error) {
-	s, energy, _, err := e.RunAudited(ctx, ts, m, pm)
+	s, energy, _, err := e.runChecked(ctx, ts, m, pm, false)
 	return s, energy, err
 }
 
 // RunAudited is RunVerified that also returns the execution profile its
 // audit derived, for callers that report it alongside the schedule.
 func (e Entry) RunAudited(ctx context.Context, ts task.Set, m int, pm power.Model) (*schedule.Schedule, float64, Profile, error) {
+	return e.runChecked(ctx, ts, m, pm, true)
+}
+
+// runChecked is RunSafe followed by the audit, which derives the
+// execution profile only when profile is set.
+func (e Entry) runChecked(ctx context.Context, ts task.Set, m int, pm power.Model, profile bool) (*schedule.Schedule, float64, Profile, error) {
 	s, energy, err := e.RunSafe(ctx, ts, m, pm)
 	if err != nil {
 		return nil, 0, Profile{}, err
 	}
-	res := Audit(s, ts, m, pm, DefaultOptions())
+	res := audit(s, ts, m, pm, DefaultOptions(), profile)
 	if v := res.Violations; len(v) > 0 {
 		return nil, 0, Profile{}, fmt.Errorf("%w: %v (+%d more)", ErrInvalidSchedule, v[0], len(v)-1)
 	}
