@@ -435,24 +435,25 @@ func lowerBound(xs []float64, x float64, lo, hi int) int {
 //
 // Segments are bucketed by the first slice of their run and the active
 // set is kept in segment order, so every sum adds its terms in the same
-// order a per-slice rescan of all segments would. One pass per slice
-// adds the terms and stamps each core and task with the slice; only a
-// slice where a stamp repeats is counted again to report its offenders.
+// order a per-slice rescan of all segments would. One pass per summed
+// slice adds the terms and stamps each core and task with the slice;
+// only a slice where a stamp repeats is counted again to report its
+// offenders.
 func sweepAudit(segs []schedule.Segment, segPower []float64, runs *sliceRuns, ts task.Set, m int,
 	res *Result, add func(Kind, int, float64, string, ...any)) {
 	if len(segs) == 0 {
 		return
 	}
 	uniq, first, stop, eps := runs.uniq, runs.first, runs.stop, runs.eps
-	slices := len(uniq) - 1
+	nslices := len(uniq) - 1
 	n := len(ts)
 
 	// One allocation each for the int32 scratch and the per-task work
 	// sums.
-	ints := make([]int32, slices+2+3*len(segs)+2*(m+n))
+	ints := make([]int32, nslices+2+3*len(segs)+2*(m+n))
 	// bucket[k]..bucket[k+1] indexes, in order, the segments whose active
 	// run starts at slice k (a counting sort on first).
-	bucket, ints := ints[:slices+2], ints[slices+2:]
+	bucket, ints := ints[:nslices+2], ints[nslices+2:]
 	order, ints := ints[:0:len(segs)], ints[len(segs):]
 	active, ints := ints[:0:len(segs)], ints[len(segs):]
 	next, ints := ints[:0:len(segs)], ints[len(segs):]
@@ -486,31 +487,46 @@ func sweepAudit(segs []schedule.Segment, segPower []float64, runs *sliceRuns, ts
 	reported := make([]bool, m+n)
 	coreReported, taskReported := reported[:m], reported[m:]
 
-	for k := 0; k < slices; k++ {
+	// order[admitted:] are the segments not yet merged into active.
+	admitted := int32(0)
+	for k := 0; k < nslices; k++ {
+		lo, hi := uniq[k], uniq[k+1]
+		dt := hi - lo
+		if dt <= eps {
+			// Slivers below the tolerance floor carry no measurable work
+			// or energy and only amplify float noise. Nothing is summed
+			// over them, so the active set waits for the next slice that
+			// is: boundaries packed within ε cost no merge each.
+			continue
+		}
 		// Retire segments whose run ended and merge in those whose run
-		// starts here; both lists are in segment order.
-		admit := order[bucket[k]:bucket[k+1]]
+		// started since the last merge; both lists are in segment order.
+		// Runs that started and ended among the skipped slivers drop out.
+		admit := order[admitted:bucket[k+1]]
+		if admitted < bucket[k] {
+			slices.Sort(admit) // several buckets, each in segment order
+		}
+		admitted = bucket[k+1]
 		next = next[:0]
 		for _, i := range active {
 			if int(stop[i]) <= k {
 				continue
 			}
 			for len(admit) > 0 && admit[0] < i {
-				next = append(next, admit[0])
+				if int(stop[admit[0]]) > k {
+					next = append(next, admit[0])
+				}
 				admit = admit[1:]
 			}
 			next = append(next, i)
 		}
-		next = append(next, admit...)
+		for _, i := range admit {
+			if int(stop[i]) > k {
+				next = append(next, i)
+			}
+		}
 		active, next = next, active
 
-		lo, hi := uniq[k], uniq[k+1]
-		dt := hi - lo
-		if dt <= eps {
-			// Slivers below the tolerance floor carry no measurable work
-			// or energy and only amplify float noise.
-			continue
-		}
 		if len(active) > m && !conReported {
 			add(KindConcurrency, -1, lo, "%d segments active during [%g, %g] on %d cores", len(active), lo, hi, m)
 			conReported = true

@@ -245,30 +245,51 @@ func TestRegistryContainsAllSchedulers(t *testing.T) {
 	}
 }
 
-// TestAuditOverlapOrderDeterministic audits a slice with two core
-// overlaps and two parallel tasks. Segment 2 enters the sweep one slice
-// before the others, so admission order differs from segment order; the
-// offenders must still be reported in segment order, identically on
-// every run.
+// TestAuditOverlapOrderDeterministic audits slices with two core
+// overlaps (and, in the first case, two parallel tasks) whose segments
+// enter the sweep out of segment order: in the first case segment 2
+// enters one slice before the others; in the second, segment 0 starts
+// two slivers after the rest, so it is merged in with them at the first
+// slice the sweep sums. The offenders must still be reported in segment
+// order, identically on every run.
 func TestAuditOverlapOrderDeterministic(t *testing.T) {
 	ts := task.MustNew([3]float64{0, 1, 10}, [3]float64{0, 1, 10})
-	sched := schedule.New(ts, 4)
-	sched.Segments = []schedule.Segment{
-		{Task: 0, Core: 3, Start: 1, End: 10, Frequency: 0.1},
-		{Task: 1, Core: 3, Start: 1, End: 10, Frequency: 0.1},
-		{Task: 1, Core: 1, Start: 0, End: 10, Frequency: 0.1},
-		{Task: 0, Core: 1, Start: 1, End: 10, Frequency: 0.1},
+	wide := task.MustNew([3]float64{0, 1, 20}, [3]float64{0, 1, 20}, [3]float64{0, 1, 20}, [3]float64{0, 1, 20})
+	cases := []struct {
+		ts   task.Set
+		segs []schedule.Segment
+		want []check.Violation
+	}{
+		{ts, []schedule.Segment{
+			{Task: 0, Core: 3, Start: 1, End: 10, Frequency: 0.1},
+			{Task: 1, Core: 3, Start: 1, End: 10, Frequency: 0.1},
+			{Task: 1, Core: 1, Start: 0, End: 10, Frequency: 0.1},
+			{Task: 0, Core: 1, Start: 1, End: 10, Frequency: 0.1},
+		}, []check.Violation{
+			{Kind: check.KindCoreOverlap, Task: -1, Time: 1, Detail: "core 3 hosts 2 segments during [1, 10]"},
+			{Kind: check.KindCoreOverlap, Task: -1, Time: 1, Detail: "core 1 hosts 2 segments during [1, 10]"},
+			{Kind: check.KindTaskParallel, Task: 0, Time: 1, Detail: "task runs on 2 cores during [1, 10]"},
+			{Kind: check.KindTaskParallel, Task: 1, Time: 1, Detail: "task runs on 2 cores during [1, 10]"},
+		}},
+		// Boundaries 0.8e-9 apart, below the sweep's ε = 1e-9.
+		{wide, []schedule.Segment{
+			{Task: 0, Core: 1, Start: 1 + 1.6e-9, End: 10, Frequency: 1},
+			{Task: 1, Core: 3, Start: 1, End: 10, Frequency: 1},
+			{Task: 2, Core: 3, Start: 1 + 0.8e-9, End: 10, Frequency: 1},
+			{Task: 3, Core: 1, Start: 1, End: 10, Frequency: 1},
+		}, []check.Violation{
+			{Kind: check.KindCoreOverlap, Task: -1, Time: 1 + 1.6e-9, Detail: "core 1 hosts 2 segments during [1.0000000016, 10]"},
+			{Kind: check.KindCoreOverlap, Task: -1, Time: 1 + 1.6e-9, Detail: "core 3 hosts 2 segments during [1.0000000016, 10]"},
+		}},
 	}
-	want := []check.Violation{
-		{Kind: check.KindCoreOverlap, Task: -1, Time: 1, Detail: "core 3 hosts 2 segments during [1, 10]"},
-		{Kind: check.KindCoreOverlap, Task: -1, Time: 1, Detail: "core 1 hosts 2 segments during [1, 10]"},
-		{Kind: check.KindTaskParallel, Task: 0, Time: 1, Detail: "task runs on 2 cores during [1, 10]"},
-		{Kind: check.KindTaskParallel, Task: 1, Time: 1, Detail: "task runs on 2 cores during [1, 10]"},
-	}
-	for run := 0; run < 50; run++ {
-		vs := check.Validate(sched, ts, 4, power.Unit(3, 0))
-		if !reflect.DeepEqual(vs, want) {
-			t.Fatalf("run %d: violations %v, want %v", run, vs, want)
+	for i, c := range cases {
+		sched := schedule.New(c.ts, 4)
+		sched.Segments = c.segs
+		for run := 0; run < 50; run++ {
+			vs := check.Validate(sched, c.ts, 4, power.Unit(3, 0))
+			if !reflect.DeepEqual(vs, c.want) {
+				t.Fatalf("case %d, run %d: violations %v, want %v", i, run, vs, c.want)
+			}
 		}
 	}
 }
