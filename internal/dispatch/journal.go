@@ -1,9 +1,11 @@
 package dispatch
 
 import (
+	"bytes"
 	"fmt"
 
 	"repro/internal/schedule"
+	"repro/internal/segjson"
 )
 
 // Journal is the durability hook a session writes its lifecycle to.
@@ -96,6 +98,93 @@ type Record struct {
 
 	// Events made durable by this record.
 	Events []Event `json:"events,omitempty"`
+
+	// segmentsJSON is Segments and committedJSON is Snapshot.Committed
+	// as the session encoded them when it committed them: objects
+	// without the array's brackets, one comma-separated piece per commit.
+	// AppendJSON copies them in instead of formatting the segments again.
+	segmentsJSON  []byte
+	committedJSON [][]byte
+}
+
+// Where AppendJSON splices a segment array, encoding/json writes the
+// fields after it as a value holding only them, minus the leading
+// always-encoded fields of the zero value.
+var (
+	recordZero   = segjson.ZeroPrefix(Record{})
+	snapshotZero = segjson.ZeroPrefix(Snapshot{})
+)
+
+// AppendJSON appends rec's JSON encoding to b: byte for byte what
+// json.Marshal(rec) returns, and an error where it fails. encoding/json
+// writes every field but a segment array the session encoded when it
+// committed it (a commit record's Segments, a create or checkpoint
+// record's Snapshot.Committed), which is copied in. So a checkpoint
+// formats only the segments committed since the previous one, not the
+// whole committed prefix again.
+//
+// The splices follow the field order of Record and Snapshot, which is
+// the log format: a field added to either must be added to the field
+// lists below too.
+func (rec *Record) AppendJSON(b []byte) ([]byte, error) {
+	switch {
+	case rec.Snapshot != nil && len(rec.committedJSON) > 0:
+		return rec.appendCheckpoint(b)
+	case len(rec.Segments) > 0 && rec.segmentsJSON != nil:
+		return rec.appendCommit(b)
+	}
+	return segjson.AppendJSON(b, rec, "", "")
+}
+
+// appendCommit writes the fields ahead of Segments, the spliced
+// segments, and the fields behind them.
+func (rec *Record) appendCommit(b []byte) ([]byte, error) {
+	head := Record{
+		Kind: rec.Kind, Clock: rec.Clock, Seq: rec.Seq, Realized: rec.Realized,
+		Replans: rec.Replans, Commits: rec.Commits, ShedCount: rec.ShedCount,
+		ArrivedAt: rec.ArrivedAt, Tasks: rec.Tasks,
+	}
+	b, err := segjson.AppendJSON(b, &head, "", "}")
+	if err != nil {
+		return b, err
+	}
+	b = append(b, `,"segments":[`...)
+	b = append(b, rec.segmentsJSON...)
+	b = append(b, ']')
+	tail := Record{
+		Deltas: rec.Deltas, ShedIDs: rec.ShedIDs, Count: rec.Count, Reason: rec.Reason,
+		Snapshot: rec.Snapshot, Events: rec.Events,
+	}
+	return segjson.AppendJSON(b, &tail, recordZero, "")
+}
+
+// appendCheckpoint writes the fields ahead of Snapshot, the snapshot
+// with its spliced committed prefix, and the record's events.
+func (rec *Record) appendCheckpoint(b []byte) ([]byte, error) {
+	head := *rec
+	head.Snapshot, head.Events = nil, nil
+	b, err := segjson.AppendJSON(b, &head, "", "}")
+	if err != nil {
+		return b, err
+	}
+	b = append(b, `,"snapshot":`...)
+	snap := *rec.Snapshot
+	snap.Committed, snap.Events = nil, nil
+	if b, err = segjson.AppendJSON(b, &snap, "", "null}"); err != nil {
+		return b, err
+	}
+	b = append(b, '[')
+	for i, piece := range rec.committedJSON {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, piece...)
+	}
+	b = append(b, ']')
+	if b, err = segjson.AppendJSON(b, &Snapshot{Events: rec.Snapshot.Events}, snapshotZero, ""); err != nil {
+		return b, err
+	}
+	return segjson.AppendJSON(b, &Record{Events: rec.Events}, recordZero, "")
 }
 
 // journalLocked stamps rec with the post-state counters and the
@@ -148,9 +237,60 @@ func (s *Session) journalLocked(rec *Record) {
 	default:
 		s.jrecords++
 		if s.cfg.CheckpointEvery > 0 && s.jrecords >= s.cfg.CheckpointEvery {
-			s.journalLocked(&Record{Kind: RecCheckpoint, Snapshot: s.snapshotLocked()})
+			s.checkpointLocked(RecCheckpoint)
 		}
 	}
+}
+
+// checkpointLocked journals a create or checkpoint record of the whole
+// session state. Its snapshot shares the committed prefix, which only
+// ever grows, instead of copying it, and the record carries the
+// prefix's encoded pieces. Call with mu held.
+func (s *Session) checkpointLocked(kind RecordKind) {
+	rec := &Record{Kind: kind, Snapshot: s.snapshotLocked()}
+	if s.cfg.Journal != nil && !s.jbroken && s.encodeCommittedLocked() {
+		rec.committedJSON = s.jsegs
+	}
+	s.journalLocked(rec)
+}
+
+// journalCommitLocked journals the commit of done, the segments
+// commitToLocked just appended to the committed prefix, with their
+// execution-state deltas. The segments are encoded here, once, as the
+// piece that this record and every later checkpoint splice. Call with
+// mu held.
+func (s *Session) journalCommitLocked(done []schedule.Segment, deltas []CommitDelta) {
+	rec := &Record{Kind: RecCommit, Segments: done, Deltas: deltas}
+	if len(done) > 0 && !s.jbroken && s.jcovered == len(s.committed)-len(done) && s.encodeCommittedLocked() {
+		rec.segmentsJSON = s.jsegs[len(s.jsegs)-1]
+	}
+	s.journalLocked(rec)
+}
+
+// maxJournalScratch keeps an outsized encoding (a restored session's
+// whole prefix) from staying pinned as a session's scratch.
+const maxJournalScratch = 16 << 10
+
+// encodeCommittedLocked encodes the committed segments that no piece
+// covers yet as one more piece, and reports whether the pieces cover
+// the whole committed prefix. A segment that does not encode (a
+// non-finite float, which encoding/json rejects too) leaves them short
+// for good, and the records go through encoding/json whole. Call with
+// mu held.
+func (s *Session) encodeCommittedLocked() bool {
+	if s.jcovered == len(s.committed) {
+		return true
+	}
+	b, err := segjson.Fields.AppendObjects(s.jscratch[:0], s.committed[s.jcovered:])
+	if cap(b) <= maxJournalScratch {
+		s.jscratch = b[:0]
+	}
+	if err != nil {
+		return false
+	}
+	s.jsegs = append(s.jsegs, bytes.Clone(b))
+	s.jcovered = len(s.committed)
+	return true
 }
 
 // publishBufferedLocked drains any events buffered for a journal append
@@ -184,7 +324,7 @@ func (s *Session) AttachJournal(j Journal) error {
 	if s.seq == 0 && len(s.tasks) == 0 {
 		kind = RecCreate
 	}
-	s.journalLocked(&Record{Kind: kind, Snapshot: s.snapshotLocked()})
+	s.checkpointLocked(kind)
 	if s.jbroken {
 		return fmt.Errorf("dispatch: journal attach failed")
 	}
@@ -203,7 +343,7 @@ func (s *Session) Checkpoint() error {
 	if s.jbroken {
 		return fmt.Errorf("dispatch: journal broken")
 	}
-	s.journalLocked(&Record{Kind: RecCheckpoint, Snapshot: s.snapshotLocked()})
+	s.checkpointLocked(RecCheckpoint)
 	if s.jbroken {
 		return fmt.Errorf("dispatch: journal broken")
 	}
@@ -221,7 +361,7 @@ func (s *Session) Seal(reason string) {
 		return
 	}
 	s.sealed = true
-	s.journalLocked(&Record{Kind: RecCheckpoint, Snapshot: s.snapshotLocked()})
+	s.checkpointLocked(RecCheckpoint)
 	s.journalLocked(&Record{Kind: RecFinish, Reason: reason})
 }
 

@@ -139,6 +139,12 @@ type Session struct {
 	jbroken  bool
 	jrecords int
 	sealed   bool
+	// jsegs holds committed[:jcovered] encoded for the journal, one
+	// piece per commit (see Record.AppendJSON); jscratch is the buffer a
+	// piece is formatted in before it is copied out at its exact size.
+	jsegs    [][]byte
+	jcovered int
+	jscratch []byte
 }
 
 // New creates a session. The zero virtual clock is 0; the first arrival
@@ -348,7 +354,7 @@ func (s *Session) flushLocked(ctx context.Context) error {
 		prevNow := s.now
 		done, deltas := s.commitToLocked(t1)
 		if s.cfg.Journal != nil && (len(done) > 0 || s.now > prevNow) {
-			s.journalLocked(&Record{Kind: RecCommit, Segments: done, Deltas: deltas})
+			s.journalCommitLocked(done, deltas)
 		}
 		// Pending tasks whose window closed inside the debounce gap can
 		// no longer run; shed them rather than poison the residual.
@@ -583,7 +589,7 @@ func (s *Session) Finish(ctx context.Context) (*FinalReport, error) {
 	prevNow := s.now
 	done, deltas := s.commitToLocked(horizon)
 	if s.cfg.Journal != nil && (len(done) > 0 || s.now > prevNow) {
-		s.journalLocked(&Record{Kind: RecCommit, Segments: done, Deltas: deltas})
+		s.journalCommitLocked(done, deltas)
 	}
 
 	f := &FinalReport{

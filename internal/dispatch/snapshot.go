@@ -57,10 +57,15 @@ func (s *Session) Snapshot(ctx context.Context) (*Snapshot, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.snapshotLocked(), nil
+	snap := s.snapshotLocked()
+	snap.Committed = append([]schedule.Segment(nil), snap.Committed...)
+	return snap, nil
 }
 
-// snapshotLocked copies the current state; call with mu held.
+// snapshotLocked copies the current state, except that Committed shares
+// the committed prefix; call with mu held. The prefix only ever grows,
+// so the shared slice never changes, but a snapshot that leaves the
+// session copies it.
 func (s *Session) snapshotLocked() *Snapshot {
 	snap := &Snapshot{
 		Algorithm: s.cfg.Algorithm,
@@ -73,7 +78,7 @@ func (s *Session) snapshotLocked() *Snapshot {
 		ShedCount: s.shedCount,
 		Seq:       s.seq,
 		Tasks:     make([]TaskState, len(s.tasks)),
-		Committed: append([]schedule.Segment(nil), s.committed...),
+		Committed: s.committed[:len(s.committed):len(s.committed)],
 	}
 	for i, lt := range s.tasks {
 		st := TaskState{

@@ -7,6 +7,9 @@
 //
 //	[4B payload length LE][4B CRC32C of payload][JSON-encoded Record]
 //
+// The payload is json.Marshal(rec) byte for byte; Record.AppendJSON
+// writes it without formatting a committed segment a second time.
+//
 // Segments rotate at Options.SegmentBytes. A create/checkpoint record
 // always starts a fresh segment and — once durable — deletes every
 // older segment: compaction is just "checkpoint, then drop the prefix",
@@ -27,7 +30,6 @@ package journal
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -56,6 +58,12 @@ const (
 
 	frameHeader = 8
 	segSuffix   = ".wal"
+	// A Store keeps up to keptFrames spare frame buffers of at most
+	// maxKeptFrame bytes each: enough that a checkpoint, the largest
+	// record a session writes, finds a buffer that already fits, while
+	// no number of sessions pins more than keptFrames·maxKeptFrame.
+	keptFrames   = 4
+	maxKeptFrame = 4 << 20
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -121,6 +129,9 @@ type Store struct {
 	writers map[string]*Writer
 	closed  bool
 
+	// frames holds spare buffers that Append frames records in.
+	frames chan []byte
+
 	stop chan struct{}
 	done chan struct{}
 }
@@ -144,6 +155,7 @@ func Open(dir string, opts Options) (*Store, error) {
 		dir:     dir,
 		opts:    opts,
 		writers: make(map[string]*Writer),
+		frames:  make(chan []byte, keptFrames),
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
 	}
@@ -397,17 +409,24 @@ func (w *Writer) Append(rec *dispatch.Record) error {
 	if w.broken != nil {
 		return w.broken
 	}
-	payload, err := json.Marshal(rec)
+	// The payload is encoded straight behind room for the header, in a
+	// spare buffer that goes back to the store once the frame is written.
+	var spare []byte
+	select {
+	case spare = <-w.st.frames:
+	default:
+	}
+	frame, err := rec.AppendJSON(append(spare, make([]byte, frameHeader)...))
+	defer w.st.keepFrame(frame)
 	if err != nil {
 		return fmt.Errorf("journal: %w", err)
 	}
+	payload := frame[frameHeader:]
 	if len(payload) > maxRecordBytes {
 		return fmt.Errorf("journal: record of %d bytes exceeds the %d-byte bound", len(payload), maxRecordBytes)
 	}
-	frame := make([]byte, frameHeader+len(payload))
 	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, castagnoli))
-	copy(frame[frameHeader:], payload)
 
 	if rec.Kind == dispatch.RecCreate || rec.Kind == dispatch.RecCheckpoint {
 		return w.checkpointLocked(frame)
@@ -429,6 +448,17 @@ func (w *Writer) Append(rec *dispatch.Record) error {
 		return w.syncNowLocked()
 	}
 	return nil
+}
+
+// keepFrame offers a written frame's buffer for reuse.
+func (st *Store) keepFrame(frame []byte) {
+	if cap(frame) > maxKeptFrame {
+		return
+	}
+	select {
+	case st.frames <- frame[:0]:
+	default:
+	}
 }
 
 // writeFrameLocked writes one frame, threading the disk-fault seams. A

@@ -1,10 +1,14 @@
 package journal
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -649,4 +653,142 @@ func FuzzJournalReplay(f *testing.F) {
 			t.Fatalf("recovered prefix finished with violations: %v", fr.Violations)
 		}
 	})
+}
+
+// marshalJournal records json.Marshal of every record on its way to the
+// writer: the bytes the log must hold.
+type marshalJournal struct {
+	w    *Writer
+	want [][]byte
+}
+
+func (j *marshalJournal) Append(rec *dispatch.Record) error {
+	b, err := json.Marshal(rec)
+	if err != nil {
+		return err
+	}
+	j.want = append(j.want, b)
+	return j.w.Append(rec)
+}
+
+// requireFramesMatch checks that the frames on disk for session id are
+// the last records j saw, byte for byte: compaction dropped the ones
+// before the last checkpoint.
+func requireFramesMatch(t *testing.T, st *Store, id string, j *marshalJournal) {
+	t.Helper()
+	dir, _ := st.SessionDir(id)
+	segs, err := listSegments(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got [][]byte
+	for _, seg := range segs {
+		buf, err := os.ReadFile(seg.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, tail, err := scanFrames(buf, func(p []byte) error {
+			got = append(got, bytes.Clone(p))
+			return nil
+		}); tail != tailClean || err != nil {
+			t.Fatalf("%s: tail %v, %v", seg.path, tail, err)
+		}
+	}
+	if len(got) == 0 || len(got) > len(j.want) {
+		t.Fatalf("%s: %d frames on disk for %d records", id, len(got), len(j.want))
+	}
+	want := j.want[len(j.want)-len(got):]
+	for i := range got {
+		if !bytes.Equal(got[i], want[i]) {
+			t.Fatalf("%s: frame %d of %d differs from json.Marshal:\ngot  %.300s\nwant %.300s", id, i, len(got), got[i], want[i])
+		}
+	}
+}
+
+// driveFrames runs a journaled session of n batches through j with a
+// checkpoint every 10 records, and seals it.
+func driveFrames(t *testing.T, j *marshalJournal, n int) *dispatch.Snapshot {
+	ctx := context.Background()
+	s, err := dispatch.New(dispatch.Config{Cores: 3, Model: testModel(), SkipRatio: true, Journal: j, CheckpointEvery: 10})
+	if err != nil {
+		t.Error(err)
+		return nil
+	}
+	defer s.Close()
+	for i := 0; i < n; i++ {
+		at := float64(i) * 0.7
+		batch := task.Set{{Release: at, Work: 0.5 + 0.1*float64(i%4), Deadline: at + 2.5}, {Release: at, Work: 0.3, Deadline: at + 1e-7 + 4}}
+		if _, _, err := s.Arrive(ctx, at, batch); err != nil {
+			t.Error(err)
+			return nil
+		}
+	}
+	snap, err := s.Snapshot(ctx)
+	if err != nil {
+		t.Error(err)
+		return nil
+	}
+	s.Seal("evicted")
+	return snap
+}
+
+// Every frame on disk holds json.Marshal of its record, byte for byte,
+// across rotation, compaction and a restored session's log, although
+// Append frames records in buffers the store reuses and the session
+// splices the committed segments.
+func TestFramesMatchJSON(t *testing.T) {
+	st := openStore(t, Options{Fsync: FsyncNever, SegmentBytes: 4 << 10})
+	w1, err := st.Writer("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	j1 := &marshalJournal{w: w1}
+	snap := driveFrames(t, j1, 40)
+	if t.Failed() {
+		t.FailNow()
+	}
+	requireFramesMatch(t, st, "a", j1)
+
+	w2, err := st.Writer("b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	j2 := &marshalJournal{w: w2}
+	ctx := context.Background()
+	r, err := dispatch.Restore(ctx, snap, dispatch.Config{SkipRatio: true, Journal: j2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Finish(ctx); err != nil {
+		t.Fatal(err)
+	}
+	r.Close()
+	requireFramesMatch(t, st, "b", j2)
+	if len(j1.want) < 50 || len(j2.want) < 2 {
+		t.Fatalf("records: %d and %d", len(j1.want), len(j2.want))
+	}
+}
+
+// Sessions appending at once share the store's spare frame buffers; each
+// log still holds exactly its own records.
+func TestConcurrentWritersMatchJSON(t *testing.T) {
+	st := openStore(t, Options{Fsync: FsyncNever})
+	js := make([]*marshalJournal, 2*keptFrames)
+	var wg sync.WaitGroup
+	for i := range js {
+		w, err := st.Writer(fmt.Sprintf("c%d", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		js[i] = &marshalJournal{w: w}
+		wg.Add(1)
+		go func(j *marshalJournal, n int) {
+			defer wg.Done()
+			driveFrames(t, j, n)
+		}(js[i], 20+5*i)
+	}
+	wg.Wait()
+	for i, j := range js {
+		requireFramesMatch(t, st, fmt.Sprintf("c%d", i), j)
+	}
 }

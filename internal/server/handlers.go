@@ -110,15 +110,17 @@ type solveResult struct {
 }
 
 // runSolve executes a registered scheduler under ctx through
-// check.Entry.RunAudited, which contains solver panics (real or
-// injected) as errors matching easched.ErrSolverPanic and rejects any
-// schedule the universal validator does not accept with an error
-// matching easched.ErrInvalidSchedule. Runners observe ctx and abort
+// check.Entry.RunAudited, or RunVerified when the caller serves no
+// execution profile (profile false: a session re-plan), which contain
+// solver panics (real or injected) as errors matching
+// easched.ErrSolverPanic and reject any schedule the universal
+// validator does not accept with an error matching
+// easched.ErrInvalidSchedule. Runners observe ctx and abort
 // between solver passes, so a canceled request frees its worker slot
 // promptly instead of holding it until convergence; the select below
 // additionally unblocks the handler immediately, and the slot is
 // released only when the solver goroutine actually returns.
-func runSolve(ctx context.Context, in *fault.Injector, e check.Entry, ts task.Set, m int, pm power.Model, done func()) solveResult {
+func runSolve(ctx context.Context, in *fault.Injector, e check.Entry, ts task.Set, m int, pm power.Model, profile bool, done func()) solveResult {
 	if in != nil {
 		run := e.Run
 		e.Run = func(ctx context.Context, ts task.Set, m int, pm power.Model) (*schedule.Schedule, float64, error) {
@@ -131,8 +133,13 @@ func runSolve(ctx context.Context, in *fault.Injector, e check.Entry, ts task.Se
 	ch := make(chan solveResult, 1)
 	go func() {
 		defer done()
-		s, energy, profile, err := e.RunAudited(ctx, ts, m, pm)
-		ch <- solveResult{sched: s, energy: energy, profile: profile, err: err}
+		var res solveResult
+		if profile {
+			res.sched, res.energy, res.profile, res.err = e.RunAudited(ctx, ts, m, pm)
+		} else {
+			res.sched, res.energy, res.err = e.RunVerified(ctx, ts, m, pm)
+		}
+		ch <- res
 	}()
 	select {
 	case res := <-ch:
@@ -144,8 +151,9 @@ func runSolve(ctx context.Context, in *fault.Injector, e check.Entry, ts task.Se
 
 // attempt pushes one (algorithm, instance) solve through admission,
 // the per-attempt timeout, and the validator guardrail, and reports the
-// outcome with its HTTP-style status.
-func (s *Server) attempt(reqCtx context.Context, entry check.Entry, req *wire.ScheduleRequest, pm power.Model) (solveResult, int) {
+// outcome with its HTTP-style status. profile asks for the execution
+// profile, which only a one-shot reply serves.
+func (s *Server) attempt(reqCtx context.Context, entry check.Entry, req *wire.ScheduleRequest, pm power.Model, profile bool) (solveResult, int) {
 	s.metrics.queueDepth.Observe(float64(s.gate.depth()))
 	ctx := reqCtx
 	if s.cfg.SolveTimeout > 0 {
@@ -166,7 +174,7 @@ func (s *Server) attempt(reqCtx context.Context, entry check.Entry, req *wire.Sc
 	// The slot is released by the solve goroutine itself (see runSolve),
 	// so an abandoned solve keeps its worker until it actually returns.
 	s.metrics.solves.Add(1)
-	res := runSolve(ctx, s.faults(), entry, req.Tasks, req.Cores, pm, s.gate.release)
+	res := runSolve(ctx, s.faults(), entry, req.Tasks, req.Cores, pm, profile, s.gate.release)
 	// The validator_reject fault point simulates a guardrail rejection of
 	// a good schedule, exercising the same degradation path.
 	if res.err == nil && s.faults().Should(fault.ValidatorReject) {
@@ -195,8 +203,9 @@ func (s *Server) attempt(reqCtx context.Context, entry check.Entry, req *wire.Sc
 // guardedSolve is one solve attempt behind the algorithm's circuit
 // breaker: a denial is a 503 wrapping errBreakerOpen, and the attempt's
 // outcome is recorded on the breaker. The one-shot primary attempt, its
-// fallback and every session re-plan go through here.
-func (s *Server) guardedSolve(ctx context.Context, entry check.Entry, req *wire.ScheduleRequest, pm power.Model) (solveResult, int) {
+// fallback (both with profile set) and every session re-plan (without)
+// go through here.
+func (s *Server) guardedSolve(ctx context.Context, entry check.Entry, req *wire.ScheduleRequest, pm power.Model, profile bool) (solveResult, int) {
 	br := s.breakers.Get(entry.Name)
 	ok, probe := br.Admit()
 	if !ok {
@@ -204,7 +213,7 @@ func (s *Server) guardedSolve(ctx context.Context, entry check.Entry, req *wire.
 		return solveResult{err: fmt.Errorf("%w for algorithm %q", errBreakerOpen, entry.Name)},
 			http.StatusServiceUnavailable
 	}
-	res, status := s.attempt(ctx, entry, req, pm)
+	res, status := s.attempt(ctx, entry, req, pm, profile)
 	switch {
 	case res.err == nil:
 		br.Success()
@@ -281,7 +290,7 @@ func (s *Server) solveOne(reqCtx context.Context, req *wire.ScheduleRequest) (*w
 	}
 	s.metrics.cacheMisses.Add(1)
 
-	res, primaryStatus := s.guardedSolve(reqCtx, entry, req, pm)
+	res, primaryStatus := s.guardedSolve(reqCtx, entry, req, pm, true)
 	primaryErr := res.err
 	if primaryErr == nil {
 		enc, err := encodeResponse(req, res, "")
@@ -304,7 +313,7 @@ func (s *Server) solveOne(reqCtx context.Context, req *wire.ScheduleRequest) (*w
 	if fb == nil {
 		return nil, nil, primaryStatus, primaryErr
 	}
-	res, _ = s.guardedSolve(reqCtx, *fb, req, pm)
+	res, _ = s.guardedSolve(reqCtx, *fb, req, pm, true)
 	if err := res.err; err != nil {
 		s.metrics.fallbackFailures.Add(1)
 		if errors.Is(err, errBreakerOpen) {

@@ -171,3 +171,31 @@ func TestProfileEdgeCases(t *testing.T) {
 		requireSameProfile(t, c.name, s, res.Profile, pm)
 	}
 }
+
+// Only the one-shot path, which serves it, derives the execution
+// profile: runSolve without profile (a session re-plan) returns the
+// same verified schedule and energy with an empty one.
+func TestRunSolveProfileOnlyWhenAsked(t *testing.T) {
+	ts, err := task.Generate(rand.New(rand.NewSource(3)), task.PaperDefaults(20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, ok := check.Lookup("S^F2")
+	if !ok {
+		t.Fatal("S^F2 is not registered")
+	}
+	pm := power.Unit(3, 0.05)
+	ctx := context.Background()
+	with := runSolve(ctx, nil, e, ts, 4, pm, true, func() {})
+	without := runSolve(ctx, nil, e, ts, 4, pm, false, func() {})
+	if with.err != nil || without.err != nil {
+		t.Fatal(with.err, without.err)
+	}
+	if with.profile.CoreBusy == nil || without.profile.CoreBusy != nil {
+		t.Fatalf("profile derived: %v with, %v without", with.profile.CoreBusy != nil, without.profile.CoreBusy != nil)
+	}
+	if with.energy != without.energy || len(with.sched.Segments) != len(without.sched.Segments) {
+		t.Fatalf("energy %v vs %v, %d vs %d segments", with.energy, without.energy, len(with.sched.Segments), len(without.sched.Segments))
+	}
+	requireSameProfile(t, "S^F2", with.sched, with.profile, pm)
+}

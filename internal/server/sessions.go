@@ -22,7 +22,8 @@ import (
 // points, validator guardrail, and per-algorithm circuit breaker as a
 // one-shot POST /v1/schedule. There is no fallback chain here — a
 // failed residual solve is the session's to retry or shed, and swapping
-// policies mid-session would corrupt its energy accounting.
+// policies mid-session would corrupt its energy accounting. A session
+// serves no execution profile, so its audit derives none.
 func (s *Server) sessionSolve(algorithm string) (dispatch.SolveFunc, error) {
 	entry, ok := check.Lookup(algorithm)
 	if !ok {
@@ -30,7 +31,7 @@ func (s *Server) sessionSolve(algorithm string) (dispatch.SolveFunc, error) {
 	}
 	return func(ctx context.Context, ts task.Set, m int, pm power.Model) (*schedule.Schedule, float64, error) {
 		req := &wire.ScheduleRequest{Algorithm: algorithm, Cores: m, Tasks: ts}
-		res, _ := s.guardedSolve(ctx, entry, req, pm)
+		res, _ := s.guardedSolve(ctx, entry, req, pm, false)
 		return res.sched, res.energy, res.err
 	}, nil
 }
@@ -311,10 +312,22 @@ func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
 		Tasks:            f.Tasks,
 		Sim:              wire.SimReport(f.Sim),
 	}
+	var segs []schedule.Segment // no schedule: null
 	if f.Schedule != nil {
-		resp.Segments = wire.Segments(f.Schedule)
+		// A schedule's segments are an array, [] when there are none.
+		if segs = f.Schedule.Segments; segs == nil {
+			segs = []schedule.Segment{}
+		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	body, err := wire.EncodeSessionFinal(&resp, segs)
+	if err != nil {
+		wire.WriteError(w, http.StatusInternalServerError, wire.CodeInternal, "encode final report: %v", err)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(body)
+	_, _ = w.Write([]byte("\n")) // as json.Encoder ends a body
 }
 
 // handleSessionEvents serves GET /v1/sessions/{id}/events as a

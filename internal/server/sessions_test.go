@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -257,6 +258,33 @@ func TestSessionLifecycleHTTP(t *testing.T) {
 		t.Fatalf("arrival after delete = %d, want 404", resp.StatusCode)
 	}
 	_ = srv
+}
+
+// A session finished before any arrival still answers its DELETE with
+// a segment array, empty, in a JSON body ending in a newline, as
+// encoding/json writes an empty slice.
+func TestSessionDeleteBeforeArrivals(t *testing.T) {
+	_, hs := newTestServer(t, Config{})
+	created := createSession(t, hs.URL, wire.SessionCreateRequest{Cores: 2, Model: wire.ModelJSON{Alpha: 3, P0: 0.05}})
+	req, err := http.NewRequest(http.MethodDelete, hs.URL+"/v1/sessions/"+created.ID, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Type") != "application/json" {
+		t.Fatalf("status %d, content type %q: %s", resp.StatusCode, resp.Header.Get("Content-Type"), body)
+	}
+	if !bytes.HasSuffix(body, []byte(`"tasks":[],"segments":[]}`+"\n")) {
+		t.Fatalf("final reply: %s", body)
+	}
 }
 
 // TestSessionBacklogShedding checks the load-shedding contract: a batch

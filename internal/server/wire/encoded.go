@@ -8,6 +8,7 @@ import (
 	"strconv"
 
 	"repro/internal/schedule"
+	"repro/internal/segjson"
 )
 
 // EncodedSchedule is a ScheduleResponse encoded once and served many
@@ -40,7 +41,7 @@ const (
 //
 // Every field but the segment array goes through encoding/json, which
 // owns string escaping. The array, almost all of the body, is appended
-// directly, formatting each distinct float once (see segEncoder).
+// directly, formatting each distinct float once (see segjson.Encoder).
 func EncodeSchedule(r *ScheduleResponse, segs []schedule.Segment) (*EncodedSchedule, error) {
 	v := *r
 	v.Cached, v.Segments, v.ElapsedMS = false, nil, 0
@@ -58,15 +59,15 @@ func EncodeSchedule(r *ScheduleResponse, segs []schedule.Segment) (*EncodedSched
 	}
 	head, tail := frame[:at+len(frameHead)], frame[at+len(frameHead+"null"):]
 
-	se := segEncoders.Get().(*segEncoder)
-	defer se.release(len(segs))
-	n, err := se.measure(segs)
+	se := segjson.NewEncoder(segjson.Wire)
+	defer se.Release()
+	n, err := se.Measure(segs)
 	if err != nil {
 		return nil, err
 	}
 	body := make([]byte, 0, len(head)+n+len(tail))
 	body = append(body, head...)
-	body = se.appendArray(body, segs)
+	body = se.AppendArray(body, segs)
 	body = append(body, tail...)
 	c := at + len(cachedField)
 	e := len(head) + n + len(`,`+elapsedField)
@@ -91,6 +92,39 @@ func (e *EncodedSchedule) Parts(cached bool, elapsedMS float64) (net.Buffers, er
 		e.Body[e.cachedAt+len("false") : e.elapsedAt], ms,
 		e.Body[e.elapsedAt+len("0"):],
 	}, nil
+}
+
+// sessionFinalZero is what the always-written fields of a zero
+// SessionFinalResponse encode to, up to the fields after Segments.
+var sessionFinalZero = segjson.ZeroPrefix(SessionFinalResponse{})
+
+// EncodeSessionFinal encodes r with segs in place of r.Segments (which
+// is not read): byte for byte what json.Marshal writes for r with
+// Segments set to the SegmentJSON form of segs, a nil segs encoding as
+// null. encoding/json writes every other field; the segment array, most
+// of the body, is appended directly as in EncodeSchedule. The body is
+// allocated once, at its exact size.
+func EncodeSessionFinal(r *SessionFinalResponse, segs []schedule.Segment) ([]byte, error) {
+	head := *r
+	head.Segments, head.Sim = nil, nil
+	hb, err := segjson.AppendJSON(nil, &head, "", "null}")
+	if err != nil {
+		return nil, err
+	}
+	tb, err := segjson.AppendJSON(nil, &SessionFinalResponse{Sim: r.Sim}, sessionFinalZero, "")
+	if err != nil {
+		return nil, err
+	}
+	se := segjson.NewEncoder(segjson.Wire)
+	defer se.Release()
+	n, err := se.Measure(segs)
+	if err != nil {
+		return nil, err
+	}
+	body := make([]byte, 0, len(hb)+n+len(tb))
+	body = append(body, hb...)
+	body = se.AppendArray(body, segs)
+	return append(body, tb...), nil
 }
 
 // EncodedBatchItem is one item for EncodeBatch: the spliced Parts of

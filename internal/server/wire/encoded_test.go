@@ -231,3 +231,57 @@ func TestIndexMissingLiteral(t *testing.T) {
 		t.Fatal("a missing literal was found")
 	}
 }
+
+// The DELETE /v1/sessions/{id} body equals json.Marshal's output for
+// the equivalent SessionFinalResponse on nil, empty and edge-valued
+// segment arrays, with and without the sim report; a non-finite value
+// anywhere is an error.
+func TestEncodeSessionFinalMatchesJSON(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	cases := []struct {
+		name string
+		segs []schedule.Segment
+	}{
+		{"nil", nil},
+		{"empty", []schedule.Segment{}},
+		{"-0", []schedule.Segment{{Task: 0, Core: 0, Start: negZero, End: 0.5, Frequency: 1}}},
+		{"1e-7", []schedule.Segment{{Task: 1, Core: 2, Start: 1e-7, End: 2e-7, Frequency: 1e-7}}},
+		{"1e21", []schedule.Segment{{Task: 2, Core: 1, Start: 1e20, End: 1e21, Frequency: 1e21}, {Task: 0, Core: 0, Start: 0, End: 1, Frequency: 0.999999}}},
+	}
+	for _, tc := range cases {
+		for _, sim := range []*SimReportJSON{nil, {Energy: 1.5, Preemptions: 2, Violations: []string{`<a href="&">`}}} {
+			resp := SessionFinalResponse{
+				Version: Version, ID: "s-1", Algorithm: `Replan"DER"`, Cores: 4,
+				RealizedEnergy: 12.5, CompetitiveRatio: 1.25, OptError: "skipped < >",
+				Replans: 3, Commits: 2, Completed: 2, Shed: 1, Missed: []int{4}, Horizon: 1e21,
+				Violations: []string{"v&1"}, Tasks: task.Set{{ID: 0, Release: 0, Work: 1, Deadline: 2}},
+				Sim: sim,
+			}
+			got, err := EncodeSessionFinal(&resp, tc.segs)
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			resp.Segments = segmentsJSON(tc.segs)
+			want, err := json.Marshal(resp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("%s (sim %v):\ngot  %s\nwant %s", tc.name, sim != nil, got, want)
+			}
+			if len(got) != cap(got) {
+				t.Errorf("%s: body len %d, cap %d: not sized exactly", tc.name, len(got), cap(got))
+			}
+		}
+	}
+	bad := []schedule.Segment{{Start: 0, End: 1, Frequency: math.NaN()}}
+	if _, err := EncodeSessionFinal(&SessionFinalResponse{}, bad); err == nil {
+		t.Error("a NaN segment frequency was encoded")
+	}
+	if _, err := EncodeSessionFinal(&SessionFinalResponse{Horizon: math.Inf(1)}, nil); err == nil {
+		t.Error("an infinite horizon was encoded")
+	}
+	if _, err := EncodeSessionFinal(&SessionFinalResponse{Sim: &SimReportJSON{Energy: math.NaN()}}, nil); err == nil {
+		t.Error("a NaN sim energy was encoded")
+	}
+}

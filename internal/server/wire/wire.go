@@ -276,7 +276,9 @@ type SessionScheduleResponse struct {
 // session is run to its horizon, accounted against the clairvoyant
 // offline optimum, and torn down. Tasks and Segments carry the full
 // effective instance and realized schedule so clients can re-validate
-// out-of-band.
+// out-of-band. schedd encodes it with EncodeSessionFinal, which splices
+// the segment array in: Segments must stay the field before Sim, the
+// last one.
 type SessionFinalResponse struct {
 	Version          int            `json:"version,omitempty"`
 	ID               string         `json:"id"`
