@@ -36,16 +36,17 @@ import (
 
 func main() {
 	fs := cliflag.New("energysim")
+	def := experiments.Defaults()
 	var (
 		list    = fs.Bool("list", false, "list available experiments and exit")
 		exp     = fs.String("exp", "", "experiment ID to run (see -list)")
 		all     = fs.Bool("all", false, "run every registered experiment")
-		reps    = fs.Int("reps", 100, "replications per sweep point")
-		seed    = fs.Int64("seed", 20140901, "base RNG seed")
-		workers = fs.Int("workers", 0, "parallel replications (0 = GOMAXPROCS)")
+		reps    = fs.Int("reps", def.Replications, "replications per sweep point")
+		seed    = fs.Int64("seed", def.Seed, "base RNG seed")
+		workers = fs.Int("workers", def.Workers, "parallel replications (0 = GOMAXPROCS)")
 		quick   = fs.Bool("quick", false, "fast mode: 10 replications, looser optimal solver")
-		optIter = fs.Int("opt-iters", 3000, "Frank-Wolfe iteration cap for the optimal solver")
-		optGap  = fs.Float64("opt-gap", 1e-5, "relative duality-gap target for the optimal solver")
+		optIter = fs.Int("opt-iters", def.Opt.MaxIterations, "Frank-Wolfe iteration cap for the optimal solver")
+		optGap  = fs.Float64("opt-gap", def.Opt.RelGap, "relative duality-gap target for the optimal solver")
 		doPlot  = fs.Bool("plot", false, "render an ASCII line chart under each table")
 		csvDir  = fs.String("csv", "", "directory to write per-experiment CSV files into")
 		mdFile  = fs.String("md", "", "append a Markdown section per experiment to this file")

@@ -28,7 +28,7 @@ func sectionVDSpec(t *testing.T) easched.Spec {
 // and errors.Is(ErrSolverPanic).
 func TestSolveRecoversInjectedPanic(t *testing.T) {
 	fault.Enable(fault.New(fault.Plan{Rates: map[fault.Point]float64{fault.SolverPanic: 1}, Seed: 1}))
-	defer fault.Disable()
+	defer fault.Enable(nil)
 
 	rep, err := easched.Solve(context.Background(), sectionVDSpec(t))
 	if rep != nil {
@@ -47,7 +47,7 @@ func TestSolveRecoversInjectedPanic(t *testing.T) {
 // panicking: the pool must complete and report per-item typed errors.
 func TestSolveBatchSurvivesInjectedPanics(t *testing.T) {
 	fault.Enable(fault.New(fault.Plan{Rates: map[fault.Point]float64{fault.SolverPanic: 1}, Seed: 2}))
-	defer fault.Disable()
+	defer fault.Enable(nil)
 
 	specs := make([]easched.Spec, 8)
 	for i := range specs {
@@ -72,7 +72,7 @@ func TestSolveClassifiesDeadline(t *testing.T) {
 		Delay: 50 * time.Millisecond,
 		Seed:  3,
 	}))
-	defer fault.Disable()
+	defer fault.Enable(nil)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
@@ -103,7 +103,7 @@ func TestSolveClassifiesInfeasible(t *testing.T) {
 // a typed fault error, not a panic or silence.
 func TestSolveClassifiesAllocError(t *testing.T) {
 	fault.Enable(fault.New(fault.Plan{Rates: map[fault.Point]float64{fault.AllocError: 1}, Seed: 4}))
-	defer fault.Disable()
+	defer fault.Enable(nil)
 
 	_, err := easched.Solve(context.Background(), sectionVDSpec(t))
 	var fe *fault.Error

@@ -107,13 +107,6 @@ func (b *Breaker) Admit() (ok, probe bool) {
 	return true, false
 }
 
-// Allow is Admit without the probe token, for callers that settle every
-// outcome unconditionally.
-func (b *Breaker) Allow() bool {
-	ok, _ := b.Admit()
-	return ok
-}
-
 // Success records a completed, healthy outcome and closes the breaker.
 func (b *Breaker) Success() {
 	if b == nil {

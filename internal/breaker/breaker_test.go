@@ -16,7 +16,7 @@ func TestBreakerOpensAtThreshold(t *testing.T) {
 	b := New(3, time.Second, 8*time.Second, clk.now)
 
 	for i := 0; i < 2; i++ {
-		if !b.Allow() {
+		if ok, _ := b.Admit(); !ok {
 			t.Fatalf("closed breaker denied request %d", i)
 		}
 		b.Failure()
@@ -24,12 +24,12 @@ func TestBreakerOpensAtThreshold(t *testing.T) {
 	if st := b.Stat("x"); st.State != Closed {
 		t.Fatalf("state after 2 failures = %v, want closed", st.State)
 	}
-	b.Allow()
+	b.Admit()
 	b.Failure() // third consecutive failure: opens
 	if st := b.Stat("x"); st.State != Open || st.Opened != 1 {
 		t.Fatalf("state after threshold = %v (opened=%d), want open once", st.State, st.Opened)
 	}
-	if b.Allow() {
+	if ok, _ := b.Admit(); ok {
 		t.Fatal("open breaker admitted a request before cooldown")
 	}
 }
@@ -37,11 +37,11 @@ func TestBreakerOpensAtThreshold(t *testing.T) {
 func TestBreakerSuccessResetsConsecutive(t *testing.T) {
 	clk := &fakeClock{t: time.Unix(0, 0)}
 	b := New(2, time.Second, 8*time.Second, clk.now)
-	b.Allow()
+	b.Admit()
 	b.Failure()
-	b.Allow()
+	b.Admit()
 	b.Success() // streak broken
-	b.Allow()
+	b.Admit()
 	b.Failure() // only 1 consecutive again
 	if st := b.Stat("x"); st.State != Closed {
 		t.Fatalf("state = %v, want closed (success should reset the streak)", st.State)
@@ -51,21 +51,21 @@ func TestBreakerSuccessResetsConsecutive(t *testing.T) {
 func TestBreakerHalfOpenProbeAndExponentialCooldown(t *testing.T) {
 	clk := &fakeClock{t: time.Unix(0, 0)}
 	b := New(1, time.Second, 3*time.Second, clk.now)
-	b.Allow()
+	b.Admit()
 	b.Failure() // threshold 1: opens with 1s cooldown
 
-	if b.Allow() {
+	if ok, _ := b.Admit(); ok {
 		t.Fatal("admitted during cooldown")
 	}
 	clk.advance(time.Second)
-	if !b.Allow() {
+	if ok, _ := b.Admit(); !ok {
 		t.Fatal("half-open probe not admitted after cooldown")
 	}
 	if st := b.Stat("x"); st.State != HalfOpen || st.HalfOpened != 1 {
 		t.Fatalf("state = %v (halfOpened=%d), want half-open once", st.State, st.HalfOpened)
 	}
 	// Only one probe at a time.
-	if b.Allow() {
+	if ok, _ := b.Admit(); ok {
 		t.Fatal("second concurrent probe admitted in half-open")
 	}
 	b.Failure() // probe failed: reopen with doubled cooldown (2s)
@@ -73,16 +73,16 @@ func TestBreakerHalfOpenProbeAndExponentialCooldown(t *testing.T) {
 		t.Fatalf("state = %v (opened=%d), want reopened", st.State, st.Opened)
 	}
 	clk.advance(time.Second)
-	if b.Allow() {
+	if ok, _ := b.Admit(); ok {
 		t.Fatal("admitted after 1s; cooldown should have doubled to 2s")
 	}
 	clk.advance(time.Second)
-	if !b.Allow() {
+	if ok, _ := b.Admit(); !ok {
 		t.Fatal("probe not admitted after doubled cooldown")
 	}
 	b.Failure() // doubles to 4s but caps at maxCooldown=3s
 	clk.advance(3 * time.Second)
-	if !b.Allow() {
+	if ok, _ := b.Admit(); !ok {
 		t.Fatal("probe not admitted after capped cooldown")
 	}
 	b.Success()
@@ -90,10 +90,10 @@ func TestBreakerHalfOpenProbeAndExponentialCooldown(t *testing.T) {
 		t.Fatalf("state = %v (closed=%d), want closed after successful probe", st.State, st.Closed)
 	}
 	// And a fresh failure streak starts from the base cooldown again.
-	b.Allow()
+	b.Admit()
 	b.Failure()
 	clk.advance(time.Second)
-	if !b.Allow() {
+	if ok, _ := b.Admit(); !ok {
 		t.Fatal("cooldown did not reset to base after close")
 	}
 }
@@ -105,7 +105,7 @@ func TestBreakerHalfOpenProbeAndExponentialCooldown(t *testing.T) {
 func TestBreakerProbeAbortReleasesSlot(t *testing.T) {
 	clk := &fakeClock{t: time.Unix(0, 0)}
 	b := New(1, time.Second, 8*time.Second, clk.now)
-	b.Allow()
+	b.Admit()
 	b.Failure() // threshold 1: opens with 1s cooldown
 	clk.advance(time.Second)
 	ok, probe := b.Admit()
@@ -145,7 +145,7 @@ func TestBreakerStatReportsElapsedOpenAsHalfOpen(t *testing.T) {
 	clk := &fakeClock{t: time.Unix(0, 0)}
 	s := NewSet(1, time.Second, 8*time.Second, clk.now)
 	b := s.Get("only")
-	b.Allow()
+	b.Admit()
 	b.Failure()
 	if st := b.Stat("only"); st.State != Open {
 		t.Fatalf("state during cooldown = %v, want open", st.State)
@@ -186,12 +186,12 @@ func TestBreakerSetDisabledAndAllOpen(t *testing.T) {
 		t.Fatal("empty set reported AllOpen")
 	}
 	a, b := s.Get("A"), s.Get("B")
-	a.Allow()
+	a.Admit()
 	a.Failure()
 	if s.AllOpen() {
 		t.Fatal("AllOpen with one closed breaker")
 	}
-	b.Allow()
+	b.Admit()
 	b.Failure()
 	if !s.AllOpen() {
 		t.Fatal("AllOpen false with every breaker open")

@@ -72,11 +72,6 @@ func (s *Set) Duration(name string, value time.Duration, usage string) *time.Dur
 	return s.fs.Duration(name, value, usage)
 }
 
-// Var registers a custom flag.Value.
-func (s *Set) Var(v flag.Value, name, usage string) {
-	s.fs.Var(v, name, usage)
-}
-
 // Usage prints the flag surface, sorted by name.
 func (s *Set) Usage() {
 	fmt.Fprintf(s.Output, "usage: %s [flags]\n", s.name)
@@ -106,9 +101,6 @@ func (s *Set) Parse(args []string) {
 	s.Usage()
 	s.Exit(2)
 }
-
-// Args returns the non-flag arguments.
-func (s *Set) Args() []string { return s.fs.Args() }
 
 // Visit calls fn with the name of each flag set on the command line.
 func (s *Set) Visit(fn func(name string)) {

@@ -79,12 +79,3 @@ func TestVisitReportsCanonicalNames(t *testing.T) {
 		t.Fatalf("Visit reported %v, want the set flags [o seed]", got)
 	}
 }
-
-func TestPositionalArgs(t *testing.T) {
-	s, _, _ := newTestSet(t)
-	s.Bool("v", false, "verbose")
-	s.Parse([]string{"-v", "a", "b"})
-	if got := s.Args(); len(got) != 2 || got[0] != "a" || got[1] != "b" {
-		t.Fatalf("Args() = %v", got)
-	}
-}

@@ -24,8 +24,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/breaker"
 )
 
 // Config parameterizes the router. The zero value of every field is
@@ -291,13 +289,4 @@ func newID() string {
 		panic("cluster: rand: " + err.Error())
 	}
 	return hex.EncodeToString(b[:])
-}
-
-// breakerStats snapshots every backend breaker (metrics endpoint).
-func (rt *Router) breakerStats() []breaker.Stat {
-	out := make([]breaker.Stat, 0, len(rt.backends))
-	for _, b := range rt.backends {
-		out = append(out, b.br.Stat(b.name))
-	}
-	return out
 }

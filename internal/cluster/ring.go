@@ -26,20 +26,3 @@ func rank(id string, candidates []*backend) []*backend {
 	}
 	return out
 }
-
-// place returns the rendezvous owner of id among candidates (nil when
-// the candidate set is empty).
-func place(id string, candidates []*backend) *backend {
-	var best *backend
-	var bestScore uint64
-	for _, b := range candidates {
-		h := fnv.New64a()
-		h.Write([]byte(id))
-		h.Write([]byte{'|'})
-		h.Write([]byte(b.name))
-		if s := h.Sum64(); best == nil || s > bestScore {
-			best, bestScore = b, s
-		}
-	}
-	return best
-}

@@ -16,6 +16,7 @@ import (
 	"repro/internal/online" // registers ReplanDER
 	"repro/internal/power"
 	"repro/internal/schedule"
+	"repro/internal/sim"
 	"repro/internal/task"
 )
 
@@ -146,6 +147,52 @@ func TestSessionLifecycle(t *testing.T) {
 // both sides enumerate each residual identically — the DER pipeline's
 // tie-breaking is order-sensitive, and a permuted residual realizes a
 // different (equally valid) prefix.
+// Finish takes the final report's execution profile from its audit;
+// sim.Run, the independent simulator, must agree with it bit for bit
+// on realized session schedules.
+func TestFinishProfileMatchesSim(t *testing.T) {
+	ctx := context.Background()
+	for _, m := range []int{1, 4, 16} {
+		for seed := int64(1); seed <= 4; seed++ {
+			cfg := testConfig()
+			cfg.Cores = m
+			s, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			driveDiff(t, s, rand.New(rand.NewSource(seed)), 10*m, 0)
+			f, err := s.Finish(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.Close()
+			if len(f.Violations) != 0 || f.Sim == nil {
+				t.Fatalf("m=%d seed=%d: violations %v, profile %v", m, seed, f.Violations, f.Sim)
+			}
+			rep, err := sim.Run(f.Schedule, cfg.Model)
+			if err != nil || !rep.OK() {
+				t.Fatalf("m=%d seed=%d: sim.Run: %v %v", m, seed, err, rep)
+			}
+			p := f.Sim
+			same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+			if !same(p.Energy, rep.Energy) || !same(p.Horizon, rep.Horizon) ||
+				p.Preemptions != rep.Preemptions || p.Migrations != rep.Migrations || p.Wakeups != rep.Wakeups ||
+				len(p.CoreBusy) != len(rep.CoreBusy) || len(p.Utilization) != len(rep.Utilization) {
+				t.Fatalf("m=%d seed=%d: profile %+v, sim.Run %+v", m, seed, *p, *rep)
+			}
+			for k := range p.CoreBusy {
+				if !same(p.CoreBusy[k], rep.CoreBusy[k]) || !same(p.Utilization[k], rep.Utilization[k]) {
+					t.Fatalf("m=%d seed=%d core %d: busy %v/%v, utilization %v/%v", m, seed, k,
+						p.CoreBusy[k], rep.CoreBusy[k], p.Utilization[k], rep.Utilization[k])
+				}
+			}
+			if f.Commits == 0 || p.Horizon == 0 {
+				t.Fatalf("m=%d seed=%d: empty session (%d commits)", m, seed, f.Commits)
+			}
+		}
+	}
+}
+
 func TestReplanDEREquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	ts, err := task.GenerateRegime(rng, task.RegimeBursty, 14)

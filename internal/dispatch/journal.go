@@ -331,25 +331,6 @@ func (s *Session) AttachJournal(j Journal) error {
 	return nil
 }
 
-// Checkpoint writes a full-snapshot checkpoint record, letting the
-// journal compact everything before it. No-op without a journal; an
-// error reports the session has entered degraded (journal-broken) mode.
-func (s *Session) Checkpoint() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.cfg.Journal == nil {
-		return nil
-	}
-	if s.jbroken {
-		return fmt.Errorf("dispatch: journal broken")
-	}
-	s.checkpointLocked(RecCheckpoint)
-	if s.jbroken {
-		return fmt.Errorf("dispatch: journal broken")
-	}
-	return nil
-}
-
 // Seal writes a final checkpoint + finish record without running the
 // session to its horizon — the deliberate-drop path (TTL eviction),
 // after which a restart will garbage-collect the log instead of
@@ -363,13 +344,4 @@ func (s *Session) Seal(reason string) {
 	s.sealed = true
 	s.checkpointLocked(RecCheckpoint)
 	s.journalLocked(&Record{Kind: RecFinish, Reason: reason})
-}
-
-// JournalBroken reports whether the session has entered degraded mode
-// after a failed journal append (state mutations continue, durability
-// does not).
-func (s *Session) JournalBroken() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.jbroken
 }

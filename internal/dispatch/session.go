@@ -12,7 +12,6 @@ import (
 	"repro/internal/interval"
 	"repro/internal/opt"
 	"repro/internal/schedule"
-	"repro/internal/sim"
 	"repro/internal/task"
 )
 
@@ -89,10 +88,10 @@ type FinalReport struct {
 	// Violations lists in-band validator findings against the realized
 	// schedule (empty in a correct run).
 	Violations []string
-	// Sim is the simulator's execution report for the realized schedule
-	// (preemptions, migrations, per-core utilization); nil if the
-	// simulation itself failed.
-	Sim *sim.Report
+	// Sim is the realized schedule's execution profile (preemptions,
+	// migrations, per-core utilization), derived by the same audit that
+	// fills Violations; nil when the audit found a violation.
+	Sim *check.Profile
 }
 
 // Session is one live scheduling session. All methods are safe for
@@ -637,14 +636,12 @@ func (s *Session) Finish(ctx context.Context) (*FinalReport, error) {
 	s.mu.Unlock()
 
 	if len(f.Tasks) > 0 {
-		for _, v := range check.Validate(f.Schedule, f.Tasks, m, pm) {
+		res := check.Audit(f.Schedule, f.Tasks, m, pm, check.DefaultOptions())
+		for _, v := range res.Violations {
 			f.Violations = append(f.Violations, v.Error())
 		}
-		if rep, err := sim.Run(f.Schedule, pm); err != nil {
-			f.Violations = append(f.Violations, "sim: "+err.Error())
-		} else {
-			f.Sim = rep
-			f.Violations = append(f.Violations, rep.Violations...)
+		if res.OK() {
+			f.Sim = &res.Profile
 		}
 		if skipRatio {
 			f.OptError = "skipped"

@@ -60,17 +60,15 @@ func Defaults() Config {
 // Quick returns a cheap configuration for tests and benches: fewer
 // replications, looser solver.
 func Quick() Config {
-	return Config{
-		Replications: 10,
-		Seed:         20140901,
-		Workers:      0,
-		Opt:          opt.Options{MaxIterations: 1500, RelGap: 1e-5},
-	}
+	c := Defaults()
+	c.Replications = 10
+	c.Opt.MaxIterations = 1500
+	return c
 }
 
 func (c Config) withDefaults() Config {
 	if c.Replications <= 0 {
-		c.Replications = 100
+		c.Replications = Defaults().Replications
 	}
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)

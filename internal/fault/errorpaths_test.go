@@ -46,14 +46,14 @@ func TestNilInjectorAccessors(t *testing.T) {
 
 func TestEnableNilDisables(t *testing.T) {
 	Enable(New(Plan{Rates: map[Point]float64{IOError: 1}, Seed: 1}))
-	if !Should(IOError) {
+	if !Active().Should(IOError) {
 		t.Fatal("enabled injector did not fire")
 	}
 	Enable(nil)
 	if Active() != nil {
 		t.Fatal("Enable(nil) left an active injector")
 	}
-	if Should(IOError) {
+	if Active().Should(IOError) {
 		t.Fatal("Enable(nil) still fires")
 	}
 }

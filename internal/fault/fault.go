@@ -253,21 +253,8 @@ func (in *Injector) Counts() []Count {
 var global atomic.Pointer[Injector]
 
 // Enable installs in as the process-wide injector (nil disables).
-func Enable(in *Injector) {
-	if in == nil {
-		global.Store(nil)
-		return
-	}
-	global.Store(in)
-}
-
-// Disable removes the process-wide injector.
-func Disable() { global.Store(nil) }
+func Enable(in *Injector) { global.Store(in) }
 
 // Active returns the process-wide injector, or nil when injection is
 // off (the default).
 func Active() *Injector { return global.Load() }
-
-// Should consults the process-wide injector; always false when none is
-// enabled.
-func Should(p Point) bool { return Active().Should(p) }

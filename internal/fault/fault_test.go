@@ -108,17 +108,17 @@ func TestGlobalRegistryDefaultOff(t *testing.T) {
 	if Active() != nil {
 		t.Fatal("global injector enabled by default")
 	}
-	if Should(SolverPanic) {
+	if Active().Should(SolverPanic) {
 		t.Fatal("nil global injector fired")
 	}
 	in := New(Plan{Rates: map[Point]float64{SolverPanic: 1}, Seed: 1, Delay: 5 * time.Millisecond})
 	Enable(in)
-	defer Disable()
-	if !Should(SolverPanic) {
+	defer Enable(nil)
+	if !Active().Should(SolverPanic) {
 		t.Fatal("enabled global injector did not fire")
 	}
-	Disable()
-	if Should(SolverPanic) {
+	Enable(nil)
+	if Active().Should(SolverPanic) {
 		t.Fatal("disabled global injector fired")
 	}
 }

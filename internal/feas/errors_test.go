@@ -129,16 +129,3 @@ func TestCheckTaskSetRejectsBadSets(t *testing.T) {
 		t.Error("zero ceiling should fail")
 	}
 }
-
-func TestPredictMissPropagatesErrors(t *testing.T) {
-	if _, err := PredictMiss(task.Fig1Example(), 0, 1); err == nil {
-		t.Error("zero cores should propagate an error")
-	}
-	miss, err := PredictMiss(task.Fig1Example(), 1, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !miss {
-		t.Error("speed 0.5 must predict a miss on Fig. 1")
-	}
-}

@@ -220,15 +220,3 @@ func (w *Witness) Validate(d *interval.Decomposition, m int) error {
 	}
 	return nil
 }
-
-// PredictMiss reports whether quantizing any schedule to a frequency
-// ceiling fmax must miss a deadline: the instance is simply infeasible at
-// fmax. This lower-bounds the miss probability observed in the practical
-// experiments — a heuristic may still miss on feasible instances.
-func PredictMiss(ts task.Set, m int, fmax float64) (bool, error) {
-	ok, err := CheckTaskSet(ts, m, fmax)
-	if err != nil {
-		return false, err
-	}
-	return !ok, nil
-}

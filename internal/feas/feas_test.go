@@ -135,28 +135,28 @@ func TestMinSpeedIsTight(t *testing.T) {
 	}
 }
 
-func TestPredictMissXScale(t *testing.T) {
+func TestCheckTaskSetXScaleCeiling(t *testing.T) {
 	// A workload whose minimal speed exceeds the XScale ceiling of
-	// 1000 MHz must be predicted to miss.
+	// 1000 MHz is infeasible there, so any quantized schedule misses.
 	heavy := task.MustNew(
 		[3]float64{0, 4000, 2}, // needs 2000 MHz alone
 	)
-	miss, err := feas.PredictMiss(heavy, 4, power.IntelXScale().MaxFrequency())
+	ok, err := feas.CheckTaskSet(heavy, 4, power.IntelXScale().MaxFrequency())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !miss {
-		t.Error("2000 MHz requirement must be predicted infeasible at 1000 MHz")
+	if ok {
+		t.Error("2000 MHz requirement must be infeasible at 1000 MHz")
 	}
 	// The paper's standard XScale workloads cap intensity at 400 MHz and
 	// are almost always feasible at f_max.
 	rng := rand.New(rand.NewSource(31))
 	ts := task.MustGenerate(rng, task.XScaleDefaults(10))
-	miss, err = feas.PredictMiss(ts, 4, 1000)
+	ok, err = feas.CheckTaskSet(ts, 4, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if miss {
+	if !ok {
 		t.Error("standard XScale workload should be feasible at f_max on 4 cores")
 	}
 }

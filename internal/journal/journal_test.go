@@ -457,11 +457,8 @@ func TestDiskFaultInjection(t *testing.T) {
 				t.Fatalf("Arrive must survive journal faults, got %v", err)
 			}
 		}
-		if !s.JournalBroken() {
-			t.Fatal("session never degraded under a 50% short-write rate")
-		}
 		if hookErrs != 1 {
-			t.Fatalf("JournalError hook fired %d times, want exactly once", hookErrs)
+			t.Fatalf("JournalError hook fired %d times under a 50%% short-write rate, want exactly once", hookErrs)
 		}
 		if _, err := s.Finish(ctx); err != nil {
 			t.Fatalf("Finish in degraded mode: %v", err)

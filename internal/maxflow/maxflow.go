@@ -20,29 +20,19 @@ type edge struct {
 	rev int
 }
 
+// eps is the capacity tolerance: residuals below eps are treated as
+// saturated, keeping float arithmetic from spinning on slivers.
+const eps = 1e-12
+
 // Graph is a flow network under construction. Vertices are dense ints.
 type Graph struct {
 	adj [][]edge
-	// eps is the capacity tolerance: residuals below eps are treated as
-	// saturated, keeping float arithmetic from spinning on slivers.
-	eps float64
 }
 
-// New creates a graph with n vertices and the default tolerance 1e-12.
+// New creates a graph with n vertices.
 func New(n int) *Graph {
-	return &Graph{adj: make([][]edge, n), eps: 1e-12}
+	return &Graph{adj: make([][]edge, n)}
 }
-
-// SetEpsilon overrides the capacity tolerance (must be positive).
-func (g *Graph) SetEpsilon(eps float64) {
-	if eps <= 0 {
-		panic("maxflow: epsilon must be positive")
-	}
-	g.eps = eps
-}
-
-// NumVertices returns the vertex count.
-func (g *Graph) NumVertices() int { return len(g.adj) }
 
 // AddEdge adds a directed edge u→v with the given capacity (must be
 // non-negative and finite) and returns an opaque handle usable with Flow.
@@ -107,7 +97,7 @@ func (g *Graph) MaxFlow(s, t int) (float64, error) {
 		for qi := 0; qi < len(queue); qi++ {
 			u := queue[qi]
 			for _, e := range g.adj[u] {
-				if e.cap > g.eps && level[e.to] < 0 {
+				if e.cap > eps && level[e.to] < 0 {
 					level[e.to] = level[u] + 1
 					queue = append(queue, e.to)
 				}
@@ -121,7 +111,7 @@ func (g *Graph) MaxFlow(s, t int) (float64, error) {
 		}
 		for {
 			f := g.dfs(s, t, math.Inf(1), level, iter)
-			if f <= g.eps {
+			if f <= eps {
 				break
 			}
 			total += f
@@ -136,11 +126,11 @@ func (g *Graph) dfs(u, t int, limit float64, level, iter []int) float64 {
 	}
 	for ; iter[u] < len(g.adj[u]); iter[u]++ {
 		e := &g.adj[u][iter[u]]
-		if e.cap <= g.eps || level[e.to] != level[u]+1 {
+		if e.cap <= eps || level[e.to] != level[u]+1 {
 			continue
 		}
 		pushed := g.dfs(e.to, t, math.Min(limit, e.cap), level, iter)
-		if pushed > g.eps {
+		if pushed > eps {
 			e.cap -= pushed
 			g.adj[e.to][e.rev].cap += pushed
 			return pushed

@@ -107,15 +107,6 @@ func TestErrors(t *testing.T) {
 	}
 }
 
-func TestSetEpsilonPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("non-positive epsilon should panic")
-		}
-	}()
-	New(2).SetEpsilon(0)
-}
-
 // TestFlowConservation verifies conservation and capacity constraints on
 // random bipartite transportation networks (the shape used by feas).
 func TestFlowConservation(t *testing.T) {

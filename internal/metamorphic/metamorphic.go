@@ -375,16 +375,17 @@ func (o Options) schedulerNames() []string {
 }
 
 // CheckInstance evaluates the base instance once and applies every
-// relation to it, returning all violations. Scheduler errors on the valid
-// base instance are themselves reported as violations of an implicit
-// "runs-on-valid-instance" relation, and every successful scheduler is
-// checked against the certified optimum lower bound (a scheduler beating
-// the optimum convicts its energy accounting).
-func CheckInstance(ctx context.Context, inst Instance, rels []Relation, o Options) ([]Violation, error) {
+// relation to it. It returns the base outcome, all violations, and for
+// each relation whether it applied to the instance. Scheduler errors on
+// the valid base instance are themselves reported as violations of an
+// implicit "runs-on-valid-instance" relation, and every successful
+// scheduler is checked against the certified optimum lower bound (a
+// scheduler beating the optimum convicts its energy accounting).
+func CheckInstance(ctx context.Context, inst Instance, rels []Relation, o Options) (*Outcome, []Violation, []bool, error) {
 	o = o.withDefaults()
 	base, err := Eval(ctx, inst, o)
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
 	var out []Violation
 	for name, rerr := range base.Errs {
@@ -410,15 +411,20 @@ func CheckInstance(ctx context.Context, inst Instance, rels []Relation, o Option
 			}
 		}
 	}
-	for _, rel := range rels {
+	applied := make([]bool, len(rels))
+	for i, rel := range rels {
 		if err := ctx.Err(); err != nil {
-			return out, err
+			return base, out, applied, err
+		}
+		applied[i] = rel.Applicable == nil || rel.Applicable(inst)
+		if !applied[i] {
+			continue
 		}
 		vs, err := Apply(ctx, rel, inst, base, o)
 		if err != nil {
-			return out, err
+			return base, out, applied, err
 		}
 		out = append(out, vs...)
 	}
-	return out, nil
+	return base, out, applied, nil
 }

@@ -67,7 +67,7 @@ func TestTransformsDoNotMutateBase(t *testing.T) {
 
 func TestSectionVDExampleConforms(t *testing.T) {
 	inst := Instance{Tasks: task.SectionVDExample(), Cores: 4, Model: power.Unit(3, 0)}
-	vs, err := CheckInstance(context.Background(), inst, Relations(), quickOpts())
+	_, vs, _, err := CheckInstance(context.Background(), inst, Relations(), quickOpts())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package metamorphic
 import (
 	"context"
 	"fmt"
-	"math"
 	"math/rand"
 	"sort"
 	"time"
@@ -195,51 +194,30 @@ func RunSuite(ctx context.Context, o SuiteOptions) (*Report, error) {
 		if err != nil {
 			return rep, fmt.Errorf("metamorphic: instance %d (%s): %w", k, regime, err)
 		}
-		base, err := Eval(ctx, inst, eo)
+		base, vs, applied, err := CheckInstance(ctx, inst, o.Relations, eo)
 		if err != nil {
-			return rep, fmt.Errorf("metamorphic: instance %d (%s) base eval: %w", k, regime, err)
+			return rep, fmt.Errorf("metamorphic: instance %d (%s): %w", k, regime, err)
 		}
-		for name, rerr := range base.Errs {
-			rep.Violations = append(rep.Violations, Violation{
-				Relation: "runs-on-valid-instance", Scheduler: name, Base: inst,
-				BaseEnergy: math.NaN(), FollowEnergy: math.NaN(), Want: math.NaN(),
-				Detail: fmt.Sprintf("scheduler failed on valid %s instance (seed %d): %v",
-					regime, o.Seed+int64(k), rerr),
-			})
-		}
-		// Lower-bound conformance + ratio statistics against E^opt
-		// (Theorem 1: the convex optimum lower-bounds every schedule).
-		lower := base.Optimum - base.Gap
 		for name, e := range base.Energy {
 			if base.Optimum > 0 {
 				ratios[name] = append(ratios[name], e/base.Optimum)
 			}
-			if slack := o.RelTol * math.Max(1, lower); e < lower-slack {
-				rep.Violations = append(rep.Violations, Violation{
-					Relation: "above-optimum", Scheduler: name, Base: inst,
-					BaseEnergy: e, FollowEnergy: e, Want: lower, Tol: slack,
-					Detail: fmt.Sprintf("energy %.9g below certified optimum lower bound %.9g (%s seed %d)",
-						e, lower, regime, o.Seed+int64(k)),
-				})
+		}
+		for i, ok := range applied {
+			if ok {
+				relStats[i].Checked++
+			} else {
+				relStats[i].Skipped++
 			}
 		}
-		for i, rel := range o.Relations {
-			if rel.Applicable != nil && !rel.Applicable(inst) {
-				relStats[i].Skipped++
-				continue
-			}
-			vs, err := Apply(ctx, rel, inst, base, eo)
-			if err != nil {
-				return rep, fmt.Errorf("metamorphic: instance %d (%s) relation %s: %w", k, regime, rel.Name, err)
-			}
-			relStats[i].Checked++
-			if len(vs) > 0 {
-				relStats[i].Violations += len(vs)
-				for v := range vs {
-					vs[v].Detail = fmt.Sprintf("%s [%s seed %d]", vs[v].Detail, regime, o.Seed+int64(k))
+		for _, v := range vs {
+			for i, rel := range o.Relations {
+				if rel.Name == v.Relation {
+					relStats[i].Violations++
 				}
-				rep.Violations = append(rep.Violations, vs...)
 			}
+			v.Detail = fmt.Sprintf("%s [%s seed %d]", v.Detail, regime, o.Seed+int64(k))
+			rep.Violations = append(rep.Violations, v)
 		}
 		if o.Progress != nil {
 			o.Progress(k+1, o.Instances)

@@ -1,6 +1,6 @@
 // Package numeric provides the small numerical kernel shared by the
-// scheduling algorithms: robust floating-point comparison, compensated
-// summation, bracketing one-dimensional minimization and root finding.
+// scheduling algorithms: compensated summation, bracketing
+// one-dimensional minimization and root finding.
 //
 // Everything here is dependency-free and deterministic; the schedulers,
 // the convex optimizer, and the power-model curve fitter are all built on
@@ -11,48 +11,6 @@ import (
 	"errors"
 	"math"
 )
-
-// Eps is the default absolute/relative tolerance used by the approximate
-// comparison helpers. It is deliberately loose compared to machine epsilon
-// because schedule arithmetic chains many additions of interval lengths.
-const Eps = 1e-9
-
-// AlmostEqual reports whether a and b are equal within a mixed
-// absolute/relative tolerance tol. A tol of zero falls back to Eps.
-func AlmostEqual(a, b, tol float64) bool {
-	if tol <= 0 {
-		tol = Eps
-	}
-	if a == b {
-		return true
-	}
-	diff := math.Abs(a - b)
-	if diff <= tol {
-		return true
-	}
-	scale := math.Max(math.Abs(a), math.Abs(b))
-	return diff <= tol*scale
-}
-
-// LessOrAlmostEqual reports a <= b up to the default tolerance, scaled.
-func LessOrAlmostEqual(a, b float64) bool {
-	return a <= b || AlmostEqual(a, b, 0)
-}
-
-// Clamp returns x restricted to the closed interval [lo, hi].
-// It panics if lo > hi.
-func Clamp(x, lo, hi float64) float64 {
-	if lo > hi {
-		panic("numeric: Clamp with lo > hi")
-	}
-	if x < lo {
-		return lo
-	}
-	if x > hi {
-		return hi
-	}
-	return x
-}
 
 // KahanSum accumulates floating-point values with compensated
 // (Kahan-Babuska) summation, which keeps the error independent of the
@@ -83,39 +41,6 @@ func Sum(xs []float64) float64 {
 		k.Add(x)
 	}
 	return k.Value()
-}
-
-// invPhi is 1/phi, the golden-section step ratio.
-var invPhi = (math.Sqrt(5) - 1) / 2
-
-// GoldenSection minimizes the unimodal function f on [a, b] to within the
-// absolute x-tolerance tol and returns the approximate minimizer. It
-// evaluates f O(log((b-a)/tol)) times. If a > b the arguments are swapped.
-func GoldenSection(f func(float64) float64, a, b, tol float64) float64 {
-	if a > b {
-		a, b = b, a
-	}
-	if tol <= 0 {
-		tol = 1e-12
-	}
-	if b-a <= tol {
-		return (a + b) / 2
-	}
-	x1 := b - invPhi*(b-a)
-	x2 := a + invPhi*(b-a)
-	f1, f2 := f(x1), f(x2)
-	for b-a > tol {
-		if f1 <= f2 {
-			b, x2, f2 = x2, x1, f1
-			x1 = b - invPhi*(b-a)
-			f1 = f(x1)
-		} else {
-			a, x1, f1 = x1, x2, f2
-			x2 = a + invPhi*(b-a)
-			f2 = f(x2)
-		}
-	}
-	return (a + b) / 2
 }
 
 // ErrNoBracket is returned by Bisect when f(a) and f(b) have the same sign.
@@ -177,46 +102,4 @@ func MinimizeConvex1D(df func(float64) float64, a, b, tol float64) float64 {
 		return a + (b-a)/2
 	}
 	return x
-}
-
-// Linspace returns n evenly spaced points from lo to hi inclusive.
-// n must be at least 2.
-func Linspace(lo, hi float64, n int) []float64 {
-	if n < 2 {
-		panic("numeric: Linspace needs n >= 2")
-	}
-	out := make([]float64, n)
-	step := (hi - lo) / float64(n-1)
-	for i := range out {
-		out[i] = lo + float64(i)*step
-	}
-	out[n-1] = hi
-	return out
-}
-
-// Dot returns the inner product of two equal-length vectors.
-func Dot(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic("numeric: Dot with mismatched lengths")
-	}
-	var k KahanSum
-	for i := range a {
-		k.Add(a[i] * b[i])
-	}
-	return k.Value()
-}
-
-// MaxAbsDiff returns the infinity-norm distance between two equal-length
-// vectors.
-func MaxAbsDiff(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic("numeric: MaxAbsDiff with mismatched lengths")
-	}
-	var m float64
-	for i := range a {
-		if d := math.Abs(a[i] - b[i]); d > m {
-			m = d
-		}
-	}
-	return m
 }

@@ -21,7 +21,7 @@ type FitResult struct {
 // Fit computes the least-squares fit of the continuous model to the
 // table. For a fixed exponent α the problem is linear in (γ, p0) and
 // solved exactly via the 2×2 normal equations; the outer minimization
-// over α uses golden-section search on [alphaLo, alphaHi]. Negative
+// over α uses Brent's method on [alphaLo, alphaHi]. Negative
 // intercepts are clamped to p0 = 0 with γ refit, keeping the model
 // physical. Fit requires at least three table points.
 func Fit(t *Table, alphaLo, alphaHi float64) (FitResult, error) {

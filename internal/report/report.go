@@ -7,7 +7,6 @@ package report
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"strings"
 
@@ -60,22 +59,6 @@ func Markdown(r *experiments.Result) string {
 		b.WriteString("\n")
 	}
 	return b.String()
-}
-
-// Write renders multiple results, separated by blank lines, with a
-// document header.
-func Write(w io.Writer, title string, results []*experiments.Result) error {
-	if title != "" {
-		if _, err := fmt.Fprintf(w, "## %s\n\n", title); err != nil {
-			return err
-		}
-	}
-	for _, r := range results {
-		if _, err := io.WriteString(w, Markdown(r)); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // missColumns mirrors the text renderer's ordering: series order first,

@@ -1,7 +1,6 @@
 package report
 
 import (
-	"bytes"
 	"math"
 	"strings"
 	"testing"
@@ -68,30 +67,6 @@ func TestMarkdownNaNRendersDash(t *testing.T) {
 	}
 	if strings.Contains(md, "NaN") {
 		t.Errorf("NaN leaked:\n%s", md)
-	}
-}
-
-func TestWriteDocument(t *testing.T) {
-	var buf bytes.Buffer
-	if err := Write(&buf, "Reproduction results", []*experiments.Result{sample(), sample()}); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.HasPrefix(out, "## Reproduction results") {
-		t.Errorf("missing document header:\n%s", out)
-	}
-	if strings.Count(out, "### fig6") != 2 {
-		t.Errorf("expected two sections:\n%s", out)
-	}
-}
-
-func TestWriteNoTitle(t *testing.T) {
-	var buf bytes.Buffer
-	if err := Write(&buf, "", []*experiments.Result{sample()}); err != nil {
-		t.Fatal(err)
-	}
-	if strings.HasPrefix(buf.String(), "##") && !strings.HasPrefix(buf.String(), "###") {
-		t.Error("no document header expected")
 	}
 }
 

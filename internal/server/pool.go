@@ -57,6 +57,3 @@ func (g *gate) release() { <-g.slots }
 
 // depth reports how many requests are waiting for a worker right now.
 func (g *gate) depth() int64 { return g.queued.Load() }
-
-// active reports how many worker slots are currently held.
-func (g *gate) active() int { return len(g.slots) }

@@ -14,8 +14,8 @@ func TestGateAdmissionAndOverload(t *testing.T) {
 	if err := g.acquire(ctx); err != nil {
 		t.Fatalf("first acquire: %v", err)
 	}
-	if g.active() != 1 {
-		t.Fatalf("active %d, want 1", g.active())
+	if len(g.slots) != 1 {
+		t.Fatalf("active %d, want 1", len(g.slots))
 	}
 	if err := g.acquire(ctx); !errors.Is(err, errOverload) {
 		t.Fatalf("second acquire = %v, want errOverload", err)

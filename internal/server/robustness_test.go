@@ -338,7 +338,7 @@ func TestCanceledProbeDoesNotWedgeBreaker(t *testing.T) {
 	srv.breakers = breaker.NewSet(1, time.Second, 8*time.Second, clk.now)
 
 	br := srv.breakers.Get("S^F2")
-	br.Allow()
+	br.Admit()
 	br.Failure() // threshold 1: opens with 1s cooldown
 	clk.advance(time.Second)
 
@@ -373,7 +373,7 @@ func TestReadyzRecoversAfterCooldown(t *testing.T) {
 	clk := &fakeClock{t: time.Unix(0, 0)}
 	srv.breakers = breaker.NewSet(1, time.Second, 8*time.Second, clk.now)
 	b := srv.breakers.Get("only")
-	b.Allow()
+	b.Admit()
 	b.Failure()
 
 	rr, err := http.Get(hs.URL + "/readyz")
@@ -400,7 +400,7 @@ func TestReadyzRecoversAfterCooldown(t *testing.T) {
 func TestReadyzAllBreakersOpen(t *testing.T) {
 	srv, hs := newTestServer(t, Config{BreakerThreshold: 1, BreakerCooldown: time.Hour})
 	b := srv.breakers.Get("only")
-	b.Allow()
+	b.Admit()
 	b.Failure()
 	rr, err := http.Get(hs.URL + "/readyz")
 	if err != nil {

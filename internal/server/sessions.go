@@ -310,7 +310,9 @@ func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
 		Horizon:          f.Horizon,
 		Violations:       f.Violations,
 		Tasks:            f.Tasks,
-		Sim:              wire.SimReport(f.Sim),
+	}
+	if f.Sim != nil {
+		resp.Sim = wire.ProfileReport(*f.Sim)
 	}
 	var segs []schedule.Segment // no schedule: null
 	if f.Schedule != nil {

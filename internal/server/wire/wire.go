@@ -102,11 +102,9 @@ type ScheduleResponse struct {
 	Sim *SimReportJSON `json:"sim,omitempty"`
 }
 
-// SimReportJSON is the wire form of a schedule's execution profile. A
-// one-shot reply fills it from the guardrail audit's check.Profile
-// (ProfileReport) and never carries violations; a session's final
-// report fills it from sim.Run (SimReport), the independent simulator,
-// which gives the same profile (check.Profile states when).
+// SimReportJSON is the wire form of a schedule's execution profile.
+// One-shot replies and session final reports fill it from the guardrail
+// audit's check.Profile (ProfileReport) and never carry violations.
 type SimReportJSON struct {
 	Energy      float64   `json:"energy"`
 	Horizon     float64   `json:"horizon"`
@@ -118,7 +116,9 @@ type SimReportJSON struct {
 	Violations  []string  `json:"violations,omitempty"`
 }
 
-// SimReport converts a simulator report to the wire form (nil for nil).
+// SimReport converts a report of sim.Run, the independent simulator, to
+// the wire form (nil for nil). schedd does not run the simulator; the
+// benchmark's layer replay does.
 func SimReport(r *sim.Report) *SimReportJSON {
 	if r == nil {
 		return nil

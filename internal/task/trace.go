@@ -50,29 +50,6 @@ func (tr Trace) Validate() error {
 	return nil
 }
 
-// Flatten materializes the clairvoyant offline instance of the trace:
-// every task with its effective release max(Release, At), renumbered.
-func (tr Trace) Flatten() Set {
-	var out Set
-	for _, a := range tr {
-		for _, t := range a.Tasks {
-			t.Release = math.Max(t.Release, a.At)
-			out = append(out, t)
-		}
-	}
-	out.Renumber()
-	return out
-}
-
-// TaskCount returns the total number of tasks across all batches.
-func (tr Trace) TaskCount() int {
-	n := 0
-	for _, a := range tr {
-		n += len(a.Tasks)
-	}
-	return n
-}
-
 // Write streams the trace as indented JSON.
 func (tr Trace) Write(w io.Writer) error {
 	enc := json.NewEncoder(w)

@@ -26,13 +26,6 @@ func TestGenerateTracePoisson(t *testing.T) {
 			}
 		}
 	}
-	flat := tr.Flatten()
-	if len(flat) != tr.TaskCount() {
-		t.Fatalf("flatten %d tasks, trace has %d", len(flat), tr.TaskCount())
-	}
-	if err := flat.Validate(); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestGenerateTraceBurstyClusters(t *testing.T) {

@@ -54,7 +54,7 @@ func mustRelation(t *testing.T, name string) metamorphic.Relation {
 
 func checkRelation(t *testing.T, rel metamorphic.Relation, inst metamorphic.Instance) {
 	t.Helper()
-	vs, err := metamorphic.CheckInstance(context.Background(), inst, []metamorphic.Relation{rel}, invOpts())
+	_, vs, _, err := metamorphic.CheckInstance(context.Background(), inst, []metamorphic.Relation{rel}, invOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestInvarianceAcrossRegimes(t *testing.T) {
 				t.Fatal(err)
 			}
 			inst := metamorphic.Instance{Tasks: ts, Cores: 1 + i%4, Model: power.Unit(3, float64(i%2)*0.1)}
-			vs, err := metamorphic.CheckInstance(context.Background(), inst, metamorphic.Relations(), invOpts())
+			_, vs, _, err := metamorphic.CheckInstance(context.Background(), inst, metamorphic.Relations(), invOpts())
 			if err != nil {
 				t.Fatal(err)
 			}
