@@ -22,7 +22,7 @@ race:
 # Race stress (nightly in CI): the concurrent serving packages, many
 # repetitions at one and four procs under the race detector.
 stress:
-	$(GO) test -count=50 -cpu=1,4 -race ./internal/cluster ./internal/dispatch ./internal/journal ./internal/server
+	$(GO) test -count=50 -cpu=1,4 -race ./internal/cluster ./internal/dispatch ./internal/journal ./internal/metric ./internal/server
 
 # Short differential-fuzz pass: every registered scheduler against the
 # independent oracles on randomized instances, the journal replay

@@ -9,21 +9,27 @@ package repro
 //     outside internal/ and cmd/ (easched, examples, perfbench), each
 //     main and init, and each blank `var _ = ...`;
 //   - an exported method of a type that easched's exported API reaches
-//     (aliases, signatures and exported fields, closed transitively),
-//     because users of easched can call it;
+//     (signatures and exported fields, closed transitively), because
+//     users of easched can call it;
+//   - a method the standard library calls through one of
+//     implicitInterfaces;
 //   - or in deadAllowlist below.
 //
 // Liveness is a fixed point over references: a helper that only a dead
-// helper calls is dead too. References resolve by import path and name,
-// which needs no type checker: a qualified or same-package identifier
-// names one declaration, and a selector x.M keeps every method named M
-// alive, whatever x's type (only the same package's, when M is
-// unexported).
+// helper calls is dead too. References are resolved by go/types: the
+// test type-checks every package of the tree from source (non-test
+// files only; the standard library comes from importer.Default()), so
+// a selector x.M keeps alive exactly the method it names. A call
+// through an interface method keeps that method alive on every type of
+// the tree that implements the interface.
 
 import (
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"path/filepath"
 	"sort"
@@ -44,7 +50,6 @@ var deadAllowlist = map[string]string{
 	"repro/internal/task.MustGenerate":           "test constructor",
 	"repro/internal/task.MustGenerateStochastic": "test constructor",
 	"repro/internal/maxflow.Graph.MustAddEdge":   "test constructor",
-	"repro/internal/power.MustNewTable":          "test constructor",
 	// Runs one experiment by ID: the experiment tests and the per-figure
 	// benchmarks call it about 20 times; energysim holds the Descriptor.
 	"repro/internal/experiments.Run": "test entry point",
@@ -53,40 +58,33 @@ var deadAllowlist = map[string]string{
 	"repro/internal/fuzzenc.Decode": "fuzz corpus decoder",
 }
 
-// implicitMethods are called through standard-library interfaces
-// (fmt.Stringer, error, json.Marshaler, http.Handler, sort.Interface,
-// heap.Interface, io.Writer, ...), where no selector in the tree need
-// name them.
-var implicitMethods = map[string]bool{
-	"String": true, "Error": true, "Unwrap": true,
-	"MarshalJSON": true, "UnmarshalJSON": true, "ServeHTTP": true,
-	"Len": true, "Less": true, "Swap": true, "Push": true, "Pop": true,
-	"Write": true, "Sync": true,
+// implicitInterfaces are the standard-library interfaces through which
+// the standard library itself calls methods of the tree (fmt, errors,
+// encoding/json, net/http, sort, container/heap, io), so no selector in
+// the tree names them. A type that implements one keeps those methods.
+var implicitInterfaces = [][2]string{
+	{"fmt", "Stringer"},
+	{"encoding/json", "Marshaler"},
+	{"encoding/json", "Unmarshaler"},
+	{"net/http", "Handler"},
+	{"sort", "Interface"},
+	{"container/heap", "Interface"},
+	{"io", "Writer"},
 }
 
 type deadDecl struct {
-	key      string // "path.Name", or "path.Recv.Name" for a method
-	method   string // method name; "" for a package-level name
-	pos      token.Position
-	checked  bool // declared in a non-test file under internal/ or cmd/
-	exported bool
-	refs     []string // package-level keys this declaration names
-	sels     []string // selKeys of the selectors (x.Sel) this declaration uses
-	api      []string // package-level keys its exported surface names
-	live     bool
-}
-
-type deadPkg struct {
-	decls   map[string]*deadDecl   // package-level name -> declaration
-	methods map[string][]*deadDecl // receiver type name -> its methods
-	types   map[string]bool        // package-level names that are types
+	key     string // "path.Name", or "path.Recv.Name" for a method
+	pos     token.Position
+	checked bool           // declared in a non-test file under internal/ or cmd/
+	uses    []types.Object // objects its declaration refers to
+	live    bool
 }
 
 func TestNoDeadCode(t *testing.T) {
 	fset := token.NewFileSet()
-	pkgs := map[string]*deadPkg{}
-	var all []*deadDecl
-	byMethod := map[string][]*deadDecl{}
+	src := &srcImporter{fset: fset, std: importer.Default(), files: map[string][]*ast.File{},
+		pkgs: map[string]*types.Package{}, info: &types.Info{
+			Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}}
 
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -102,78 +100,78 @@ func TestNoDeadCode(t *testing.T) {
 		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
 			return nil
 		}
+		if ok, err := build.Default.MatchFile(filepath.Dir(path), d.Name()); !ok || err != nil {
+			return err
+		}
 		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
 		if err != nil {
 			return err
 		}
-		dir := filepath.ToSlash(filepath.Dir(path))
 		ipath := "repro"
-		if dir != "." {
+		if dir := filepath.ToSlash(filepath.Dir(path)); dir != "." {
 			ipath += "/" + dir
 		}
-		p := pkgs[ipath]
-		if p == nil {
-			p = &deadPkg{decls: map[string]*deadDecl{}, methods: map[string][]*deadDecl{}, types: map[string]bool{}}
-			pkgs[ipath] = p
+		src.files[ipath] = append(src.files[ipath], f)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if src.files["repro/easched"] == nil || src.files["repro/perfbench"] == nil {
+		t.Fatal("easched or perfbench not found; run from the repository root")
+	}
+
+	decls := map[types.Object]*deadDecl{}
+	var all []*deadDecl
+	var named []*types.TypeName // the tree's concrete named types
+	for ipath, files := range src.files {
+		pkg, err := src.Import(ipath)
+		if err != nil {
+			t.Fatalf("type-check %s: %v", ipath, err)
 		}
-		checked := strings.HasPrefix(dir, "internal/") || strings.HasPrefix(dir, "cmd/")
-		imports := fileImports(f)
-		add := func(key, method, name string, pos token.Pos, api []string, nodes ...ast.Node) *deadDecl {
-			dd := &deadDecl{key: key, method: method, pos: fset.Position(pos), checked: checked,
-				exported: ast.IsExported(name), api: api}
-			for _, n := range nodes {
-				collectRefs(n, ipath, imports, &dd.refs, &dd.sels)
+		checked := strings.HasPrefix(ipath, "repro/internal/") || strings.HasPrefix(ipath, "repro/cmd/")
+		add := func(name *ast.Ident, nodes ...ast.Node) *deadDecl {
+			obj := src.info.Defs[name]
+			dd := &deadDecl{key: declKey(obj), pos: fset.Position(name.Pos()),
+				checked: checked && name.Name != "_", uses: src.uses(nodes...)}
+			if obj != nil {
+				decls[obj] = dd
 			}
 			all = append(all, dd)
 			return dd
 		}
-		apiOf := func(n ast.Node) []string { return publicTypeRefs(n, ipath, imports) }
-		for _, decl := range f.Decls {
-			switch decl := decl.(type) {
-			case *ast.FuncDecl:
-				name := decl.Name.Name
-				if decl.Recv == nil {
-					dd := add(ipath+"."+name, "", name, decl.Pos(), apiOf(decl.Type), decl.Type, decl.Body)
-					if name == "main" || name == "init" {
+		for _, f := range files {
+			for _, decl := range f.Decls {
+				switch decl := decl.(type) {
+				case *ast.FuncDecl:
+					dd := add(decl.Name, decl.Recv, decl.Type, decl.Body)
+					if decl.Recv == nil && (decl.Name.Name == "main" || decl.Name.Name == "init") {
 						dd.checked = false
-					} else {
-						p.decls[name] = dd
 					}
-					continue
-				}
-				recv := recvTypeName(decl.Recv.List[0].Type)
-				dd := add(ipath+"."+recv+"."+name, name, name, decl.Pos(), apiOf(decl.Type), decl.Recv, decl.Type, decl.Body)
-				p.methods[recv] = append(p.methods[recv], dd)
-				byMethod[selKey(ipath, name)] = append(byMethod[selKey(ipath, name)], dd)
-			case *ast.GenDecl:
-				// An iota group is one unit: dropping a member renumbers the rest.
-				var group *deadDecl
-				for _, spec := range decl.Specs {
-					switch spec := spec.(type) {
-					case *ast.TypeSpec:
-						dd := add(ipath+"."+spec.Name.Name, "", spec.Name.Name, spec.Pos(), apiOf(spec.Type), spec.TypeParams, spec.Type)
-						p.decls[spec.Name.Name] = dd
-						p.types[spec.Name.Name] = true
-					case *ast.ValueSpec:
-						for i, n := range spec.Names {
-							nodes := []ast.Node{spec.Type}
-							if i < len(spec.Values) {
-								nodes = append(nodes, spec.Values[i])
-							} else if len(spec.Values) == 1 {
-								nodes = append(nodes, spec.Values[0])
-							}
-							dd := add(ipath+"."+n.Name, "", n.Name, n.Pos(), apiOf(spec.Type), nodes...)
-							if n.Name == "_" {
-								dd.checked = false
-								continue
-							}
-							p.decls[n.Name] = dd
-							if decl.Tok == token.CONST && (usesIota(spec) || len(spec.Values) == 0) {
-								if group == nil {
-									group = dd
-								} else {
-									group.refs = append(group.refs, dd.key)
-									dd.refs = append(dd.refs, group.key)
+				case *ast.GenDecl:
+					// An iota group is one unit: dropping a member renumbers the rest.
+					var group *ast.Ident
+					for _, spec := range decl.Specs {
+						switch spec := spec.(type) {
+						case *ast.TypeSpec:
+							add(spec.Name, spec.TypeParams, spec.Type)
+						case *ast.ValueSpec:
+							for i, n := range spec.Names {
+								nodes := []ast.Node{spec.Type}
+								if i < len(spec.Values) {
+									nodes = append(nodes, spec.Values[i])
+								} else if len(spec.Values) == 1 {
+									nodes = append(nodes, spec.Values[0])
+								}
+								dd := add(n, nodes...)
+								if decl.Tok == token.CONST && (usesIota(spec) || len(spec.Values) == 0) {
+									if group == nil {
+										group = n
+									} else {
+										first := decls[src.info.Defs[group]]
+										first.uses = append(first.uses, src.info.Defs[n])
+										dd.uses = append(dd.uses, src.info.Defs[group])
+									}
 								}
 							}
 						}
@@ -181,54 +179,51 @@ func TestNoDeadCode(t *testing.T) {
 				}
 			}
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pkgs["repro/easched"] == nil || pkgs["repro/perfbench"] == nil {
-		t.Fatal("easched or perfbench not found; run from the repository root")
+		for _, name := range pkg.Scope().Names() {
+			if tn, ok := pkg.Scope().Lookup(name).(*types.TypeName); ok && !tn.IsAlias() && !types.IsInterface(tn.Type()) {
+				named = append(named, tn)
+			}
+		}
 	}
 
-	// Exported methods of every type easched's exported API reaches.
 	var roots []*deadDecl
-	reached := map[string]bool{}
-	var reach func(keys []string)
-	reach = func(keys []string) {
-		for _, key := range keys {
-			i := strings.LastIndex(key, ".")
-			p := pkgs[key[:i]]
-			if p == nil || !p.types[key[i+1:]] || reached[key] {
-				continue
-			}
-			reached[key] = true
-			reach(p.decls[key[i+1:]].api)
-			for _, m := range p.methods[key[i+1:]] {
-				if m.exported {
-					roots = append(roots, m)
-					reach(m.api)
-				}
-			}
-		}
-	}
-	for _, dd := range pkgs["repro/easched"].decls {
-		if dd.exported {
-			reach(append([]string{dd.key}, dd.api...))
-		}
-	}
-
-	for _, dd := range all {
-		if !dd.checked || deadAllowlist[dd.key] != "" || (dd.method != "" && implicitMethods[dd.method]) {
+	root := func(obj types.Object) {
+		if dd := decls[obj]; dd != nil {
 			roots = append(roots, dd)
 		}
 	}
-	lookup := func(key string) *deadDecl {
-		i := strings.LastIndex(key, ".")
-		if p := pkgs[key[:i]]; p != nil {
-			return p.decls[key[i+1:]]
+	// Exported methods of every type easched's exported API reaches.
+	easched := src.pkgs["repro/easched"].Scope()
+	api := apiWalker{seen: map[types.Type]bool{}, method: func(m *types.Func) { root(m) }}
+	for _, name := range easched.Names() {
+		if obj := easched.Lookup(name); obj.Exported() {
+			api.visit(obj.Type())
 		}
-		return nil
 	}
+	// Methods the standard library calls through its own interfaces.
+	var implicit []*types.Interface
+	implicit = append(implicit, types.Universe.Lookup("error").Type().Underlying().(*types.Interface))
+	for _, in := range implicitInterfaces {
+		std, err := src.std.Import(in[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		implicit = append(implicit, std.Scope().Lookup(in[1]).Type().Underlying().(*types.Interface))
+	}
+	for _, iface := range implicit {
+		for _, m := range implementers(named, iface) {
+			root(m)
+		}
+	}
+	for _, dd := range all {
+		if !dd.checked || deadAllowlist[dd.key] != "" {
+			roots = append(roots, dd)
+		}
+	}
+
+	// Fixed point. An interface method, once used, keeps its
+	// implementations alive.
+	viaIface := map[*types.Func]bool{}
 	for len(roots) > 0 {
 		dd := roots[len(roots)-1]
 		roots = roots[:len(roots)-1]
@@ -236,18 +231,22 @@ func TestNoDeadCode(t *testing.T) {
 			continue
 		}
 		dd.live = true
-		for _, k := range dd.refs {
-			if r := lookup(k); r != nil && !r.live {
-				roots = append(roots, r)
+		for _, obj := range dd.uses {
+			root(obj)
+			m, ok := obj.(*types.Func)
+			if !ok || viaIface[m] {
+				continue
 			}
-		}
-		for _, s := range dd.sels {
-			for _, m := range byMethod[s] {
-				if !m.live {
-					roots = append(roots, m)
+			if recv := m.Type().(*types.Signature).Recv(); recv != nil {
+				if iface, ok := recv.Type().Underlying().(*types.Interface); ok {
+					viaIface[m] = true
+					for _, impl := range implementers(named, iface) {
+						if impl.Name() == m.Name() {
+							root(impl)
+						}
+					}
 				}
 			}
-			delete(byMethod, s)
 		}
 	}
 
@@ -266,56 +265,148 @@ func TestNoDeadCode(t *testing.T) {
 	}
 }
 
-// fileImports maps each import's local name to its path.
-func fileImports(f *ast.File) map[string]string {
-	m := map[string]string{}
-	for _, imp := range f.Imports {
-		path := strings.Trim(imp.Path.Value, `"`)
-		name := path[strings.LastIndex(path, "/")+1:]
-		if imp.Name != nil {
-			name = imp.Name.Name
-		}
-		m[name] = path
-	}
-	return m
+// srcImporter type-checks the tree's packages from their parsed
+// non-test files, sharing one types.Info, and imports everything else
+// from std.
+type srcImporter struct {
+	fset  *token.FileSet
+	std   types.Importer
+	files map[string][]*ast.File // import path -> parsed non-test files
+	pkgs  map[string]*types.Package
+	info  *types.Info
 }
 
-// collectRefs records the package-level names n uses, as keys, and the
-// selector names it applies to values.
-func collectRefs(n ast.Node, pkg string, imports map[string]string, refs, sels *[]string) {
-	if n == nil || (isNilNode(n)) {
-		return
+func (im *srcImporter) Import(path string) (*types.Package, error) {
+	if pkg := im.pkgs[path]; pkg != nil {
+		return pkg, nil
 	}
-	ast.Inspect(n, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.SelectorExpr:
-			if x, ok := n.X.(*ast.Ident); ok {
-				if path, ok := imports[x.Name]; ok {
-					*refs = append(*refs, path+"."+n.Sel.Name)
-					return false
+	files, ok := im.files[path]
+	if !ok {
+		return im.std.Import(path)
+	}
+	conf := types.Config{Importer: im}
+	pkg, err := conf.Check(path, im.fset, files, im.info)
+	if err != nil {
+		return nil, err
+	}
+	im.pkgs[path] = pkg
+	return pkg, nil
+}
+
+// uses returns the objects the identifiers under nodes refer to.
+func (im *srcImporter) uses(nodes ...ast.Node) []types.Object {
+	var objs []types.Object
+	for _, n := range nodes {
+		if n == nil || isNilNode(n) {
+			continue
+		}
+		ast.Inspect(n, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok {
+				if obj := im.info.Uses[id]; obj != nil {
+					objs = append(objs, obj)
 				}
 			}
-			*sels = append(*sels, selKey(pkg, n.Sel.Name))
-			collectRefs(n.X, pkg, imports, refs, sels)
-			return false
-		case *ast.Field:
-			// Field and parameter names are not references.
-			collectRefs(n.Type, pkg, imports, refs, sels)
-			return false
-		case *ast.Ident:
-			*refs = append(*refs, pkg+"."+n.Name)
-		}
-		return true
-	})
+			return true
+		})
+	}
+	return objs
 }
 
-// selKey names a method for selector matching. Only the declaring
-// package can select an unexported method.
-func selKey(pkg, name string) string {
-	if ast.IsExported(name) {
-		return name
+// implementers returns, for each type among named (or its pointer)
+// that implements iface, the methods that satisfy iface's methods.
+func implementers(named []*types.TypeName, iface *types.Interface) []*types.Func {
+	var out []*types.Func
+	for _, tn := range named {
+		for _, typ := range []types.Type{tn.Type(), types.NewPointer(tn.Type())} {
+			if !types.Implements(typ, iface) {
+				continue
+			}
+			for i := 0; i < iface.NumMethods(); i++ {
+				m := iface.Method(i)
+				if obj, _, _ := types.LookupFieldOrMethod(typ, true, m.Pkg(), m.Name()); obj != nil {
+					out = append(out, obj.(*types.Func))
+				}
+			}
+			break
+		}
 	}
-	return pkg + "." + name
+	return out
+}
+
+// apiWalker visits the types an exported API exposes: signatures,
+// exported struct fields, element types, and the exported methods of
+// every named type, which it reports to method.
+type apiWalker struct {
+	seen   map[types.Type]bool
+	method func(*types.Func)
+}
+
+func (a *apiWalker) visit(t types.Type) {
+	t = types.Unalias(t)
+	if t == nil || a.seen[t] {
+		return
+	}
+	a.seen[t] = true
+	switch t := t.(type) {
+	case *types.Named:
+		if pkg := t.Obj().Pkg(); pkg == nil || !strings.HasPrefix(pkg.Path(), "repro") {
+			return
+		}
+		for i := 0; i < t.NumMethods(); i++ {
+			if m := t.Method(i); m.Exported() {
+				a.method(m)
+				a.visit(m.Type())
+			}
+		}
+		a.visit(t.Underlying())
+	case *types.Pointer:
+		a.visit(t.Elem())
+	case *types.Slice:
+		a.visit(t.Elem())
+	case *types.Array:
+		a.visit(t.Elem())
+	case *types.Chan:
+		a.visit(t.Elem())
+	case *types.Map:
+		a.visit(t.Key())
+		a.visit(t.Elem())
+	case *types.Signature:
+		a.visit(t.Params())
+		a.visit(t.Results())
+	case *types.Tuple:
+		for i := 0; i < t.Len(); i++ {
+			a.visit(t.At(i).Type())
+		}
+	case *types.Struct:
+		for i := 0; i < t.NumFields(); i++ {
+			if f := t.Field(i); f.Exported() || f.Embedded() {
+				a.visit(f.Type())
+			}
+		}
+	case *types.Interface:
+		for i := 0; i < t.NumMethods(); i++ {
+			a.visit(t.Method(i).Type())
+		}
+	}
+}
+
+// declKey names a declaration for deadAllowlist and the failure report.
+func declKey(obj types.Object) string {
+	if obj == nil {
+		return ""
+	}
+	if fn, ok := obj.(*types.Func); ok {
+		if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+			typ := recv.Type()
+			if p, ok := typ.(*types.Pointer); ok {
+				typ = p.Elem()
+			}
+			if n, ok := typ.(*types.Named); ok {
+				return obj.Pkg().Path() + "." + n.Obj().Name() + "." + obj.Name()
+			}
+		}
+	}
+	return obj.Pkg().Path() + "." + obj.Name()
 }
 
 // isNilNode reports a typed nil inside a non-nil ast.Node.
@@ -329,45 +420,6 @@ func isNilNode(n ast.Node) bool {
 		return n == nil
 	}
 	return false
-}
-
-// publicTypeRefs returns the package-level names a type expression
-// exposes: everything but the types of unexported struct fields.
-func publicTypeRefs(expr ast.Node, pkg string, imports map[string]string) []string {
-	var refs, sels []string
-	if st, ok := expr.(*ast.StructType); ok && st != nil {
-		for _, f := range st.Fields.List {
-			exported := len(f.Names) == 0 // embedded
-			for _, n := range f.Names {
-				exported = exported || n.IsExported()
-			}
-			if exported {
-				collectRefs(f.Type, pkg, imports, &refs, &sels)
-			}
-		}
-		return refs
-	}
-	collectRefs(expr, pkg, imports, &refs, &sels)
-	return refs
-}
-
-func recvTypeName(e ast.Expr) string {
-	for {
-		switch x := e.(type) {
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.IndexListExpr:
-			e = x.X
-		case *ast.ParenExpr:
-			e = x.X
-		case *ast.Ident:
-			return x.Name
-		default:
-			return ""
-		}
-	}
 }
 
 func usesIota(spec *ast.ValueSpec) bool {

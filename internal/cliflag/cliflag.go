@@ -1,6 +1,7 @@
 // Package cliflag standardizes command-line handling across cmd/*: one
 // name per flag, and a uniform failure mode — unknown or malformed
-// flags print usage to stderr and exit 2 instead of half-parsing.
+// flags, and stray arguments, print usage to stderr and exit 2 instead
+// of half-parsing.
 //
 // The repo-wide canonical vocabulary:
 //
@@ -85,10 +86,13 @@ func (s *Set) Usage() {
 }
 
 // Parse parses args (not including the command name). Errors — unknown
-// flags, malformed values — print the error plus usage and exit 2.
-// A bare -h/-help prints usage and exits 0.
+// flags, malformed values, a stray argument after the flags — print the
+// error plus usage and exit 2. A bare -h/-help prints usage and exits 0.
 func (s *Set) Parse(args []string) {
 	err := s.fs.Parse(args)
+	if err == nil && s.fs.NArg() > 0 {
+		err = fmt.Errorf("unexpected argument %q", s.fs.Arg(0))
+	}
 	if err == nil {
 		return
 	}

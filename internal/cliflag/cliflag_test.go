@@ -27,19 +27,28 @@ func TestCanonicalStillWorks(t *testing.T) {
 }
 
 func TestUnknownFlagExits2WithUsage(t *testing.T) {
-	s, out, code := newTestSet(t)
-	s.String("addr", ":8080", "listen address")
+	for _, args := range [][]string{
+		{"-bogus"},
+		// A stray argument after the flags must not be dropped silently.
+		{"-addr", ":9090", "stray"},
+	} {
+		s, out, code := newTestSet(t)
+		s.String("addr", ":8080", "listen address")
 
-	s.Parse([]string{"-bogus"})
-	if *code != 2 {
-		t.Fatalf("exit code = %d, want 2", *code)
-	}
-	text := out.String()
-	if !strings.Contains(text, "usage: tool") {
-		t.Fatalf("usage missing from output:\n%s", text)
-	}
-	if !strings.Contains(text, "-addr") {
-		t.Fatalf("canonical flag missing from usage:\n%s", text)
+		s.Parse(args)
+		if *code != 2 {
+			t.Fatalf("%q: exit code = %d, want 2", args, *code)
+		}
+		text := out.String()
+		if !strings.Contains(text, "usage: tool") {
+			t.Fatalf("%q: usage missing from output:\n%s", args, text)
+		}
+		if !strings.Contains(text, "-addr") {
+			t.Fatalf("%q: canonical flag missing from usage:\n%s", args, text)
+		}
+		if !strings.Contains(text, args[len(args)-1]) {
+			t.Fatalf("%q: offending argument missing from output:\n%s", args, text)
+		}
 	}
 }
 

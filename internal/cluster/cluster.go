@@ -134,12 +134,12 @@ func New(cfg Config) (*Router, error) {
 		cfg:        cfg,
 		client:     &http.Client{Transport: cfg.Transport},
 		mux:        http.NewServeMux(),
-		metrics:    newRouterMetrics(),
 		sessions:   make(map[string]*routedSession),
 		stopCh:     make(chan struct{}),
 		healthDone: make(chan struct{}),
 	}
 	rt.cond = sync.NewCond(&rt.mu)
+	rt.metrics = newRouterMetrics(rt)
 	for _, raw := range cfg.Backends {
 		b, err := newBackend(raw, cfg)
 		if err != nil {
@@ -184,9 +184,7 @@ func (rt *Router) routes() {
 // Handler returns the router's HTTP handler.
 func (rt *Router) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
-		rt.mux.ServeHTTP(sw, r)
-		rt.metrics.response(sw.code)
+		rt.metrics.responses.Serve(rt.mux, w, r)
 	})
 }
 
@@ -257,28 +255,7 @@ func (rt *Router) handleReadyz(w http.ResponseWriter, r *http.Request) {
 
 func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	rt.metrics.Write(w, rt.backends, rt.sessionCount())
-}
-
-// statusWriter records the response code for the responses_total metric.
-type statusWriter struct {
-	http.ResponseWriter
-	code  int
-	wrote bool
-}
-
-func (sw *statusWriter) WriteHeader(code int) {
-	if !sw.wrote {
-		sw.code = code
-		sw.wrote = true
-	}
-	sw.ResponseWriter.WriteHeader(code)
-}
-
-func (sw *statusWriter) Flush() {
-	if f, ok := sw.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
+	_ = rt.metrics.reg.Write(w) // a failed write means the client has gone
 }
 
 // newID mints a 16-hex-char session ID, the value rendezvous-hashed for

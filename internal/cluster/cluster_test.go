@@ -396,7 +396,7 @@ func TestSessionMigrationOnBackendDeath(t *testing.T) {
 
 	// At least the sessions homed on the dead backend migrated.
 	var buf bytes.Buffer
-	rt.metrics.Write(&buf, rt.backends, rt.sessionCount())
+	rt.metrics.reg.Write(&buf)
 	if !strings.Contains(buf.String(), "schedrouter_migrations_total") {
 		t.Fatalf("missing migration metric:\n%s", buf.String())
 	}

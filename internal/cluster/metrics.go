@@ -1,102 +1,54 @@
 package cluster
 
 import (
-	"fmt"
-	"io"
-	"sort"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/metric"
 )
 
 // routerMetrics is the router's Prometheus-text surface. Per-backend
-// gauges are derived from the backend structs at scrape time; only
-// router-level counters live here.
+// families read the backend structs at scrape time; only router-level
+// counters live here.
 type routerMetrics struct {
-	proxyMS *metric.Histogram
+	reg       metric.Registry
+	responses metric.Responses
+	proxyMS   *metric.Histogram
 
-	sessionsCreated  atomic.Int64
-	sessionsFinished atomic.Int64
-	migrations       atomic.Int64
-	migrationFails   atomic.Int64
-	readoptions      atomic.Int64
-	snapshotFails    atomic.Int64
-	streamResumes    atomic.Int64
-	retries          atomic.Int64
-
-	mu        sync.Mutex
-	responses map[int]*atomic.Int64
+	sessionsCreated, sessionsFinished, migrations, migrationFails atomic.Int64
+	readoptions, snapshotFails, streamResumes, retries            atomic.Int64
 }
 
-func newRouterMetrics() *routerMetrics {
-	return &routerMetrics{
-		proxyMS:   metric.NewHistogram(metric.LatencyBucketsMS),
-		responses: make(map[int]*atomic.Int64),
-	}
-}
-
-func (m *routerMetrics) response(code int) {
-	m.mu.Lock()
-	c := m.responses[code]
-	if c == nil {
-		c = &atomic.Int64{}
-		m.responses[code] = c
-	}
-	m.mu.Unlock()
-	c.Add(1)
-}
-
-func (m *routerMetrics) Write(w io.Writer, backends []*backend, routed int) {
-	fmt.Fprintf(w, "# TYPE schedrouter_backend_up gauge\n")
-	for _, b := range backends {
-		up := 0
-		if b.up.Load() {
-			up = 1
+func newRouterMetrics(rt *Router) *routerMetrics {
+	m := &routerMetrics{}
+	perBackend := func(v func(b *backend) int64) func(metric.Emit) {
+		return func(emit metric.Emit) {
+			for _, b := range rt.backends {
+				emit(metric.Label("backend", b.name), v(b))
+			}
 		}
-		fmt.Fprintf(w, "schedrouter_backend_up{backend=%q} %d\n", b.name, up)
 	}
-	fmt.Fprintf(w, "# TYPE schedrouter_backend_inflight gauge\n")
-	for _, b := range backends {
-		fmt.Fprintf(w, "schedrouter_backend_inflight{backend=%q} %d\n", b.name, b.inflight.Load())
-	}
-	fmt.Fprintf(w, "# TYPE schedrouter_backend_requests_total counter\n")
-	for _, b := range backends {
-		fmt.Fprintf(w, "schedrouter_backend_requests_total{backend=%q} %d\n", b.name, b.requests.Load())
-	}
-	fmt.Fprintf(w, "# TYPE schedrouter_backend_failures_total counter\n")
-	for _, b := range backends {
-		fmt.Fprintf(w, "schedrouter_backend_failures_total{backend=%q} %d\n", b.name, b.failures.Load())
-	}
-	fmt.Fprintf(w, "# TYPE schedrouter_breaker_state gauge\n")
-	for _, b := range backends {
-		st := b.br.Stat(b.name)
-		fmt.Fprintf(w, "schedrouter_breaker_state{backend=%q} %d\n", b.name, int(st.State))
-		fmt.Fprintf(w, "schedrouter_breaker_opened_total{backend=%q} %d\n", b.name, st.Opened)
-	}
-
-	fmt.Fprintf(w, "# TYPE schedrouter_sessions_routed gauge\n")
-	fmt.Fprintf(w, "schedrouter_sessions_routed %d\n", routed)
-	fmt.Fprintf(w, "schedrouter_sessions_created_total %d\n", m.sessionsCreated.Load())
-	fmt.Fprintf(w, "schedrouter_sessions_finished_total %d\n", m.sessionsFinished.Load())
-	fmt.Fprintf(w, "schedrouter_migrations_total %d\n", m.migrations.Load())
-	fmt.Fprintf(w, "schedrouter_migration_failures_total %d\n", m.migrationFails.Load())
-	fmt.Fprintf(w, "schedrouter_readoptions_total %d\n", m.readoptions.Load())
-	fmt.Fprintf(w, "schedrouter_snapshot_refresh_failures_total %d\n", m.snapshotFails.Load())
-	fmt.Fprintf(w, "schedrouter_stream_resumes_total %d\n", m.streamResumes.Load())
-	fmt.Fprintf(w, "schedrouter_proxy_retries_total %d\n", m.retries.Load())
-
-	m.mu.Lock()
-	codes := make([]int, 0, len(m.responses))
-	for code := range m.responses {
-		codes = append(codes, code)
-	}
-	sort.Ints(codes)
-	fmt.Fprintf(w, "# TYPE schedrouter_responses_total counter\n")
-	for _, code := range codes {
-		fmt.Fprintf(w, "schedrouter_responses_total{code=\"%d\"} %d\n", code, m.responses[code].Load())
-	}
-	m.mu.Unlock()
-
-	m.proxyMS.Write(w, "schedrouter_proxy_latency_ms")
+	r := &m.reg
+	r.GaugeFamily("schedrouter_backend_up", perBackend(func(b *backend) int64 {
+		if b.up.Load() {
+			return 1
+		}
+		return 0
+	}))
+	r.GaugeFamily("schedrouter_backend_inflight", perBackend(func(b *backend) int64 { return b.inflight.Load() }))
+	r.CounterFamily("schedrouter_backend_requests_total", perBackend(func(b *backend) int64 { return b.requests.Load() }))
+	r.CounterFamily("schedrouter_backend_failures_total", perBackend(func(b *backend) int64 { return b.failures.Load() }))
+	r.GaugeFamily("schedrouter_breaker_state", perBackend(func(b *backend) int64 { return int64(b.br.Stat(b.name).State) }))
+	r.CounterFamily("schedrouter_breaker_opened_total", perBackend(func(b *backend) int64 { return b.br.Stat(b.name).Opened }))
+	r.Gauge("schedrouter_sessions_routed", func() int64 { return int64(rt.sessionCount()) })
+	r.Counter("schedrouter_sessions_created_total", m.sessionsCreated.Load)
+	r.Counter("schedrouter_sessions_finished_total", m.sessionsFinished.Load)
+	r.Counter("schedrouter_migrations_total", m.migrations.Load)
+	r.Counter("schedrouter_migration_failures_total", m.migrationFails.Load)
+	r.Counter("schedrouter_readoptions_total", m.readoptions.Load)
+	r.Counter("schedrouter_snapshot_refresh_failures_total", m.snapshotFails.Load)
+	r.Counter("schedrouter_stream_resumes_total", m.streamResumes.Load)
+	r.Counter("schedrouter_proxy_retries_total", m.retries.Load)
+	r.CounterFamily("schedrouter_responses_total", m.responses.Samples)
+	m.proxyMS = r.Histogram("schedrouter_proxy_latency_ms", metric.LatencyBucketsMS)
+	return m
 }

@@ -20,20 +20,6 @@ import (
 // this, so the cap only guards against a misbehaving peer.
 const maxProxyBody = 64 << 20
 
-// writeJSON writes a 2xx body; errors go through wire.WriteError, the
-// same envelope writer schedd uses.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	_ = enc.Encode(v)
-}
-
-func retryAfter(w http.ResponseWriter, seconds int) {
-	w.Header().Set("Retry-After", strconv.Itoa(seconds))
-}
-
 // reply is a fully buffered backend response.
 type reply struct {
 	status int
@@ -233,7 +219,7 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, body []byte) {
 		last.relay(w)
 		return
 	}
-	retryAfter(w, 1)
+	wire.RetryAfter(w, 1)
 	wire.WriteError(w, http.StatusServiceUnavailable, wire.CodeUnavailable, "no healthy backend")
 }
 
@@ -265,7 +251,7 @@ func (rt *Router) sleepRetryAfter(ctx context.Context, last *reply) bool {
 // /v1/feasible, /v1/algorithms) through the load-balanced pool.
 func (rt *Router) handleOneShot(w http.ResponseWriter, r *http.Request) {
 	if rt.draining.Load() {
-		retryAfter(w, 1)
+		wire.RetryAfter(w, 1)
 		wire.WriteError(w, http.StatusServiceUnavailable, wire.CodeDraining, "router is draining")
 		return
 	}
@@ -287,7 +273,7 @@ func (rt *Router) handleOneShot(w http.ResponseWriter, r *http.Request) {
 // entries rather than failing the whole batch.
 func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if rt.draining.Load() {
-		retryAfter(w, 1)
+		wire.RetryAfter(w, 1)
 		wire.WriteError(w, http.StatusServiceUnavailable, wire.CodeDraining, "router is draining")
 		return
 	}
@@ -342,7 +328,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	wg.Wait()
 	sort.Slice(items, func(i, j int) bool { return items[i].Index < items[j].Index })
-	writeJSON(w, http.StatusOK, wire.BatchResponse{
+	wire.WriteJSON(w, http.StatusOK, wire.BatchResponse{
 		Version:   wire.Version,
 		Items:     items,
 		ElapsedMS: rt.cfg.Now().Sub(start).Seconds() * 1e3,

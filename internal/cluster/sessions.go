@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -102,12 +101,12 @@ func (rt *Router) setSnapshot(s *routedSession, gen int64, snap *wire.SessionSna
 // unreachable.
 func (rt *Router) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	if rt.draining.Load() {
-		retryAfter(w, 1)
+		wire.RetryAfter(w, 1)
 		wire.WriteError(w, http.StatusServiceUnavailable, wire.CodeDraining, "router is draining")
 		return
 	}
 	var req wire.SessionCreateRequest
-	if err := decodeStrict(w, r, &req); err != nil {
+	if err := wire.DecodeStrict(w, r, &req); err != nil {
 		wire.WriteError(w, http.StatusBadRequest, wire.CodeBadRequest, "%v", err)
 		return
 	}
@@ -170,7 +169,7 @@ func (rt *Router) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		last.relay(w)
 		return
 	}
-	retryAfter(w, 1)
+	wire.RetryAfter(w, 1)
 	wire.WriteError(w, http.StatusServiceUnavailable, wire.CodeUnavailable, "no healthy backend")
 }
 
@@ -206,7 +205,7 @@ func (rt *Router) handleSessionArrive(w http.ResponseWriter, r *http.Request) {
 		wire.WriteError(w, http.StatusNotFound, wire.CodeNotFound, "unknown session %q", id)
 		return
 	}
-	body, err := readBody(w, r)
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxProxyBody))
 	if err != nil {
 		wire.WriteError(w, http.StatusBadRequest, wire.CodeBadRequest, "read body: %v", err)
 		return
@@ -225,7 +224,7 @@ func (rt *Router) handleSessionArrive(w http.ResponseWriter, r *http.Request) {
 				return // client gave up; nothing useful to write
 			}
 			if timeoutErr(err) {
-				retryAfter(w, 1)
+				wire.RetryAfter(w, 1)
 				wire.WriteError(w, http.StatusGatewayTimeout, wire.CodeTimeout, "backend %s timed out", home.name)
 				return
 			}
@@ -265,7 +264,7 @@ func (rt *Router) handleSessionArrive(w http.ResponseWriter, r *http.Request) {
 		rp.relay(w)
 		return
 	}
-	retryAfter(w, 1)
+	wire.RetryAfter(w, 1)
 	wire.WriteError(w, http.StatusServiceUnavailable, wire.CodeUnavailable, "session %q unreachable after migration attempts", id)
 }
 
@@ -310,7 +309,7 @@ func (rt *Router) proxySessionOnce(w http.ResponseWriter, r *http.Request, metho
 				return // client gave up; nothing useful to write
 			}
 			if timeoutErr(err) {
-				retryAfter(w, 1)
+				wire.RetryAfter(w, 1)
 				wire.WriteError(w, http.StatusGatewayTimeout, wire.CodeTimeout, "backend %s timed out", home.name)
 				return
 			}
@@ -332,32 +331,8 @@ func (rt *Router) proxySessionOnce(w http.ResponseWriter, r *http.Request, metho
 		rp.relay(w)
 		return
 	}
-	retryAfter(w, 1)
+	wire.RetryAfter(w, 1)
 	wire.WriteError(w, http.StatusServiceUnavailable, wire.CodeUnavailable, "session %q unreachable", id)
-}
-
-// readBody buffers a request body under the proxy cap.
-func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
-	return io.ReadAll(http.MaxBytesReader(w, r.Body, maxProxyBody))
-}
-
-// decodeStrict mirrors the backend's strict JSON decoding so router
-// rejections match schedd rejections byte-for-byte in spirit.
-func decodeStrict(w http.ResponseWriter, r *http.Request, v any) error {
-	body, err := readBody(w, r)
-	if err != nil {
-		return err
-	}
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("decode: %w", err)
-	}
-	var extra json.RawMessage
-	if err := dec.Decode(&extra); err != io.EOF {
-		return fmt.Errorf("decode: trailing data after JSON body")
-	}
-	return nil
 }
 
 // migrationWait bounds how long a stream waits for a session to land on

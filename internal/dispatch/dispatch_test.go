@@ -535,7 +535,7 @@ func TestSnapshotRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if got, want := r.Now(), s.Now(); got != want {
+	if got, want := r.now, s.now; got != want {
 		t.Fatalf("restored clock %g, want %g", got, want)
 	}
 
@@ -714,7 +714,7 @@ func TestCommitPointsImmutable(t *testing.T) {
 			t.Fatalf("committed prefix rewritten: %v became %v", seg, after[i])
 		}
 	}
-	now := s.Now()
+	now := s.now
 	for _, seg := range after {
 		if seg.End > now+1e-9 {
 			t.Errorf("committed segment %v beyond clock %g", seg, now)

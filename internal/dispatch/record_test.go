@@ -166,7 +166,13 @@ func TestJournalRecordsMatchJSON(t *testing.T) {
 	if j1.kinds[RecCreate] != 1 {
 		t.Errorf("create records: %d, want 1", j1.kinds[RecCreate])
 	}
-	if faulty.Fired(fault.AllocError) == 0 {
+	var fired int64
+	for _, c := range faulty.Counts() {
+		if c.Point == fault.AllocError {
+			fired = c.Fired
+		}
+	}
+	if fired == 0 {
 		t.Error("no solver fault fired")
 	}
 }

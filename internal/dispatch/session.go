@@ -735,13 +735,6 @@ func (s *Session) Stats() Stats {
 	}
 }
 
-// Now returns the virtual clock.
-func (s *Session) Now() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.now
-}
-
 // Committed returns a copy of the immutable realized prefix. Segment
 // Task fields are session task IDs.
 func (s *Session) Committed() []schedule.Segment {

@@ -191,16 +191,8 @@ func (in *Injector) Err(p Point) error {
 	return nil
 }
 
-// Delay returns the configured SolverDelay stall length.
-func (in *Injector) Delay() time.Duration {
-	if in == nil {
-		return 0
-	}
-	return in.delay
-}
-
 // BeforeSolve acts out the solver-entry faults, in order: it panics
-// when SolverPanic fires, stalls for Delay (or until ctx ends) when
+// when SolverPanic fires, stalls for Plan.Delay (or until ctx ends) when
 // SolverDelay fires, and returns the typed error when AllocError fires.
 // A nil Injector does nothing.
 func (in *Injector) BeforeSolve(ctx context.Context) error {
@@ -219,14 +211,6 @@ func (in *Injector) BeforeSolve(ctx context.Context) error {
 		}
 	}
 	return in.Err(AllocError)
-}
-
-// Fired returns how many times p has fired.
-func (in *Injector) Fired(p Point) int64 {
-	if in == nil {
-		return 0
-	}
-	return in.fired[p].Load()
 }
 
 // Counts returns the fired count of every point, sorted by point name.

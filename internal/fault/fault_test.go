@@ -46,8 +46,8 @@ func TestDeterministicSequence(t *testing.T) {
 			t.Fatalf("same seed diverged at draw %d", i)
 		}
 	}
-	if a.Fired(SolverPanic) == 0 || a.Fired(SolverPanic) == 200 {
-		t.Fatalf("rate 0.3 fired %d/200 times", a.Fired(SolverPanic))
+	if n := a.fired[SolverPanic].Load(); n == 0 || n == 200 {
+		t.Fatalf("rate 0.3 fired %d/200 times", n)
 	}
 
 	c := New(Plan{Rates: plan.Rates, Seed: 43})

@@ -389,7 +389,13 @@ func TestDiskFaultInjection(t *testing.T) {
 		if r.Err != nil || r.Snapshot != nil || r.Truncated {
 			t.Fatalf("short write left residue: err=%v snap=%v torn=%v", r.Err, r.Snapshot != nil, r.Truncated)
 		}
-		if inj.Fired(fault.JournalShortWrite) == 0 {
+		var fired int64
+		for _, c := range inj.Counts() {
+			if c.Point == fault.JournalShortWrite {
+				fired = c.Fired
+			}
+		}
+		if fired == 0 {
 			t.Fatal("injector bookkeeping lost the fault")
 		}
 	})

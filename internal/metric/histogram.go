@@ -1,11 +1,7 @@
-// Package metric holds the small observability primitives shared by
-// the schedd server and the schedrouter cluster tier: a fixed-bucket
-// concurrent histogram emitted in prometheus-style text.
 package metric
 
 import (
 	"fmt"
-	"io"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -23,56 +19,36 @@ var LatencyBucketsMS = []float64{
 type Histogram struct {
 	bounds []float64
 	counts []atomic.Int64
-	sum    atomicFloat
 	n      atomic.Int64
-}
-
-// NewHistogram returns a histogram with the given inclusive upper-edge
-// bucket bounds (must be sorted ascending).
-func NewHistogram(bounds []float64) *Histogram {
-	return &Histogram{bounds: bounds, counts: make([]atomic.Int64, len(bounds)+1)}
+	// sum is guarded by a mutex: at one observation per request
+	// contention is negligible, and a mutex avoids a CAS loop.
+	mu  sync.Mutex
+	sum float64
 }
 
 // Observe records one sample.
 func (h *Histogram) Observe(v float64) {
 	i := sort.SearchFloat64s(h.bounds, v)
 	h.counts[i].Add(1)
-	h.sum.Add(v)
+	h.mu.Lock()
+	h.sum += v
+	h.mu.Unlock()
 	h.n.Add(1)
 }
 
-// Write emits the histogram in cumulative prometheus-style text lines.
-func (h *Histogram) Write(w io.Writer, name string) {
+// appendSamples appends the cumulative _bucket lines, then _sum and
+// _count.
+func (h *Histogram) appendSamples(b []byte, name string) []byte {
 	var cum int64
-	for i, b := range h.bounds {
+	for i, bound := range h.bounds {
 		cum += h.counts[i].Load()
-		fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", name, FmtFloat(b), cum)
+		b = appendSample(b, name+"_bucket", Label("le", fmt.Sprint(bound)), cum)
 	}
 	cum += h.counts[len(h.bounds)].Load()
-	fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", name, cum)
-	fmt.Fprintf(w, "%s_sum %s\n", name, FmtFloat(h.sum.Load()))
-	fmt.Fprintf(w, "%s_count %d\n", name, h.n.Load())
-}
-
-// FmtFloat renders a float the way the metrics text format expects.
-func FmtFloat(v float64) string { return fmt.Sprintf("%g", v) }
-
-// atomicFloat is a float64 accumulated with a mutex; observation rates
-// here (one add per request) make contention negligible, and a mutex
-// avoids a CAS loop.
-type atomicFloat struct {
-	mu sync.Mutex
-	v  float64
-}
-
-func (a *atomicFloat) Add(d float64) {
-	a.mu.Lock()
-	a.v += d
-	a.mu.Unlock()
-}
-
-func (a *atomicFloat) Load() float64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.v
+	b = appendSample(b, name+"_bucket", Label("le", "+Inf"), cum)
+	h.mu.Lock()
+	sum := h.sum
+	h.mu.Unlock()
+	b = appendSample(b, name+"_sum", "", sum)
+	return appendSample(b, name+"_count", "", h.n.Load())
 }

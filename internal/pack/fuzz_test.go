@@ -39,13 +39,13 @@ func FuzzInterval(f *testing.F) {
 			if p.Start < start-1e-9 || p.End > end+1e-9 {
 				t.Fatalf("piece %+v escapes [%g, %g]", p, start, end)
 			}
-			if p.Duration() <= 0 {
+			if p.End-p.Start <= 0 {
 				t.Fatalf("non-positive piece %+v", p)
 			}
 			if p.Core < 0 || p.Core >= m {
 				t.Fatalf("piece %+v on invalid core", p)
 			}
-			got[p.Task] += p.Duration()
+			got[p.Task] += p.End - p.Start
 		}
 		for _, r := range reqs {
 			want := r.Time

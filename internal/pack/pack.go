@@ -23,9 +23,6 @@ type Piece struct {
 	End   float64 // absolute end time
 }
 
-// Duration returns End − Start.
-func (p Piece) Duration() float64 { return p.End - p.Start }
-
 // Request is one task's allocated execution time within the subinterval.
 type Request struct {
 	Task int

@@ -38,7 +38,7 @@ func checkNoCollisions(t *testing.T, pieces []Piece) {
 func totals(pieces []Piece) map[int]float64 {
 	out := map[int]float64{}
 	for _, p := range pieces {
-		out[p.Task] += p.Duration()
+		out[p.Task] += p.End - p.Start
 	}
 	return out
 }
@@ -103,7 +103,7 @@ func TestExactFit(t *testing.T) {
 	}
 	cores := map[int]bool{}
 	for _, p := range pieces {
-		if p.Duration() != 2 {
+		if p.End-p.Start != 2 {
 			t.Errorf("piece %+v should span the subinterval", p)
 		}
 		cores[p.Core] = true

@@ -87,7 +87,7 @@ func TestScheduleBatch(t *testing.T) {
 	if !br.Items[4].Response.Cached {
 		t.Log("note: batch item 4 was not a cache hit (races item 0; allowed)")
 	}
-	if got := srv.Metrics().batches.Load(); got != 1 {
+	if got := srv.metrics.batches.Load(); got != 1 {
 		t.Fatalf("batches metric = %d, want 1", got)
 	}
 }

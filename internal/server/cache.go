@@ -127,13 +127,6 @@ func (c *solveCache) Put(key cacheKey, val *wire.EncodedSchedule) {
 	}
 }
 
-// Len reports the current number of cached outcomes.
-func (c *solveCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.order.Len()
-}
-
 // Corrupt damages the stored entry for key without updating its
 // checksum — the realization of the cache_corrupt fault-injection
 // point. The entry's bytes are replaced with a damaged copy (never

@@ -68,8 +68,8 @@ func TestSolveCacheLRU(t *testing.T) {
 
 	c.Put(ka, a)
 	c.Put(kb, b)
-	if c.Len() != 2 {
-		t.Fatalf("len %d, want 2", c.Len())
+	if c.order.Len() != 2 {
+		t.Fatalf("len %d, want 2", c.order.Len())
 	}
 
 	// Touch a so b becomes least recently used, then insert c: b evicts.
@@ -93,8 +93,8 @@ func TestSolveCacheLRU(t *testing.T) {
 	if v, _, _ := c.Get(ka); v != a2 {
 		t.Fatal("refresh did not replace the value")
 	}
-	if c.Len() != 2 {
-		t.Fatalf("len %d after refresh, want 2", c.Len())
+	if c.order.Len() != 2 {
+		t.Fatalf("len %d after refresh, want 2", c.order.Len())
 	}
 }
 
@@ -119,8 +119,8 @@ func TestSolveCacheCorrupt(t *testing.T) {
 	if v, ok, corrupted := c.Get(k); ok || !corrupted || v != nil {
 		t.Fatalf("Get after Corrupt: ok=%v corrupted=%v, want a reported corruption", ok, corrupted)
 	}
-	if c.Len() != 0 {
-		t.Fatalf("corrupted entry not evicted: len %d", c.Len())
+	if c.order.Len() != 0 {
+		t.Fatalf("corrupted entry not evicted: len %d", c.order.Len())
 	}
 	if _, ok, corrupted := c.Get(k); ok || corrupted {
 		t.Fatal("evicted entry still present")
@@ -138,7 +138,7 @@ func TestSolveCacheDisabled(t *testing.T) {
 	if _, ok, _ := c.Get(k); ok {
 		t.Fatal("disabled cache returned a hit")
 	}
-	if c.Len() != 0 {
+	if c.order.Len() != 0 {
 		t.Fatal("disabled cache stored an entry")
 	}
 }

@@ -24,14 +24,6 @@ import (
 	"repro/internal/trace"
 )
 
-// writeJSON emits v with the given status code.
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(v)
-}
-
 // Sentinel causes threaded through error chains so errorCode can
 // classify failures that have no typed sentinel of their own.
 var (
@@ -92,11 +84,6 @@ func errorCode(status int, err error) wire.ErrorCode {
 // (status, err).
 func writeErrorFor(w http.ResponseWriter, status int, err error) {
 	wire.WriteError(w, status, errorCode(status, err), "%v", err)
-}
-
-// retryAfter marks an overload/draining response as retryable.
-func retryAfter(w http.ResponseWriter, seconds int) {
-	w.Header().Set("Retry-After", fmt.Sprintf("%d", seconds))
 }
 
 // solveResult is one solver outcome: the verified schedule, its
@@ -405,7 +392,7 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if s.draining.Load() {
-		retryAfter(w, 1)
+		wire.RetryAfter(w, 1)
 		s.metrics.draining.Add(1)
 		wire.WriteError(w, http.StatusServiceUnavailable, wire.CodeDraining, "server is draining")
 		return
@@ -413,14 +400,14 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 
 	var req wire.ScheduleRequest
-	if err := decodeJSON(w, r, &req); err != nil {
+	if err := wire.DecodeStrict(w, r, &req); err != nil {
 		wire.WriteError(w, http.StatusBadRequest, wire.CodeBadRequest, "%v", err)
 		return
 	}
 	enc, sched, code, err := s.solveOne(r.Context(), &req)
 	if err != nil {
 		if code == http.StatusTooManyRequests || code == http.StatusServiceUnavailable {
-			retryAfter(w, 1)
+			wire.RetryAfter(w, 1)
 		}
 		writeErrorFor(w, code, err)
 		return
@@ -448,7 +435,7 @@ func (s *Server) handleScheduleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if s.draining.Load() {
-		retryAfter(w, 1)
+		wire.RetryAfter(w, 1)
 		s.metrics.draining.Add(1)
 		wire.WriteError(w, http.StatusServiceUnavailable, wire.CodeDraining, "server is draining")
 		return
@@ -456,7 +443,7 @@ func (s *Server) handleScheduleBatch(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 
 	var req wire.BatchRequest
-	if err := decodeJSON(w, r, &req); err != nil {
+	if err := wire.DecodeStrict(w, r, &req); err != nil {
 		wire.WriteError(w, http.StatusBadRequest, wire.CodeBadRequest, "%v", err)
 		return
 	}
@@ -584,7 +571,7 @@ func (s *Server) handleFeasible(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req wire.FeasibleRequest
-	if err := decodeJSON(w, r, &req); err != nil {
+	if err := wire.DecodeStrict(w, r, &req); err != nil {
 		wire.WriteError(w, http.StatusBadRequest, wire.CodeBadRequest, "%v", err)
 		return
 	}
@@ -615,7 +602,7 @@ func (s *Server) handleFeasible(w http.ResponseWriter, r *http.Request) {
 		wire.WriteError(w, http.StatusUnprocessableEntity, wire.CodeUnprocessable, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, wire.FeasibleResponse{
+	wire.WriteJSON(w, http.StatusOK, wire.FeasibleResponse{
 		Feasible: feasible,
 		Speed:    speed,
 		MinSpeed: minSpeed,
@@ -628,7 +615,7 @@ func (s *Server) handleAlgorithms(w http.ResponseWriter, r *http.Request) {
 		wire.WriteError(w, http.StatusMethodNotAllowed, wire.CodeMethodNotAllowed, "use GET")
 		return
 	}
-	writeJSON(w, http.StatusOK, wire.AlgorithmsResponse{Algorithms: check.Names()})
+	wire.WriteJSON(w, http.StatusOK, wire.AlgorithmsResponse{Algorithms: check.Names()})
 }
 
 // handleHealthz serves GET /healthz: pure liveness. It answers 200 as
@@ -636,7 +623,7 @@ func (s *Server) handleAlgorithms(w http.ResponseWriter, r *http.Request) {
 // orchestrators don't kill a daemon that is finishing in-flight work.
 // Routing decisions belong to /readyz.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
+	wire.WriteJSON(w, http.StatusOK, map[string]any{
 		"status":     "ok",
 		"algorithms": len(check.Names()),
 	})
@@ -649,10 +636,10 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case s.draining.Load():
-		retryAfter(w, 1)
+		wire.RetryAfter(w, 1)
 		wire.WriteError(w, http.StatusServiceUnavailable, wire.CodeDraining, "draining")
 	case s.breakers.AllOpen():
-		retryAfter(w, 1)
+		wire.RetryAfter(w, 1)
 		wire.WriteError(w, http.StatusServiceUnavailable, wire.CodeBreakerOpen, "all circuit breakers open")
 	default:
 		resp := map[string]any{"status": "ready"}
@@ -662,12 +649,12 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 			resp["sessions_recovered"] = s.metrics.sessionsRecovered.Load()
 			resp["sessions_recovery_failed"] = s.metrics.sessionsRecoveryFailed.Load()
 		}
-		writeJSON(w, http.StatusOK, resp)
+		wire.WriteJSON(w, http.StatusOK, resp)
 	}
 }
 
-// handleMetrics serves GET /metrics as expvar-style text.
+// handleMetrics serves GET /metrics in the Prometheus text format.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	s.metrics.Write(w)
+	_ = s.metrics.reg.Write(w) // a failed write means the client has gone
 }

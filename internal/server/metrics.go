@@ -1,108 +1,95 @@
 package server
 
 import (
-	"fmt"
-	"io"
-	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/breaker"
-	"repro/internal/fault"
 	"repro/internal/metric"
 )
 
-// latencyBucketsMS are the upper bounds (in milliseconds) of the request
-// latency histogram; a final implicit +Inf bucket catches the rest.
-var latencyBucketsMS = metric.LatencyBucketsMS
-
-// queueBuckets are the upper bounds of the queue-depth-at-admission
-// histogram.
-var queueBuckets = []float64{0, 1, 2, 4, 8, 16, 32, 64, 128, 256}
-
-func fmtFloat(v float64) string { return metric.FmtFloat(v) }
-
-// Metrics is the server's observability surface: atomic counters and
-// histograms exported as expvar-style text on GET /metrics.
+// Metrics is the server's observability surface, served as Prometheus
+// text on GET /metrics. newMetrics registers every metric, and says
+// what it counts, in the order they are written.
 type Metrics struct {
-	start time.Time
+	reg       metric.Registry
+	responses metric.Responses
 
-	// Request/response accounting.
-	requests  atomic.Int64 // requests accepted into handlers
-	inflight  atomic.Int64 // currently being handled
-	responses sync.Map     // status code (int) -> *atomic.Int64
-
-	// Solver accounting.
-	solves         atomic.Int64 // solves actually executed (cache misses)
-	solveErrors    atomic.Int64 // solver returned an error
-	verifyFailures atomic.Int64 // guardrail rejected a produced schedule
-	canceled       atomic.Int64 // request context ended before/during solve
-	batches        atomic.Int64 // batch requests processed
-
-	// Admission accounting.
-	overload atomic.Int64 // 429 rejections (queue full)
-	draining atomic.Int64 // 503 rejections (shutdown in progress)
-
-	// Cache accounting.
-	cacheHits        atomic.Int64
-	cacheMisses      atomic.Int64
-	cacheCorruptions atomic.Int64 // checksum mismatches detected on Get
-
-	// Robustness accounting.
-	solvePanics      atomic.Int64 // solver panics recovered into errors
-	degraded         atomic.Int64 // responses served by the fallback chain
-	fallbackFailures atomic.Int64 // fallback chain exhausted (503 served)
-	breakerDenials   atomic.Int64 // requests denied by an open breaker
-
-	// Streaming-session accounting.
-	sessionsOpened      atomic.Int64 // sessions created
-	sessionsClosed      atomic.Int64 // sessions deleted by clients
-	sessionsEvicted     atomic.Int64 // sessions evicted by the TTL janitor
-	sessionsRestored    atomic.Int64 // sessions adopted via POST /v1/sessions/restore
-	sessionSnapshots    atomic.Int64 // snapshots served via GET .../snapshot
-	sessionArrivals     atomic.Int64 // tasks admitted into sessions
-	sessionReplans      atomic.Int64 // residual re-plans executed
-	sessionReplanErrors atomic.Int64 // residual re-plans that failed
-	sessionSheds        atomic.Int64 // tasks load-shed by sessions
-
-	// Durability accounting (journal enabled via -data-dir).
-	journalRecords         atomic.Int64 // records appended to session logs
-	journalErrors          atomic.Int64 // appends that failed (session degraded)
-	sessionsRecovered      atomic.Int64 // sessions rebuilt from logs at startup
-	sessionsRecoveryFailed atomic.Int64 // logs that could not be recovered
-
-	// Histograms.
-	latencyMS  *metric.Histogram // end-to-end /v1/schedule handling time
-	queueDepth *metric.Histogram // admission-time queue depth
-	replanMS   *metric.Histogram // per-session residual re-plan latency
-
-	// queueNow is sampled live from the admission gate at scrape time.
-	queueNow func() int64
-	// sessionsOpen / sessionBacklog are sampled live from the session
-	// manager at scrape time; nil when sessions are disabled.
-	sessionsOpen   func() int
-	sessionBacklog func() int
-	// breakerStats / faultCounts are sampled live at scrape time; either
-	// may be nil (breakers disabled, no fault injector active).
-	breakerStats func() []breaker.Stat
-	faultCounts  func() []fault.Count
+	requests, inflight                                                     atomic.Int64
+	solves, solveErrors, verifyFailures, canceled, batches                 atomic.Int64
+	overload, draining                                                     atomic.Int64
+	cacheHits, cacheMisses, cacheCorruptions                               atomic.Int64
+	solvePanics, degraded, fallbackFailures, breakerDenials                atomic.Int64
+	sessionsOpened, sessionsClosed, sessionsEvicted, sessionsRestored      atomic.Int64
+	sessionSnapshots, sessionArrivals, sessionReplans, sessionReplanErrors atomic.Int64
+	sessionSheds, journalRecords, journalErrors                            atomic.Int64
+	sessionsRecovered, sessionsRecoveryFailed                              atomic.Int64
+	latencyMS, queueDepth, replanMS                                        *metric.Histogram
 }
 
-func newMetrics(queueNow func() int64) *Metrics {
-	return &Metrics{
-		start:      time.Now(),
-		latencyMS:  metric.NewHistogram(latencyBucketsMS),
-		queueDepth: metric.NewHistogram(queueBuckets),
-		replanMS:   metric.NewHistogram(latencyBucketsMS),
-		queueNow:   queueNow,
-	}
-}
-
-// response counts one response with the given HTTP status code.
-func (m *Metrics) response(code int) {
-	v, _ := m.responses.LoadOrStore(code, new(atomic.Int64))
-	v.(*atomic.Int64).Add(1)
+// newMetrics registers s's metrics. The gauges and the breaker and fault
+// families read s's admission gate, breakers, fault injector and session
+// manager at scrape time.
+func newMetrics(s *Server) *Metrics {
+	m := &Metrics{}
+	start := time.Now()
+	r := &m.reg
+	r.GaugeFloat("schedd_uptime_seconds", func() float64 { return time.Since(start).Seconds() })
+	r.Counter("schedd_requests_total", m.requests.Load) // accepted into handlers
+	r.Gauge("schedd_inflight", m.inflight.Load)
+	r.CounterFamily("schedd_responses_total", m.responses.Samples)
+	r.Counter("schedd_solves_total", m.solves.Load) // solves executed (cache misses)
+	r.Counter("schedd_batches_total", m.batches.Load)
+	r.Counter("schedd_solve_errors_total", m.solveErrors.Load)
+	r.Counter("schedd_verify_failures_total", m.verifyFailures.Load) // guardrail rejected a schedule
+	r.Counter("schedd_canceled_total", m.canceled.Load)              // context ended before or during a solve
+	r.Counter("schedd_overload_rejections_total", m.overload.Load)   // 429: queue full
+	r.Counter("schedd_draining_rejections_total", m.draining.Load)   // 503: shutdown in progress
+	r.Counter("schedd_cache_hits_total", m.cacheHits.Load)
+	r.Counter("schedd_cache_misses_total", m.cacheMisses.Load)
+	r.GaugeFloat("schedd_cache_hit_rate", m.CacheHitRate)
+	r.Counter("schedd_cache_corruptions_detected_total", m.cacheCorruptions.Load) // checksum mismatches on Get
+	r.Counter("schedd_solve_panics_total", m.solvePanics.Load)                    // recovered into errors
+	r.Counter("schedd_degraded_responses_total", m.degraded.Load)                 // served by the fallback chain
+	r.Counter("schedd_fallback_failures_total", m.fallbackFailures.Load)          // chain exhausted, 503 served
+	r.Counter("schedd_breaker_denials_total", m.breakerDenials.Load)
+	r.GaugeFamily("schedd_breaker_state", func(emit metric.Emit) {
+		for _, st := range s.breakers.Stats() {
+			emit(metric.Label("algorithm", st.Name), int64(st.State))
+		}
+	})
+	r.CounterFamily("schedd_breaker_transitions_total", func(emit metric.Emit) {
+		for _, st := range s.breakers.Stats() {
+			alg := metric.Label("algorithm", st.Name)
+			emit(alg+`,to="open"`, st.Opened)
+			emit(alg+`,to="half-open"`, st.HalfOpened)
+			emit(alg+`,to="closed"`, st.Closed)
+		}
+	})
+	r.CounterFamily("schedd_faults_injected_total", func(emit metric.Emit) {
+		for _, fc := range s.faults().Counts() {
+			emit(metric.Label("point", string(fc.Point)), fc.Fired)
+		}
+	})
+	r.Gauge("schedd_queue_depth", s.gate.depth)
+	r.Gauge("schedd_sessions_open", func() int64 { return int64(s.sessions.Len()) })
+	r.Gauge("schedd_session_backlog_depth", func() int64 { return int64(s.sessions.OpenBacklog()) })
+	r.Counter("schedd_sessions_opened_total", m.sessionsOpened.Load)
+	r.Counter("schedd_sessions_closed_total", m.sessionsClosed.Load)   // deleted by clients
+	r.Counter("schedd_sessions_evicted_total", m.sessionsEvicted.Load) // by the idle-TTL janitor
+	r.Counter("schedd_sessions_restored_total", m.sessionsRestored.Load)
+	r.Counter("schedd_session_snapshots_total", m.sessionSnapshots.Load)
+	r.Counter("schedd_session_arrivals_total", m.sessionArrivals.Load) // tasks admitted
+	r.Counter("schedd_session_replans_total", m.sessionReplans.Load)
+	r.Counter("schedd_session_replan_failures_total", m.sessionReplanErrors.Load)
+	r.Counter("schedd_session_shed_tasks_total", m.sessionSheds.Load)
+	r.Counter("schedd_journal_records_total", m.journalRecords.Load)
+	r.Counter("schedd_journal_errors_total", m.journalErrors.Load) // failed appends (session degraded)
+	r.Counter("schedd_sessions_recovered_total", m.sessionsRecovered.Load)
+	r.Counter("schedd_sessions_recovery_failed_total", m.sessionsRecoveryFailed.Load)
+	m.latencyMS = r.Histogram("schedd_latency_ms", metric.LatencyBucketsMS) // one-shot solve endpoints
+	m.queueDepth = r.Histogram("schedd_queue_depth_at_admission", []float64{0, 1, 2, 4, 8, 16, 32, 64, 128, 256})
+	m.replanMS = r.Histogram("schedd_session_replan_latency_ms", metric.LatencyBucketsMS)
+	return m
 }
 
 // CacheHitRate returns hits/(hits+misses), or 0 before any lookup.
@@ -112,79 +99,4 @@ func (m *Metrics) CacheHitRate() float64 {
 		return 0
 	}
 	return float64(h) / float64(h+s)
-}
-
-// Write emits every metric as "name value" text lines (stable order).
-func (m *Metrics) Write(w io.Writer) {
-	fmt.Fprintf(w, "schedd_uptime_seconds %s\n", fmtFloat(time.Since(m.start).Seconds()))
-	fmt.Fprintf(w, "schedd_requests_total %d\n", m.requests.Load())
-	fmt.Fprintf(w, "schedd_inflight %d\n", m.inflight.Load())
-
-	type codeCount struct {
-		code int
-		n    int64
-	}
-	var codes []codeCount
-	m.responses.Range(func(k, v any) bool {
-		codes = append(codes, codeCount{k.(int), v.(*atomic.Int64).Load()})
-		return true
-	})
-	sort.Slice(codes, func(i, j int) bool { return codes[i].code < codes[j].code })
-	for _, c := range codes {
-		fmt.Fprintf(w, "schedd_responses_total{code=\"%d\"} %d\n", c.code, c.n)
-	}
-
-	fmt.Fprintf(w, "schedd_solves_total %d\n", m.solves.Load())
-	fmt.Fprintf(w, "schedd_batches_total %d\n", m.batches.Load())
-	fmt.Fprintf(w, "schedd_solve_errors_total %d\n", m.solveErrors.Load())
-	fmt.Fprintf(w, "schedd_verify_failures_total %d\n", m.verifyFailures.Load())
-	fmt.Fprintf(w, "schedd_canceled_total %d\n", m.canceled.Load())
-	fmt.Fprintf(w, "schedd_overload_rejections_total %d\n", m.overload.Load())
-	fmt.Fprintf(w, "schedd_draining_rejections_total %d\n", m.draining.Load())
-	fmt.Fprintf(w, "schedd_cache_hits_total %d\n", m.cacheHits.Load())
-	fmt.Fprintf(w, "schedd_cache_misses_total %d\n", m.cacheMisses.Load())
-	fmt.Fprintf(w, "schedd_cache_hit_rate %s\n", fmtFloat(m.CacheHitRate()))
-	fmt.Fprintf(w, "schedd_cache_corruptions_detected_total %d\n", m.cacheCorruptions.Load())
-	fmt.Fprintf(w, "schedd_solve_panics_total %d\n", m.solvePanics.Load())
-	fmt.Fprintf(w, "schedd_degraded_responses_total %d\n", m.degraded.Load())
-	fmt.Fprintf(w, "schedd_fallback_failures_total %d\n", m.fallbackFailures.Load())
-	fmt.Fprintf(w, "schedd_breaker_denials_total %d\n", m.breakerDenials.Load())
-	if m.breakerStats != nil {
-		for _, st := range m.breakerStats() {
-			fmt.Fprintf(w, "schedd_breaker_state{algorithm=%q} %d\n", st.Name, int(st.State))
-			fmt.Fprintf(w, "schedd_breaker_transitions_total{algorithm=%q,to=\"open\"} %d\n", st.Name, st.Opened)
-			fmt.Fprintf(w, "schedd_breaker_transitions_total{algorithm=%q,to=\"half-open\"} %d\n", st.Name, st.HalfOpened)
-			fmt.Fprintf(w, "schedd_breaker_transitions_total{algorithm=%q,to=\"closed\"} %d\n", st.Name, st.Closed)
-		}
-	}
-	if m.faultCounts != nil {
-		for _, fc := range m.faultCounts() {
-			fmt.Fprintf(w, "schedd_faults_injected_total{point=%q} %d\n", string(fc.Point), fc.Fired)
-		}
-	}
-	if m.queueNow != nil {
-		fmt.Fprintf(w, "schedd_queue_depth %d\n", m.queueNow())
-	}
-	if m.sessionsOpen != nil {
-		fmt.Fprintf(w, "schedd_sessions_open %d\n", m.sessionsOpen())
-	}
-	if m.sessionBacklog != nil {
-		fmt.Fprintf(w, "schedd_session_backlog_depth %d\n", m.sessionBacklog())
-	}
-	fmt.Fprintf(w, "schedd_sessions_opened_total %d\n", m.sessionsOpened.Load())
-	fmt.Fprintf(w, "schedd_sessions_closed_total %d\n", m.sessionsClosed.Load())
-	fmt.Fprintf(w, "schedd_sessions_evicted_total %d\n", m.sessionsEvicted.Load())
-	fmt.Fprintf(w, "schedd_sessions_restored_total %d\n", m.sessionsRestored.Load())
-	fmt.Fprintf(w, "schedd_session_snapshots_total %d\n", m.sessionSnapshots.Load())
-	fmt.Fprintf(w, "schedd_session_arrivals_total %d\n", m.sessionArrivals.Load())
-	fmt.Fprintf(w, "schedd_session_replans_total %d\n", m.sessionReplans.Load())
-	fmt.Fprintf(w, "schedd_session_replan_failures_total %d\n", m.sessionReplanErrors.Load())
-	fmt.Fprintf(w, "schedd_session_shed_tasks_total %d\n", m.sessionSheds.Load())
-	fmt.Fprintf(w, "schedd_journal_records_total %d\n", m.journalRecords.Load())
-	fmt.Fprintf(w, "schedd_journal_errors_total %d\n", m.journalErrors.Load())
-	fmt.Fprintf(w, "schedd_sessions_recovered_total %d\n", m.sessionsRecovered.Load())
-	fmt.Fprintf(w, "schedd_sessions_recovery_failed_total %d\n", m.sessionsRecoveryFailed.Load())
-	m.latencyMS.Write(w, "schedd_latency_ms")
-	m.queueDepth.Write(w, "schedd_queue_depth_at_admission")
-	m.replanMS.Write(w, "schedd_session_replan_latency_ms")
 }

@@ -2,37 +2,18 @@ package server
 
 import (
 	"bytes"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
-	"repro/internal/metric"
+	"repro/internal/server/wire"
 )
 
-func TestHistogramBuckets(t *testing.T) {
-	h := metric.NewHistogram([]float64{1, 10, 100})
-	for _, v := range []float64{0.5, 1, 5, 50, 500} {
-		h.Observe(v)
-	}
-	// Bounds are inclusive upper edges: 0.5 and 1 land in le=1; 5 in
-	// le=10; 50 in le=100; 500 in +Inf. Cumulative: 2, 3, 4, 5.
-	var buf bytes.Buffer
-	h.Write(&buf, "x")
-	for _, want := range []string{
-		`x_bucket{le="1"} 2`,
-		`x_bucket{le="10"} 3`,
-		`x_bucket{le="100"} 4`,
-		`x_bucket{le="+Inf"} 5`,
-		`x_sum 556.5`,
-		`x_count 5`,
-	} {
-		if !strings.Contains(buf.String(), want) {
-			t.Fatalf("missing %q in:\n%s", want, buf.String())
-		}
-	}
-}
-
 func TestMetricsWriteAndHitRate(t *testing.T) {
-	m := newMetrics(func() int64 { return 3 })
+	srv := New(Config{})
+	defer srv.Close()
+	m := srv.metrics
 	if m.CacheHitRate() != 0 {
 		t.Fatal("hit rate before any lookup should be 0")
 	}
@@ -41,17 +22,22 @@ func TestMetricsWriteAndHitRate(t *testing.T) {
 	if got := m.CacheHitRate(); got != 0.75 {
 		t.Fatalf("hit rate %g, want 0.75", got)
 	}
-	m.response(200)
-	m.response(200)
-	m.response(429)
+	for _, code := range []int{200, 429, 200} {
+		reply := http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) { w.WriteHeader(code) })
+		m.responses.Serve(reply, httptest.NewRecorder(), httptest.NewRequest("GET", "/", nil))
+	}
 
 	var buf bytes.Buffer
-	m.Write(&buf)
+	if err := m.reg.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
 	for _, want := range []string{
 		`schedd_responses_total{code="200"} 2`,
 		`schedd_responses_total{code="429"} 1`,
 		"schedd_cache_hit_rate 0.75",
-		"schedd_queue_depth 3",
+		"schedd_queue_depth 0",
+		// Counters print their zeros for scrape stability.
+		"schedd_sessions_opened_total 0",
 	} {
 		if !strings.Contains(buf.String(), want) {
 			t.Fatalf("missing %q in:\n%s", want, buf.String())
@@ -64,10 +50,12 @@ func TestMetricsWriteAndHitRate(t *testing.T) {
 }
 
 func TestMetricsSessionGaugesAndCounters(t *testing.T) {
-	m := newMetrics(nil)
-	m.sessionsOpen = func() int { return 2 }
-	m.sessionBacklog = func() int { return 7 }
-	m.sessionsOpened.Add(5)
+	srv, hs := newTestServer(t, Config{})
+	for i := 0; i < 2; i++ {
+		createSession(t, hs.URL, wire.SessionCreateRequest{Cores: 2, Model: wire.ModelJSON{Alpha: 3, P0: 0.05}})
+	}
+	m := srv.metrics
+	m.sessionsOpened.Add(3)
 	m.sessionsClosed.Add(2)
 	m.sessionsEvicted.Add(1)
 	m.sessionArrivals.Add(40)
@@ -78,10 +66,12 @@ func TestMetricsSessionGaugesAndCounters(t *testing.T) {
 	m.replanMS.Observe(30)
 
 	var buf bytes.Buffer
-	m.Write(&buf)
+	if err := m.reg.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
 	for _, want := range []string{
 		"schedd_sessions_open 2",
-		"schedd_session_backlog_depth 7",
+		"schedd_session_backlog_depth 0",
 		"schedd_sessions_opened_total 5",
 		"schedd_sessions_closed_total 2",
 		"schedd_sessions_evicted_total 1",
@@ -96,20 +86,5 @@ func TestMetricsSessionGaugesAndCounters(t *testing.T) {
 		if !strings.Contains(buf.String(), want) {
 			t.Fatalf("missing %q in:\n%s", want, buf.String())
 		}
-	}
-}
-
-func TestMetricsSessionGaugesAbsentWhenUnwired(t *testing.T) {
-	m := newMetrics(nil)
-	var buf bytes.Buffer
-	m.Write(&buf)
-	for _, absent := range []string{"schedd_sessions_open ", "schedd_session_backlog_depth "} {
-		if strings.Contains(buf.String(), absent) {
-			t.Fatalf("unexpected %q in:\n%s", absent, buf.String())
-		}
-	}
-	// Counters still print their zeros for scrape stability.
-	if !strings.Contains(buf.String(), "schedd_sessions_opened_total 0") {
-		t.Fatalf("missing zero counter in:\n%s", buf.String())
 	}
 }

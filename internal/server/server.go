@@ -17,7 +17,7 @@
 //	GET  /v1/algorithms      registered algorithm names
 //	GET  /healthz            liveness (always 200 while the process runs)
 //	GET  /readyz             readiness (503 once draining or all breakers open)
-//	GET  /metrics            expvar-style text metrics
+//	GET  /metrics            Prometheus text metrics
 //	     /debug/pprof/*      runtime profiles
 //
 // Streaming sessions (the live dispatch runtime, internal/dispatch):
@@ -223,9 +223,6 @@ func New(cfg Config) *Server {
 		mux:      http.NewServeMux(),
 		jwriters: make(map[string]*journal.Writer),
 	}
-	s.metrics = newMetrics(s.gate.depth)
-	s.metrics.breakerStats = s.breakers.Stats
-	s.metrics.faultCounts = func() []fault.Count { return s.faults().Counts() }
 	s.sessions = dispatch.NewManager(dispatch.ManagerConfig{
 		MaxSessions: cfg.SessionLimit,
 		TTL:         cfg.SessionTTL,
@@ -237,8 +234,7 @@ func New(cfg Config) *Server {
 			s.cfg.Logger.Printf("msg=%q session=%s", "session evicted (idle TTL)", id)
 		},
 	})
-	s.metrics.sessionsOpen = s.sessions.Len
-	s.metrics.sessionBacklog = s.sessions.OpenBacklog
+	s.metrics = newMetrics(s)
 
 	s.mux.HandleFunc("/v1/schedule", s.handleSchedule)
 	s.mux.HandleFunc("/v1/schedule/batch", s.handleScheduleBatch)
@@ -261,9 +257,6 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return s
 }
-
-// Metrics exposes the server's counters (used by tests and cmd/schedd).
-func (s *Server) Metrics() *Metrics { return s.metrics }
 
 // Close releases background resources (the session manager's TTL
 // janitor, every open session, and the journal store) without draining.
@@ -294,42 +287,15 @@ func (s *Server) Handler() http.Handler {
 		s.metrics.inflight.Add(1)
 		defer s.metrics.inflight.Add(-1)
 
-		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
-		s.mux.ServeHTTP(rec, r)
+		status, bytes := s.metrics.responses.Serve(s.mux, w, r)
 
 		elapsed := time.Since(start)
-		s.metrics.response(rec.status)
 		if r.URL.Path == "/v1/schedule" || r.URL.Path == "/v1/schedule/batch" || r.URL.Path == "/v1/feasible" {
 			s.metrics.latencyMS.Observe(float64(elapsed) / float64(time.Millisecond))
 		}
 		s.cfg.Logger.Printf("method=%s path=%s status=%d dur=%s bytes=%d",
-			r.Method, r.URL.Path, rec.status, elapsed.Round(time.Microsecond), rec.bytes)
+			r.Method, r.URL.Path, status, elapsed.Round(time.Microsecond), bytes)
 	})
-}
-
-type statusRecorder struct {
-	http.ResponseWriter
-	status int
-	bytes  int
-}
-
-func (r *statusRecorder) WriteHeader(code int) {
-	r.status = code
-	r.ResponseWriter.WriteHeader(code)
-}
-
-func (r *statusRecorder) Write(p []byte) (int, error) {
-	n, err := r.ResponseWriter.Write(p)
-	r.bytes += n
-	return n, err
-}
-
-// Flush forwards to the underlying writer so SSE streams work through
-// the logging wrapper.
-func (r *statusRecorder) Flush() {
-	if f, ok := r.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
 }
 
 // ListenAndServe serves until ctx is canceled, then drains: new solves

@@ -59,13 +59,13 @@ func (s *Server) sessionHooks() dispatch.Hooks {
 // handleSessionCreate serves POST /v1/sessions.
 func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
-		retryAfter(w, 1)
+		wire.RetryAfter(w, 1)
 		s.metrics.draining.Add(1)
 		wire.WriteError(w, http.StatusServiceUnavailable, wire.CodeDraining, "server is draining")
 		return
 	}
 	var req wire.SessionCreateRequest
-	if err := decodeJSON(w, r, &req); err != nil {
+	if err := wire.DecodeStrict(w, r, &req); err != nil {
 		wire.WriteError(w, http.StatusBadRequest, wire.CodeBadRequest, "%v", err)
 		return
 	}
@@ -157,14 +157,14 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	switch {
 	case errors.Is(err, dispatch.ErrTooManySessions):
-		retryAfter(w, 1)
+		wire.RetryAfter(w, 1)
 		writeErrorFor(w, http.StatusTooManyRequests, err)
 		return
 	case errors.Is(err, dispatch.ErrDuplicateSession):
 		writeErrorFor(w, http.StatusConflict, err)
 		return
 	case errors.Is(err, dispatch.ErrSessionClosed): // manager draining
-		retryAfter(w, 1)
+		wire.RetryAfter(w, 1)
 		wire.WriteError(w, http.StatusServiceUnavailable, wire.CodeDraining, "server is draining")
 		return
 	case err != nil:
@@ -174,7 +174,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	s.metrics.sessionsOpened.Add(1)
 	s.cfg.Logger.Printf("msg=%q session=%s algorithm=%q cores=%d backlog=%d",
 		"session created", id, algorithm, req.Cores, backlog)
-	writeJSON(w, http.StatusCreated, wire.SessionCreateResponse{
+	wire.WriteJSON(w, http.StatusCreated, wire.SessionCreateResponse{
 		Version:   wire.Version,
 		ID:        id,
 		Algorithm: algorithm,
@@ -200,7 +200,7 @@ func (s *Server) session(w http.ResponseWriter, r *http.Request) (string, *dispa
 // overload; partial admission is a 200 reporting both counts.
 func (s *Server) handleSessionArrive(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
-		retryAfter(w, 1)
+		wire.RetryAfter(w, 1)
 		s.metrics.draining.Add(1)
 		wire.WriteError(w, http.StatusServiceUnavailable, wire.CodeDraining, "server is draining")
 		return
@@ -210,7 +210,7 @@ func (s *Server) handleSessionArrive(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req wire.ArrivalRequest
-	if err := decodeJSON(w, r, &req); err != nil {
+	if err := wire.DecodeStrict(w, r, &req); err != nil {
 		wire.WriteError(w, http.StatusBadRequest, wire.CodeBadRequest, "%v", err)
 		return
 	}
@@ -242,11 +242,11 @@ func (s *Server) handleSessionArrive(w http.ResponseWriter, r *http.Request) {
 	if admitted == 0 && shed > 0 {
 		// Backlog pushback: same contract as admission-queue overload.
 		s.metrics.overload.Add(1)
-		retryAfter(w, 1)
-		writeJSON(w, http.StatusTooManyRequests, resp)
+		wire.RetryAfter(w, 1)
+		wire.WriteJSON(w, http.StatusTooManyRequests, resp)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	wire.WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleSessionSchedule serves GET /v1/sessions/{id}/schedule. Pending
@@ -261,7 +261,7 @@ func (s *Server) handleSessionSchedule(w http.ResponseWriter, r *http.Request) {
 		wire.WriteError(w, statusForCtxErr(err), errorCode(statusForCtxErr(err), err), "flush interrupted: %v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, wire.SessionScheduleResponse{
+	wire.WriteJSON(w, http.StatusOK, wire.SessionScheduleResponse{
 		Version:   wire.Version,
 		ID:        id,
 		Algorithm: sess.Algorithm(),
@@ -403,7 +403,7 @@ func (s *Server) handleSessionSnapshot(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.metrics.sessionSnapshots.Add(1)
-	writeJSON(w, http.StatusOK, wire.SessionSnapshotResponse{
+	wire.WriteJSON(w, http.StatusOK, wire.SessionSnapshotResponse{
 		Version:  wire.Version,
 		ID:       id,
 		Snapshot: snap,
@@ -418,13 +418,13 @@ func (s *Server) handleSessionSnapshot(w http.ResponseWriter, r *http.Request) {
 // or SSE subscribe sees a session that is already live.
 func (s *Server) handleSessionRestore(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
-		retryAfter(w, 1)
+		wire.RetryAfter(w, 1)
 		s.metrics.draining.Add(1)
 		wire.WriteError(w, http.StatusServiceUnavailable, wire.CodeDraining, "server is draining")
 		return
 	}
 	var req wire.SessionRestoreRequest
-	if err := decodeJSON(w, r, &req); err != nil {
+	if err := wire.DecodeStrict(w, r, &req); err != nil {
 		wire.WriteError(w, http.StatusBadRequest, wire.CodeBadRequest, "%v", err)
 		return
 	}
@@ -492,10 +492,10 @@ func (s *Server) handleSessionRestore(w http.ResponseWriter, r *http.Request) {
 		case errors.Is(err, dispatch.ErrDuplicateSession):
 			writeErrorFor(w, http.StatusConflict, err)
 		case errors.Is(err, dispatch.ErrTooManySessions):
-			retryAfter(w, 1)
+			wire.RetryAfter(w, 1)
 			writeErrorFor(w, http.StatusTooManyRequests, err)
 		default:
-			retryAfter(w, 1)
+			wire.RetryAfter(w, 1)
 			wire.WriteError(w, http.StatusServiceUnavailable, wire.CodeDraining, "server is draining")
 		}
 		return
@@ -507,7 +507,7 @@ func (s *Server) handleSessionRestore(w http.ResponseWriter, r *http.Request) {
 	s.metrics.sessionsRestored.Add(1)
 	s.cfg.Logger.Printf("msg=%q session=%s algorithm=%q cores=%d seq=%d",
 		"session restored", req.ID, req.Snapshot.Algorithm, req.Snapshot.Cores, req.Snapshot.Seq)
-	writeJSON(w, http.StatusCreated, wire.SessionCreateResponse{
+	wire.WriteJSON(w, http.StatusCreated, wire.SessionCreateResponse{
 		Version:   wire.Version,
 		ID:        req.ID,
 		Algorithm: req.Snapshot.Algorithm,

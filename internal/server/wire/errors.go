@@ -3,7 +3,9 @@ package wire
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
+	"strconv"
 )
 
 // ErrorCode is the machine-readable classification carried by every
@@ -75,6 +77,36 @@ func WriteError(w http.ResponseWriter, status int, code ErrorCode, format string
 			Retryable: RetryableStatus(status),
 		},
 	})
+}
+
+// WriteJSON writes a 2xx reply body; errors go through WriteError.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	_ = json.NewEncoder(w).Encode(v)
+}
+
+// RetryAfter marks an overload or draining reply as retryable.
+func RetryAfter(w http.ResponseWriter, seconds int) {
+	w.Header().Set("Retry-After", strconv.Itoa(seconds))
+}
+
+// maxBodyBytes bounds request bodies so a single client cannot exhaust
+// memory; generously sized for tens of thousands of tasks.
+const maxBodyBytes = 8 << 20
+
+// DecodeStrict decodes one JSON value from the request body, rejecting
+// unknown fields and trailing data.
+func DecodeStrict(w http.ResponseWriter, r *http.Request, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return fmt.Errorf("invalid request body: %w", err)
+	}
+	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
+		return fmt.Errorf("invalid request body: trailing data after JSON value")
+	}
+	return nil
 }
 
 // DecodeError extracts the error detail from a non-2xx response body.

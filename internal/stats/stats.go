@@ -39,9 +39,6 @@ func (a *Accumulator) Add(x float64) {
 	a.m2 += d * (x - a.mean)
 }
 
-// N returns the number of observations.
-func (a *Accumulator) N() int { return a.n }
-
 // Mean returns the sample mean (NaN when empty).
 func (a *Accumulator) Mean() float64 {
 	if a.n == 0 {
@@ -148,6 +145,3 @@ func (m *MissRate) Rate() float64 {
 	}
 	return float64(m.misses) / float64(m.total)
 }
-
-// Counts returns raw misses and trials.
-func (m *MissRate) Counts() (misses, total int) { return m.misses, m.total }

@@ -12,8 +12,8 @@ func TestAccumulatorBasics(t *testing.T) {
 	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
 		a.Add(x)
 	}
-	if a.N() != 8 {
-		t.Errorf("N = %d", a.N())
+	if a.n != 8 {
+		t.Errorf("N = %d", a.n)
 	}
 	if math.Abs(a.Mean()-5) > 1e-12 {
 		t.Errorf("mean = %g, want 5", a.Mean())
@@ -139,7 +139,7 @@ func TestMissRate(t *testing.T) {
 	if m.Rate() != 0.5 {
 		t.Errorf("rate = %g, want 0.5", m.Rate())
 	}
-	misses, total := m.Counts()
+	misses, total := m.misses, m.total
 	if misses != 2 || total != 4 {
 		t.Errorf("counts = %d/%d", misses, total)
 	}
