@@ -18,21 +18,28 @@ package repro
 // Liveness is a fixed point over references: a helper that only a dead
 // helper calls is dead too. References are resolved by go/types: the
 // test type-checks every package of the tree from source (non-test
-// files only; the standard library comes from importer.Default()), so
-// a selector x.M keeps alive exactly the method it names. A call
+// files only; the standard library comes from the export data of one
+// `go list -export -deps` call, see stdImporter), so a selector x.M
+// keeps alive exactly the method it names. A call
 // through an interface method keeps that method alive on every type of
 // the tree that implements the interface.
 
 import (
+	"fmt"
 	"go/ast"
 	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"io/fs"
+	"os"
+	"os/exec"
 	"path/filepath"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -82,7 +89,7 @@ type deadDecl struct {
 
 func TestNoDeadCode(t *testing.T) {
 	fset := token.NewFileSet()
-	src := &srcImporter{fset: fset, std: importer.Default(), files: map[string][]*ast.File{},
+	src := &srcImporter{fset: fset, files: map[string][]*ast.File{},
 		pkgs: map[string]*types.Package{}, info: &types.Info{
 			Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}}
 
@@ -119,6 +126,9 @@ func TestNoDeadCode(t *testing.T) {
 	}
 	if src.files["repro/easched"] == nil || src.files["repro/perfbench"] == nil {
 		t.Fatal("easched or perfbench not found; run from the repository root")
+	}
+	if src.std, err = stdImporter(fset, src.files); err != nil {
+		t.Fatal(err)
 	}
 
 	decls := map[types.Object]*deadDecl{}
@@ -263,6 +273,43 @@ func TestNoDeadCode(t *testing.T) {
 	if len(dead) > 0 {
 		t.Log("delete it, or add it to deadAllowlist in deadcode_test.go with the reason")
 	}
+}
+
+// stdImporter imports the packages outside the tree that files import
+// (the standard library) and those implicitInterfaces name, from the
+// export data that one `go list -export -deps` call builds or finds in
+// the build cache, rather than one go list per package.
+func stdImporter(fset *token.FileSet, files map[string][]*ast.File) (types.Importer, error) {
+	var paths []string
+	for _, in := range implicitInterfaces {
+		paths = append(paths, in[0])
+	}
+	for _, fs := range files {
+		for _, f := range fs {
+			for _, spec := range f.Imports {
+				if path, err := strconv.Unquote(spec.Path.Value); err == nil && files[path] == nil {
+					paths = append(paths, path)
+				}
+			}
+		}
+	}
+	sort.Strings(paths)
+	args := append([]string{"list", "-export", "-deps", "-f", "{{.ImportPath}}={{.Export}}"}, slices.Compact(paths)...)
+	out, err := exec.Command("go", args...).Output()
+	if err != nil {
+		return nil, fmt.Errorf("go list -export: %w", err)
+	}
+	export := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+		path, file, _ := strings.Cut(line, "=")
+		export[path] = file
+	}
+	return importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		if export[path] == "" {
+			return nil, fmt.Errorf("no export data for %q", path)
+		}
+		return os.Open(export[path])
+	}), nil
 }
 
 // srcImporter type-checks the tree's packages from their parsed

@@ -178,7 +178,7 @@ func (rt *Router) routes() {
 	rt.mux.HandleFunc("DELETE /v1/sessions/{id}", rt.handleSessionDelete)
 	rt.mux.HandleFunc("/healthz", rt.handleHealthz)
 	rt.mux.HandleFunc("/readyz", rt.handleReadyz)
-	rt.mux.HandleFunc("/metrics", rt.handleMetrics)
+	rt.mux.Handle("/metrics", &rt.metrics.reg)
 }
 
 // Handler returns the router's HTTP handler.
@@ -251,11 +251,6 @@ func (rt *Router) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprintln(w, "ready")
 	}
-}
-
-func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	_ = rt.metrics.reg.Write(w) // a failed write means the client has gone
 }
 
 // newID mints a 16-hex-char session ID, the value rendezvous-hashed for

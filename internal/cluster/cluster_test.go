@@ -172,6 +172,47 @@ func TestBatchScatterGather(t *testing.T) {
 	}
 }
 
+// A batch that schedd rejects, a router splitting it across two
+// backends rejects with the same status and body.
+func TestBatchDecodesStrictly(t *testing.T) {
+	_, b1 := newBackendServer(t)
+	_, b2 := newBackendServer(t)
+	_, rhs := newRouter(t, b1.URL, b2.URL)
+	b, err := json.Marshal(scheduleReq(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	item := string(b)
+	bogus := strings.TrimSuffix(item, "}") + `,"bogus":1}`
+	post := func(url, body string) (int, []byte) {
+		t.Helper()
+		resp, err := http.Post(url+"/v1/schedule/batch", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, raw
+	}
+	for name, body := range map[string]string{
+		"item field":     fmt.Sprintf(`{"items":[%s,%s]}`, item, bogus),
+		"top-level":      fmt.Sprintf(`{"items":[%s,%s],"bogus":1}`, item, item),
+		"trailing value": fmt.Sprintf(`{"items":[%s,%s]} {}`, item, item),
+	} {
+		wantStatus, want := post(b1.URL, body)
+		status, got := post(rhs.URL, body)
+		if wantStatus != http.StatusBadRequest || status != wantStatus || !bytes.Equal(got, want) {
+			t.Errorf("%s: router %d %s, schedd %d %s", name, status, got, wantStatus, want)
+		}
+		if d, ok := wire.DecodeError(got); !ok || !strings.HasPrefix(d.Message, "invalid request body: ") {
+			t.Errorf("%s: router error %s", name, got)
+		}
+	}
+}
+
 // sseFrame is one parsed client-side SSE frame.
 type sseFrame struct {
 	id    int64

@@ -10,13 +10,16 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/metric"
 )
 
 // TestMetricsLint scrapes a live schedd and a router in front of it
 // and checks both expositions: each family has exactly one # TYPE line,
 // ahead of its samples; a family's samples are contiguous; family
 // names are unique; two scrapes list the families in the same order;
-// and every sample perfbench reads is served.
+// every sample perfbench reads is served; and both tiers name the
+// format with metric.ContentType.
 func TestMetricsLint(t *testing.T) {
 	_, backend := newBackendServer(t)
 	_, router := newRouter(t, backend.URL)
@@ -30,11 +33,16 @@ func TestMetricsLint(t *testing.T) {
 		{"schedd", backend.URL, "sd"},
 		{"schedrouter", router.URL, "rd"},
 	} {
-		first, samples, err := lintExposition(scrapeText(t, tier.url))
+		text, contentType := scrapeText(t, tier.url)
+		if contentType != metric.ContentType {
+			t.Errorf("%s: /metrics Content-Type %q, want %q", tier.name, contentType, metric.ContentType)
+		}
+		first, samples, err := lintExposition(text)
 		if err != nil {
 			t.Fatalf("%s: %v", tier.name, err)
 		}
-		second, _, err := lintExposition(scrapeText(t, tier.url))
+		text, _ = scrapeText(t, tier.url)
+		second, _, err := lintExposition(text)
 		if err != nil {
 			t.Fatalf("%s: second scrape: %v", tier.name, err)
 		}
@@ -52,7 +60,7 @@ func TestMetricsLint(t *testing.T) {
 	}
 }
 
-func scrapeText(t *testing.T, base string) string {
+func scrapeText(t *testing.T, base string) (text, contentType string) {
 	t.Helper()
 	resp, err := http.Get(base + "/metrics")
 	if err != nil {
@@ -63,7 +71,7 @@ func scrapeText(t *testing.T, base string) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return string(body)
+	return string(body), resp.Header.Get("Content-Type")
 }
 
 // lintExposition checks one Prometheus text scrape and returns its

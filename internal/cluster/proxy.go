@@ -281,16 +281,15 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		wire.WriteError(w, http.StatusMethodNotAllowed, wire.CodeMethodNotAllowed, "use POST")
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxProxyBody))
-	if err != nil {
-		wire.WriteError(w, http.StatusBadRequest, wire.CodeBadRequest, "read body: %v", err)
-		return
-	}
+	// Decode as strictly as schedd does, keeping the bytes to forward.
+	var raw bytes.Buffer
+	r.Body = io.NopCloser(io.TeeReader(r.Body, &raw))
 	var req wire.BatchRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		wire.WriteError(w, http.StatusBadRequest, wire.CodeBadRequest, "decode: %v", err)
+	if err := wire.DecodeStrict(w, r, &req); err != nil {
+		wire.WriteError(w, http.StatusBadRequest, wire.CodeBadRequest, "%v", err)
 		return
 	}
+	body := raw.Bytes()
 	shards := len(rt.healthy())
 	if shards > len(req.Items) {
 		shards = len(req.Items)

@@ -86,10 +86,6 @@ const (
 	// DefaultRetries is how many times a failed residual solve is
 	// retried before the pending batch is shed.
 	DefaultRetries = 2
-	// DefaultCheckpointEvery is how many delta records a journaled
-	// session writes between automatic full-snapshot checkpoints (the
-	// journal's compaction points).
-	DefaultCheckpointEvery = 64
 )
 
 // Config describes one session.
@@ -126,12 +122,9 @@ type Config struct {
 	SkipRatio bool
 	// Journal, when set, persists the session lifecycle as a write-ahead
 	// log (see Journal and internal/journal). Events become visible to
-	// subscribers only after their record is appended.
+	// subscribers only after their record is appended, and the journal
+	// decides when to checkpoint.
 	Journal Journal
-	// CheckpointEvery bounds delta records between automatic checkpoints
-	// (0 selects DefaultCheckpointEvery; negative disables automatic
-	// checkpoints — Checkpoint/Seal still write explicit ones).
-	CheckpointEvery int
 }
 
 func (c Config) withDefaults() (Config, error) {
@@ -161,9 +154,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.Tolerance <= 0 {
 		c.Tolerance = 1e-9
-	}
-	if c.CheckpointEvery == 0 {
-		c.CheckpointEvery = DefaultCheckpointEvery
 	}
 	if c.Solve == nil {
 		solve, err := registrySolve(c.Algorithm)

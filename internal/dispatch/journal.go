@@ -19,6 +19,11 @@ import (
 // always already durable (per the journal's fsync policy), which is
 // what makes dedupe-by-seq safe across a crash and restart. Append must
 // therefore be fast and must not call back into the session.
+//
+// The journal decides when the log wants compacting: Append calls
+// rec.RequestCheckpoint on a delta record once a checkpoint would pay
+// for itself, and the session writes one right after that record. A
+// wrapper that passes the record on passes the request on with it.
 type Journal interface {
 	Append(rec *Record) error
 }
@@ -105,7 +110,15 @@ type Record struct {
 	// AppendJSON copies them in instead of formatting the segments again.
 	segmentsJSON  []byte
 	committedJSON [][]byte
+	// checkpointDue is the journal's request for a checkpoint after
+	// this record (see RequestCheckpoint).
+	checkpointDue bool
 }
+
+// RequestCheckpoint asks the session that journaled rec to write a
+// checkpoint next, so that the log can drop what came before it. The
+// session honours it on delta records; a journal calls it from Append.
+func (rec *Record) RequestCheckpoint() { rec.checkpointDue = true }
 
 // Where AppendJSON splices a segment array, encoding/json writes the
 // fields after it as a value holding only them, minus the leading
@@ -188,11 +201,12 @@ func (rec *Record) appendCheckpoint(b []byte) ([]byte, error) {
 }
 
 // journalLocked stamps rec with the post-state counters and the
-// buffered (not-yet-published) events, appends it to the journal, and
-// publishes the events on success. On append failure the session enters
-// degraded mode: the buffered events are published anyway (liveness
-// over durability), an in-band error event is emitted, the JournalError
-// hook fires, and no further appends are attempted. Call with mu held.
+// buffered (not-yet-published) events, appends it to the journal,
+// publishes the events, and writes a checkpoint when the journal asks
+// for one. On append failure the session enters degraded mode: the
+// buffered events are published anyway (liveness over durability), an
+// in-band error event is emitted, the JournalError hook fires, and no
+// further appends are attempted. Call with mu held.
 func (s *Session) journalLocked(rec *Record) {
 	if s.cfg.Journal == nil || s.jbroken {
 		s.publishBufferedLocked()
@@ -213,7 +227,6 @@ func (s *Session) journalLocked(rec *Record) {
 		if rec.Snapshot != nil {
 			rec.Snapshot.Events = append(s.hub.ring(), rec.Events...)
 		}
-		s.jrecords = 0
 	}
 	err := s.cfg.Journal.Append(rec)
 	for _, ev := range rec.Events {
@@ -235,8 +248,7 @@ func (s *Session) journalLocked(rec *Record) {
 	switch rec.Kind {
 	case RecCreate, RecCheckpoint, RecFinish:
 	default:
-		s.jrecords++
-		if s.cfg.CheckpointEvery > 0 && s.jrecords >= s.cfg.CheckpointEvery {
+		if rec.checkpointDue {
 			s.checkpointLocked(RecCheckpoint)
 		}
 	}

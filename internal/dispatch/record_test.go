@@ -19,13 +19,15 @@ import (
 
 // diffJournal checks every record a session journals: AppendJSON must
 // return json.Marshal's bytes, or fail where it fails. It counts the
-// records that took each splice, so a test can tell the splices ran.
+// records that took each splice, so a test can tell the splices ran,
+// and requests a checkpoint every `every` delta records.
 type diffJournal struct {
 	t                     *testing.T
 	records               int
 	commits, checkpoints  int
 	kinds                 map[RecordKind]int
 	failAt                int // 1-based append that fails; 0 never
+	every, deltas         int
 	lastSnapshotCommitted int
 }
 
@@ -55,6 +57,14 @@ func (j *diffJournal) Append(rec *Record) error {
 	}
 	if j.records == j.failAt {
 		return fmt.Errorf("injected append failure")
+	}
+	switch rec.Kind {
+	case RecCreate, RecCheckpoint:
+		j.deltas = 0
+	default:
+		if j.deltas++; j.deltas == j.every {
+			rec.RequestCheckpoint()
+		}
 	}
 	return nil
 }
@@ -96,7 +106,7 @@ func TestJournalRecordsMatchJSON(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := Config{
-		Cores: 3, Model: testModel(), SkipRatio: true, CheckpointEvery: 9, Backlog: 30, MaxRetries: 1,
+		Cores: 3, Model: testModel(), SkipRatio: true, Backlog: 30, MaxRetries: 1,
 		Solve: func(ctx context.Context, ts task.Set, m int, pm power.Model) (*schedule.Schedule, float64, error) {
 			if err := faulty.BeforeSolve(ctx); err != nil {
 				return nil, 0, err
@@ -107,7 +117,7 @@ func TestJournalRecordsMatchJSON(t *testing.T) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(11))
 
-	j1 := &diffJournal{t: t}
+	j1 := &diffJournal{t: t, every: 9}
 	c1 := cfg
 	c1.Journal = j1
 	s1, err := New(c1)
@@ -137,7 +147,7 @@ func TestJournalRecordsMatchJSON(t *testing.T) {
 
 	// The restored session's first record is a checkpoint whose whole
 	// committed prefix is the one piece AttachJournal seeds.
-	j2 := &diffJournal{t: t}
+	j2 := &diffJournal{t: t, every: 9}
 	c2 := cfg
 	c2.Journal = j2
 	s2, err := Restore(ctx, snap, c2)
@@ -159,7 +169,7 @@ func TestJournalRecordsMatchJSON(t *testing.T) {
 				t.Errorf("no %s record journaled: %v", k, j.kinds)
 			}
 		}
-		if j.commits == 0 || j.checkpoints < 2 {
+		if j.commits == 0 || j.checkpoints < 3 { // past the restore and Seal checkpoints
 			t.Errorf("splices: %d commit records, %d checkpoints (records %v)", j.commits, j.checkpoints, j.kinds)
 		}
 	}
@@ -180,9 +190,9 @@ func TestJournalRecordsMatchJSON(t *testing.T) {
 // A failed append puts the session into degraded mode: nothing more is
 // journaled, and the records before it were exact.
 func TestJournalRecordsAfterAppendFailure(t *testing.T) {
-	j := &diffJournal{t: t, failAt: 20}
+	j := &diffJournal{t: t, failAt: 20, every: 7}
 	cfg := testConfig()
-	cfg.Journal, cfg.CheckpointEvery = j, 7
+	cfg.Journal = j
 	broken := 0
 	cfg.Hooks.JournalError = func(error) { broken++ }
 	s, err := New(cfg)
@@ -192,6 +202,9 @@ func TestJournalRecordsAfterAppendFailure(t *testing.T) {
 	driveDiff(t, s, rand.New(rand.NewSource(5)), 40, 0)
 	if broken != 1 || j.records != 20 {
 		t.Fatalf("broke %d times after %d records, want once after 20", broken, j.records)
+	}
+	if j.kinds[RecCheckpoint] == 0 {
+		t.Fatalf("no checkpoint before the failure: %v", j.kinds)
 	}
 	if _, err := s.Finish(context.Background()); err != nil {
 		t.Fatal(err)

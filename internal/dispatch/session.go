@@ -132,12 +132,10 @@ type Session struct {
 	seq int64
 
 	// Journal state: events buffered until their record is durable, the
-	// degraded-mode latch, records since the last checkpoint, and the
-	// sealed (finish-record-written) latch.
-	jbuf     []Event
-	jbroken  bool
-	jrecords int
-	sealed   bool
+	// degraded-mode latch, and the sealed (finish-record-written) latch.
+	jbuf    []Event
+	jbroken bool
+	sealed  bool
 	// jsegs holds committed[:jcovered] encoded for the journal, one
 	// piece per commit (see Record.AppendJSON); jscratch is the buffer a
 	// piece is formatted in before it is copied out at its exact size.

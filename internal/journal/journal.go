@@ -16,6 +16,17 @@
 // and a crash between the two steps is harmless because replay folds
 // the old records and then resets at the checkpoint anyway.
 //
+// The writer decides when to compact, by bytes: once the delta frames
+// written since the last checkpoint reach max(SegmentBytes, that
+// checkpoint's frame), Append asks the session for a checkpoint
+// (dispatch.Record.RequestCheckpoint). Each checkpoint is paid for by
+// at least its predecessor's size in deltas, so the checkpoint bytes a
+// session writes stay within its delta bytes plus its last checkpoint,
+// and total journal bytes grow linearly with the session, although a
+// checkpoint carries the whole committed prefix. Recovery reads one
+// checkpoint plus max(SegmentBytes, that checkpoint) of deltas, and at
+// most one record more.
+//
 // Durability is a policy, not an absolute: FsyncAlways syncs every
 // append, FsyncInterval syncs on a background ticker, FsyncNever leaves
 // it to the kernel. A SIGKILL loses nothing under any policy (the data
@@ -316,6 +327,11 @@ type Writer struct {
 	dirty  bool
 	broken error
 	closed bool
+	// deltaBytes counts the frames written since the last create or
+	// checkpoint record (or since the writer opened), checkpointBytes
+	// is that record's frame size: the compaction rule's two sides.
+	deltaBytes      int64
+	checkpointBytes int64
 }
 
 // Writer opens (or continues) the log for id. An existing log gets its
@@ -398,8 +414,11 @@ func repairTail(path string) (int64, error) {
 // Append frames, checksums, and writes rec, then applies the fsync
 // policy. Create/checkpoint records additionally start a fresh segment
 // and — after an unconditional sync — delete every older segment
-// (compaction). The error surface is sticky for real I/O failures: the
-// session treats any append error as entry into degraded mode.
+// (compaction). A delta record that brings the deltas since the last
+// checkpoint to max(SegmentBytes, that checkpoint's size) requests the
+// next checkpoint on rec. The error surface is sticky for real I/O
+// failures: the session treats any append error as entry into degraded
+// mode.
 func (w *Writer) Append(rec *dispatch.Record) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -443,6 +462,10 @@ func (w *Writer) Append(rec *dispatch.Record) error {
 		// Injected torn tail: the write "succeeded" but the process is
 		// considered crashed from here on.
 		return nil
+	}
+	w.deltaBytes += int64(len(frame))
+	if w.deltaBytes >= max(w.st.opts.SegmentBytes, w.checkpointBytes) {
+		rec.RequestCheckpoint()
 	}
 	if w.st.opts.Fsync == FsyncAlways {
 		return w.syncNowLocked()
@@ -572,6 +595,7 @@ func (w *Writer) checkpointLocked(frame []byte) error {
 	if err := w.syncNowLocked(); err != nil {
 		return err
 	}
+	w.deltaBytes, w.checkpointBytes = 0, int64(len(frame))
 	segs, err := listSegments(w.dir)
 	if err != nil {
 		return nil // compaction is an optimization; the log is correct

@@ -31,16 +31,52 @@ func openStore(t *testing.T, opts Options) *Store {
 	return st
 }
 
+// countingJournal passes records to a Writer and tallies what it
+// wrote: frame bytes, checkpoint records, and the wall time of Append.
+type countingJournal struct {
+	w           *Writer
+	bytes       int64
+	checkpoints int
+	elapsed     time.Duration
+}
+
+func (j *countingJournal) Append(rec *dispatch.Record) error {
+	before := j.w.deltaBytes
+	t0 := time.Now()
+	err := j.w.Append(rec)
+	j.elapsed += time.Since(t0)
+	switch {
+	case err != nil:
+	case rec.Kind == dispatch.RecCreate || rec.Kind == dispatch.RecCheckpoint:
+		j.bytes += j.w.checkpointBytes
+		if rec.Kind == dispatch.RecCheckpoint {
+			j.checkpoints++
+		}
+	default:
+		j.bytes += j.w.deltaBytes - before
+	}
+	return err
+}
+
+// keepAll passes records to a Writer but not its checkpoint requests
+// (the Writer marks a copy), so a session's whole history stays in
+// the log.
+type keepAll struct{ w *Writer }
+
+func (j keepAll) Append(rec *dispatch.Record) error {
+	cp := *rec
+	return j.w.Append(&cp)
+}
+
 // driveSession runs a deterministic journaled workload: nbatch arrival
 // batches of two tasks each, synchronous re-plans, optional finish.
-func driveSession(t *testing.T, w *Writer, cp int, nbatch int, finish bool) *dispatch.Session {
+func driveSession(t *testing.T, j dispatch.Journal, nbatch int, finish bool) *dispatch.Session {
 	t.Helper()
 	s, err := dispatch.New(dispatch.Config{
-		Cores:           2,
-		Model:           testModel(),
-		SkipRatio:       true,
-		Journal:         w,
-		CheckpointEvery: cp,
+		Cores:     2,
+		Model:     testModel(),
+		SkipRatio: true,
+		Journal:   j,
 	})
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -85,7 +121,7 @@ func TestRoundTripFinished(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Writer: %v", err)
 	}
-	s := driveSession(t, w, 0, 6, true)
+	s := driveSession(t, w, 6, true)
 	defer s.Close()
 	stats := s.Stats()
 	if err := w.Close(); err != nil {
@@ -120,7 +156,7 @@ func TestRecoveryMidRun(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Writer: %v", err)
 	}
-	s := driveSession(t, w, -1, 5, false)
+	s := driveSession(t, w, 5, false)
 	live := s.Committed()
 	stats := s.Stats()
 	// "Crash": no Finish, no Close ordering niceties.
@@ -158,7 +194,7 @@ func TestRotationAndCompaction(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := driveSession(t, w, -1, 8, false) // no auto-checkpoints: segments accumulate
+		s := driveSession(t, keepAll{w}, 8, false) // no checkpoints: segments accumulate
 		defer s.Close()
 		w.Close()
 		dir, _ := st.SessionDir("s1")
@@ -180,9 +216,13 @@ func TestRotationAndCompaction(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := driveSession(t, w, 4, 8, false) // checkpoint every 4 records
+		j := &countingJournal{w: w}
+		s := driveSession(t, j, 8, false) // a checkpoint every ~512 delta bytes
 		defer s.Close()
 		w.Close()
+		if j.checkpoints == 0 {
+			t.Fatal("no checkpoint written")
+		}
 		dir, _ := st.SessionDir("s1")
 		segs, _ := listSegments(dir)
 		if len(segs) == 0 || segs[0].index == 1 {
@@ -207,7 +247,7 @@ func TestFsyncPolicies(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			s := driveSession(t, w, 0, 3, true)
+			s := driveSession(t, w, 3, true)
 			defer s.Close()
 			if pol == FsyncInterval {
 				time.Sleep(25 * time.Millisecond) // let the background sync tick
@@ -250,7 +290,7 @@ func TestCrashAtEveryRecordBoundary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := driveSession(t, w, -1, 5, true)
+	s := driveSession(t, w, 5, true)
 	defer s.Close()
 	w.Close()
 	dir, _ := st.SessionDir("s1")
@@ -302,7 +342,7 @@ func TestTornTailTruncates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := driveSession(t, w, -1, 4, false)
+	s := driveSession(t, w, 4, false)
 	defer s.Close()
 	w.Close()
 	dir, _ := st.SessionDir("s1")
@@ -347,7 +387,7 @@ func TestMidLogCorruptionFailsSoft(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := driveSession(t, w, -1, 4, false)
+	s := driveSession(t, w, 4, false)
 	defer s.Close()
 	w.Close()
 	dir, _ := st.SessionDir("s1")
@@ -478,7 +518,7 @@ func TestSealEvicted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := driveSession(t, w, 0, 3, false)
+	s := driveSession(t, w, 3, false)
 	s.Seal("evicted")
 	s.Seal("evicted") // idempotent
 	s.Close()
@@ -494,7 +534,7 @@ func TestSealEvicted(t *testing.T) {
 
 func TestRestartContinuesLog(t *testing.T) {
 	dir := t.TempDir()
-	st, err := Open(dir, Options{Fsync: FsyncNever})
+	st, err := Open(dir, Options{Fsync: FsyncNever, SegmentBytes: 32 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -502,7 +542,7 @@ func TestRestartContinuesLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := driveSession(t, w, -1, 4, false)
+	s := driveSession(t, w, 4, false)
 	preStats := s.Stats()
 	s.Close()
 	w.Close()
@@ -566,7 +606,7 @@ func TestEventDurabilityOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := driveSession(t, w, -1, 3, false)
+	s := driveSession(t, w, 3, false)
 	defer s.Close()
 	w.Close()
 	r := st.Replay("s1")
@@ -602,7 +642,7 @@ func FuzzJournalReplay(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	s, err := dispatch.New(dispatch.Config{Cores: 2, Model: testModel(), SkipRatio: true, Journal: w, CheckpointEvery: -1})
+	s, err := dispatch.New(dispatch.Config{Cores: 2, Model: testModel(), SkipRatio: true, Journal: w})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -659,10 +699,14 @@ func FuzzJournalReplay(f *testing.F) {
 }
 
 // marshalJournal records json.Marshal of every record on its way to the
-// writer: the bytes the log must hold.
+// writer: the bytes the log must hold. It requests a checkpoint every
+// `every` delta records, besides the writer's own requests.
 type marshalJournal struct {
-	w    *Writer
-	want [][]byte
+	w           *Writer
+	every       int
+	deltas      int
+	checkpoints int
+	want        [][]byte
 }
 
 func (j *marshalJournal) Append(rec *dispatch.Record) error {
@@ -671,6 +715,17 @@ func (j *marshalJournal) Append(rec *dispatch.Record) error {
 		return err
 	}
 	j.want = append(j.want, b)
+	switch rec.Kind {
+	case dispatch.RecCheckpoint:
+		j.checkpoints++
+		j.deltas = 0
+	case dispatch.RecCreate:
+		j.deltas = 0
+	default:
+		if j.deltas++; j.deltas == j.every {
+			rec.RequestCheckpoint()
+		}
+	}
 	return j.w.Append(rec)
 }
 
@@ -708,11 +763,11 @@ func requireFramesMatch(t *testing.T, st *Store, id string, j *marshalJournal) {
 	}
 }
 
-// driveFrames runs a journaled session of n batches through j with a
-// checkpoint every 10 records, and seals it.
+// driveFrames runs a journaled session of n batches through j, which
+// must checkpoint along the way, and seals it.
 func driveFrames(t *testing.T, j *marshalJournal, n int) *dispatch.Snapshot {
 	ctx := context.Background()
-	s, err := dispatch.New(dispatch.Config{Cores: 3, Model: testModel(), SkipRatio: true, Journal: j, CheckpointEvery: 10})
+	s, err := dispatch.New(dispatch.Config{Cores: 3, Model: testModel(), SkipRatio: true, Journal: j})
 	if err != nil {
 		t.Error(err)
 		return nil
@@ -725,6 +780,9 @@ func driveFrames(t *testing.T, j *marshalJournal, n int) *dispatch.Snapshot {
 			t.Error(err)
 			return nil
 		}
+	}
+	if j.checkpoints == 0 {
+		t.Error("no checkpoint before Seal")
 	}
 	snap, err := s.Snapshot(ctx)
 	if err != nil {
@@ -783,7 +841,7 @@ func TestConcurrentWritersMatchJSON(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		js[i] = &marshalJournal{w: w}
+		js[i] = &marshalJournal{w: w, every: 10}
 		wg.Add(1)
 		go func(j *marshalJournal, n int) {
 			defer wg.Done()
@@ -793,5 +851,96 @@ func TestConcurrentWritersMatchJSON(t *testing.T) {
 	wg.Wait()
 	for i, j := range js {
 		requireFramesMatch(t, st, fmt.Sprintf("c%d", i), j)
+	}
+}
+
+// Journal bytes per arrival stay flat as a session grows from 200 to
+// 800 batches, although every checkpoint carries the whole committed
+// prefix (32 KiB segments, so that both sessions compact several times
+// on the checkpoint-size side of the rule); and a log cut mid-session
+// recovers the live counters exactly on a restarted store, and
+// finishes there.
+func TestJournalBytesLinear(t *testing.T) {
+	dir := t.TempDir()
+	st, err := Open(dir, Options{Fsync: FsyncNever, SegmentBytes: 32 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	type counters struct{ tasks, committed, replans, commits int }
+	live := map[string]counters{}
+	seq := map[string]int64{}
+	perArrival := map[int]float64{}
+	checkpoints := 0
+	for _, n := range []int{200, 800} {
+		id := fmt.Sprintf("n%d", n)
+		w, err := st.Writer(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		j := &countingJournal{w: w}
+		s := driveSession(t, j, n, false)
+		snap, err := s.Snapshot(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stats := s.Stats()
+		live[id] = counters{stats.Tasks, len(snap.Committed), stats.Replans, stats.Commits}
+		seq[id] = snap.Seq
+		s.Close()
+		if err := w.Close(); err != nil { // mid-session: no Finish
+			t.Fatal(err)
+		}
+		perArrival[n] = float64(j.bytes) / float64(n)
+		checkpoints += j.checkpoints
+		t.Logf("%d batches: %.0f journal bytes per arrival, %d checkpoints", n, perArrival[n], j.checkpoints)
+	}
+	if checkpoints == 0 {
+		t.Fatal("no checkpoint written")
+	}
+	if ratio := perArrival[800] / perArrival[200]; ratio > 1.5 {
+		t.Fatalf("journal bytes per arrival grew %.2f× from 200 to 800 batches, want ≤ 1.5×", ratio)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Restart: a fresh store over the same directory recovers each
+	// session's counters from its log, resumes it and finishes it.
+	st2, err := Open(dir, Options{Fsync: FsyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	for id, want := range live {
+		r := st2.Replay(id)
+		if r.Err != nil || r.Finished || r.Truncated {
+			t.Fatalf("%s: replay err=%v finished=%v truncated=%v", id, r.Err, r.Finished, r.Truncated)
+		}
+		snap := r.Snapshot
+		if got := (counters{len(snap.Tasks), len(snap.Committed), snap.Replans, snap.Commits}); got != want || snap.Seq != seq[id] {
+			t.Fatalf("%s: recovered %+v seq %d, live %+v seq %d", id, got, snap.Seq, want, seq[id])
+		}
+		w, err := st2.Writer(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := dispatch.Restore(ctx, snap, dispatch.Config{SkipRatio: true, Journal: w})
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := s.Finish(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(f.Violations) != 0 || f.Completed+f.Shed != want.tasks {
+			t.Fatalf("%s: finished with %d violations, %d completed + %d shed of %d tasks",
+				id, len(f.Violations), f.Completed, f.Shed, want.tasks)
+		}
+		s.Close()
+		w.Close()
+		if fin := st2.Replay(id); fin.Err != nil || !fin.Finished || len(fin.Snapshot.Tasks) != want.tasks {
+			t.Fatalf("%s: final replay err=%v finished=%v", id, fin.Err, fin.Finished)
+		}
 	}
 }

@@ -1,16 +1,21 @@
 // Package metric is the one place that knows the Prometheus text
 // exposition format. A Registry holds the counters, gauges, labelled
 // families and histograms of one serving tier (schedd or schedrouter)
-// and writes them in registration order; Responses is the request
-// middleware both tiers use to count responses by status code.
+// and writes them in registration order, or serves them as a scrape
+// under the format's Content-Type; Responses is the request middleware
+// both tiers use to count responses by status code.
 package metric
 
 import (
 	"fmt"
 	"io"
+	"net/http"
 	"strconv"
 	"sync/atomic"
 )
+
+// ContentType names the text exposition format Write produces.
+const ContentType = "text/plain; version=0.0.4; charset=utf-8"
 
 // Emit writes one sample of a family: labels is the text between the
 // braces (see Label), "" for none.
@@ -82,6 +87,12 @@ func (r *Registry) Write(w io.Writer) error {
 	}
 	_, err := w.Write(b)
 	return err
+}
+
+// ServeHTTP serves a scrape: Write's output, as ContentType.
+func (r *Registry) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
+	w.Header().Set("Content-Type", ContentType)
+	_ = r.Write(w) // a failed write means the client has gone
 }
 
 // appendSample appends one "name{labels} value" line; value is an int64

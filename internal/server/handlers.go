@@ -652,9 +652,3 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		wire.WriteJSON(w, http.StatusOK, resp)
 	}
 }
-
-// handleMetrics serves GET /metrics in the Prometheus text format.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	_ = s.metrics.reg.Write(w) // a failed write means the client has gone
-}

@@ -132,7 +132,8 @@ func (s *Server) logRecoveryFailure(id string, err error) {
 }
 
 // meteredJournal counts records and append errors into the server
-// metrics on their way to the session's log writer.
+// metrics on their way to the session's log writer. The writer's
+// checkpoint request rides on the record, so it reaches the session.
 type meteredJournal struct {
 	w *journal.Writer
 	m *Metrics
