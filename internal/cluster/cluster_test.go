@@ -147,11 +147,11 @@ func TestBatchScatterGather(t *testing.T) {
 	_, b2 := newBackendServer(t)
 	_, rhs := newRouter(t, b1.URL, b2.URL)
 
-	req := wire.BatchRequest{}
+	var items []wire.ScheduleRequest
 	for i := 0; i < 7; i++ {
-		req.Items = append(req.Items, scheduleReq(t))
+		items = append(items, scheduleReq(t))
 	}
-	resp, body := postJSON(t, rhs.URL+"/v1/schedule/batch", req)
+	resp, body := postJSON(t, rhs.URL+"/v1/schedule/batch", map[string]any{"items": items})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}

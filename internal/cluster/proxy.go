@@ -25,7 +25,14 @@ type reply struct {
 	status int
 	header http.Header
 	body   []byte
+	// buf is the pooled buffer body lives in, or nil (see release).
+	buf *[]byte
 }
+
+// replyPool recycles the buffers readReply reads backend replies into:
+// a relayed schedule reply is about 0.5 MB, and nothing keeps it once
+// it is written to the client.
+var replyPool sync.Pool // of *[]byte
 
 // relay copies a backend reply to the client, preserving the headers
 // that carry protocol meaning. The body is fully buffered, so its
@@ -39,6 +46,16 @@ func (rp *reply) relay(w http.ResponseWriter) {
 	w.Header().Set("Content-Length", strconv.Itoa(len(rp.body)))
 	w.WriteHeader(rp.status)
 	w.Write(rp.body)
+}
+
+// release returns the reply's buffer to the pool, once it has been
+// relayed or dropped; the body must not be read afterwards. A reply
+// that is never released is garbage collected as usual. Safe on nil.
+func (rp *reply) release() {
+	if rp != nil && rp.buf != nil {
+		replyPool.Put(rp.buf)
+		rp.buf, rp.body = nil, nil
+	}
 }
 
 // retryableReply reports whether a backend response should bounce the
@@ -92,29 +109,39 @@ func (rt *Router) doTimeout(ctx context.Context, timeout time.Duration, b *backe
 		return nil, err
 	}
 	defer resp.Body.Close()
-	buf, err := readReply(resp)
+	rp, err := readReply(resp)
 	if err != nil {
 		b.failures.Add(1)
 		return nil, err
 	}
-	return &reply{status: resp.StatusCode, header: resp.Header, body: buf}, nil
+	return rp, nil
 }
 
-// readReply buffers a backend reply, capped at maxProxyBody, into one
-// allocation sized from Content-Length when the backend sent one. A
-// body shorter than its Content-Length is an error, so the caller
-// retries instead of relaying a truncated reply.
-func readReply(resp *http.Response) ([]byte, error) {
+// readReply buffers a backend reply, capped at maxProxyBody. With a
+// Content-Length the body is read into a pooled buffer of at least
+// that size, so a relayed reply usually allocates nothing. A body
+// shorter than its Content-Length is an error, so the caller retries
+// instead of relaying a truncated reply.
+func readReply(resp *http.Response) (*reply, error) {
+	rp := &reply{status: resp.StatusCode, header: resp.Header}
 	body := io.LimitReader(resp.Body, maxProxyBody)
 	n := resp.ContentLength
 	if n < 0 || n > maxProxyBody {
-		return io.ReadAll(body)
+		var err error
+		rp.body, err = io.ReadAll(body)
+		return rp, err
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(body, buf); err != nil {
+	p, _ := replyPool.Get().(*[]byte)
+	if p == nil || int64(cap(*p)) < n {
+		p = new([]byte)
+		*p = make([]byte, n)
+	}
+	if _, err := io.ReadFull(body, (*p)[:n]); err != nil {
+		replyPool.Put(p)
 		return nil, err
 	}
-	return buf, nil
+	rp.body, rp.buf = (*p)[:n], p
+	return rp, nil
 }
 
 // pick selects the least-loaded live backend whose breaker admits the
@@ -172,6 +199,7 @@ func (rt *Router) pick(tried map[*backend]bool) (*backend, func(ok bool)) {
 // Retry-After hint before a fresh pass.
 func (rt *Router) forward(w http.ResponseWriter, r *http.Request, body []byte) {
 	var last *reply
+	defer func() { last.release() }()
 	tried := make(map[*backend]bool)
 	attempts := rt.cfg.Retries + 1
 	for attempt := 0; attempt < attempts; attempt++ {
@@ -208,11 +236,13 @@ func (rt *Router) forward(w http.ResponseWriter, r *http.Request, body []byte) {
 				settle(false)
 				b.failures.Add(1)
 			}
+			last.release()
 			last = rp
 			continue
 		}
 		settle(true)
 		rp.relay(w)
+		rp.release()
 		return
 	}
 	if last != nil {
@@ -255,9 +285,9 @@ func (rt *Router) handleOneShot(w http.ResponseWriter, r *http.Request) {
 		wire.WriteError(w, http.StatusServiceUnavailable, wire.CodeDraining, "router is draining")
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxProxyBody))
+	body, err := wire.ReadBodyBytes(w, r)
 	if err != nil {
-		wire.WriteError(w, http.StatusBadRequest, wire.CodeBadRequest, "read body: %v", err)
+		wire.WriteError(w, http.StatusBadRequest, wire.CodeBadRequest, "%v", err)
 		return
 	}
 	if len(body) == 0 {
@@ -282,17 +312,19 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Decode as strictly as schedd does, keeping the bytes to forward.
-	var raw bytes.Buffer
-	r.Body = io.NopCloser(io.TeeReader(r.Body, &raw))
-	var req wire.BatchRequest
-	if err := wire.DecodeStrict(w, r, &req); err != nil {
+	body, err := wire.ReadBodyBytes(w, r)
+	if err != nil {
 		wire.WriteError(w, http.StatusBadRequest, wire.CodeBadRequest, "%v", err)
 		return
 	}
-	body := raw.Bytes()
+	items, _, err := wire.DecodeBatch(body)
+	if err != nil {
+		wire.WriteError(w, http.StatusBadRequest, wire.CodeBadRequest, "%v", err)
+		return
+	}
 	shards := len(rt.healthy())
-	if shards > len(req.Items) {
-		shards = len(req.Items)
+	if shards > len(items) {
+		shards = len(items)
 	}
 	if shards <= 1 {
 		// Degenerate split: forward the whole batch as-is (this also
@@ -305,38 +337,35 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// Round-robin partition keeps per-shard work balanced even when
 	// instance difficulty trends across the batch.
 	groups := make([][]int, shards)
-	for i := range req.Items {
+	for i := range items {
 		groups[i%shards] = append(groups[i%shards], i)
 	}
-	items := make([]wire.BatchItem, 0, len(req.Items))
+	out := make([]wire.BatchItem, 0, len(items))
 	var mu sync.Mutex
 	var wg sync.WaitGroup
 	for _, idx := range groups {
 		wg.Add(1)
 		go func(idx []int) {
 			defer wg.Done()
-			sub := wire.BatchRequest{Items: make([]wire.ScheduleRequest, len(idx))}
-			for j, i := range idx {
-				sub.Items[j] = req.Items[i]
-			}
-			out := rt.subBatch(r, sub, idx)
+			sub := rt.subBatch(r, items, idx)
 			mu.Lock()
-			items = append(items, out...)
+			out = append(out, sub...)
 			mu.Unlock()
 		}(idx)
 	}
 	wg.Wait()
-	sort.Slice(items, func(i, j int) bool { return items[i].Index < items[j].Index })
+	sort.Slice(out, func(i, j int) bool { return out[i].Index < out[j].Index })
 	wire.WriteJSON(w, http.StatusOK, wire.BatchResponse{
 		Version:   wire.Version,
-		Items:     items,
+		Items:     out,
 		ElapsedMS: rt.cfg.Now().Sub(start).Seconds() * 1e3,
 	})
 }
 
-// subBatch solves one scatter shard with the same retry machinery as
-// single requests and remaps item indices back to the original batch.
-func (rt *Router) subBatch(r *http.Request, sub wire.BatchRequest, idx []int) []wire.BatchItem {
+// subBatch solves the shard idx of items with the same retry machinery
+// as single requests, forwarding each item's bytes as the client sent
+// them, and remaps item indices back to the original batch.
+func (rt *Router) subBatch(r *http.Request, items []json.RawMessage, idx []int) []wire.BatchItem {
 	fail := func(msg string) []wire.BatchItem {
 		out := make([]wire.BatchItem, len(idx))
 		for j, i := range idx {
@@ -350,10 +379,14 @@ func (rt *Router) subBatch(r *http.Request, sub wire.BatchRequest, idx []int) []
 		}
 		return out
 	}
-	body, err := json.Marshal(sub)
-	if err != nil {
-		return fail("encode sub-batch: " + err.Error())
+	body := []byte(`{"items":[`)
+	for j, i := range idx {
+		if j > 0 {
+			body = append(body, ',')
+		}
+		body = append(body, items[i]...)
 	}
+	body = append(body, "]}"...)
 	rec := &recorder{header: make(http.Header)}
 	// Reuse forward's retry/breaker path by capturing its output.
 	req := r.Clone(r.Context())

@@ -2,10 +2,14 @@ package cluster
 
 import (
 	"bufio"
+	"bytes"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -100,4 +104,55 @@ func TestProxyRetriesTruncatedBody(t *testing.T) {
 	if truncated.Load() == 0 {
 		t.Fatal("the truncating backend was never tried")
 	}
+}
+
+// TestProxyRelaysPooledReplies: concurrent one-shot requests whose
+// backends send distinct large replies, of different lengths, each get
+// exactly their own reply's bytes through the router. The router reads
+// replies into pooled buffers; one handed back to the pool before its
+// relay finished would mix replies here (and race under -race).
+func TestProxyRelaysPooledReplies(t *testing.T) {
+	reply := func(id string) []byte {
+		return bytes.Repeat([]byte(id+";"), (200<<10)/len(id))
+	}
+	echo := func(w http.ResponseWriter, r *http.Request) {
+		id, err := io.ReadAll(r.Body)
+		if err != nil {
+			w.WriteHeader(http.StatusBadRequest)
+			return
+		}
+		body := reply(string(id))
+		w.Header().Set("Content-Type", "application/json")
+		w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+		w.Write(body)
+	}
+	b1, b2 := fakeBackend(t, echo), fakeBackend(t, echo)
+	_, rhs := newRouter(t, b1.URL, b2.URL)
+
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 12; i++ {
+				id := fmt.Sprintf("%d/%s", g, strings.Repeat("x", i))
+				resp, err := http.Post(rhs.URL+"/v1/schedule", "application/json", strings.NewReader(id))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got, err := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if want := reply(id); resp.StatusCode != http.StatusOK || !bytes.Equal(got, want) {
+					t.Errorf("request %s: status %d, %d bytes, want the backend's %d", id, resp.StatusCode, len(got), len(want))
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

@@ -13,7 +13,9 @@ import (
 
 func batchBody(t *testing.T, items []wire.ScheduleRequest) []byte {
 	t.Helper()
-	b, err := json.Marshal(wire.BatchRequest{Items: items})
+	b, err := json.Marshal(struct {
+		Items []wire.ScheduleRequest `json:"items"`
+	}{items})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +85,7 @@ func TestScheduleBatch(t *testing.T) {
 		t.Fatalf("item 3 (invalid cores): %+v", br.Items[3])
 	}
 	// Item 4 repeats item 0 and should have been served from the cache
-	// (identical canonical key, solved within the same batch).
+	// (identical item bytes, solved within the same batch).
 	if !br.Items[4].Response.Cached {
 		t.Log("note: batch item 4 was not a cache hit (races item 0; allowed)")
 	}

@@ -3,50 +3,18 @@ package server
 import (
 	"container/list"
 	"crypto/sha256"
-	"encoding/binary"
 	"hash/crc32"
-	"math"
 	"sync"
 
-	"repro/internal/power"
 	"repro/internal/server/wire"
-	"repro/internal/task"
 )
 
-// cacheKey is a canonical hash of one (instance, algorithm, power-model)
-// triple. Two requests collide exactly when they describe the same solve:
-// same algorithm name, same core count, bit-identical model coefficients,
-// and bit-identical task triples in the same order.
+// cacheKey is the SHA-256 of a schedule request's JSON bytes as the
+// client sent them. Identical bytes always decode to the identical
+// request, so one key is one solve; two requests that mean the same but
+// differ in any byte (whitespace, field order, -0 for 0) are separate
+// entries.
 type cacheKey [sha256.Size]byte
-
-// solveKey canonicalizes the solve inputs into a cacheKey. Floats are
-// hashed by their IEEE-754 bit patterns, so -0 and 0 (and any two values
-// that print alike but differ in the last ulp) are distinct — the cache
-// never conflates instances that could solve differently.
-func solveKey(algorithm string, ts task.Set, cores int, pm power.Model) cacheKey {
-	h := sha256.New()
-	var buf [8]byte
-	put := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
-	}
-	putF := func(f float64) { put(math.Float64bits(f)) }
-	h.Write([]byte(algorithm))
-	h.Write([]byte{0}) // terminate the name so "A"+cores can't alias "Ac"+ores
-	put(uint64(cores))
-	putF(pm.Gamma)
-	putF(pm.Alpha)
-	putF(pm.P0)
-	put(uint64(len(ts)))
-	for _, t := range ts {
-		putF(t.Release)
-		putF(t.Work)
-		putF(t.Deadline)
-	}
-	var k cacheKey
-	h.Sum(k[:0])
-	return k
-}
 
 // solveCache is a mutex-guarded LRU over completed solve outcomes, each
 // held as its encoded reply. Only successful, verified solves are
@@ -77,6 +45,18 @@ func newSolveCache(capacity int) *solveCache {
 		order:    list.New(),
 		byKey:    make(map[cacheKey]*list.Element),
 	}
+}
+
+// Contains reports whether key has an entry, without promoting it or
+// checking its integrity.
+func (c *solveCache) Contains(key cacheKey) bool {
+	if c.capacity <= 0 {
+		return false
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	_, ok := c.byKey[key]
+	return ok
 }
 
 // Get returns the cached outcome for key, promoting it to most recent.

@@ -2,50 +2,15 @@ package server
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"testing"
 
-	"repro/internal/power"
 	"repro/internal/schedule"
 	"repro/internal/server/wire"
-	"repro/internal/task"
 )
 
-func mustSet(t *testing.T, triples ...[3]float64) task.Set {
-	t.Helper()
-	ts, err := task.New(triples...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ts
-}
-
-func TestSolveKeyDistinguishesInputs(t *testing.T) {
-	base := mustSet(t, [3]float64{0, 8, 10}, [3]float64{2, 14, 18})
-	pm := power.Model{Gamma: 1, Alpha: 3, P0: 0.05}
-	k0 := solveKey("S^F2", base, 4, pm)
-
-	if k := solveKey("S^F2", base, 4, pm); k != k0 {
-		t.Fatal("identical inputs hashed differently")
-	}
-	if k := solveKey("S^F1", base, 4, pm); k == k0 {
-		t.Fatal("algorithm name not part of the key")
-	}
-	if k := solveKey("S^F2", base, 2, pm); k == k0 {
-		t.Fatal("core count not part of the key")
-	}
-	if k := solveKey("S^F2", base, 4, power.Model{Gamma: 1, Alpha: 3, P0: 0.06}); k == k0 {
-		t.Fatal("power model not part of the key")
-	}
-	bumped := mustSet(t, [3]float64{0, 8, 10}, [3]float64{2, 14, 18.0000000001})
-	if k := solveKey("S^F2", bumped, 4, pm); k == k0 {
-		t.Fatal("sub-ulp task change not part of the key")
-	}
-	// Name/cores boundary must not alias: ("S^F24", …) vs ("S^F2", 4…) can
-	// only differ through the name terminator.
-	if k := solveKey("S^F24", base, 4, pm); k == k0 {
-		t.Fatal("name/cores boundary aliased")
-	}
-}
+// bytesKey is the cache key of a request body.
+func bytesKey(body string) cacheKey { return sha256.Sum256([]byte(body)) }
 
 // encoded is a small encoded reply naming alg, for cache tests.
 func encoded(t *testing.T, alg string) *wire.EncodedSchedule {
@@ -60,10 +25,7 @@ func encoded(t *testing.T, alg string) *wire.EncodedSchedule {
 
 func TestSolveCacheLRU(t *testing.T) {
 	c := newSolveCache(2)
-	pm := power.Model{Gamma: 1, Alpha: 3}
-	ka := solveKey("a", nil, 1, pm)
-	kb := solveKey("b", nil, 1, pm)
-	kc := solveKey("c", nil, 1, pm)
+	ka, kb, kc := bytesKey("a"), bytesKey("b"), bytesKey("c")
 	a, b, cc := encoded(t, "a"), encoded(t, "b"), encoded(t, "c")
 
 	c.Put(ka, a)
@@ -103,7 +65,7 @@ func TestSolveCacheLRU(t *testing.T) {
 // returned stay intact, and a later Put restores the entry.
 func TestSolveCacheCorrupt(t *testing.T) {
 	c := newSolveCache(2)
-	k := solveKey("a", nil, 1, power.Model{Gamma: 1, Alpha: 3})
+	k := bytesKey("a")
 	if c.Corrupt(k) {
 		t.Fatal("corrupted an absent entry")
 	}
@@ -131,11 +93,30 @@ func TestSolveCacheCorrupt(t *testing.T) {
 	}
 }
 
+// TestSolveCacheContains: Contains sees an entry without promoting it,
+// so the least recently used entry is still the one a Put evicts.
+func TestSolveCacheContains(t *testing.T) {
+	c := newSolveCache(2)
+	ka, kb := bytesKey("a"), bytesKey("b")
+	if c.Contains(ka) {
+		t.Fatal("empty cache contains a")
+	}
+	c.Put(ka, encoded(t, "a"))
+	c.Put(kb, encoded(t, "b"))
+	if !c.Contains(ka) || !c.Contains(kb) {
+		t.Fatal("Contains missed a stored entry")
+	}
+	c.Put(bytesKey("c"), encoded(t, "c"))
+	if c.Contains(ka) || !c.Contains(kb) {
+		t.Fatal("Contains promoted a: b was evicted instead")
+	}
+}
+
 func TestSolveCacheDisabled(t *testing.T) {
 	c := newSolveCache(0)
-	k := solveKey("a", nil, 1, power.Model{Alpha: 2, Gamma: 1})
+	k := bytesKey("a")
 	c.Put(k, encoded(t, "a"))
-	if _, ok, _ := c.Get(k); ok {
+	if _, ok, _ := c.Get(k); ok || c.Contains(k) {
 		t.Fatal("disabled cache returned a hit")
 	}
 	if c.order.Len() != 0 {

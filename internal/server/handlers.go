@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -238,23 +239,29 @@ func breakerCountable(status int, err error) bool {
 }
 
 // solveOne runs the full per-instance pipeline — cache lookup (with
-// integrity check), circuit breaker, admission, solve under a per-item
-// timeout, validator guardrail, fallback chain, encode, cache fill — and
-// returns the encoded reply plus the realized schedule (nil exactly when
-// the reply is a cache hit), or an HTTP-style status and error. Shared
-// by POST /v1/schedule and each item of POST /v1/schedule/batch.
-func (s *Server) solveOne(reqCtx context.Context, req *wire.ScheduleRequest) (*wire.EncodedSchedule, *schedule.Schedule, int, error) {
-	if err := validateInstance(req.Tasks, req.Cores, s.cfg.MaxTasks); err != nil {
-		return nil, nil, http.StatusBadRequest, err
-	}
-	pm, err := req.Model.Model()
-	if err != nil {
-		return nil, nil, http.StatusBadRequest, err
-	}
-	entry, ok := check.Lookup(req.Algorithm)
-	if !ok {
-		return nil, nil, http.StatusNotFound,
-			fmt.Errorf("%w %q (have %v)", errUnknownAlgorithm, req.Algorithm, check.Names())
+// integrity check), strict decode and validation, circuit breaker,
+// admission, solve under a per-item timeout, validator guardrail,
+// fallback chain, encode, cache fill — and returns the encoded reply
+// plus the realized schedule (nil exactly when the reply is a cache
+// hit), or an HTTP-style status and error. Shared by POST /v1/schedule
+// and each item of POST /v1/schedule/batch.
+//
+// body is the request's JSON bytes, which key the cache; req is their
+// strict decode, or nil to decode body only when the cache cannot
+// answer. A body already in the cache goes straight to the fault
+// points and the lookup; any other body gets its 400 or 404 before
+// them.
+func (s *Server) solveOne(reqCtx context.Context, body []byte, req *wire.ScheduleRequest) (*wire.EncodedSchedule, *schedule.Schedule, int, error) {
+	key := cacheKey(sha256.Sum256(body))
+	var (
+		in   instance
+		code int
+		err  error
+	)
+	if !s.cache.Contains(key) {
+		if in, code, err = s.parse(body, req); err != nil {
+			return nil, nil, code, err
+		}
 	}
 
 	// Transient-I/O fault point: a retryable 503, upstream of everything.
@@ -263,7 +270,6 @@ func (s *Server) solveOne(reqCtx context.Context, req *wire.ScheduleRequest) (*w
 			fmt.Errorf("transient backend error: %w", ferr)
 	}
 
-	key := solveKey(req.Algorithm, req.Tasks, req.Cores, pm)
 	if s.faults().Should(fault.CacheCorrupt) {
 		s.cache.Corrupt(key)
 	}
@@ -276,6 +282,13 @@ func (s *Server) solveOne(reqCtx context.Context, req *wire.ScheduleRequest) (*w
 		s.metrics.cacheCorruptions.Add(1)
 	}
 	s.metrics.cacheMisses.Add(1)
+	if in.req == nil {
+		// The entry Contains saw is gone: corrupted, or evicted since.
+		if in, code, err = s.parse(body, req); err != nil {
+			return nil, nil, code, err
+		}
+	}
+	req, entry, pm := in.req, in.entry, in.pm
 
 	res, primaryStatus := s.guardedSolve(reqCtx, entry, req, pm, true)
 	primaryErr := res.err
@@ -318,6 +331,39 @@ func (s *Server) solveOne(reqCtx context.Context, req *wire.ScheduleRequest) (*w
 		return nil, nil, http.StatusInternalServerError, err
 	}
 	return enc, res.sched, http.StatusOK, nil
+}
+
+// instance is a schedule request that decoded and validated, with the
+// power model and scheduler it names.
+type instance struct {
+	req   *wire.ScheduleRequest
+	pm    power.Model
+	entry check.Entry
+}
+
+// parse decodes body strictly, unless req already holds its decode,
+// and validates the request: a 400 for a body or instance the server
+// rejects, a 404 for an unknown algorithm.
+func (s *Server) parse(body []byte, req *wire.ScheduleRequest) (instance, int, error) {
+	if req == nil {
+		req = new(wire.ScheduleRequest)
+		if err := wire.Decode(body, req); err != nil {
+			return instance{}, http.StatusBadRequest, err
+		}
+	}
+	if err := validateInstance(req.Tasks, req.Cores, s.cfg.MaxTasks); err != nil {
+		return instance{}, http.StatusBadRequest, err
+	}
+	pm, err := req.Model.Model()
+	if err != nil {
+		return instance{}, http.StatusBadRequest, err
+	}
+	entry, ok := check.Lookup(req.Algorithm)
+	if !ok {
+		return instance{}, http.StatusNotFound,
+			fmt.Errorf("%w %q (have %v)", errUnknownAlgorithm, req.Algorithm, check.Names())
+	}
+	return instance{req: req, pm: pm, entry: entry}, 0, nil
 }
 
 // encodeResponse encodes the reply for a verified solve, once: every
@@ -399,12 +445,13 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	}
 	start := time.Now()
 
-	var req wire.ScheduleRequest
-	if err := wire.DecodeStrict(w, r, &req); err != nil {
+	body, err := wire.ReadBody(w, r)
+	if err != nil {
 		wire.WriteError(w, http.StatusBadRequest, wire.CodeBadRequest, "%v", err)
 		return
 	}
-	enc, sched, code, err := s.solveOne(r.Context(), &req)
+	enc, sched, code, err := s.solveOne(r.Context(), body.Bytes(), nil)
+	body.Release() // nothing solveOne returns refers to the body
 	if err != nil {
 		if code == http.StatusTooManyRequests || code == http.StatusServiceUnavailable {
 			wire.RetryAfter(w, 1)
@@ -442,29 +489,36 @@ func (s *Server) handleScheduleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	start := time.Now()
 
-	var req wire.BatchRequest
-	if err := wire.DecodeStrict(w, r, &req); err != nil {
+	body, err := wire.ReadBody(w, r)
+	if err != nil {
 		wire.WriteError(w, http.StatusBadRequest, wire.CodeBadRequest, "%v", err)
 		return
 	}
-	if len(req.Items) == 0 {
+	// The item bytes are copies, so the body can go back at once.
+	raw, reqs, err := wire.DecodeBatch(body.Bytes())
+	body.Release()
+	if err != nil {
+		wire.WriteError(w, http.StatusBadRequest, wire.CodeBadRequest, "%v", err)
+		return
+	}
+	if len(raw) == 0 {
 		wire.WriteError(w, http.StatusBadRequest, wire.CodeBadRequest, "batch has no items")
 		return
 	}
-	if len(req.Items) > maxBatchItems {
+	if len(raw) > maxBatchItems {
 		wire.WriteError(w, http.StatusBadRequest, wire.CodeBadRequest,
-			"batch has %d items, limit is %d", len(req.Items), maxBatchItems)
+			"batch has %d items, limit is %d", len(raw), maxBatchItems)
 		return
 	}
 
 	s.metrics.batches.Add(1)
-	items := make([]wire.EncodedBatchItem, len(req.Items))
+	items := make([]wire.EncodedBatchItem, len(raw))
 	// Fan out at most Workers items at a time: each still passes the
 	// admission gate, but a large batch queues here instead of flooding
 	// the shared admission queue (which would 429 its own tail).
 	workers := s.cfg.Workers
-	if workers > len(req.Items) {
-		workers = len(req.Items)
+	if workers > len(raw) {
+		workers = len(raw)
 	}
 	idx := make(chan int)
 	var wg sync.WaitGroup
@@ -474,7 +528,7 @@ func (s *Server) handleScheduleBatch(w http.ResponseWriter, r *http.Request) {
 			defer wg.Done()
 			for i := range idx {
 				itemStart := time.Now()
-				enc, sched, code, err := s.solveOne(r.Context(), &req.Items[i])
+				enc, sched, code, err := s.solveOne(r.Context(), raw[i], &reqs[i])
 				if err == nil {
 					var parts net.Buffers
 					if parts, err = enc.Parts(sched == nil, sinceMS(itemStart)); err == nil {
@@ -491,17 +545,17 @@ func (s *Server) handleScheduleBatch(w http.ResponseWriter, r *http.Request) {
 			}
 		}()
 	}
-	for i := range req.Items {
+	for i := range raw {
 		idx <- i
 	}
 	close(idx)
 	wg.Wait()
-	body, err := wire.EncodeBatch(items, sinceMS(start))
+	reply, err := wire.EncodeBatch(items, sinceMS(start))
 	if err != nil {
 		writeErrorFor(w, http.StatusInternalServerError, err)
 		return
 	}
-	writeEncoded(w, body)
+	writeEncoded(w, reply)
 }
 
 // writeEncoded writes a 200 reply from pre-encoded parts with its

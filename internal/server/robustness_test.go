@@ -239,12 +239,9 @@ func TestInjectedFaultsAreTypedAndSurvivable(t *testing.T) {
 		}
 
 		// A batch item reads the same entry: it too re-solves.
-		batch, err := json.Marshal(wire.BatchRequest{Items: []wire.ScheduleRequest{{
+		batch := batchBody(t, []wire.ScheduleRequest{{
 			Algorithm: "S^F2", Cores: 4, Model: wire.ModelJSON{Alpha: 3, P0: 0.05}, Tasks: ts,
-		}}})
-		if err != nil {
-			t.Fatal(err)
-		}
+		}})
 		resp, body = postJSON(t, hs.URL+"/v1/schedule/batch", batch)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("batch status %d: %s", resp.StatusCode, body)
@@ -344,19 +341,22 @@ func TestCanceledProbeDoesNotWedgeBreaker(t *testing.T) {
 
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
-	req := &wire.ScheduleRequest{
+	body, err := json.Marshal(wire.ScheduleRequest{
 		Algorithm: "S^F2", Cores: 3,
 		Model: wire.ModelJSON{Alpha: 3, P0: 0.05},
 		Tasks: sectionVD(t),
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, _, code, err := srv.solveOne(canceled, req); err == nil || code != http.StatusServiceUnavailable {
+	if _, _, code, err := srv.solveOne(canceled, body, nil); err == nil || code != http.StatusServiceUnavailable {
 		t.Fatalf("canceled probe: code=%d err=%v, want 503", code, err)
 	}
 	if st := br.Stat("S^F2"); st.State != breaker.Open {
 		t.Fatalf("state after canceled probe = %v, want open (slot released)", st.State)
 	}
 	clk.advance(time.Second) // the abort keeps the cooldown unchanged
-	if _, _, code, err := srv.solveOne(context.Background(), req); err != nil {
+	if _, _, code, err := srv.solveOne(context.Background(), body, nil); err != nil {
 		t.Fatalf("probe after aborted probe failed: code=%d err=%v", code, err)
 	}
 	if st := br.Stat("S^F2"); st.State != breaker.Closed {

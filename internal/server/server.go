@@ -3,7 +3,7 @@
 // daemon (cmd/schedd). The paper pitches the subinterval heuristic as
 // cheap enough for practical systems (Section VI.D); this package is
 // that deployment: admission-controlled solves with per-request
-// deadlines, an LRU cache over canonical instance hashes, an in-band
+// deadlines, an LRU cache keyed on the bytes of each request, an in-band
 // easched.Verify guardrail so an invalid schedule is never shipped, and
 // first-class observability (request counters, latency and queue-depth
 // histograms, structured per-request log lines, Chrome-trace responses,

@@ -33,13 +33,10 @@ func TestShutdownWithInflightBatch(t *testing.T) {
 	})
 	ts := sectionVD(t)
 
-	batch, err := json.Marshal(wire.BatchRequest{Items: []wire.ScheduleRequest{
+	batch := batchBody(t, []wire.ScheduleRequest{
 		{Algorithm: "test-block", Cores: 4, Model: wire.ModelJSON{Alpha: 3, P0: 0.05}, Tasks: ts},
 		{Algorithm: "S^F2", Cores: 4, Model: wire.ModelJSON{Alpha: 3, P0: 0.05}, Tasks: ts},
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	})
 
 	type batchOut struct {
 		resp *http.Response

@@ -1,11 +1,13 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"strconv"
+	"sync"
 )
 
 // ErrorCode is the machine-readable classification carried by every
@@ -95,10 +97,72 @@ func RetryAfter(w http.ResponseWriter, seconds int) {
 // memory; generously sized for tens of thousands of tasks.
 const maxBodyBytes = 8 << 20
 
-// DecodeStrict decodes one JSON value from the request body, rejecting
-// unknown fields and trailing data.
-func DecodeStrict(w http.ResponseWriter, r *http.Request, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+// bodyPool recycles the buffers ReadBody reads into.
+var bodyPool sync.Pool // of *[]byte
+
+// Body is a request body read whole into a pooled buffer.
+type Body struct{ buf *[]byte }
+
+// Bytes returns the body. The bytes are valid until Release.
+func (b Body) Bytes() []byte { return *b.buf }
+
+// Release returns the buffer to the pool.
+func (b Body) Release() { bodyPool.Put(b.buf) }
+
+// ReadBody reads the whole request body, at most maxBodyBytes, into a
+// pooled buffer, for a handler that keeps none of the bytes once it
+// releases them.
+func ReadBody(w http.ResponseWriter, r *http.Request) (Body, error) {
+	p, _ := bodyPool.Get().(*[]byte)
+	if p == nil {
+		p = new([]byte)
+	}
+	buf, err := readBody(w, r, (*p)[:0])
+	*p = buf
+	if err != nil {
+		bodyPool.Put(p)
+		return Body{}, err
+	}
+	return Body{p}, nil
+}
+
+// ReadBodyBytes reads the whole request body, at most maxBodyBytes,
+// into a new buffer the caller owns: for bytes that outlive the
+// handler, such as a body the router forwards, which a transport may
+// still be reading after the exchange returns.
+func ReadBodyBytes(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	return readBody(w, r, nil)
+}
+
+// readBody appends the request body to buf[:0], growing it once to the
+// body's Content-Length when it is too small, so a body is read in at
+// most one allocation.
+func readBody(w http.ResponseWriter, r *http.Request, buf []byte) ([]byte, error) {
+	// One spare byte lets the read that finds EOF land in the buffer
+	// instead of growing it.
+	if n := r.ContentLength; n >= 0 && n <= maxBodyBytes && int(n) >= cap(buf) {
+		buf = make([]byte, 0, n+1)
+	}
+	rd := http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	for {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		n, err := rd.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return buf, fmt.Errorf("invalid request body: %w", err)
+		}
+	}
+}
+
+// Decode decodes data, one JSON value, into v, rejecting unknown fields
+// and trailing data.
+func Decode(data []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("invalid request body: %w", err)
@@ -107,6 +171,17 @@ func DecodeStrict(w http.ResponseWriter, r *http.Request, v any) error {
 		return fmt.Errorf("invalid request body: trailing data after JSON value")
 	}
 	return nil
+}
+
+// DecodeStrict reads the request body with ReadBody and decodes it with
+// Decode.
+func DecodeStrict(w http.ResponseWriter, r *http.Request, v any) error {
+	body, err := ReadBody(w, r)
+	if err != nil {
+		return err
+	}
+	defer body.Release()
+	return Decode(body.Bytes(), v)
 }
 
 // DecodeError extracts the error detail from a non-2xx response body.

@@ -4,6 +4,8 @@
 package wire
 
 import (
+	"encoding/json"
+
 	"repro/internal/check"
 	"repro/internal/dispatch"
 	"repro/internal/power"
@@ -151,9 +153,29 @@ func ProfileReport(p check.Profile) *SimReportJSON {
 }
 
 // BatchRequest is the body of POST /v1/schedule/batch: independent
-// schedule requests solved across the server's worker pool.
+// schedule requests solved across the server's worker pool. Each item
+// is a ScheduleRequest, kept as the JSON bytes the client sent: they
+// key schedd's solve cache, and the router forwards them as they are.
 type BatchRequest struct {
-	Items []ScheduleRequest `json:"items"`
+	Items []json.RawMessage `json:"items"`
+}
+
+// DecodeBatch decodes a BatchRequest body as strictly as Decode, item
+// by item. items holds each item's JSON bytes as the client sent them,
+// reqs their decodes; the first item that fails to decode fails the
+// whole batch.
+func DecodeBatch(data []byte) (items []json.RawMessage, reqs []ScheduleRequest, err error) {
+	var raw BatchRequest
+	if err := Decode(data, &raw); err != nil {
+		return nil, nil, err
+	}
+	reqs = make([]ScheduleRequest, len(raw.Items))
+	for i, item := range raw.Items {
+		if err := Decode(item, &reqs[i]); err != nil {
+			return nil, nil, err
+		}
+	}
+	return raw.Items, reqs, nil
 }
 
 // BatchItem is one outcome within a BatchResponse: either a schedule

@@ -1,6 +1,7 @@
 package task
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -26,11 +27,22 @@ func (s Set) MarshalJSON() ([]byte, error) {
 }
 
 // UnmarshalJSON decodes an array of {release, work, deadline} objects and
-// renumbers IDs positionally. The decoded set is validated.
+// renumbers IDs positionally. An object with any other field is an
+// error, as under json.Decoder.DisallowUnknownFields. The decoded set is
+// validated.
 func (s *Set) UnmarshalJSON(data []byte) error {
 	var in []jsonTask
 	if err := json.Unmarshal(data, &in); err != nil {
 		return err
+	}
+	if !onlyTaskKeys(data) {
+		// Let encoding/json name the unknown field, or accept a key that
+		// matches a field only up to case or escaping.
+		dec := json.NewDecoder(bytes.NewReader(data))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&in); err != nil {
+			return err
+		}
 	}
 	out := make(Set, len(in))
 	for i, jt := range in {
@@ -41,6 +53,45 @@ func (s *Set) UnmarshalJSON(data []byte) error {
 	}
 	*s = out
 	return nil
+}
+
+// onlyTaskKeys reports whether every object key in data, an array that
+// json.Unmarshal accepted as []jsonTask, is spelled exactly as a
+// jsonTask field. Such an array holds objects (or null) whose jsonTask
+// fields hold numbers (or null), and the scan stops at the first other
+// key, so a key is the first string after a '{' or a ',' at depth 2.
+// This spares a decoder's copy of data on the common path; a false
+// answer only means a strict decode must decide.
+func onlyTaskKeys(data []byte) bool {
+	depth, key := 0, false
+	for i := 0; i < len(data); i++ {
+		switch c := data[i]; c {
+		case '[', '{':
+			depth++
+			key = c == '{'
+		case ']', '}':
+			depth--
+		case ',':
+			key = depth == 2
+		case '"':
+			j := i + 1
+			for ; data[j] != '"'; j++ {
+				if data[j] == '\\' {
+					j++
+				}
+			}
+			if key {
+				switch string(data[i+1 : j]) {
+				case "release", "work", "deadline":
+				default:
+					return false
+				}
+				key = false
+			}
+			i = j
+		}
+	}
+	return true
 }
 
 // Write streams the set as indented JSON.

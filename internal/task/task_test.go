@@ -344,6 +344,33 @@ func TestJSONRejectsInvalid(t *testing.T) {
 	}
 }
 
+// TestJSONRejectsUnknownFields: a task object with a field the codec
+// does not know is an error naming it, wherever it sits; a key that
+// matches a field up to case or escaping is accepted, as encoding/json's
+// DisallowUnknownFields accepts it.
+func TestJSONRejectsUnknownFields(t *testing.T) {
+	for _, c := range []struct{ name, in, err string }{
+		{"number", `[{"release":0,"work":1,"deadline":4,"bogus":1}]`, `json: unknown field "bogus"`},
+		{"first", `[{"bogus":"x","release":0,"work":1,"deadline":4}]`, `json: unknown field "bogus"`},
+		{"object value", `[{"release":0,"work":1,"deadline":4,"bogus":{"release":1}}]`, `json: unknown field "bogus"`},
+		{"second task", `[{"release":0,"work":1,"deadline":4}, {"release":0,"work":1,"deadline":4,"id":1}]`, `json: unknown field "id"`},
+		{"case", `[{"Release":0,"WORK":1,"deadline":4}]`, ""},
+		{"escaped", `[{"rel\u0065ase":0,"work":1,"deadline":4}]`, ""},
+		{"whitespace", ` [ { "release" : 0 , "work" : 1 , "deadline" : 4 } ] `, ""},
+	} {
+		var s Set
+		err := s.UnmarshalJSON([]byte(c.in))
+		switch {
+		case c.err == "" && err != nil:
+			t.Errorf("%s: %v", c.name, err)
+		case c.err == "" && (len(s) != 1 || s[0].Work != 1):
+			t.Errorf("%s: decoded %v", c.name, s)
+		case c.err != "" && (err == nil || err.Error() != c.err):
+			t.Errorf("%s: error %v, want %s", c.name, err, c.err)
+		}
+	}
+}
+
 func TestGridIntensities(t *testing.T) {
 	g := GridIntensities()
 	if len(g) != 10 || g[0] != 0.1 || g[9] != 1.0 {

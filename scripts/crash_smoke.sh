@@ -13,7 +13,11 @@
 #      recovery failures);
 #   2. the committed prefix survives the crash verbatim: `schedjournal
 #      verify` proves every baseline session's committed segments,
-#      counters, and task table are a prefix of the recovered state;
+#      counters, and task table are a prefix of the recovered state.
+#      The load generator is paused (SIGSTOP) from just before the kill
+#      until verify has run, so no session can finish and have its log
+#      collected before it is checked, and verify must check at least
+#      one session;
 #   3. every session completes: the load generator rides out the outage
 #      on its retry budget and reconnecting SSE streams;
 #   4. zero client-side validator failures on the final schedules;
@@ -106,7 +110,8 @@ while :; do
     fi
     sleep 0.05
 done
-echo "crash-smoke: SIGKILLing schedd mid-run ($opened sessions opened)"
+echo "crash-smoke: pausing schedload, SIGKILLing schedd mid-run ($opened sessions opened)"
+kill -STOP "$load_pid"
 kill -9 "$schedd_pid"
 schedd_pid=""
 
@@ -144,6 +149,15 @@ if ! "$workdir/schedjournal" verify -data-dir "$datadir" \
     exit 1
 fi
 tail -1 "$workdir/verify.out"
+verified="$(awk '/^verify: /{print $2}' "$workdir/verify.out")"
+if [ "${verified:-0}" -lt 1 ]; then
+    echo "crash-smoke: FAIL: journal verify checked no session" >&2
+    cat "$workdir/verify.out" >&2
+    exit 1
+fi
+
+echo "crash-smoke: resuming schedload"
+kill -CONT "$load_pid"
 
 if ! wait "$load_pid"; then
     echo "crash-smoke: FAIL: schedload exited nonzero" >&2
