@@ -39,7 +39,7 @@ import (
 var (
 	// ErrSessionClosed is returned by operations on a closed session.
 	ErrSessionClosed = errors.New("dispatch: session closed")
-	// ErrTooManySessions is returned by Manager.Create at capacity.
+	// ErrTooManySessions is returned by Manager.Adopt at capacity.
 	ErrTooManySessions = errors.New("dispatch: session limit reached")
 	// ErrBadArrival marks a rejected arrival batch (malformed task,
 	// deadline not after its effective release). The whole batch is
@@ -80,12 +80,18 @@ const (
 	DefaultAlgorithm = "ReplanDER"
 	// DefaultBacklog bounds unfinished tasks per session.
 	DefaultBacklog = 1024
-	// DefaultHistory is the event ring capacity replayed to late
-	// subscribers.
-	DefaultHistory = 256
 	// DefaultRetries is how many times a failed residual solve is
 	// retried before the pending batch is shed.
 	DefaultRetries = 2
+)
+
+// Fixed for every session.
+const (
+	// EventHistory is the event ring capacity replayed to late
+	// subscribers; journal replay keeps the same number of events.
+	EventHistory = 256
+	// tolerance merges nearby time points.
+	tolerance = 1e-9
 )
 
 // Config describes one session.
@@ -104,14 +110,10 @@ type Config struct {
 	// Backlog bounds unfinished (admitted + pending) tasks; arrivals
 	// beyond it are shed. 0 selects DefaultBacklog.
 	Backlog int
-	// History is the event ring capacity (0 selects DefaultHistory).
-	History int
 	// MaxRetries bounds re-plan retries per pending batch before the
 	// batch is shed (0 selects DefaultRetries; negative disables
 	// retries).
 	MaxRetries int
-	// Tolerance merges nearby time points (0 selects 1e-9).
-	Tolerance float64
 	// Solve overrides the residual solver (see SolveFunc). Nil selects
 	// the registered Algorithm guarded by check.Validate.
 	Solve SolveFunc
@@ -143,17 +145,11 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Backlog < 0 {
 		return c, fmt.Errorf("dispatch: backlog %d must be positive", c.Backlog)
 	}
-	if c.History <= 0 {
-		c.History = DefaultHistory
-	}
 	switch {
 	case c.MaxRetries == 0:
 		c.MaxRetries = DefaultRetries
 	case c.MaxRetries < 0:
 		c.MaxRetries = 0
-	}
-	if c.Tolerance <= 0 {
-		c.Tolerance = 1e-9
 	}
 	if c.Solve == nil {
 		solve, err := registrySolve(c.Algorithm)

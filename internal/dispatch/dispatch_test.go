@@ -26,6 +26,15 @@ func testConfig() Config {
 	return Config{Cores: 2, Model: testModel(), SkipRatio: true}
 }
 
+func mustNew(t *testing.T, cfg Config) *Session {
+	t.Helper()
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 // drainEvents collects everything currently buffered on ch without
 // blocking for new events.
 func drainEvents(ch <-chan Event) []Event {
@@ -577,18 +586,43 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// adoptNew builds a session from cfg and adopts it under a fresh ID,
+// as the serving layer does.
+func adoptNew(m *Manager, cfg Config) (string, *Session, error) {
+	s, err := New(cfg)
+	if err != nil {
+		return "", nil, err
+	}
+	id := NewID()
+	if err := m.Adopt(id, s); err != nil {
+		return "", nil, err
+	}
+	return id, s, nil
+}
+
 func TestManagerLifecycle(t *testing.T) {
 	m := NewManager(ManagerConfig{MaxSessions: 2})
 	defer m.Close()
-	id1, s1, err := m.Create(testConfig())
+	id1, s1, err := adoptNew(m, testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := m.Create(testConfig()); err != nil {
+	dup := mustNew(t, testConfig())
+	if err := m.Adopt(id1, dup); !errors.Is(err, ErrDuplicateSession) {
+		t.Errorf("duplicate id adopted: %v", err)
+	}
+	if _, _, err := adoptNew(m, testConfig()); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := m.Create(testConfig()); !errors.Is(err, ErrTooManySessions) {
+	over := mustNew(t, testConfig())
+	if err := m.Adopt(NewID(), over); !errors.Is(err, ErrTooManySessions) {
 		t.Errorf("limit not enforced: %v", err)
+	}
+	// A refused session is closed, whatever the reason.
+	for _, s := range []*Session{dup, over} {
+		if _, _, err := s.Subscribe(); !errors.Is(err, ErrSessionClosed) {
+			t.Errorf("refused session still open: %v", err)
+		}
 	}
 	if m.Get(id1) != s1 {
 		t.Error("Get returned wrong session")
@@ -615,7 +649,7 @@ func TestManagerTTLEviction(t *testing.T) {
 		},
 	})
 	defer m.Close()
-	_, s, err := m.Create(testConfig())
+	_, s, err := adoptNew(m, testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -645,7 +679,7 @@ func TestManagerDrain(t *testing.T) {
 	ctx := context.Background()
 	var chans []<-chan Event
 	for i := 0; i < 3; i++ {
-		_, s, err := m.Create(testConfig())
+		_, s, err := adoptNew(m, testConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -662,8 +696,8 @@ func TestManagerDrain(t *testing.T) {
 	if m.Len() != 0 {
 		t.Errorf("sessions after drain: %d", m.Len())
 	}
-	if _, _, err := m.Create(testConfig()); !errors.Is(err, ErrSessionClosed) {
-		t.Errorf("Create after drain: %v", err)
+	if _, _, err := adoptNew(m, testConfig()); !errors.Is(err, ErrSessionClosed) {
+		t.Errorf("Adopt after drain: %v", err)
 	}
 	// Every stream saw its final event and then closed.
 	for i, ch := range chans {

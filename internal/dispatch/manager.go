@@ -17,7 +17,7 @@ type ManagerConfig struct {
 	// MaxSessions bounds open sessions (0 selects DefaultMaxSessions;
 	// negative means unbounded).
 	MaxSessions int
-	// TTL evicts sessions idle (no Create/Get/touch) longer than this;
+	// TTL evicts sessions idle (no Adopt/Get/touch) longer than this;
 	// 0 disables eviction.
 	TTL time.Duration
 	// Now overrides the clock (tests); nil selects time.Now.
@@ -31,7 +31,7 @@ type managed struct {
 	lastTouch time.Time
 }
 
-// Manager owns a set of live sessions: ID allocation, lookup with TTL
+// Manager owns a set of live sessions: registration, lookup with TTL
 // touch, eviction of idle sessions, and a graceful drain that runs
 // every session to its horizon before closing the event streams.
 type Manager struct {
@@ -67,47 +67,26 @@ func NewManager(cfg ManagerConfig) *Manager {
 	return m
 }
 
-// NewID returns a 16-hex-char random session ID. Exported for callers
-// that must know the ID before building the session — the journaled
-// create path, where the ID names the log directory.
+// NewID returns a 16-hex-char random session ID for Adopt.
 func NewID() string {
 	var b [8]byte
 	if _, err := rand.Read(b[:]); err != nil {
-		// crypto/rand never fails on supported platforms; a zero ID
-		// would still be unique per map insertion check below.
+		// crypto/rand never fails on supported platforms.
 		panic("dispatch: rand: " + err.Error())
 	}
 	return hex.EncodeToString(b[:])
 }
 
-// Create opens a new session under a fresh ID.
-func (m *Manager) Create(cfg Config) (string, *Session, error) {
-	s, err := New(cfg)
-	if err != nil {
-		return "", nil, err
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.closed {
-		return "", nil, ErrSessionClosed
-	}
-	if m.cfg.MaxSessions > 0 && len(m.sessions) >= m.cfg.MaxSessions {
-		return "", nil, ErrTooManySessions
-	}
-	id := NewID()
-	for m.sessions[id] != nil {
-		id = NewID()
-	}
-	m.sessions[id] = &managed{s: s, lastTouch: m.cfg.Now()}
-	return id, s, nil
-}
-
-// Adopt registers an already-built session under a caller-chosen ID —
-// the restore path, where the session keeps the identity it had on the
-// backend it migrated from (and the cluster router's create path, where
-// the ID must be the one the router hashed for shard placement). The
-// session is NOT closed on failure; that stays the caller's to decide.
-func (m *Manager) Adopt(id string, s *Session) error {
+// Adopt registers an already-built session under id: a fresh NewID, or
+// one the caller keeps — the restored session's identity from the
+// backend it migrated from, or the ID the cluster router hashed for
+// shard placement. A refused session is closed.
+func (m *Manager) Adopt(id string, s *Session) (err error) {
+	defer func() {
+		if err != nil {
+			s.Close()
+		}
+	}()
 	if id == "" {
 		return fmt.Errorf("dispatch: empty session id")
 	}

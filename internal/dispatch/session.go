@@ -152,7 +152,7 @@ func New(cfg Config) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Session{cfg: cfg, hub: newEventHub(cfg.History)}
+	s := &Session{cfg: cfg, hub: newEventHub(EventHistory)}
 	if cfg.Journal != nil {
 		s.cfg.Journal = nil
 		if err := s.AttachJournal(cfg.Journal); err != nil {
@@ -358,7 +358,7 @@ func (s *Session) flushLocked(ctx context.Context) error {
 		batch := make([]int, 0, len(s.pending))
 		var expired []int
 		for _, id := range s.pending {
-			if s.tasks[id].Deadline <= t1+s.cfg.Tolerance {
+			if s.tasks[id].Deadline <= t1+tolerance {
 				expired = append(expired, id)
 			} else {
 				batch = append(batch, id)
@@ -437,14 +437,13 @@ func (s *Session) commitToLocked(t1 float64) ([]schedule.Segment, []CommitDelta)
 	if t1 < s.now {
 		t1 = s.now
 	}
-	eps := s.cfg.Tolerance
 	var done []schedule.Segment
 	keep := make([]schedule.Segment, 0, len(s.plan))
 	for _, seg := range s.plan {
 		switch {
-		case seg.Start >= t1-eps:
+		case seg.Start >= t1-tolerance:
 			keep = append(keep, seg)
-		case seg.End <= t1+eps:
+		case seg.End <= t1+tolerance:
 			done = append(done, seg)
 		default:
 			head, tail := seg, seg

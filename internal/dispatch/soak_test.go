@@ -34,7 +34,7 @@ func TestConcurrentSessionsSoak(t *testing.T) {
 	for i := 0; i < sessions; i++ {
 		cfg := testConfig()
 		cfg.Debounce = time.Duration(i%3) * time.Millisecond // mix sync and debounced
-		_, s, err := m.Create(cfg)
+		_, s, err := adoptNew(m, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

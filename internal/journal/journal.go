@@ -223,12 +223,19 @@ func (st *Store) Sessions() ([]string, error) {
 	return ids, nil
 }
 
-// Remove deletes a session's log directory. The caller closes any open
-// Writer first.
+// Remove closes the session's open Writer, if any, and deletes its log
+// directory. The close syncs as Writer.Close does; Remove also works
+// after the caller has closed the Writer itself.
 func (st *Store) Remove(id string) error {
 	dir, err := st.SessionDir(id)
 	if err != nil {
 		return err
+	}
+	st.mu.Lock()
+	w := st.writers[id]
+	st.mu.Unlock()
+	if w != nil {
+		_ = w.Close() // a failed sync is moot: the log goes next
 	}
 	return os.RemoveAll(dir)
 }

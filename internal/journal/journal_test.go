@@ -532,6 +532,39 @@ func TestSealEvicted(t *testing.T) {
 	}
 }
 
+// TestRemoveClosesWriter checks that Remove closes a session's open
+// Writer before it deletes the log, so the ID can open afresh, and that
+// Remove still deletes a log whose Writer the caller closed first.
+func TestRemoveClosesWriter(t *testing.T) {
+	st := openStore(t, Options{Fsync: FsyncAlways})
+	create := func(w *Writer) error {
+		return w.Append(&dispatch.Record{Kind: dispatch.RecCreate, Snapshot: &dispatch.Snapshot{Algorithm: "ReplanDER", Cores: 2, Model: testModel()}})
+	}
+	for _, closeFirst := range []bool{false, true} {
+		w, err := st.Writer("s1")
+		if err != nil {
+			t.Fatalf("closeFirst=%t: Writer: %v", closeFirst, err)
+		}
+		if err := create(w); err != nil {
+			t.Fatal(err)
+		}
+		if closeFirst {
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := st.Remove("s1"); err != nil {
+			t.Fatalf("closeFirst=%t: Remove: %v", closeFirst, err)
+		}
+		if err := create(w); err == nil {
+			t.Fatalf("closeFirst=%t: append after Remove succeeded", closeFirst)
+		}
+		if ids, err := st.Sessions(); err != nil || len(ids) != 0 {
+			t.Fatalf("closeFirst=%t: logs after Remove: %v %v", closeFirst, ids, err)
+		}
+	}
+}
+
 func TestRestartContinuesLog(t *testing.T) {
 	dir := t.TempDir()
 	st, err := Open(dir, Options{Fsync: FsyncNever, SegmentBytes: 32 << 10})

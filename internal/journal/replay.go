@@ -11,10 +11,6 @@ import (
 	"repro/internal/dispatch"
 )
 
-// ringCap bounds the recovered event history carried on the replayed
-// snapshot (matches the session's default SSE replay ring).
-const ringCap = dispatch.DefaultHistory
-
 // SessionReplay is one session's recovery verdict.
 type SessionReplay struct {
 	// ID is the session ID (the log directory name).
@@ -249,8 +245,9 @@ func (f *fold) apply(payload []byte) error {
 	f.snap.Commits = rec.Commits
 	f.snap.ShedCount = rec.ShedCount
 	f.events = append(f.events, rec.Events...)
-	if len(f.events) > ringCap {
-		f.events = append(f.events[:0], f.events[len(f.events)-ringCap:]...)
+	// The recovered history is as long as the live session's ring.
+	if len(f.events) > dispatch.EventHistory {
+		f.events = append(f.events[:0], f.events[len(f.events)-dispatch.EventHistory:]...)
 	}
 	f.records++
 	return nil

@@ -87,6 +87,24 @@ func writeErrorFor(w http.ResponseWriter, status int, err error) {
 	wire.WriteError(w, status, errorCode(status, err), "%v", err)
 }
 
+// writeDraining refuses new work with the retryable 503 of a draining
+// server.
+func writeDraining(w http.ResponseWriter) {
+	wire.RetryAfter(w, 1)
+	wire.WriteError(w, http.StatusServiceUnavailable, wire.CodeDraining, "server is draining")
+}
+
+// refuseDraining answers 503 and counts the rejection once the server
+// is draining, reporting whether it did.
+func (s *Server) refuseDraining(w http.ResponseWriter) bool {
+	if !s.draining.Load() {
+		return false
+	}
+	s.metrics.draining.Add(1)
+	writeDraining(w)
+	return true
+}
+
 // solveResult is one solver outcome: the verified schedule, its
 // reported energy and the execution profile its guardrail audit
 // derived, or the error.
@@ -437,10 +455,7 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		wire.WriteError(w, http.StatusMethodNotAllowed, wire.CodeMethodNotAllowed, "use POST")
 		return
 	}
-	if s.draining.Load() {
-		wire.RetryAfter(w, 1)
-		s.metrics.draining.Add(1)
-		wire.WriteError(w, http.StatusServiceUnavailable, wire.CodeDraining, "server is draining")
+	if s.refuseDraining(w) {
 		return
 	}
 	start := time.Now()
@@ -481,10 +496,7 @@ func (s *Server) handleScheduleBatch(w http.ResponseWriter, r *http.Request) {
 		wire.WriteError(w, http.StatusMethodNotAllowed, wire.CodeMethodNotAllowed, "use POST")
 		return
 	}
-	if s.draining.Load() {
-		wire.RetryAfter(w, 1)
-		s.metrics.draining.Add(1)
-		wire.WriteError(w, http.StatusServiceUnavailable, wire.CodeDraining, "server is draining")
+	if s.refuseDraining(w) {
 		return
 	}
 	start := time.Now()

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 
 	"repro/internal/dispatch"
 	"repro/internal/journal"
@@ -65,60 +66,33 @@ func (s *Server) Recover(ctx context.Context) (RecoveryReport, error) {
 				s.cfg.Logger.Printf("msg=%q session=%s err=%q", "journal gc failed", id, err.Error())
 			}
 		default:
-			if err := s.recoverSession(ctx, id, r); err != nil {
+			_, err := s.openSession(sessionOpen{
+				kind:      openRecover,
+				id:        id,
+				algorithm: r.Snapshot.Algorithm,
+				// The create-time SkipRatio choice is not journaled;
+				// recovered sessions skip the clairvoyant-optimum solve on
+				// finish — competitive-ratio accounting across a crash is
+				// best-effort.
+				skipRatio: true,
+				// The restore writes a checkpoint of the recovered state to
+				// the same log, compacting away the history it folded.
+				build: func(cfg dispatch.Config) (*dispatch.Session, error) {
+					return dispatch.Restore(ctx, r.Snapshot, cfg)
+				},
+				logFields: fmt.Sprintf(" records=%d segments=%d truncated=%v seq=%d",
+					r.Records, r.Segments, r.Truncated, r.Snapshot.Seq),
+			})
+			if err != nil {
 				rep.Failed++
 				s.metrics.sessionsRecoveryFailed.Add(1)
 				s.logRecoveryFailure(id, err)
 				continue
 			}
 			rep.Recovered++
-			s.metrics.sessionsRecovered.Add(1)
-			s.cfg.Logger.Printf("msg=%q session=%s records=%d segments=%d truncated=%v seq=%d",
-				"session recovered", id, r.Records, r.Segments, r.Truncated, r.Snapshot.Seq)
 		}
 	}
 	return rep, nil
-}
-
-// recoverSession rebuilds one unfinished session from its replayed
-// state: same config shape as POST /v1/sessions/restore, plus a fresh
-// journal writer continuing the same log (the restore writes a
-// checkpoint of the recovered state, compacting away the history it
-// folded).
-func (s *Server) recoverSession(ctx context.Context, id string, r *journal.SessionReplay) error {
-	solve, err := s.sessionSolve(r.Snapshot.Algorithm)
-	if err != nil {
-		return err
-	}
-	w, err := s.journal.Writer(id)
-	if err != nil {
-		return err
-	}
-	backlog := s.cfg.SessionBacklog
-	if backlog > s.cfg.MaxTasks {
-		backlog = s.cfg.MaxTasks
-	}
-	sess, err := dispatch.Restore(ctx, r.Snapshot, dispatch.Config{
-		Backlog: backlog,
-		Solve:   solve,
-		Hooks:   s.sessionHooks(),
-		// The create-time SkipRatio choice is not journaled; recovered
-		// sessions skip the clairvoyant-optimum solve on finish —
-		// competitive-ratio accounting across a crash is best-effort.
-		SkipRatio: true,
-		Journal:   s.metered(w),
-	})
-	if err != nil {
-		w.Close()
-		return err
-	}
-	if err := s.sessions.Adopt(id, sess); err != nil {
-		sess.Close()
-		w.Close()
-		return err
-	}
-	s.trackWriter(id, w)
-	return nil
 }
 
 // logRecoveryFailure emits one structured line per unrecoverable
@@ -152,32 +126,16 @@ func (s *Server) metered(w *journal.Writer) dispatch.Journal {
 	return meteredJournal{w: w, m: s.metrics}
 }
 
-// trackWriter registers an open session-log writer for later teardown.
-func (s *Server) trackWriter(id string, w *journal.Writer) {
-	s.jmu.Lock()
-	s.jwriters[id] = w
-	s.jmu.Unlock()
-}
-
-// dropJournal closes the session's log writer and, when remove is set,
-// deletes its log directory (clean delete / eviction: the session is
-// fully accounted and must not be resurrected). No-op without a journal.
-func (s *Server) dropJournal(id string, remove bool) {
-	s.jmu.Lock()
-	st := s.journal
-	w := s.jwriters[id]
-	delete(s.jwriters, id)
-	s.jmu.Unlock()
+// dropJournal closes the session's log writer and deletes its log
+// (clean delete, TTL eviction): the session is fully accounted and must
+// not come back on restart. No-op without a journal.
+func (s *Server) dropJournal(id string) {
+	st := s.journalStore()
 	if st == nil {
 		return
 	}
-	if w != nil {
-		w.Close()
-	}
-	if remove {
-		if err := st.Remove(id); err != nil {
-			s.cfg.Logger.Printf("msg=%q session=%s err=%q", "journal gc failed", id, err.Error())
-		}
+	if err := st.Remove(id); err != nil {
+		s.cfg.Logger.Printf("msg=%q session=%s err=%q", "journal gc failed", id, err.Error())
 	}
 }
 
@@ -188,13 +146,12 @@ func (s *Server) journalStore() *journal.Store {
 	return s.journal
 }
 
-// closeJournalStore closes the store (which syncs and closes every
-// registered writer). Idempotent.
+// closeJournalStore closes the store (which syncs and closes every open
+// writer). Idempotent.
 func (s *Server) closeJournalStore() {
 	s.jmu.Lock()
 	st := s.journal
 	s.journal = nil
-	s.jwriters = make(map[string]*journal.Writer)
 	s.jmu.Unlock()
 	if st != nil {
 		st.Close()

@@ -38,6 +38,15 @@
 // injection) as one-shot solves. Shutdown drains every live session to
 // its horizon before closing the event streams.
 //
+// One path opens a session, whether POST /v1/sessions creates it, POST
+// /v1/sessions/restore rebuilds it from a snapshot, or Recover rebuilds
+// it from its journal at startup: the same runtime config, the same log
+// writer when Config.DataDir is set, the same adoption under the
+// session limit. A create or restore that is refused leaves no log
+// behind, so a restart never brings back a session the client was told
+// it did not get; a session whose recovery fails keeps its log for
+// forensics.
+//
 // Robustness: solver panics are recovered into typed errors, every
 // registered algorithm sits behind a consecutive-failure circuit
 // breaker with exponential half-open probes, and failed solves walk a
@@ -205,11 +214,10 @@ type Server struct {
 	draining atomic.Bool
 
 	// journal is the durable session-log store (nil until Recover opens
-	// it; always nil when Config.DataDir is empty). jwriters tracks the
-	// open per-session log writers so delete/evict/drain can close them.
-	journal  *journal.Store
-	jmu      sync.Mutex
-	jwriters map[string]*journal.Writer
+	// it; always nil when Config.DataDir is empty). It owns the open
+	// per-session log writers.
+	journal *journal.Store
+	jmu     sync.Mutex
 }
 
 // New builds a Server from cfg (zero value OK).
@@ -221,7 +229,6 @@ func New(cfg Config) *Server {
 		cache:    newSolveCache(cfg.CacheSize),
 		breakers: breaker.NewSet(cfg.BreakerThreshold, cfg.BreakerCooldown, cfg.BreakerMaxCooldown, nil),
 		mux:      http.NewServeMux(),
-		jwriters: make(map[string]*journal.Writer),
 	}
 	s.sessions = dispatch.NewManager(dispatch.ManagerConfig{
 		MaxSessions: cfg.SessionLimit,
@@ -230,7 +237,7 @@ func New(cfg Config) *Server {
 			s.metrics.sessionsEvicted.Add(1)
 			// The eviction sealed the journal (finish record); the log is
 			// garbage, drop it so a restart cannot resurrect the session.
-			s.dropJournal(id, true)
+			s.dropJournal(id)
 			s.cfg.Logger.Printf("msg=%q session=%s", "session evicted (idle TTL)", id)
 		},
 	})

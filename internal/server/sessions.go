@@ -56,12 +56,132 @@ func (s *Server) sessionHooks() dispatch.Hooks {
 	}
 }
 
+// openKind says how a session comes to life: it picks the metrics, the
+// log line and what a failure does with the session's log.
+type openKind int
+
+const (
+	openCreate  openKind = iota // POST /v1/sessions
+	openRestore                 // POST /v1/sessions/restore
+	openRecover                 // journal recovery at startup
+)
+
+// sessionOpen is one session coming to life.
+type sessionOpen struct {
+	kind      openKind
+	id        string
+	algorithm string
+	// debounceMS, backlog and skipRatio are the runtime knobs; a zero
+	// backlog selects Config.SessionBacklog.
+	debounceMS float64
+	backlog    int
+	skipRatio  bool
+	// build makes the session from its runtime config: dispatch.New for
+	// a create, dispatch.Restore for a restore or a recovery.
+	build func(dispatch.Config) (*dispatch.Session, error)
+	// logFields end the log line written once the session is live.
+	logFields string
+}
+
+// journalError is a failure to open a session's log: the server's
+// fault, not the request's.
+type journalError struct{ err error }
+
+func (e journalError) Error() string { return e.err.Error() }
+
+// openSession is the one path that brings a session to life. It
+// resolves the residual policy through the verified solve pipeline,
+// builds the runtime config, opens the session's log when journaling
+// is on, then builds the session and adopts it under o.id. On failure
+// nothing stays open. A create or a restore also removes the log it
+// opened, so a refused session cannot come back on restart; a recovery
+// keeps its log for forensics. It returns the session's backlog bound.
+func (s *Server) openSession(o sessionOpen) (int, error) {
+	solve, err := s.sessionSolve(o.algorithm)
+	if err != nil {
+		return 0, err
+	}
+	backlog := o.backlog
+	if backlog == 0 {
+		backlog = s.cfg.SessionBacklog
+	}
+	backlog = min(backlog, s.cfg.MaxTasks)
+	cfg := dispatch.Config{
+		Algorithm: o.algorithm,
+		Debounce:  time.Duration(o.debounceMS * float64(time.Millisecond)),
+		Backlog:   backlog,
+		Solve:     solve,
+		Hooks:     s.sessionHooks(),
+		SkipRatio: o.skipRatio,
+	}
+	var jw *journal.Writer
+	if st := s.journalStore(); st != nil {
+		jw, err = st.Writer(o.id)
+		switch {
+		case errors.Is(err, journal.ErrWriterOpen):
+			return 0, fmt.Errorf("%w: %s", dispatch.ErrDuplicateSession, o.id)
+		case err != nil:
+			return 0, journalError{err}
+		}
+		cfg.Journal = s.metered(jw)
+	}
+	sess, err := o.build(cfg)
+	if err == nil {
+		err = s.sessions.Adopt(o.id, sess)
+	}
+	if err != nil {
+		switch {
+		case jw == nil:
+		case o.kind == openRecover:
+			jw.Close()
+		default:
+			s.dropJournal(o.id)
+		}
+		return 0, err
+	}
+	msg := "session created"
+	switch o.kind {
+	case openCreate:
+		s.metrics.sessionsOpened.Add(1)
+	case openRestore:
+		msg = "session restored"
+		s.metrics.sessionsOpened.Add(1)
+		s.metrics.sessionsRestored.Add(1)
+	case openRecover:
+		msg = "session recovered"
+		s.metrics.sessionsRecovered.Add(1)
+	}
+	s.cfg.Logger.Printf("msg=%q session=%s algorithm=%q cores=%d backlog=%d%s",
+		msg, o.id, o.algorithm, sess.Cores(), backlog, o.logFields)
+	return backlog, nil
+}
+
+// writeOpenError answers a create or a restore that openSession
+// refused, reporting false when the refusal is the request's own fault
+// and the caller's to word.
+func writeOpenError(w http.ResponseWriter, err error) bool {
+	var jerr journalError
+	switch {
+	case errors.Is(err, errUnknownAlgorithm):
+		writeErrorFor(w, http.StatusNotFound, err)
+	case errors.Is(err, dispatch.ErrTooManySessions):
+		wire.RetryAfter(w, 1)
+		writeErrorFor(w, http.StatusTooManyRequests, err)
+	case errors.Is(err, dispatch.ErrDuplicateSession):
+		writeErrorFor(w, http.StatusConflict, err)
+	case errors.Is(err, dispatch.ErrSessionClosed): // manager draining
+		writeDraining(w)
+	case errors.As(err, &jerr):
+		wire.WriteError(w, http.StatusInternalServerError, wire.CodeInternal, "journal: %v", jerr.err)
+	default:
+		return false
+	}
+	return true
+}
+
 // handleSessionCreate serves POST /v1/sessions.
 func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		wire.RetryAfter(w, 1)
-		s.metrics.draining.Add(1)
-		wire.WriteError(w, http.StatusServiceUnavailable, wire.CodeDraining, "server is draining")
+	if s.refuseDraining(w) {
 		return
 	}
 	var req wire.SessionCreateRequest
@@ -78,102 +198,37 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		wire.WriteError(w, http.StatusBadRequest, wire.CodeBadRequest, "%v", err)
 		return
 	}
-	algorithm := req.Algorithm
-	if algorithm == "" {
-		algorithm = dispatch.DefaultAlgorithm
-	}
-	solve, err := s.sessionSolve(algorithm)
-	if err != nil {
-		writeErrorFor(w, http.StatusNotFound, err)
-		return
-	}
 	if req.DebounceMS < 0 || req.Backlog < 0 {
 		wire.WriteError(w, http.StatusBadRequest, wire.CodeBadRequest, "debounce_ms and backlog must be non-negative")
 		return
 	}
-	backlog := req.Backlog
-	if backlog == 0 {
-		backlog = s.cfg.SessionBacklog
+	algorithm := req.Algorithm
+	if algorithm == "" {
+		algorithm = dispatch.DefaultAlgorithm
 	}
-	if backlog > s.cfg.MaxTasks {
-		backlog = s.cfg.MaxTasks
+	// A caller-fixed ID is the cluster router's shard placement.
+	id := req.ID
+	if id == "" {
+		id = dispatch.NewID()
 	}
-	cfg := dispatch.Config{
-		Algorithm: algorithm,
-		Cores:     req.Cores,
-		Model:     pm,
-		Debounce:  time.Duration(req.DebounceMS * float64(time.Millisecond)),
-		Backlog:   backlog,
-		Solve:     solve,
-		Hooks:     s.sessionHooks(),
-		SkipRatio: req.SkipRatio,
-	}
-	var id string
-	if st := s.journalStore(); st != nil {
-		// Journaled create: the ID names the log directory, so it must
-		// exist before the session (whose first append is the create
-		// record) is built.
-		id = req.ID
-		if id == "" {
-			id = dispatch.NewID()
+	backlog, err := s.openSession(sessionOpen{
+		kind:       openCreate,
+		id:         id,
+		algorithm:  algorithm,
+		debounceMS: req.DebounceMS,
+		backlog:    req.Backlog,
+		skipRatio:  req.SkipRatio,
+		build: func(cfg dispatch.Config) (*dispatch.Session, error) {
+			cfg.Cores, cfg.Model = req.Cores, pm
+			return dispatch.New(cfg)
+		},
+	})
+	if err != nil {
+		if !writeOpenError(w, err) {
+			wire.WriteError(w, http.StatusBadRequest, wire.CodeBadRequest, "%v", err)
 		}
-		var jw *journal.Writer
-		jw, err = st.Writer(id)
-		switch {
-		case errors.Is(err, journal.ErrWriterOpen):
-			err = fmt.Errorf("%w: %s", dispatch.ErrDuplicateSession, id)
-		case err != nil:
-			wire.WriteError(w, http.StatusInternalServerError, wire.CodeInternal, "journal: %v", err)
-			return
-		default:
-			cfg.Journal = s.metered(jw)
-			var sess *dispatch.Session
-			sess, err = dispatch.New(cfg)
-			if err == nil {
-				if err = s.sessions.Adopt(id, sess); err != nil {
-					sess.Close()
-				}
-			}
-			if err != nil {
-				jw.Close()
-				_ = st.Remove(id)
-			} else {
-				s.trackWriter(id, jw)
-			}
-		}
-	} else if req.ID != "" {
-		// Caller-fixed ID (the cluster router's shard placement): build
-		// the session, then adopt it under exactly that ID.
-		var sess *dispatch.Session
-		sess, err = dispatch.New(cfg)
-		if err == nil {
-			id = req.ID
-			if err = s.sessions.Adopt(id, sess); err != nil {
-				sess.Close()
-			}
-		}
-	} else {
-		id, _, err = s.sessions.Create(cfg)
-	}
-	switch {
-	case errors.Is(err, dispatch.ErrTooManySessions):
-		wire.RetryAfter(w, 1)
-		writeErrorFor(w, http.StatusTooManyRequests, err)
-		return
-	case errors.Is(err, dispatch.ErrDuplicateSession):
-		writeErrorFor(w, http.StatusConflict, err)
-		return
-	case errors.Is(err, dispatch.ErrSessionClosed): // manager draining
-		wire.RetryAfter(w, 1)
-		wire.WriteError(w, http.StatusServiceUnavailable, wire.CodeDraining, "server is draining")
-		return
-	case err != nil:
-		wire.WriteError(w, http.StatusBadRequest, wire.CodeBadRequest, "%v", err)
 		return
 	}
-	s.metrics.sessionsOpened.Add(1)
-	s.cfg.Logger.Printf("msg=%q session=%s algorithm=%q cores=%d backlog=%d",
-		"session created", id, algorithm, req.Cores, backlog)
 	wire.WriteJSON(w, http.StatusCreated, wire.SessionCreateResponse{
 		Version:   wire.Version,
 		ID:        id,
@@ -199,10 +254,7 @@ func (s *Server) session(w http.ResponseWriter, r *http.Request) (string, *dispa
 // clients experience backlog pushback exactly like admission-queue
 // overload; partial admission is a 200 reporting both counts.
 func (s *Server) handleSessionArrive(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		wire.RetryAfter(w, 1)
-		s.metrics.draining.Add(1)
-		wire.WriteError(w, http.StatusServiceUnavailable, wire.CodeDraining, "server is draining")
+	if s.refuseDraining(w) {
 		return
 	}
 	_, sess := s.session(w, r)
@@ -289,7 +341,7 @@ func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
 	s.sessions.Remove(id)
 	// The Finish above journaled the finish record; the session is fully
 	// accounted, so its log is garbage now.
-	s.dropJournal(id, true)
+	s.dropJournal(id)
 	s.metrics.sessionsClosed.Add(1)
 	s.cfg.Logger.Printf("msg=%q session=%s energy=%g ratio=%g replans=%d completed=%d shed=%d",
 		"session finished", id, f.RealizedEnergy, f.CompetitiveRatio, f.Replans, f.Completed, f.Shed)
@@ -417,10 +469,7 @@ func (s *Server) handleSessionSnapshot(w http.ResponseWriter, r *http.Request) {
 // is re-planned before the response is written, so a follow-up arrival
 // or SSE subscribe sees a session that is already live.
 func (s *Server) handleSessionRestore(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		wire.RetryAfter(w, 1)
-		s.metrics.draining.Add(1)
-		wire.WriteError(w, http.StatusServiceUnavailable, wire.CodeDraining, "server is draining")
+	if s.refuseDraining(w) {
 		return
 	}
 	var req wire.SessionRestoreRequest
@@ -440,73 +489,24 @@ func (s *Server) handleSessionRestore(w http.ResponseWriter, r *http.Request) {
 		wire.WriteError(w, http.StatusBadRequest, wire.CodeBadRequest, "debounce_ms and backlog must be non-negative")
 		return
 	}
-	solve, err := s.sessionSolve(req.Snapshot.Algorithm)
+	backlog, err := s.openSession(sessionOpen{
+		kind:       openRestore,
+		id:         req.ID,
+		algorithm:  req.Snapshot.Algorithm,
+		debounceMS: req.DebounceMS,
+		backlog:    req.Backlog,
+		skipRatio:  req.SkipRatio,
+		build: func(cfg dispatch.Config) (*dispatch.Session, error) {
+			return dispatch.Restore(r.Context(), req.Snapshot, cfg)
+		},
+		logFields: fmt.Sprintf(" seq=%d", req.Snapshot.Seq),
+	})
 	if err != nil {
-		writeErrorFor(w, http.StatusNotFound, err)
-		return
-	}
-	backlog := req.Backlog
-	if backlog == 0 {
-		backlog = s.cfg.SessionBacklog
-	}
-	if backlog > s.cfg.MaxTasks {
-		backlog = s.cfg.MaxTasks
-	}
-	rcfg := dispatch.Config{
-		Debounce:  time.Duration(req.DebounceMS * float64(time.Millisecond)),
-		Backlog:   backlog,
-		Solve:     solve,
-		Hooks:     s.sessionHooks(),
-		SkipRatio: req.SkipRatio,
-	}
-	var jw *journal.Writer
-	if st := s.journalStore(); st != nil {
-		var jerr error
-		jw, jerr = st.Writer(req.ID)
-		switch {
-		case errors.Is(jerr, journal.ErrWriterOpen):
-			writeErrorFor(w, http.StatusConflict, fmt.Errorf("%w: %s", dispatch.ErrDuplicateSession, req.ID))
-			return
-		case jerr != nil:
-			wire.WriteError(w, http.StatusInternalServerError, wire.CodeInternal, "journal: %v", jerr)
-			return
-		}
-		// Restore attaches the journal only after the snapshot state is in
-		// place: the log's first record is a checkpoint of that state.
-		rcfg.Journal = s.metered(jw)
-	}
-	sess, err := dispatch.Restore(r.Context(), req.Snapshot, rcfg)
-	if err != nil {
-		if jw != nil {
-			jw.Close()
-		}
-		wire.WriteError(w, http.StatusUnprocessableEntity, wire.CodeUnprocessable, "restore failed: %v", err)
-		return
-	}
-	if err := s.sessions.Adopt(req.ID, sess); err != nil {
-		sess.Close()
-		if jw != nil {
-			jw.Close()
-		}
-		switch {
-		case errors.Is(err, dispatch.ErrDuplicateSession):
-			writeErrorFor(w, http.StatusConflict, err)
-		case errors.Is(err, dispatch.ErrTooManySessions):
-			wire.RetryAfter(w, 1)
-			writeErrorFor(w, http.StatusTooManyRequests, err)
-		default:
-			wire.RetryAfter(w, 1)
-			wire.WriteError(w, http.StatusServiceUnavailable, wire.CodeDraining, "server is draining")
+		if !writeOpenError(w, err) {
+			wire.WriteError(w, http.StatusUnprocessableEntity, wire.CodeUnprocessable, "restore failed: %v", err)
 		}
 		return
 	}
-	if jw != nil {
-		s.trackWriter(req.ID, jw)
-	}
-	s.metrics.sessionsOpened.Add(1)
-	s.metrics.sessionsRestored.Add(1)
-	s.cfg.Logger.Printf("msg=%q session=%s algorithm=%q cores=%d seq=%d",
-		"session restored", req.ID, req.Snapshot.Algorithm, req.Snapshot.Cores, req.Snapshot.Seq)
 	wire.WriteJSON(w, http.StatusCreated, wire.SessionCreateResponse{
 		Version:   wire.Version,
 		ID:        req.ID,

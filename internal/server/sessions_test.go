@@ -343,20 +343,11 @@ func TestSessionBacklogShedding(t *testing.T) {
 	}
 }
 
-// TestSessionErrorPaths covers the API's failure contract.
+// TestSessionErrorPaths covers the failure contract of a live
+// session's routes; TestSessionOpenErrorTable covers opening one.
 func TestSessionErrorPaths(t *testing.T) {
 	_, hs := newTestServer(t, Config{})
 
-	// Unknown algorithm: 404 at create time.
-	body, _ := json.Marshal(wire.SessionCreateRequest{Algorithm: "no-such", Cores: 2, Model: wire.ModelJSON{Alpha: 3, P0: 0.05}})
-	if resp, _ := postJSON(t, hs.URL+"/v1/sessions", body); resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("unknown algorithm create = %d, want 404", resp.StatusCode)
-	}
-	// Bad cores: 400.
-	body, _ = json.Marshal(wire.SessionCreateRequest{Cores: 0, Model: wire.ModelJSON{Alpha: 3, P0: 0.05}})
-	if resp, _ := postJSON(t, hs.URL+"/v1/sessions", body); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("zero cores create = %d, want 400", resp.StatusCode)
-	}
 	// Unknown session: 404 on every entity route.
 	if resp, _ := postGet(t, hs.URL+"/v1/sessions/nope/schedule"); resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown schedule = %d, want 404", resp.StatusCode)
@@ -375,7 +366,7 @@ func TestSessionErrorPaths(t *testing.T) {
 		t.Fatalf("bad arrival admitted %d", ar.Admitted)
 	}
 	// Empty batch: 400.
-	body, _ = json.Marshal(wire.ArrivalRequest{At: 0})
+	body, _ := json.Marshal(wire.ArrivalRequest{At: 0})
 	if resp, _ := postJSON(t, hs.URL+"/v1/sessions/"+created.ID+"/tasks", body); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("empty batch = %d, want 400", resp.StatusCode)
 	}
