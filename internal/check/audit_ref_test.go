@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -106,7 +107,7 @@ type refRuns struct {
 
 // refSliceRuns is the original boundary pass: sort every Start and End,
 // drop repeats, and find each segment's run by two binary searches.
-// newSliceRuns must return the same uniq, first and stop.
+// findRuns must return the same uniq, first and stop.
 func refSliceRuns(segs []schedule.Segment, eps float64) refRuns {
 	if len(segs) == 0 {
 		return refRuns{eps: eps}
@@ -133,12 +134,12 @@ func refSliceRuns(segs []schedule.Segment, eps float64) refRuns {
 	return r
 }
 
-// compareWithRef checks newSliceRuns against refSliceRuns on well-formed
+// compareWithRef checks findRuns against refSliceRuns on well-formed
 // segments of cores 0..m−1: the same boundaries, a zero held as +0, the
 // same runs, and exact Start and End ranks.
 func compareWithRef(t *testing.T, segs []schedule.Segment, m int, eps float64) {
 	t.Helper()
-	got, want := newSliceRuns(segs, m, eps), refSliceRuns(segs, eps)
+	got, want := new(scratch).findRuns(segs, m, eps), refSliceRuns(segs, eps)
 	if len(got.uniq) != len(want.uniq) {
 		t.Fatalf("%d boundaries, reference %d (segments %v)", len(got.uniq), len(want.uniq), segs)
 	}
@@ -342,26 +343,67 @@ func TestSweepMatchesNaive(t *testing.T) {
 		if trial%50 == 0 {
 			n, m, count = 40, 16, 400
 		}
-		ts := wideTasks(n)
-		var segs []schedule.Segment
-		for i := 0; i < count; i++ {
-			if len(segs) > 0 && rng.Intn(6) == 0 {
-				segs = append(segs, segs[rng.Intn(len(segs))])
-				continue
-			}
-			start := float64(rng.Intn(12))/2 + jitters[rng.Intn(len(jitters))]
-			end := start + float64(rng.Intn(8))/2 + jitters[rng.Intn(len(jitters))]
-			if !(end > start) {
-				end = start + 1e-10
-			}
-			segs = append(segs, schedule.Segment{
-				Task: rng.Intn(n), Core: rng.Intn(m), Start: start, End: end,
-				Frequency: math.Pow(10, 6*rng.Float64()-3),
-			})
-		}
+		segs := gridSegments(rng, n, m, count)
 		opts := DefaultOptions()
 		opts.Tol = tols[rng.Intn(len(tols))]
-		compareWithNaive(t, segs, ts, m, opts)
+		compareWithNaive(t, segs, wideTasks(n), m, opts)
+	}
+}
+
+// gridSegments draws count segments of n tasks on m cores whose
+// boundaries lie on a coarse grid nudged by sub-ε jitter, with one in
+// six a duplicate of an earlier one, and frequencies over six decades.
+func gridSegments(rng *rand.Rand, n, m, count int) []schedule.Segment {
+	var segs []schedule.Segment
+	for i := 0; i < count; i++ {
+		if len(segs) > 0 && rng.Intn(6) == 0 {
+			segs = append(segs, segs[rng.Intn(len(segs))])
+			continue
+		}
+		start := float64(rng.Intn(12))/2 + jitters[rng.Intn(len(jitters))]
+		end := start + float64(rng.Intn(8))/2 + jitters[rng.Intn(len(jitters))]
+		if !(end > start) {
+			end = start + 1e-10
+		}
+		segs = append(segs, schedule.Segment{
+			Task: rng.Intn(n), Core: rng.Intn(m), Start: start, End: end,
+			Frequency: math.Pow(10, 6*rng.Float64()-3),
+		})
+	}
+	return segs
+}
+
+// TestAuditPooledScratchConcurrent audits schedules of different sizes
+// and core counts from several goroutines at once, all drawing on the
+// one scratch pool. Each result must match the naive sweep, and each
+// profile an audit returned must stay as it was while later audits
+// reuse the scratch it was derived in. Run it under -race.
+func TestAuditPooledScratchConcurrent(t *testing.T) {
+	pm := power.Unit(3, 0.05)
+	for w := 0; w < 4; w++ {
+		seed := int64(40 + w)
+		t.Run(fmt.Sprint("worker", w), func(t *testing.T) {
+			t.Parallel()
+			rng := rand.New(rand.NewSource(seed))
+			var results []*Result
+			var profiles []Profile
+			for trial := 0; trial < 150; trial++ {
+				n, m, count := 1+rng.Intn(40), 1+rng.Intn(16), rng.Intn(200)
+				segs := gridSegments(rng, n, m, count)
+				compareWithNaive(t, segs, wideTasks(n), m, DefaultOptions())
+				s := schedule.New(wideTasks(n), m)
+				s.Segments = segs
+				res := Audit(s, s.Tasks, m, pm, DefaultOptions())
+				p := res.Profile
+				p.CoreBusy, p.Utilization = slices.Clone(p.CoreBusy), slices.Clone(p.Utilization)
+				results, profiles = append(results, res), append(profiles, p)
+			}
+			for i, res := range results {
+				if d := profileDiff(res.Profile, profiles[i]); d != "" {
+					t.Fatalf("audit %d's profile changed after later audits: %s", i, d)
+				}
+			}
+		})
 	}
 }
 
@@ -427,7 +469,7 @@ func TestAuditSignedZeroBoundary(t *testing.T) {
 			{Task: 0, Core: 0, Start: 1, End: 2, Frequency: 0.5},
 		}
 		compareWithNaive(t, segs, ts, 2, DefaultOptions())
-		if runs := newSliceRuns(segs, 2, 1e-9); math.Signbit(runs.uniq[0]) {
+		if runs := new(scratch).findRuns(segs, 2, 1e-9); math.Signbit(runs.uniq[0]) {
 			t.Fatalf("zeros %v: first boundary is %v, want +0", zeros, runs.uniq[0])
 		}
 		s := schedule.New(ts, 2)

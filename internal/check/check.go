@@ -16,7 +16,10 @@
 //     than O(slices·S). Audit also derives the schedule's execution
 //     profile (Profile) from the same ranks, the figures a served reply
 //     carries, which sim.Run derives independently; Validate, which has
-//     no use for it, skips it;
+//     no use for it, skips it. An audit's working memory is pooled
+//     across audits, and returns to the pool only after an audit that
+//     did not panic; nothing an audit returns (Result, its Violations
+//     and Work, the Profile's slices) aliases it;
 //   - a registry lets every scheduler package self-register a runner, so
 //     new schedulers are picked up by the cross-checks without edits here;
 //     Entry.RunVerified runs one with panic containment and the audit,
@@ -35,6 +38,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 
 	"repro/internal/numeric"
 	"repro/internal/power"
@@ -214,15 +218,19 @@ func audit(s *schedule.Schedule, ts task.Set, m int, pm power.Model, opts Option
 		}
 	}
 
-	runs := newSliceRuns(sweep, m, opts.Tol*1e-3)
-	segPower := make([]float64, len(sweep))
+	// The scratch goes back to the pool only once the passes that use it
+	// have returned: after a panic it is dropped.
+	sc := scratchPool.Get().(*scratch)
+	runs := sc.findRuns(sweep, m, opts.Tol*1e-3)
+	segPower := take(&sc.segPower, len(sweep))
 	for i := range sweep {
 		segPower[i] = pm.Power(sweep[i].Frequency)
 	}
-	sweepAudit(sweep, segPower, &runs, ts, m, res, add)
+	sc.sweepAudit(sweep, segPower, &runs, ts, m, res, add)
 	if profile {
-		res.Profile = executionProfile(sweep, segPower, &runs, ts, s.Cores)
+		res.Profile = sc.executionProfile(sweep, segPower, &runs, ts, s.Cores)
 	}
+	scratchPool.Put(sc)
 
 	// Work conservation, from the sweep's own integration.
 	for _, tk := range ts {
@@ -246,6 +254,37 @@ func audit(s *schedule.Schedule, ts task.Set, m int, pm power.Model, opts Option
 	return res
 }
 
+// scratch is one audit's working memory: the segment powers, the
+// boundary pass's cache, boundaries and ranks, the sweep's counters and
+// work sums, and the profile walks' buffers. Audits take it from
+// scratchPool, so the guardrail that runs on every solve and every
+// session replan does not allocate it afresh; nothing an audit returns
+// aliases it.
+type scratch struct {
+	cache    boundaryCache
+	segPower []float64
+	pts      []float64
+	ranks    []int32
+	ints     []int32
+	work     []numeric.KahanSum
+	reported []bool
+	floats   []float64
+	walk     []int32
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// take resizes *buf to length n, reallocating it only when it is too
+// short, and returns it. The contents are stale: the caller sets or
+// clears them.
+func take[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = make([]T, n)
+	}
+	*buf = (*buf)[:n]
+	return *buf
+}
+
 // sliceRuns cuts the time line at every segment boundary and locates
 // each segment's run of elementary slices. uniq holds the distinct
 // boundaries in increasing order; slice k is [uniq[k], uniq[k+1]]. −0
@@ -263,7 +302,7 @@ type sliceRuns struct {
 	first, stop, start, end []int32
 }
 
-// newSliceRuns finds the runs of segments on cores 0..m−1 without a
+// findRuns finds the runs of segments on cores 0..m−1 without a
 // binary search per segment. A small cache of recent boundaries drops
 // most repeats before the sort. Each Start's rank is then found by
 // galloping from the End rank of the previous segment on its core, and
@@ -273,13 +312,13 @@ type sliceRuns struct {
 // ranks by the activity tests themselves, galloping too, so boundaries
 // packed within ε cannot make the walk quadratic. The runs equal what a
 // binary search over uniq finds.
-func newSliceRuns(segs []schedule.Segment, m int, eps float64) sliceRuns {
+func (sc *scratch) findRuns(segs []schedule.Segment, m int, eps float64) sliceRuns {
 	if len(segs) == 0 {
 		return sliceRuns{eps: eps}
 	}
-	var cache boundaryCache
+	cache := &sc.cache
 	cache.reset()
-	pts := make([]float64, 0, 2*len(segs))
+	pts := take(&sc.pts, 2*len(segs))[:0]
 	for i := range segs {
 		for _, p := range [2]float64{segs[i].Start, segs[i].End} {
 			if p == 0 {
@@ -299,11 +338,12 @@ func newSliceRuns(segs []schedule.Segment, m int, eps float64) sliceRuns {
 	}
 
 	n := len(segs)
-	ranks := make([]int32, 4*n+m)
+	ranks := take(&sc.ranks, 4*n+m)
 	r := sliceRuns{eps: eps, uniq: uniq,
 		first: ranks[:n:n], stop: ranks[n : 2*n : 2*n], start: ranks[2*n : 3*n : 3*n], end: ranks[3*n : 4*n : 4*n]}
 	coreEnd := ranks[4*n:] // End rank of the core's previous segment
-	last := len(uniq) - 1  // the last slice is [uniq[last-1], uniq[last]]
+	clear(coreEnd)
+	last := len(uniq) - 1 // the last slice is [uniq[last-1], uniq[last]]
 	cache.reset()
 	for i := range segs {
 		start, end, c := segs[i].Start, segs[i].End, segs[i].Core
@@ -439,7 +479,7 @@ func lowerBound(xs []float64, x float64, lo, hi int) int {
 // slice adds the terms and stamps each core and task with the slice;
 // only a slice where a stamp repeats is counted again to report its
 // offenders.
-func sweepAudit(segs []schedule.Segment, segPower []float64, runs *sliceRuns, ts task.Set, m int,
+func (sc *scratch) sweepAudit(segs []schedule.Segment, segPower []float64, runs *sliceRuns, ts task.Set, m int,
 	res *Result, add func(Kind, int, float64, string, ...any)) {
 	if len(segs) == 0 {
 		return
@@ -448,9 +488,10 @@ func sweepAudit(segs []schedule.Segment, segPower []float64, runs *sliceRuns, ts
 	nslices := len(uniq) - 1
 	n := len(ts)
 
-	// One allocation each for the int32 scratch and the per-task work
-	// sums.
-	ints := make([]int32, nslices+2+3*len(segs)+2*(m+n))
+	// One buffer each for the int32 scratch, the per-task work sums and
+	// the report flags, all cleared.
+	ints := take(&sc.ints, nslices+2+3*len(segs)+2*(m+n))
+	clear(ints)
 	// bucket[k]..bucket[k+1] indexes, in order, the segments whose active
 	// run starts at slice k (a counting sort on first).
 	bucket, ints := ints[:nslices+2], ints[nslices+2:]
@@ -462,7 +503,8 @@ func sweepAudit(segs []schedule.Segment, segPower []float64, runs *sliceRuns, ts
 	// perCore and perTask count a clashing slice's segments.
 	coreSeen, perCore, ints := ints[:m], ints[m:2*m], ints[2*m:]
 	taskSeen, perTask := ints[:n], ints[n:]
-	work := make([]numeric.KahanSum, n)
+	work := take(&sc.work, n)
+	clear(work)
 
 	for i := range segs {
 		if first[i] < stop[i] {
@@ -484,7 +526,8 @@ func sweepAudit(segs []schedule.Segment, segPower []float64, runs *sliceRuns, ts
 	// Violations are reported once per offender, at the first offending
 	// slice, rather than once per slice — a long overlap is one bug.
 	conReported := false
-	reported := make([]bool, m+n)
+	reported := take(&sc.reported, m+n)
+	clear(reported)
 	coreReported, taskReported := reported[:m], reported[m:]
 
 	// order[admitted:] are the segments not yet merged into active.

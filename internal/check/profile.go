@@ -54,20 +54,20 @@ const simEps = 1e-9
 // two segments of one core or one task start or end at the same
 // instant, the simulator's order is that of its heap; the profile takes
 // them in segment order.
-func executionProfile(segs []schedule.Segment, segPower []float64, runs *sliceRuns, ts task.Set, cores int) Profile {
+func (sc *scratch) executionProfile(segs []schedule.Segment, segPower []float64, runs *sliceRuns, ts task.Set, cores int) Profile {
 	cores = max(cores, 0)
-	// One float and one int32 allocation, carved into the profile's
-	// slices and the walks' scratch: the guardrail runs on every solve
-	// and every session replan.
-	floats := make([]float64, 3*cores+len(ts))
-	p := Profile{CoreBusy: floats[:cores:cores], Utilization: floats[cores : 2*cores : 2*cores]}
+	// The profile's two slices share one allocation, which it owns; the
+	// walks' buffers are the audit's scratch.
+	busy := make([]float64, 2*cores)
+	p := Profile{CoreBusy: busy[:cores:cores], Utilization: busy[cores:]}
 	if len(segs) == 0 {
 		return p
 	}
-	coreEnd := floats[2*cores : 3*cores] // end of the core's previous segment
-	remaining := floats[3*cores:]        // work the task has left
+	floats := take(&sc.floats, cores+len(ts))
+	coreEnd := floats[:cores]   // end of the core's previous segment
+	remaining := floats[cores:] // work the task has left
 	s := len(segs)
-	ints := make([]int32, s+len(ts)+len(runs.uniq)+1)
+	ints := take(&sc.walk, s+len(ts)+len(runs.uniq)+1)
 	order := ints[:s]
 	lastCore := ints[s : s+len(ts)] // core of the task's previous segment
 	count := ints[s+len(ts):]

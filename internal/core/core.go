@@ -90,7 +90,10 @@ const ctxCheckStride = 32
 
 // Solver runs the Section V pipeline while reusing scratch buffers across
 // calls. The zero value is ready to use; a Solver must not be used from
-// multiple goroutines at once (give each worker its own).
+// multiple goroutines at once. A caller that solves from many goroutines
+// keeps its Solvers in a sync.Pool, as internal/online's replanner does:
+// nothing a call returns aliases the Solver, so it can go back to the
+// pool as soon as the call returns, but not after a panic inside it.
 type Solver struct {
 	allocB alloc.Builder
 

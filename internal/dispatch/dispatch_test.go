@@ -4,10 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -618,8 +618,24 @@ func TestManagerLifecycle(t *testing.T) {
 	if err := m.Adopt(NewID(), over); !errors.Is(err, ErrTooManySessions) {
 		t.Errorf("limit not enforced: %v", err)
 	}
+	// At the limit a duplicate is still a duplicate, which no retry fixes.
+	dupAtLimit := mustNew(t, testConfig())
+	if err := m.Adopt(id1, dupAtLimit); !errors.Is(err, ErrDuplicateSession) {
+		t.Errorf("duplicate id at the limit: %v", err)
+	}
+	var badIDs []*Session
+	for _, id := range []string{"", "a.b", "../x", strings.Repeat("x", 65)} {
+		bad := mustNew(t, testConfig())
+		if err := m.Adopt(id, bad); err == nil || ValidID(id) {
+			t.Errorf("invalid id %q adopted (%v)", id, err)
+		}
+		badIDs = append(badIDs, bad)
+	}
+	if id := strings.Repeat("x", 64); !ValidID(id) || !ValidID(NewID()) || !ValidID("A-z_9") {
+		t.Error("a valid id rejected")
+	}
 	// A refused session is closed, whatever the reason.
-	for _, s := range []*Session{dup, over} {
+	for _, s := range append([]*Session{dup, over, dupAtLimit}, badIDs...) {
 		if _, _, err := s.Subscribe(); !errors.Is(err, ErrSessionClosed) {
 			t.Errorf("refused session still open: %v", err)
 		}
@@ -795,23 +811,4 @@ func TestDebounceTimerFires(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-}
-
-func BenchmarkSessionArriveFlush(b *testing.B) {
-	cfg := testConfig()
-	s, err := New(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer s.Close()
-	ctx := context.Background()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		at := float64(i)
-		_, _, err := s.Arrive(ctx, at, task.Set{{Work: 0.5, Release: at, Deadline: at + 2}})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	_ = fmt.Sprint(s.Stats())
 }

@@ -3,6 +3,7 @@ package dispatch
 import (
 	"bytes"
 	"fmt"
+	"slices"
 
 	"repro/internal/schedule"
 	"repro/internal/segjson"
@@ -19,6 +20,12 @@ import (
 // always already durable (per the journal's fsync policy), which is
 // what makes dedupe-by-seq safe across a crash and restart. Append must
 // therefore be fast and must not call back into the session.
+//
+// Append may keep rec, but must not modify it or anything it holds. The
+// session never reuses what it hands over: a commit record's Segments
+// are a view of the session's committed prefix, which is append-only,
+// a snapshot's Committed is a capped view of the same prefix, and every
+// other slice is the record's own.
 //
 // The journal decides when the log wants compacting: Append calls
 // rec.RequestCheckpoint on a delta record once a checkpoint would pay
@@ -186,7 +193,22 @@ func (rec *Record) appendCheckpoint(b []byte) ([]byte, error) {
 	if b, err = segjson.AppendJSON(b, &snap, "", "null}"); err != nil {
 		return b, err
 	}
-	b = append(b, '[')
+	// The prefix is most of the record. The fields behind it are encoded
+	// first, so that room for both is made at once rather than by
+	// append's growth steps, which would allocate several times the
+	// record's size.
+	tail, err := segjson.AppendJSON(nil, &Snapshot{Events: rec.Snapshot.Events}, snapshotZero, "")
+	if err != nil {
+		return b, err
+	}
+	if tail, err = segjson.AppendJSON(tail, &Record{Events: rec.Events}, recordZero, ""); err != nil {
+		return b, err
+	}
+	n := len(rec.committedJSON) + 1 + len(tail)
+	for _, piece := range rec.committedJSON {
+		n += len(piece)
+	}
+	b = append(slices.Grow(b, n), '[')
 	for i, piece := range rec.committedJSON {
 		if i > 0 {
 			b = append(b, ',')
@@ -194,10 +216,7 @@ func (rec *Record) appendCheckpoint(b []byte) ([]byte, error) {
 		b = append(b, piece...)
 	}
 	b = append(b, ']')
-	if b, err = segjson.AppendJSON(b, &Snapshot{Events: rec.Snapshot.Events}, snapshotZero, ""); err != nil {
-		return b, err
-	}
-	return segjson.AppendJSON(b, &Record{Events: rec.Events}, recordZero, "")
+	return append(b, tail...), nil
 }
 
 // journalLocked stamps rec with the post-state counters and the

@@ -77,29 +77,48 @@ func NewID() string {
 	return hex.EncodeToString(b[:])
 }
 
+// ValidID reports whether id can name a session: 1 to 64 characters,
+// each an ASCII letter, a digit, '-' or '_'. A journal names a session's
+// log directory after its ID, so the rule also keeps an ID from
+// reaching outside that directory. NewID always satisfies it.
+func ValidID(id string) bool {
+	if id == "" || len(id) > 64 {
+		return false
+	}
+	for _, r := range id {
+		switch {
+		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '-', r == '_':
+		default:
+			return false
+		}
+	}
+	return true
+}
+
 // Adopt registers an already-built session under id: a fresh NewID, or
 // one the caller keeps — the restored session's identity from the
 // backend it migrated from, or the ID the cluster router hashed for
-// shard placement. A refused session is closed.
+// shard placement. A refused session is closed. A duplicate ID is
+// refused before the session limit is checked: retrying it cannot help.
 func (m *Manager) Adopt(id string, s *Session) (err error) {
 	defer func() {
 		if err != nil {
 			s.Close()
 		}
 	}()
-	if id == "" {
-		return fmt.Errorf("dispatch: empty session id")
+	if !ValidID(id) {
+		return fmt.Errorf("dispatch: invalid session id %q", id)
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
 		return ErrSessionClosed
 	}
-	if m.cfg.MaxSessions > 0 && len(m.sessions) >= m.cfg.MaxSessions {
-		return ErrTooManySessions
-	}
 	if m.sessions[id] != nil {
 		return ErrDuplicateSession
+	}
+	if m.cfg.MaxSessions > 0 && len(m.sessions) >= m.cfg.MaxSessions {
+		return ErrTooManySessions
 	}
 	m.sessions[id] = &managed{s: s, lastTouch: m.cfg.Now()}
 	return nil

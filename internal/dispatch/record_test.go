@@ -20,7 +20,9 @@ import (
 // diffJournal checks every record a session journals: AppendJSON must
 // return json.Marshal's bytes, or fail where it fails. It counts the
 // records that took each splice, so a test can tell the splices ran,
-// and requests a checkpoint every `every` delta records.
+// and requests a checkpoint every `every` delta records. It keeps every
+// record with its encoding, as a journal may, so checkKept can tell
+// whether the session changed one after handing it over.
 type diffJournal struct {
 	t                     *testing.T
 	records               int
@@ -29,6 +31,19 @@ type diffJournal struct {
 	failAt                int // 1-based append that fails; 0 never
 	every, deltas         int
 	lastSnapshotCommitted int
+	kept                  []*Record
+	keptJSON              [][]byte
+}
+
+// checkKept fails the test if a kept record no longer encodes as it did
+// when it was appended.
+func (j *diffJournal) checkKept() {
+	j.t.Helper()
+	for i, rec := range j.kept {
+		if got, err := json.Marshal(rec); err != nil || !bytes.Equal(got, j.keptJSON[i]) {
+			j.t.Errorf("kept %s record changed after Append (%v):\ngot  %s\nwant %s", rec.Kind, err, got, j.keptJSON[i])
+		}
+	}
 }
 
 func (j *diffJournal) Append(rec *Record) error {
@@ -54,6 +69,9 @@ func (j *diffJournal) Append(rec *Record) error {
 		j.t.Errorf("record %d (%s): AppendJSON: %v", j.records, rec.Kind, gerr)
 	case werr == nil && !bytes.Equal(got, append([]byte("frame"), want...)):
 		j.t.Errorf("record %d (%s) differs from json.Marshal:\ngot  %s\nwant frame%s", j.records, rec.Kind, got, want)
+	}
+	if werr == nil {
+		j.kept, j.keptJSON = append(j.kept, rec), append(j.keptJSON, want)
 	}
 	if j.records == j.failAt {
 		return fmt.Errorf("injected append failure")
@@ -164,6 +182,7 @@ func TestJournalRecordsMatchJSON(t *testing.T) {
 	s2.Close()
 
 	for _, j := range []*diffJournal{j1, j2} {
+		j.checkKept()
 		for _, k := range []RecordKind{RecArrival, RecCommit, RecShed, RecReplan, RecError, RecCheckpoint, RecFinish} {
 			if j.kinds[k] == 0 {
 				t.Errorf("no %s record journaled: %v", k, j.kinds)

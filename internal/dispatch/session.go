@@ -112,6 +112,13 @@ type Session struct {
 	plan      []schedule.Segment // current plan suffix, times ≥ now
 	realized  float64            // energy of committed
 
+	// spare is the plan suffix's second buffer: a commit keeps the
+	// unexecuted segments in it and swaps it with plan, so neither is
+	// reallocated once both reach the plan's size. deltaAt indexes a
+	// commit's deltas by task and is cleared by each commit.
+	spare   []schedule.Segment
+	deltaAt map[int]int
+
 	pending         []int // task IDs awaiting their first plan
 	pendingAttempts int   // failed solves for the pending batch
 
@@ -152,7 +159,7 @@ func New(cfg Config) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Session{cfg: cfg, hub: newEventHub(EventHistory)}
+	s := &Session{cfg: cfg, hub: newEventHub(EventHistory), deltaAt: make(map[int]int)}
 	if cfg.Journal != nil {
 		s.cfg.Journal = nil
 		if err := s.AttachJournal(cfg.Journal); err != nil {
@@ -432,27 +439,30 @@ func (s *Session) flushLocked(ctx context.Context) error {
 // segments, realizes its energy and completions, and advances the
 // clock. It returns the newly committed segments (time-ordered) and the
 // execution-state deltas of every task they touched, which the journal
-// persists as one RecCommit. Call with mu held.
+// persists as one RecCommit. The segments are the tail it appended to
+// the committed prefix, which is append-only, so they stay as returned.
+// Call with mu held.
 func (s *Session) commitToLocked(t1 float64) ([]schedule.Segment, []CommitDelta) {
 	if t1 < s.now {
 		t1 = s.now
 	}
-	var done []schedule.Segment
-	keep := make([]schedule.Segment, 0, len(s.plan))
+	base := len(s.committed)
+	keep := s.spare[:0]
 	for _, seg := range s.plan {
 		switch {
 		case seg.Start >= t1-tolerance:
 			keep = append(keep, seg)
 		case seg.End <= t1+tolerance:
-			done = append(done, seg)
+			s.committed = append(s.committed, seg)
 		default:
 			head, tail := seg, seg
 			head.End, tail.Start = t1, t1
-			done = append(done, head)
+			s.committed = append(s.committed, head)
 			keep = append(keep, tail)
 		}
 	}
-	s.plan = keep
+	s.plan, s.spare = keep, s.plan[:0]
+	done := s.committed[base:len(s.committed):len(s.committed)]
 	// Completions must be observed in time order.
 	slices.SortFunc(done, func(a, b schedule.Segment) int {
 		switch {
@@ -464,7 +474,8 @@ func (s *Session) commitToLocked(t1 float64) ([]schedule.Segment, []CommitDelta)
 			return 0
 		}
 	})
-	deltaAt := make(map[int]int)
+	deltaAt := s.deltaAt
+	clear(deltaAt)
 	var deltas []CommitDelta
 	for _, seg := range done {
 		dur := seg.End - seg.Start
@@ -494,7 +505,6 @@ func (s *Session) commitToLocked(t1 float64) ([]schedule.Segment, []CommitDelta)
 			deltas[i].CompletedAt = lt.Completed
 		}
 	}
-	s.committed = append(s.committed, done...)
 	if t1 > s.now {
 		s.now = t1
 	}
@@ -510,8 +520,9 @@ func (s *Session) commitToLocked(t1 float64) ([]schedule.Segment, []CommitDelta)
 // released no earlier than now. Call with mu held. ids maps residual
 // task IDs back to session task IDs.
 func (s *Session) residualLocked() (task.Set, []int) {
-	var residual task.Set
-	var ids []int
+	// A residual task is an open one, so s.open sizes both.
+	residual := make(task.Set, 0, s.open)
+	ids := make([]int, 0, s.open)
 	for i := range s.tasks {
 		lt := &s.tasks[i]
 		if lt.Shed || lt.Remaining <= workEps {

@@ -183,25 +183,9 @@ func (st *Store) Dir() string { return st.dir }
 
 func (st *Store) sessionsDir() string { return filepath.Join(st.dir, "sessions") }
 
-// validID rejects session IDs that could escape the sessions directory
-// or collide with filesystem specials.
-func validID(id string) bool {
-	if id == "" || len(id) > 64 {
-		return false
-	}
-	for _, r := range id {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '-', r == '_':
-		default:
-			return false
-		}
-	}
-	return true
-}
-
 // SessionDir returns the log directory for id.
 func (st *Store) SessionDir(id string) (string, error) {
-	if !validID(id) {
+	if !dispatch.ValidID(id) {
 		return "", fmt.Errorf("journal: invalid session id %q", id)
 	}
 	return filepath.Join(st.sessionsDir(), id), nil
@@ -215,7 +199,7 @@ func (st *Store) Sessions() ([]string, error) {
 	}
 	var ids []string
 	for _, e := range entries {
-		if e.IsDir() && validID(e.Name()) {
+		if e.IsDir() && dispatch.ValidID(e.Name()) {
 			ids = append(ids, e.Name())
 		}
 	}

@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"repro/internal/alloc"
 	"repro/internal/check"
@@ -47,6 +48,11 @@ type Result struct {
 
 const workEps = 1e-9
 
+// solvers holds the replanner's core.Solvers between runs: a schedd
+// session re-plans on every arrival, and a fresh Solver would regrow its
+// arenas each time.
+var solvers = sync.Pool{New: func() any { return core.NewSolver() }}
+
 // ReplanDER runs the event-driven re-planning policy and checks the
 // realized schedule with the universal validator.
 func ReplanDER(ts task.Set, m int, pm power.Model) (*Result, error) {
@@ -60,8 +66,18 @@ func ReplanDER(ts task.Set, m int, pm power.Model) (*Result, error) {
 	return r, nil
 }
 
-// replanDER is ReplanDER without the feasibility check.
+// replanDER is ReplanDER without the feasibility check. Its Solver
+// goes back to the pool only after a run that returned, never after a
+// panic; nothing the run returns aliases it.
 func replanDER(ts task.Set, m int, pm power.Model) (*Result, error) {
+	sv := solvers.Get().(*core.Solver)
+	r, err := replanWith(sv, ts, m, pm)
+	solvers.Put(sv)
+	return r, err
+}
+
+// replanWith is replanDER planning with sv.
+func replanWith(sv *core.Solver, ts task.Set, m int, pm power.Model) (*Result, error) {
 	if err := ts.Validate(); err != nil {
 		return nil, err
 	}
@@ -78,8 +94,9 @@ func replanDER(ts task.Set, m int, pm power.Model) (*Result, error) {
 		remaining[i] = tk.Work
 	}
 	out := schedule.New(ts, m)
-	sv := core.NewSolver()
 	replans := 0
+	residual := make(task.Set, 0, len(ts))
+	origID := make([]int, 0, len(ts))
 	for k, t0 := range releases {
 		t1 := math.Inf(1)
 		if k+1 < len(releases) {
@@ -87,8 +104,7 @@ func replanDER(ts task.Set, m int, pm power.Model) (*Result, error) {
 		}
 		// Residual instance: ready, unfinished tasks with their remaining
 		// work, released "now".
-		var residual task.Set
-		var origID []int
+		residual, origID = residual[:0], origID[:0]
 		for i, tk := range ts {
 			if tk.Release <= t0+1e-12 && remaining[i] > workEps {
 				residual = append(residual, task.Task{
@@ -110,6 +126,7 @@ func replanDER(ts task.Set, m int, pm power.Model) (*Result, error) {
 			return nil, fmt.Errorf("online: replanning at t=%g: %w", t0, err)
 		}
 		replans++
+		out.Grow(len(plan.Final.Segments))
 		for _, seg := range plan.Final.Segments {
 			s := math.Max(seg.Start, t0)
 			e := math.Min(seg.End, t1)

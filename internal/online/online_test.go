@@ -1,8 +1,10 @@
 package online
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/alloc"
@@ -200,18 +202,6 @@ func TestInputValidation(t *testing.T) {
 	}
 }
 
-func BenchmarkReplanDER(b *testing.B) {
-	rng := rand.New(rand.NewSource(3))
-	ts := task.MustGenerate(rng, task.PaperDefaults(15))
-	pm := power.Unit(3, 0.1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ReplanDER(ts, 4, pm); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkFixedSpeedEDF(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	ts := task.MustGenerate(rng, task.PaperDefaults(20))
@@ -221,5 +211,38 @@ func BenchmarkFixedSpeedEDF(b *testing.B) {
 		if _, err := FixedSpeedEDF(ts, 4, pm, 2); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestReplanDERPooledSolversConcurrent runs ReplanDER from several
+// goroutines at once on instances of different sizes and core counts,
+// so that pooled Solvers move between runs of every shape, and checks
+// each schedule bit for bit against a run with a fresh core.Solver.
+// Run it under -race.
+func TestReplanDERPooledSolversConcurrent(t *testing.T) {
+	pm := power.Unit(3, 0.1)
+	for w := 0; w < 4; w++ {
+		seed := int64(50 + w)
+		t.Run(fmt.Sprint("worker", w), func(t *testing.T) {
+			t.Parallel()
+			rng := rand.New(rand.NewSource(seed))
+			for trial := 0; trial < 25; trial++ {
+				ts := task.MustGenerate(rng, task.PaperDefaults(2+rng.Intn(24)))
+				m := 1 + rng.Intn(8)
+				got, err := ReplanDER(ts, m, pm)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := replanWith(core.NewSolver(), ts, m, pm)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.Replans != want.Replans || math.Float64bits(got.Energy) != math.Float64bits(want.Energy) ||
+					!slices.Equal(got.Schedule.Segments, want.Schedule.Segments) {
+					t.Fatalf("n=%d m=%d: pooled run differs from a fresh Solver's: %d replans, energy %v; want %d, %v",
+						len(ts), m, got.Replans, got.Energy, want.Replans, want.Energy)
+				}
+			}
+		})
 	}
 }

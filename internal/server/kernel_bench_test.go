@@ -2,10 +2,12 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"testing"
 
 	"repro/internal/server/wire"
@@ -150,3 +152,66 @@ func (w *missWriter) Write(p []byte) (int, error) {
 
 // miss reports whether the reply says it missed the cache.
 func (w *missWriter) miss() bool { return bytes.Contains(w.head[:w.n], missMarker) }
+
+// TestSessionArrivalAllocBytes caps the mean bytes one session arrival
+// allocates on a journaled schedd, through Server.Handler, at about 1.2×
+// the measured 85–87 KB. The trace has perfbench's session-journaled
+// shape: Poisson batches of 1–3 tasks at rate 0.25 on 4 cores, which
+// keeps about 20 tasks live. The mean is taken over arrivals 101–200 of
+// one session, after 100 that fill its buffers; it includes the one
+// checkpoint the session writes in that window, about 11 KB of it per
+// arrival. Skipped under -race, which adds its own allocations.
+func TestSessionArrivalAllocBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation sizes")
+	}
+	const (
+		warm, measured = 100, 100
+		ceiling        = 100 << 10
+	)
+	srv := New(Config{DataDir: t.TempDir()})
+	t.Cleanup(srv.Close)
+	if _, err := srv.Recover(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	h := srv.Handler()
+	serve := func(method, path string, body []byte, want int) {
+		w := &missWriter{header: make(http.Header)}
+		h.ServeHTTP(w, httptest.NewRequest(method, path, bytes.NewReader(body)))
+		if w.code != want {
+			t.Fatalf("%s %s: status %d, want %d: %s", method, path, w.code, want, w.head[:w.n])
+		}
+	}
+	create, err := json.Marshal(wire.SessionCreateRequest{
+		ID: "alloc", Cores: 4, Model: wire.ModelJSON{Alpha: 3, P0: 0.05}, SkipRatio: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	trace, err := task.GenerateTrace(rand.New(rand.NewSource(7)), task.ArrivalParams{
+		Process: task.ArrivalPoisson, Batches: warm + measured, Rate: 0.25, BatchLo: 1, BatchHi: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bodies := make([][]byte, len(trace))
+	for i, a := range trace {
+		if bodies[i], err = json.Marshal(wire.ArrivalRequest{At: a.At, Tasks: a.Tasks}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	serve(http.MethodPost, "/v1/sessions", create, http.StatusCreated)
+	for _, body := range bodies[:warm] {
+		serve(http.MethodPost, "/v1/sessions/alloc/tasks", body, http.StatusOK)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, body := range bodies[warm:] {
+		serve(http.MethodPost, "/v1/sessions/alloc/tasks", body, http.StatusOK)
+	}
+	runtime.ReadMemStats(&after)
+	if got := (after.TotalAlloc - before.TotalAlloc) / measured; got > ceiling {
+		t.Errorf("a journaled session arrival allocates %d bytes, ceiling %d", got, ceiling)
+	}
+}

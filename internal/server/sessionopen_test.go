@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/dispatch"
@@ -73,6 +74,7 @@ func TestSessionOpenErrorTable(t *testing.T) {
 	badSnap.Cores = 0
 	unknownSnap := *snap
 	unknownSnap.Algorithm = "no-such"
+	longID := strings.Repeat("x", 65)
 
 	type row struct {
 		name string
@@ -107,6 +109,15 @@ func TestSessionOpenErrorTable(t *testing.T) {
 		{name: "create/duplicate id", path: create,
 			body:   wire.SessionCreateRequest{ID: "live", Cores: 2, Model: model},
 			status: http.StatusConflict, code: wire.CodeDuplicateSession},
+		{name: "create/duplicate id at the limit", path: create, limit: 1,
+			body:   wire.SessionCreateRequest{ID: "live", Cores: 2, Model: model},
+			status: http.StatusConflict, code: wire.CodeDuplicateSession},
+		{name: "create/id with a dot", path: create,
+			body:   wire.SessionCreateRequest{ID: "a.b", Cores: 2, Model: model},
+			status: http.StatusBadRequest, code: wire.CodeBadRequest},
+		{name: "create/id of 65 characters", path: create,
+			body:   wire.SessionCreateRequest{ID: longID, Cores: 2, Model: model},
+			status: http.StatusBadRequest, code: wire.CodeBadRequest},
 		{name: "create/session limit", path: create, limit: 1,
 			body:   wire.SessionCreateRequest{ID: "next", Cores: 2, Model: model},
 			status: http.StatusTooManyRequests, code: wire.CodeOverloaded},
@@ -135,6 +146,15 @@ func TestSessionOpenErrorTable(t *testing.T) {
 		{name: "restore/duplicate id", path: restore,
 			body:   wire.SessionRestoreRequest{ID: "live", Snapshot: snap},
 			status: http.StatusConflict, code: wire.CodeDuplicateSession},
+		{name: "restore/duplicate id at the limit", path: restore, limit: 1,
+			body:   wire.SessionRestoreRequest{ID: "live", Snapshot: snap},
+			status: http.StatusConflict, code: wire.CodeDuplicateSession},
+		{name: "restore/id with a dot", path: restore,
+			body:   wire.SessionRestoreRequest{ID: "a.b", Snapshot: snap},
+			status: http.StatusBadRequest, code: wire.CodeBadRequest},
+		{name: "restore/id of 65 characters", path: restore,
+			body:   wire.SessionRestoreRequest{ID: longID, Snapshot: snap},
+			status: http.StatusBadRequest, code: wire.CodeBadRequest},
 		{name: "restore/bad snapshot", path: restore,
 			body:   wire.SessionRestoreRequest{ID: "next", Snapshot: &badSnap},
 			status: http.StatusUnprocessableEntity, code: wire.CodeUnprocessable},

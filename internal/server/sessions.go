@@ -171,12 +171,19 @@ func writeOpenError(w http.ResponseWriter, err error) bool {
 		writeErrorFor(w, http.StatusConflict, err)
 	case errors.Is(err, dispatch.ErrSessionClosed): // manager draining
 		writeDraining(w)
-	case errors.As(err, &jerr):
-		wire.WriteError(w, http.StatusInternalServerError, wire.CodeInternal, "journal: %v", jerr.err)
+	case errors.As(err, &jerr): // its text names the journal already
+		wire.WriteError(w, http.StatusInternalServerError, wire.CodeInternal, "%v", jerr.err)
 	default:
 		return false
 	}
 	return true
+}
+
+// writeInvalidID answers a create or a restore whose session ID
+// dispatch.ValidID rejects.
+func writeInvalidID(w http.ResponseWriter, id string) {
+	wire.WriteError(w, http.StatusBadRequest, wire.CodeBadRequest,
+		"invalid session id %q: want 1 to 64 letters, digits, '-' or '_'", id)
 }
 
 // handleSessionCreate serves POST /v1/sessions.
@@ -210,6 +217,9 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	id := req.ID
 	if id == "" {
 		id = dispatch.NewID()
+	} else if !dispatch.ValidID(id) {
+		writeInvalidID(w, id)
+		return
 	}
 	backlog, err := s.openSession(sessionOpen{
 		kind:       openCreate,
@@ -479,6 +489,10 @@ func (s *Server) handleSessionRestore(w http.ResponseWriter, r *http.Request) {
 	}
 	if req.ID == "" {
 		wire.WriteError(w, http.StatusBadRequest, wire.CodeBadRequest, "restore requires the original session id")
+		return
+	}
+	if !dispatch.ValidID(req.ID) {
+		writeInvalidID(w, req.ID)
 		return
 	}
 	if req.Snapshot == nil {

@@ -237,7 +237,8 @@ type SessionCreateRequest struct {
 	// ID optionally fixes the session ID instead of letting the server
 	// mint one — the cluster router uses this so the ID it hashes for
 	// shard placement is the ID the backend serves. Must be unique on
-	// the backend (409 otherwise).
+	// the backend (409 otherwise) and satisfy dispatch.ValidID: 1 to 64
+	// letters, digits, '-' or '_' (400 otherwise).
 	ID string `json:"id,omitempty"`
 	// Algorithm names the residual re-planning policy (default ReplanDER).
 	Algorithm string `json:"algorithm,omitempty"`
