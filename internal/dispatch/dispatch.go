@@ -13,10 +13,16 @@
 // debounce window coalesce into a single re-plan. Sessions carry a
 // bounded backlog with load shedding, emit a totally ordered event
 // stream (replan, commit, completion, shed, final), support
-// snapshot/restore of live state, and — at Finish — account the realized
-// energy against the clairvoyant offline optimum computed retroactively
-// over everything that arrived, yielding a per-session competitive
-// ratio.
+// snapshot/restore of live state, journal every state change as a
+// Record, and — at Finish — account the realized energy against the
+// clairvoyant offline optimum computed retroactively over everything
+// that arrived, yielding a per-session competitive ratio.
+//
+// The package owns session state in every form: the live task table is
+// the []TaskState a Snapshot and an arrival record carry, Replay is the
+// one fold of journal records into a Snapshot, and Restore and Replay
+// apply one well-formed-state rule, so no snapshot from a client or a
+// log builds a session that indexes past its task table.
 //
 // A Manager owns many sessions behind TTL eviction and a graceful drain
 // (run every session to its horizon, then close all event streams); the

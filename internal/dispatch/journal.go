@@ -12,7 +12,9 @@ import (
 // Journal is the durability hook a session writes its lifecycle to.
 // internal/journal provides the production implementation (a segmented,
 // CRC-checksummed write-ahead log); the interface lives here so the
-// session core does not depend on the storage layer.
+// session core does not depend on the storage layer. What a record means
+// lives here too: Replay folds a log's records back into a Snapshot,
+// and the storage layer only frames and checksums them.
 //
 // Append is called with the session mutex held, immediately after the
 // state transition the record describes and *before* the record's
@@ -76,8 +78,9 @@ type CommitDelta struct {
 
 // Record is one entry of a session's journal. Every record carries the
 // session's post-state counters, so replaying a log is a pure left
-// fold: deltas mutate the task table / committed prefix, counters are
-// last-record-wins, and Create/Checkpoint reset the fold outright.
+// fold (Replay.Apply): deltas mutate the task table / committed prefix,
+// counters are last-record-wins, and Create/Checkpoint reset the fold
+// outright.
 // Events holds exactly the events made durable by this record, in
 // order; they are published to subscribers only after Append returns.
 type Record struct {

@@ -17,19 +17,6 @@ import (
 
 const workEps = 1e-9
 
-// liveTask is one admitted task's mutable execution state. Release is
-// the *effective* release max(declared release, arrival time): a task
-// cannot run before the session learns it exists.
-type liveTask struct {
-	Release   float64
-	Work      float64
-	Deadline  float64
-	Remaining float64
-	ArrivedAt float64
-	Completed float64 // NaN until complete
-	Shed      bool
-}
-
 // Stats is a point-in-time summary of a session.
 type Stats struct {
 	// Clock is the session's virtual time.
@@ -107,7 +94,7 @@ type Session struct {
 	mu sync.Mutex
 
 	now       float64 // virtual clock
-	tasks     []liveTask
+	tasks     []TaskState
 	committed []schedule.Segment // immutable realized prefix, times < now at rest
 	plan      []schedule.Segment // current plan suffix, times ≥ now
 	realized  float64            // energy of committed
@@ -226,10 +213,8 @@ func (s *Session) Arrive(ctx context.Context, at float64, batch task.Set) (admit
 		return 0, 0, fmt.Errorf("%w: arrival time %g", ErrBadArrival, at)
 	}
 	for _, tk := range batch {
-		for _, v := range []float64{tk.Release, tk.Work, tk.Deadline} {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return 0, 0, fmt.Errorf("%w: non-finite task parameter", ErrBadArrival)
-			}
+		if !finite(tk.Release, tk.Work, tk.Deadline) {
+			return 0, 0, fmt.Errorf("%w: non-finite task parameter", ErrBadArrival)
 		}
 		if !(tk.Work > 0) {
 			return 0, 0, fmt.Errorf("%w: work %g must be positive", ErrBadArrival, tk.Work)
@@ -260,13 +245,12 @@ func (s *Session) Arrive(ctx context.Context, at float64, batch task.Set) (admit
 	shed = len(batch) - admitted
 	for _, tk := range batch[:admitted] {
 		id := len(s.tasks)
-		s.tasks = append(s.tasks, liveTask{
+		s.tasks = append(s.tasks, TaskState{
 			Release:   math.Max(tk.Release, at),
 			Work:      tk.Work,
 			Deadline:  tk.Deadline,
 			Remaining: tk.Work,
 			ArrivedAt: at,
-			Completed: math.NaN(),
 		})
 		s.pending = append(s.pending, id)
 	}
@@ -276,19 +260,8 @@ func (s *Session) Arrive(ctx context.Context, at float64, batch task.Set) (admit
 		s.emitLocked(Event{Type: EventShed, Count: shed, Reason: "backlog"})
 	}
 	if s.cfg.Journal != nil && (admitted > 0 || shed > 0) {
-		rec := &Record{Kind: RecArrival, ArrivedAt: at, Count: shed}
-		if admitted > 0 {
-			rec.Tasks = make([]TaskState, admitted)
-			for i, lt := range s.tasks[len(s.tasks)-admitted:] {
-				rec.Tasks[i] = TaskState{
-					Release:   lt.Release,
-					Work:      lt.Work,
-					Deadline:  lt.Deadline,
-					Remaining: lt.Remaining,
-					ArrivedAt: lt.ArrivedAt,
-				}
-			}
-		}
+		rec := &Record{Kind: RecArrival, ArrivedAt: at, Count: shed,
+			Tasks: slices.Clone(s.tasks[len(s.tasks)-admitted:])}
 		// The batch is durable before Arrive returns: the admission ack
 		// the caller sends is backed by the log per the fsync policy.
 		s.journalLocked(rec)
@@ -480,29 +453,29 @@ func (s *Session) commitToLocked(t1 float64) ([]schedule.Segment, []CommitDelta)
 	for _, seg := range done {
 		dur := seg.End - seg.Start
 		s.realized += s.cfg.Model.EnergyForTime(dur, seg.Frequency)
-		lt := &s.tasks[seg.Task]
+		ts := &s.tasks[seg.Task]
 		work := seg.Frequency * dur
-		if lt.Remaining <= work+workEps && math.IsNaN(lt.Completed) {
-			ct := seg.Start + lt.Remaining/seg.Frequency
+		if ts.Remaining <= work+workEps && !ts.Done {
+			ct := seg.Start + ts.Remaining/seg.Frequency
 			if ct > seg.End {
 				ct = seg.End
 			}
-			lt.Completed = ct
+			ts.Done, ts.CompletedAt = true, ct
 			s.completed++
 			s.open--
 			s.emitLocked(Event{Type: EventComplete, Task: seg.Task, Completed: ct})
 		}
-		lt.Remaining = math.Max(0, lt.Remaining-work)
+		ts.Remaining = math.Max(0, ts.Remaining-work)
 		i, ok := deltaAt[seg.Task]
 		if !ok {
 			i = len(deltas)
 			deltaAt[seg.Task] = i
 			deltas = append(deltas, CommitDelta{Task: seg.Task})
 		}
-		deltas[i].Remaining = lt.Remaining
-		if !math.IsNaN(lt.Completed) {
+		deltas[i].Remaining = ts.Remaining
+		if ts.Done {
 			deltas[i].Done = true
-			deltas[i].CompletedAt = lt.Completed
+			deltas[i].CompletedAt = ts.CompletedAt
 		}
 	}
 	if t1 > s.now {
@@ -524,15 +497,15 @@ func (s *Session) residualLocked() (task.Set, []int) {
 	residual := make(task.Set, 0, s.open)
 	ids := make([]int, 0, s.open)
 	for i := range s.tasks {
-		lt := &s.tasks[i]
-		if lt.Shed || lt.Remaining <= workEps {
+		ts := &s.tasks[i]
+		if ts.Shed || ts.Remaining <= workEps {
 			continue
 		}
 		residual = append(residual, task.Task{
 			ID:       len(residual),
-			Release:  math.Max(lt.Release, s.now),
-			Work:     lt.Remaining,
-			Deadline: lt.Deadline,
+			Release:  math.Max(ts.Release, s.now),
+			Work:     ts.Remaining,
+			Deadline: ts.Deadline,
 		})
 		ids = append(ids, i)
 	}
@@ -611,19 +584,19 @@ func (s *Session) Finish(ctx context.Context) (*FinalReport, error) {
 	effID := make([]int, len(s.tasks))
 	for i := range s.tasks {
 		effID[i] = -1
-		lt := &s.tasks[i]
-		if lt.Shed {
+		ts := &s.tasks[i]
+		if ts.Shed {
 			continue
 		}
 		effID[i] = len(f.Tasks)
 		f.Tasks = append(f.Tasks, task.Task{
 			ID:       len(f.Tasks),
-			Release:  lt.Release,
-			Work:     lt.Work,
-			Deadline: lt.Deadline,
+			Release:  ts.Release,
+			Work:     ts.Work,
+			Deadline: ts.Deadline,
 		})
 		f.TaskIDs = append(f.TaskIDs, i)
-		if math.IsNaN(lt.Completed) || lt.Completed > lt.Deadline+1e-6 {
+		if !ts.Done || ts.CompletedAt > ts.Deadline+1e-6 {
 			f.Missed = append(f.Missed, i)
 		}
 	}

@@ -33,10 +33,12 @@
 // is in the page cache once write(2) returns); the policy only decides
 // what a power failure can take with it.
 //
-// Replay (see replay.go) is tolerant by construction: a torn tail —
+// What a record means is dispatch's: Replay (see replay.go) folds each
+// checksummed frame with dispatch.Replay, under dispatch.Restore's
+// well-formed-state rule. It is tolerant by construction: a torn tail —
 // a partial final frame in the final segment — is truncated cleanly,
-// while a bad frame anywhere else is corruption that fails that one
-// session's recovery, never the process.
+// while a bad frame or refused record anywhere else is corruption that
+// fails that one session's recovery, never the process.
 package journal
 
 import (
@@ -623,9 +625,6 @@ func (w *Writer) Close() error {
 	w.st.mu.Unlock()
 	return err
 }
-
-// errTorn/errCorrupt sentinel helpers for tests.
-var errNoCheckpoint = errors.New("journal: record before any create/checkpoint")
 
 // ErrWriterOpen reports an attempt to open a second Writer on a session
 // log that already has one in this Store — the serving layer maps it to

@@ -3,8 +3,10 @@ package journal
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
@@ -16,6 +18,7 @@ import (
 	"repro/internal/fault"
 	_ "repro/internal/online" // registers ReplanDER
 	"repro/internal/power"
+	"repro/internal/schedule"
 	"repro/internal/task"
 )
 
@@ -411,6 +414,36 @@ func TestMidLogCorruptionFailsSoft(t *testing.T) {
 	}
 }
 
+// A checkpoint whose committed prefix names a task outside its table is
+// corruption: replay reports it, rather than hand recovery a state that
+// the restored session would index past its task table with.
+func TestReplayRefusesMalformedCheckpoint(t *testing.T) {
+	st := openStore(t, Options{Fsync: FsyncNever})
+	for _, id := range []int{7, -1} {
+		sid := fmt.Sprintf("task%d", id+1)
+		w, err := st.Writer(sid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap := &dispatch.Snapshot{
+			Algorithm: "ReplanDER", Cores: 2, Model: testModel(),
+			Tasks:     []dispatch.TaskState{{Work: 1, Remaining: 1, Deadline: 4}},
+			Committed: []schedule.Segment{{Task: id, Core: 0, Start: 0, End: 1, Frequency: 1}},
+		}
+		if err := w.Append(&dispatch.Record{Kind: dispatch.RecCheckpoint, Snapshot: snap}); err != nil {
+			t.Fatal(err)
+		}
+		w.Close()
+		r := st.Replay(sid)
+		if r.Err == nil {
+			t.Fatalf("a checkpoint naming task %d of 1 replayed cleanly", id)
+		}
+		if r.Snapshot != nil || r.Records != 0 {
+			t.Errorf("the refused checkpoint was folded: %d records, snapshot %v", r.Records, r.Snapshot)
+		}
+	}
+}
+
 func TestDiskFaultInjection(t *testing.T) {
 	t.Run("short-write", func(t *testing.T) {
 		inj := fault.New(fault.Plan{Rates: map[fault.Point]float64{fault.JournalShortWrite: 1}, Seed: 1})
@@ -664,8 +697,12 @@ func TestEventDurabilityOrdering(t *testing.T) {
 }
 
 // FuzzJournalReplay mutates raw log bytes: replay must never panic, and
-// any cleanly folded, unfinished state must restore and finish with
-// zero validator findings.
+// every cleanly folded state, finished or not, must restore and finish
+// without panicking. The input is read twice: as a whole log, and as
+// the payload of one well-framed record behind a real session's log,
+// so that dispatch.Replay's checks see arbitrary records. A state
+// folded from the session's own frames must finish with zero validator
+// findings.
 func FuzzJournalReplay(f *testing.F) {
 	st, err := Open(f.TempDir(), Options{Fsync: FsyncNever})
 	if err != nil {
@@ -689,6 +726,10 @@ func FuzzJournalReplay(f *testing.F) {
 			f.Fatal(err)
 		}
 	}
+	snap, err := s.Snapshot(ctx)
+	if err != nil {
+		f.Fatal(err)
+	}
 	s.Close()
 	w.Close()
 	dir, _ := st.SessionDir("seed")
@@ -702,33 +743,71 @@ func FuzzJournalReplay(f *testing.F) {
 	f.Add(seed[:len(seed)/2])
 	f.Add([]byte{})
 	f.Add([]byte{0x01, 0x00, 0x00, 0x00, 0xff, 0xff, 0xff, 0xff, '{'})
+	// Records naming a task outside the table, which a session restored
+	// from them would index with.
+	for _, task := range []int{7, -1} {
+		bad := *snap
+		bad.Committed = []schedule.Segment{{Task: task, Core: 0, Start: 0, End: 0.5, Frequency: 0.8}}
+		rec, err := json.Marshal(&dispatch.Record{Kind: dispatch.RecCheckpoint, Snapshot: &bad})
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(rec)
+		f.Add([]byte(fmt.Sprintf(`{"kind":"commit","clock":9,"segments":[{"Task":%d,"Core":0,"Start":8,"End":9,"Frequency":1}]}`, task)))
+		f.Add([]byte(fmt.Sprintf(`{"kind":"shed","clock":9,"shed_ids":[%d],"count":1}`, task)))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := filepath.Join(t.TempDir(), "fz")
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(filepath.Join(dir, "00000001.wal"), data, 0o644); err != nil {
+		log := filepath.Join(dir, "00000001.wal")
+		if err := os.WriteFile(log, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		r := ReplayDir("fz", dir) // must not panic, whatever the bytes
-		if r.Err != nil || r.Snapshot == nil || r.Finished {
+		fuzzRestore(t, ReplayDir("fz", dir), true) // must not panic, whatever the bytes
+		if len(data) == 0 || len(data) > maxRecordBytes {
 			return
 		}
-		snap := r.Snapshot
-		rs, err := dispatch.Restore(context.Background(), snap, dispatch.Config{SkipRatio: true})
-		if err != nil {
-			return // failing soft is legal; producing an invalid schedule is not
+		if err := os.WriteFile(log, appendFrame(seed, data), 0o644); err != nil {
+			t.Fatal(err)
 		}
-		defer rs.Close()
-		fr, err := rs.Finish(context.Background())
-		if err != nil {
-			return
-		}
-		if len(fr.Violations) != 0 {
-			t.Fatalf("recovered prefix finished with violations: %v", fr.Violations)
-		}
+		fuzzRestore(t, ReplayDir("fz", dir), false)
 	})
+}
+
+// appendFrame appends payload to log as one checksummed frame.
+func appendFrame(log, payload []byte) []byte {
+	log = binary.LittleEndian.AppendUint32(log, uint32(len(payload)))
+	log = binary.LittleEndian.AppendUint32(log, crc32.Checksum(payload, castagnoli))
+	return append(log, payload...)
+}
+
+// fuzzRestore restores a cleanly folded state and finishes it. Failing
+// soft is legal; a panic is not, and neither is an invalid schedule
+// from a log the session wrote itself.
+func fuzzRestore(t *testing.T, r *SessionReplay, written bool) {
+	if r.Err != nil || r.Snapshot == nil {
+		return
+	}
+	// A fuzzed record can ask for any core count; the ones a test can
+	// afford to plan for are enough to reach every code path.
+	if r.Snapshot.Cores > 64 {
+		return
+	}
+	rs, err := dispatch.Restore(context.Background(), r.Snapshot, dispatch.Config{SkipRatio: true})
+	if err != nil {
+		return
+	}
+	defer rs.Close()
+	fr, err := rs.Finish(context.Background())
+	if err != nil {
+		return
+	}
+	if written && len(fr.Violations) != 0 {
+		t.Fatalf("recovered prefix finished with violations: %v", fr.Violations)
+	}
 }
 
 // marshalJournal records json.Marshal of every record on its way to the

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
-	"math"
 	"os"
 
 	"repro/internal/dispatch"
@@ -15,17 +14,11 @@ import (
 type SessionReplay struct {
 	// ID is the session ID (the log directory name).
 	ID string
-	// Snapshot is the folded state: restorable when Err is nil. It is
-	// also populated on a best-effort basis when Err is set (the prefix
-	// before the corruption), for forensics — never for recovery.
-	Snapshot *dispatch.Snapshot
-	// Finished reports a finish record: the session completed or was
-	// deliberately evicted, and recovery must NOT resurrect it.
-	Finished bool
-	// FinishReason is the finish record's reason ("finished", "evicted").
-	FinishReason string
-	// Records counts successfully folded records.
-	Records int
+	// Replay is the fold of the records read (see dispatch.Replay). Its
+	// Snapshot is restorable when Err is nil. When Err is set it holds
+	// the prefix before the corruption, for forensics — never for
+	// recovery — and Finished is false.
+	dispatch.Replay
 	// Segments counts the log's segment files.
 	Segments int
 	// Truncated reports that a torn tail (partial final frame) was
@@ -40,62 +33,58 @@ type SessionReplay struct {
 // Replay folds session id's log. It never panics on any byte sequence;
 // see SessionReplay for the verdict taxonomy.
 func (st *Store) Replay(id string) *SessionReplay {
-	r := &SessionReplay{ID: id}
 	dir, err := st.SessionDir(id)
 	if err != nil {
-		r.Err = err
-		return r
+		return &SessionReplay{ID: id, Err: err}
 	}
-	replayDir(dir, r)
-	return r
+	return ReplayDir(id, dir)
 }
 
 // ReplayDir folds the log in dir (a <sessions>/<id> directory) without
 // a Store — the schedjournal CLI's entry point.
 func ReplayDir(id, dir string) *SessionReplay {
 	r := &SessionReplay{ID: id}
-	replayDir(dir, r)
+	if r.Err = r.scanDir(dir); r.Err != nil {
+		r.Finished, r.FinishReason = false, ""
+	}
 	return r
 }
 
-func replayDir(dir string, r *SessionReplay) {
+// scanDir folds every frame of dir's segments in order.
+func (r *SessionReplay) scanDir(dir string) error {
 	segs, err := listSegments(dir)
 	if err != nil {
-		r.Err = err
-		return
+		return err
 	}
 	r.Segments = len(segs)
-	f := &fold{}
 	for i, seg := range segs {
 		buf, err := os.ReadFile(seg.path)
 		if err != nil {
-			r.Err = err
-			r.Snapshot = f.result()
-			return
+			return err
 		}
-		isLast := i == len(segs)-1
-		consumed, tail, serr := scanFrames(buf, f.apply)
-		r.Records = f.records
+		consumed, tail, serr := scanFrames(buf, r.apply)
 		switch tail {
-		case tailClean:
 		case tailTorn:
-			if !isLast {
+			if i < len(segs)-1 {
 				// Rotation only happens after a complete frame, so a
 				// short frame mid-log is corruption, not a torn tail.
-				r.Err = fmt.Errorf("segment %08d: torn frame before the final segment (offset %d)", seg.index, consumed)
-				r.Snapshot = f.result()
-				return
+				return fmt.Errorf("segment %08d: torn frame before the final segment (offset %d)", seg.index, consumed)
 			}
 			r.Truncated = true
 		case tailCorrupt:
-			r.Err = fmt.Errorf("segment %08d: %w (offset %d)", seg.index, serr, consumed)
-			r.Snapshot = f.result()
-			return
+			return fmt.Errorf("segment %08d: %w (offset %d)", seg.index, serr, consumed)
 		}
 	}
-	r.Snapshot = f.result()
-	r.Finished = f.finished
-	r.FinishReason = f.finishReason
+	return nil
+}
+
+// apply decodes one frame's record and folds it.
+func (r *SessionReplay) apply(payload []byte) error {
+	var rec dispatch.Record
+	if err := json.Unmarshal(payload, &rec); err != nil {
+		return fmt.Errorf("undecodable record: %w", err)
+	}
+	return r.Apply(&rec)
 }
 
 // tailState classifies how a segment scan ended.
@@ -143,122 +132,4 @@ func scanFrames(buf []byte, fn func(payload []byte) error) (consumed int, tail t
 		off = end
 	}
 	return off, tailClean, nil
-}
-
-// fold is the replay accumulator: create/checkpoint records reset it,
-// delta records mutate it, counters are last-record-wins.
-type fold struct {
-	snap         *dispatch.Snapshot
-	events       []dispatch.Event
-	records      int
-	finished     bool
-	finishReason string
-}
-
-func finite(vs ...float64) bool {
-	for _, v := range vs {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return false
-		}
-	}
-	return true
-}
-
-func (f *fold) apply(payload []byte) error {
-	var rec dispatch.Record
-	if err := json.Unmarshal(payload, &rec); err != nil {
-		return fmt.Errorf("undecodable record: %w", err)
-	}
-	switch rec.Kind {
-	case dispatch.RecCreate, dispatch.RecCheckpoint:
-		if rec.Snapshot == nil {
-			return fmt.Errorf("%s record without a snapshot", rec.Kind)
-		}
-		f.snap = rec.Snapshot
-		f.events = append(f.events[:0], rec.Snapshot.Events...)
-		f.snap.Events = nil
-	case dispatch.RecArrival:
-		if f.snap == nil {
-			return errNoCheckpoint
-		}
-		for _, ts := range rec.Tasks {
-			if !finite(ts.Release, ts.Work, ts.Deadline, ts.Remaining, ts.ArrivedAt) || ts.Work <= 0 {
-				return fmt.Errorf("arrival with non-finite or non-positive task parameters")
-			}
-			f.snap.Tasks = append(f.snap.Tasks, ts)
-		}
-	case dispatch.RecCommit:
-		if f.snap == nil {
-			return errNoCheckpoint
-		}
-		for _, seg := range rec.Segments {
-			if seg.Task < 0 || seg.Task >= len(f.snap.Tasks) {
-				return fmt.Errorf("commit references unknown task %d", seg.Task)
-			}
-			if !finite(seg.Start, seg.End, seg.Frequency) {
-				return fmt.Errorf("commit with non-finite segment")
-			}
-			f.snap.Committed = append(f.snap.Committed, seg)
-		}
-		for _, d := range rec.Deltas {
-			if d.Task < 0 || d.Task >= len(f.snap.Tasks) {
-				return fmt.Errorf("commit delta references unknown task %d", d.Task)
-			}
-			if !finite(d.Remaining, d.CompletedAt) {
-				return fmt.Errorf("commit delta with non-finite state")
-			}
-			ts := &f.snap.Tasks[d.Task]
-			ts.Remaining = d.Remaining
-			ts.Done = d.Done
-			ts.CompletedAt = d.CompletedAt
-		}
-	case dispatch.RecShed:
-		if f.snap == nil {
-			return errNoCheckpoint
-		}
-		for _, id := range rec.ShedIDs {
-			if id < 0 || id >= len(f.snap.Tasks) {
-				return fmt.Errorf("shed references unknown task %d", id)
-			}
-			f.snap.Tasks[id].Shed = true
-		}
-	case dispatch.RecReplan, dispatch.RecError:
-		if f.snap == nil {
-			return errNoCheckpoint
-		}
-	case dispatch.RecFinish:
-		if f.snap == nil {
-			return errNoCheckpoint
-		}
-		f.finished = true
-		f.finishReason = rec.Reason
-	default:
-		return fmt.Errorf("unknown record kind %q", rec.Kind)
-	}
-	if !finite(rec.Clock, rec.Realized) {
-		return fmt.Errorf("record with non-finite counters")
-	}
-	f.snap.Now = rec.Clock
-	f.snap.Seq = rec.Seq
-	f.snap.Realized = rec.Realized
-	f.snap.Replans = rec.Replans
-	f.snap.Commits = rec.Commits
-	f.snap.ShedCount = rec.ShedCount
-	f.events = append(f.events, rec.Events...)
-	// The recovered history is as long as the live session's ring.
-	if len(f.events) > dispatch.EventHistory {
-		f.events = append(f.events[:0], f.events[len(f.events)-dispatch.EventHistory:]...)
-	}
-	f.records++
-	return nil
-}
-
-// result finalizes the folded snapshot (attaching the recovered event
-// ring); nil when no create/checkpoint was ever folded.
-func (f *fold) result() *dispatch.Snapshot {
-	if f.snap == nil {
-		return nil
-	}
-	f.snap.Events = append([]dispatch.Event(nil), f.events...)
-	return f.snap
 }

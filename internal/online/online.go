@@ -126,18 +126,29 @@ func replanWith(sv *core.Solver, ts task.Set, m int, pm power.Model) (*Result, e
 			return nil, fmt.Errorf("online: replanning at t=%g: %w", t0, err)
 		}
 		replans++
-		out.Grow(len(plan.Final.Segments))
-		for _, seg := range plan.Final.Segments {
+		// A run whose one planning event plans every task is that plan
+		// under unchanged task IDs (no segment starts before t0, and none
+		// is empty), so out takes the plan's segments, not a copy.
+		segs := plan.Final.Segments
+		whole := len(releases) == 1 && len(residual) == len(ts)
+		if whole {
+			out.Segments = segs
+		} else {
+			out.Grow(len(segs))
+		}
+		for _, seg := range segs {
 			s := math.Max(seg.Start, t0)
 			e := math.Min(seg.End, t1)
 			if e-s <= 0 {
 				continue
 			}
 			orig := origID[seg.Task]
-			out.Add(schedule.Segment{
-				Task: orig, Core: seg.Core,
-				Start: s, End: e, Frequency: seg.Frequency,
-			})
+			if !whole {
+				out.Add(schedule.Segment{
+					Task: orig, Core: seg.Core,
+					Start: s, End: e, Frequency: seg.Frequency,
+				})
+			}
 			remaining[orig] -= seg.Frequency * (e - s)
 		}
 	}

@@ -246,3 +246,38 @@ func TestReplanDERPooledSolversConcurrent(t *testing.T) {
 		})
 	}
 }
+
+// A run with one release plans every task once, so its schedule is that
+// plan segment for segment: no planned segment starts before the release
+// or is empty, which is what lets replanWith return the plan's segments
+// without copying them.
+func TestReplanDERSimultaneousIsPlan(t *testing.T) {
+	pm := power.Unit(3, 0.1)
+	rng := rand.New(rand.NewSource(61))
+	for trial := 0; trial < 40; trial++ {
+		ts := task.MustGenerate(rng, task.PaperDefaults(2+rng.Intn(24)))
+		t0 := 0.25 + float64(trial)
+		residual := make(task.Set, len(ts))
+		for i := range ts {
+			ts[i].Release, ts[i].Deadline = t0, ts[i].Deadline+t0
+			residual[i] = task.Task{ID: i, Release: t0, Work: ts[i].Work, Deadline: ts[i].Deadline}
+		}
+		m := 1 + rng.Intn(8)
+		got, err := ReplanDER(ts, m, pm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := core.NewSolver().Final(residual, m, pm, alloc.DER, core.Options{Tolerance: 1e-9, SkipValidation: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got.Schedule.Segments, plan.Final.Segments) {
+			t.Fatalf("n=%d m=%d: the run's schedule is not its one plan", len(ts), m)
+		}
+		for _, seg := range plan.Final.Segments {
+			if seg.Start < t0 || seg.End <= seg.Start {
+				t.Fatalf("n=%d m=%d: plan segment %v starts before %g or is empty", len(ts), m, seg, t0)
+			}
+		}
+	}
+}

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"repro/internal/dispatch"
+	"repro/internal/schedule"
 	"repro/internal/server/wire"
 	"repro/internal/task"
 )
@@ -74,6 +75,14 @@ func TestSessionOpenErrorTable(t *testing.T) {
 	badSnap.Cores = 0
 	unknownSnap := *snap
 	unknownSnap.Algorithm = "no-such"
+	// A 1-task table whose only committed segment names another task:
+	// a session restored from it used to panic at its DELETE.
+	foreignSeg := func(id int) *dispatch.Snapshot {
+		bad := *snap
+		bad.Tasks = snap.Tasks[:1]
+		bad.Committed = []schedule.Segment{{Task: id, Core: 0, Start: 0, End: 1, Frequency: 1}}
+		return &bad
+	}
 	longID := strings.Repeat("x", 65)
 
 	type row struct {
@@ -157,6 +166,12 @@ func TestSessionOpenErrorTable(t *testing.T) {
 			status: http.StatusBadRequest, code: wire.CodeBadRequest},
 		{name: "restore/bad snapshot", path: restore,
 			body:   wire.SessionRestoreRequest{ID: "next", Snapshot: &badSnap},
+			status: http.StatusUnprocessableEntity, code: wire.CodeUnprocessable},
+		{name: "restore/segment of task 7", path: restore,
+			body:   wire.SessionRestoreRequest{ID: "next", Snapshot: foreignSeg(7)},
+			status: http.StatusUnprocessableEntity, code: wire.CodeUnprocessable},
+		{name: "restore/segment of task -1", path: restore,
+			body:   wire.SessionRestoreRequest{ID: "next", Snapshot: foreignSeg(-1)},
 			status: http.StatusUnprocessableEntity, code: wire.CodeUnprocessable},
 		{name: "restore/session limit", path: restore, limit: 1,
 			body:   wire.SessionRestoreRequest{ID: "next", Snapshot: snap},
