@@ -8,6 +8,7 @@ package alloc
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/ideal"
@@ -59,6 +60,8 @@ type Allocation struct {
 	grants [][]float64
 	// first[i] is the global index of task i's first eligible subinterval.
 	first []int
+	// backing is the array the grant rows share.
+	backing []float64
 	// Total[i] is A_i, task i's total available execution time across all
 	// subintervals.
 	Total []float64
@@ -95,26 +98,35 @@ func Build(d *interval.Decomposition, m int, method Method, plan *ideal.Plan) (*
 
 // Build runs the chosen policy, reusing the builder's scratch buffers.
 func (b *Builder) Build(d *interval.Decomposition, m int, method Method, plan *ideal.Plan) (*Allocation, error) {
+	a := new(Allocation)
+	if err := b.BuildInto(a, d, m, method, plan); err != nil {
+		return nil, err
+	}
+	return a, nil
+}
+
+// BuildInto is Build allocating into a, whose tables it reuses: whatever
+// a held before, and every slice it handed out, is overwritten.
+func (b *Builder) BuildInto(a *Allocation, d *interval.Decomposition, m int, method Method, plan *ideal.Plan) error {
 	if m <= 0 {
-		return nil, fmt.Errorf("alloc: need at least one core, have %d", m)
+		return fmt.Errorf("alloc: need at least one core, have %d", m)
 	}
 	if (method == DER || method == DERAscending) && plan == nil {
-		return nil, fmt.Errorf("alloc: %v allocation needs the ideal plan", method)
+		return fmt.Errorf("alloc: %v allocation needs the ideal plan", method)
 	}
 	n := len(d.Tasks)
-	a := &Allocation{
-		Method: method,
-		Cores:  m,
-		grants: make([][]float64, n),
-		first:  make([]int, n),
-		Total:  make([]float64, n),
-	}
+	a.Method, a.Cores = method, m
+	a.grants = slices.Grow(a.grants[:0], n)[:n]
+	a.first = slices.Grow(a.first[:0], n)[:n]
+	a.Total = slices.Grow(a.Total[:0], n)[:n]
 	total := 0
 	for i := 0; i < n; i++ {
 		a.first[i] = d.FirstSub(i)
 		total += len(d.SubsOf(i))
 	}
-	backing := make([]float64, total)
+	backing := slices.Grow(a.backing[:0], total)[:total]
+	clear(backing)
+	a.backing = backing
 	off := 0
 	for i := 0; i < n; i++ {
 		w := len(d.SubsOf(i))
@@ -153,13 +165,13 @@ func (b *Builder) Build(d *interval.Decomposition, m int, method Method, plan *i
 		case DER, DERAscending:
 			b.allocDER(d, plan, j, m, method == DERAscending, set)
 		default:
-			return nil, fmt.Errorf("alloc: unknown method %v", method)
+			return fmt.Errorf("alloc: unknown method %v", method)
 		}
 	}
 	for i := range totals {
 		a.Total[i] = totals[i].Value()
 	}
-	return a, nil
+	return nil
 }
 
 // MustBuild is Build but panics on error.

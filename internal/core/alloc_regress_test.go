@@ -34,3 +34,36 @@ func TestSolverAllocRegression(t *testing.T) {
 		t.Fatalf("warmed Solver.Schedule(DER, n=100, m=16) allocates %.0f/op, ceiling 200", avg)
 	}
 }
+
+// TestAppendFinalAllocs pins AppendFinal's contract: a warmed Solver
+// builds S^F of the n=100, m=16 acceptance instance into a reused
+// buffer without allocating, segment for segment as Final builds it.
+func TestAppendFinalAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(20140901))
+	ts, err := task.Generate(rng, task.PaperDefaults(100))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pm := power.Unit(3, 0.05)
+	opts := Options{Tolerance: 1e-9, SkipValidation: true}
+	want, err := Schedule(ts, 16, pm, alloc.DER, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sv := NewSolver()
+	segs, err := sv.AppendFinal(nil, ts, 16, pm, alloc.DER, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	avg := testing.AllocsPerRun(5, func() {
+		if segs, err = sv.AppendFinal(segs[:0], ts, 16, pm, alloc.DER, opts); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg > 0 {
+		t.Errorf("warmed Solver.AppendFinal(DER, n=100, m=16) allocates %.0f/op, want 0", avg)
+	}
+	if !sameSegments(segs, want.Final.Segments) {
+		t.Error("AppendFinal's segments differ from Final's")
+	}
+}

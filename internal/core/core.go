@@ -21,12 +21,15 @@
 // The hot path is allocation-lean: a Solver holds scratch arenas (slot
 // buffers, pack requests and pieces, per-task frequency tables) that are
 // reused across calls, so a serving loop allocates only what escapes into
-// the returned Result.
+// the returned Result. A caller that keeps only S^F's segments
+// (Solver.AppendFinal) has the stages built in the Solver's arenas too
+// and allocates nothing per solve.
 package core
 
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/alloc"
 	"repro/internal/check"
@@ -101,6 +104,11 @@ type Solver struct {
 	pieces  []pack.Piece
 	freqOf  []float64
 	useTime []float64
+
+	// scratch is the Result AppendFinal builds on: its stages and tables
+	// are rebuilt in place by every call, as none of them leaves it.
+	scratch Result
+	out     schedule.Schedule
 }
 
 // NewSolver returns an empty Solver. Identical to new(Solver); exists for
@@ -133,40 +141,39 @@ func (sv *Solver) Final(ts task.Set, m int, pm power.Model, method alloc.Method,
 	return sv.solve(ts, m, pm, method, opts, (*Solver).final)
 }
 
-// solve runs the stages every schedule shares (the subinterval
-// decomposition, the ideal plan S^O and the time allocation), then
-// builds, in order, the schedules asked for.
+// AppendFinal runs the pipeline up to S^F, as Final does, and appends
+// S^F's segments to dst. Nothing else of the solve leaves the Solver:
+// the decomposition, ideal plan, allocation and frequency tables are
+// built in the Solver's own scratch and overwritten by its next
+// AppendFinal, so a caller that keeps only the schedule (internal/online's
+// replanner) solves instance after instance without allocating them
+// again. The Solver keeps no reference to dst or ts once it returns.
+func (sv *Solver) AppendFinal(dst []schedule.Segment, ts task.Set, m int, pm power.Model, method alloc.Method, opts Options) ([]schedule.Segment, error) {
+	r := &sv.scratch
+	if r.Decomp == nil {
+		r.Decomp, r.Ideal, r.Alloc = new(interval.Decomposition), new(ideal.Plan), new(alloc.Allocation)
+	}
+	sv.out.Segments = dst
+	r.Final = &sv.out
+	err := sv.prepare(r, ts, m, pm, method, opts)
+	if err == nil {
+		err = sv.final(r, opts)
+	}
+	if err == nil {
+		dst = sv.out.Segments
+	}
+	sv.out = schedule.Schedule{}
+	r.Tasks, r.Decomp.Tasks, r.Final = nil, nil, nil
+	return dst, err
+}
+
+// solve runs the stages every schedule shares, then builds, in order,
+// the schedules asked for.
 func (sv *Solver) solve(ts task.Set, m int, pm power.Model, method alloc.Method, opts Options,
 	builds ...func(*Solver, *Result, Options) error) (*Result, error) {
-	if m <= 0 {
-		return nil, fmt.Errorf("core: need at least one core, have %d", m)
-	}
-	if err := pm.Validate(); err != nil {
+	res := &Result{Decomp: new(interval.Decomposition), Ideal: new(ideal.Plan), Alloc: new(alloc.Allocation)}
+	if err := sv.prepare(res, ts, m, pm, method, opts); err != nil {
 		return nil, err
-	}
-	d, err := interval.Decompose(ts, opts.Tolerance)
-	if err != nil {
-		return nil, err
-	}
-	plan, err := ideal.Build(ts, pm)
-	if err != nil {
-		return nil, err
-	}
-	if err := aborted(opts.Context); err != nil {
-		return nil, err
-	}
-	al, err := sv.allocB.Build(d, m, method, plan)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{
-		Tasks:  ts,
-		Cores:  m,
-		Model:  pm,
-		Method: method,
-		Decomp: d,
-		Ideal:  plan,
-		Alloc:  al,
 	}
 	for _, build := range builds {
 		if err := build(sv, res, opts); err != nil {
@@ -174,6 +181,32 @@ func (sv *Solver) solve(ts task.Set, m int, pm power.Model, method alloc.Method,
 		}
 	}
 	return res, nil
+}
+
+// prepare runs the stages every schedule shares, the subinterval
+// decomposition, the ideal plan S^O and the time allocation, into res's
+// Decomp, Ideal and Alloc.
+func (sv *Solver) prepare(res *Result, ts task.Set, m int, pm power.Model, method alloc.Method, opts Options) error {
+	if m <= 0 {
+		return fmt.Errorf("core: need at least one core, have %d", m)
+	}
+	if err := pm.Validate(); err != nil {
+		return err
+	}
+	if err := interval.DecomposeInto(res.Decomp, ts, opts.Tolerance); err != nil {
+		return err
+	}
+	if err := ideal.BuildInto(res.Ideal, ts, pm); err != nil {
+		return err
+	}
+	if err := aborted(opts.Context); err != nil {
+		return err
+	}
+	if err := sv.allocB.BuildInto(res.Alloc, res.Decomp, m, method, res.Ideal); err != nil {
+		return err
+	}
+	res.Tasks, res.Cores, res.Model, res.Method = ts, m, pm, method
+	return nil
 }
 
 // intermediate builds S^I into res and, unless opts skips it, checks it.
@@ -308,8 +341,8 @@ func (sv *Solver) buildIntermediate(ctx context.Context, r *Result) error {
 func (sv *Solver) buildFinal(ctx context.Context, r *Result) error {
 	n := len(r.Tasks)
 	segs := sv.grow(r.Decomp, r.Cores)
-	r.FinalFrequencies = make([]float64, n)
-	r.AvailableTime = make([]float64, n)
+	r.FinalFrequencies = slices.Grow(r.FinalFrequencies[:0], n)[:n]
+	r.AvailableTime = slices.Grow(r.AvailableTime[:0], n)[:n]
 	useTime := sv.useTime[:n]
 	fstar := r.Model.CriticalFrequency()
 	var energy numeric.KahanSum
@@ -325,7 +358,12 @@ func (sv *Solver) buildFinal(ctx context.Context, r *Result) error {
 		useTime[i] = tk.Work / f
 		energy.Add(r.Model.Energy(tk.Work, f))
 	}
-	sched := schedule.New(r.Tasks, r.Cores)
+	// A Result that arrives with a Final builds into it (AppendFinal).
+	sched := r.Final
+	if sched == nil {
+		sched = schedule.New(r.Tasks, r.Cores)
+	}
+	sched.Tasks, sched.Cores = r.Tasks, r.Cores
 	sched.Grow(segs)
 	for j := range r.Decomp.Subs {
 		if ctx != nil && j%ctxCheckStride == 0 && ctx.Err() != nil {

@@ -812,3 +812,105 @@ func TestDebounceTimerFires(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 }
+
+// panicJournal panics on its panicAt-th Append (1-based; 0 never).
+type panicJournal struct {
+	appends, panicAt int
+	kind             RecordKind // the record it panicked on
+}
+
+func (j *panicJournal) Append(rec *Record) error {
+	if j.appends++; j.appends == j.panicAt {
+		j.kind = rec.Kind
+		panic("journal: injected panic")
+	}
+	return nil
+}
+
+// within runs f in a goroutine and fails the test if it does not return
+// within a bound, so a call that blocks on a wedged session fails the
+// test instead of hanging the suite.
+func within(t *testing.T, name string, f func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		f()
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatalf("%s blocked: the session mutex was left held", name)
+	}
+}
+
+// A panic while the session mutex is held, here a journal's Append
+// panicking inside Arrive (an arrival, commit, shed or replan record)
+// or inside Finish (its last commit), closes the session and releases
+// the mutex: every later call returns, the closed error where it has
+// one, instead of blocking for good.
+func TestPanicUnderLockClosesSession(t *testing.T) {
+	ctx := context.Background()
+	batches := func(s *Session, j *panicJournal, n int) (panicked bool) {
+		rng := rand.New(rand.NewSource(3))
+		tr, err := task.GenerateTrace(rng, task.ArrivalParams{
+			Process: task.ArrivalPoisson, Batches: n, Rate: 0.25, BatchLo: 1, BatchHi: 3,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, a := range tr {
+			func() {
+				defer func() { panicked = panicked || recover() != nil }()
+				_, _, _ = s.Arrive(ctx, a.At, a.Tasks)
+			}()
+			if panicked {
+				return true
+			}
+		}
+		return false
+	}
+	// Count the records of a clean run first, to aim at the last ones.
+	clean := &panicJournal{}
+	cs := mustNew(t, Config{Cores: 2, Model: testModel(), SkipRatio: true, Journal: clean})
+	batches(cs, clean, 12)
+	beforeFinish := clean.appends
+	cs.Close()
+
+	for _, at := range []int{2, 3, 4, 5, 6, beforeFinish + 1} {
+		j := &panicJournal{panicAt: at}
+		s := mustNew(t, Config{Cores: 2, Model: testModel(), SkipRatio: true, Journal: j})
+		panicked := batches(s, j, 12)
+		if !panicked {
+			func() {
+				defer func() { panicked = recover() != nil }()
+				_, _ = s.Finish(ctx)
+			}()
+		}
+		if !panicked {
+			t.Fatalf("append %d: no panic", at)
+		}
+		t.Logf("append %d panicked on a %s record", at, j.kind)
+		within(t, "Snapshot", func() {
+			if _, err := s.Snapshot(ctx); !errors.Is(err, ErrSessionClosed) {
+				t.Errorf("append %d (%s): Snapshot after the panic: %v, want ErrSessionClosed", at, j.kind, err)
+			}
+		})
+		within(t, "Arrive", func() {
+			if _, _, err := s.Arrive(ctx, 100, task.Set{{Release: 100, Work: 1, Deadline: 200}}); !errors.Is(err, ErrSessionClosed) {
+				t.Errorf("append %d (%s): Arrive after the panic: %v, want ErrSessionClosed", at, j.kind, err)
+			}
+		})
+		within(t, "Finish", func() {
+			if _, err := s.Finish(ctx); !errors.Is(err, ErrSessionClosed) {
+				t.Errorf("append %d (%s): Finish after the panic: %v, want ErrSessionClosed", at, j.kind, err)
+			}
+		})
+		within(t, "Stats", func() {
+			if !s.Stats().Closed {
+				t.Errorf("append %d (%s): the session is not closed", at, j.kind)
+			}
+		})
+		within(t, "Close", s.Close)
+	}
+}

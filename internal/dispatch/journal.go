@@ -1,7 +1,6 @@
 package dispatch
 
 import (
-	"bytes"
 	"fmt"
 	"slices"
 
@@ -27,7 +26,11 @@ import (
 // session never reuses what it hands over: a commit record's Segments
 // are a view of the session's committed prefix, which is append-only,
 // a snapshot's Committed is a capped view of the same prefix, and every
-// other slice is the record's own.
+// other slice is the record's own. The one exception is unexported: the
+// encoded segments that rec.AppendJSON splices in are the session's
+// scratch, dropped from rec when Append returns, so AppendJSON takes
+// its fast path only when called inside Append (journal.Writer does)
+// and goes through encoding/json, to the same bytes, after it.
 //
 // The journal decides when the log wants compacting: Append calls
 // rec.RequestCheckpoint on a delta record once a checkpoint would pay
@@ -115,9 +118,11 @@ type Record struct {
 	Events []Event `json:"events,omitempty"`
 
 	// segmentsJSON is Segments and committedJSON is Snapshot.Committed
-	// as the session encoded them when it committed them: objects
-	// without the array's brackets, one comma-separated piece per commit.
-	// AppendJSON copies them in instead of formatting the segments again.
+	// as the session encoded them for this record: objects without the
+	// array's brackets, committedJSON in comma-separated pieces.
+	// AppendJSON copies them in, so that a commit's segments are
+	// formatted straight into the session's reused scratch and a
+	// checkpoint's prefix into buffers of about its size, not grown.
 	segmentsJSON  []byte
 	committedJSON [][]byte
 	// checkpointDue is the journal's request for a checkpoint after
@@ -140,11 +145,9 @@ var (
 
 // AppendJSON appends rec's JSON encoding to b: byte for byte what
 // json.Marshal(rec) returns, and an error where it fails. encoding/json
-// writes every field but a segment array the session encoded when it
-// committed it (a commit record's Segments, a create or checkpoint
-// record's Snapshot.Committed), which is copied in. So a checkpoint
-// formats only the segments committed since the previous one, not the
-// whole committed prefix again.
+// writes every field but a segment array the session encoded for the
+// record (a commit record's Segments, a create or checkpoint record's
+// Snapshot.Committed), which is copied in.
 //
 // The splices follow the field order of Record and Snapshot, which is
 // the log format: a field added to either must be added to the field
@@ -251,6 +254,9 @@ func (s *Session) journalLocked(rec *Record) {
 		}
 	}
 	err := s.cfg.Journal.Append(rec)
+	// The encoded splices are the session's: a journal that keeps rec
+	// encodes it with encoding/json from here on.
+	rec.segmentsJSON, rec.committedJSON = nil, nil
 	for _, ev := range rec.Events {
 		s.hub.emit(ev)
 	}
@@ -278,53 +284,75 @@ func (s *Session) journalLocked(rec *Record) {
 
 // checkpointLocked journals a create or checkpoint record of the whole
 // session state. Its snapshot shares the committed prefix, which only
-// ever grows, instead of copying it, and the record carries the
-// prefix's encoded pieces. Call with mu held.
+// ever grows, instead of copying it, and the record carries the prefix
+// encoded in pieces (see encodePieces). Call with mu held.
 func (s *Session) checkpointLocked(kind RecordKind) {
 	rec := &Record{Kind: kind, Snapshot: s.snapshotLocked()}
-	if s.cfg.Journal != nil && !s.jbroken && s.encodeCommittedLocked() {
-		rec.committedJSON = s.jsegs
+	if s.cfg.Journal != nil && !s.jbroken {
+		rec.committedJSON = encodePieces(s.committed)
 	}
 	s.journalLocked(rec)
 }
 
 // journalCommitLocked journals the commit of done, the segments
 // commitToLocked just appended to the committed prefix, with their
-// execution-state deltas. The segments are encoded here, once, as the
-// piece that this record and every later checkpoint splice. Call with
-// mu held.
+// execution-state deltas. The segments are encoded in the session's
+// scratch, which the next commit reuses: the journal reads the encoding
+// during Append (see Journal), and journalLocked drops it from the
+// record once Append returns. A segment that does not encode (a
+// non-finite float, which encoding/json rejects too) sends the record
+// through encoding/json whole. Call with mu held.
 func (s *Session) journalCommitLocked(done []schedule.Segment, deltas []CommitDelta) {
 	rec := &Record{Kind: RecCommit, Segments: done, Deltas: deltas}
-	if len(done) > 0 && !s.jbroken && s.jcovered == len(s.committed)-len(done) && s.encodeCommittedLocked() {
-		rec.segmentsJSON = s.jsegs[len(s.jsegs)-1]
+	if len(done) > 0 && !s.jbroken {
+		b, err := segjson.Fields.AppendObjects(s.jscratch[:0], done)
+		if cap(b) <= maxJournalScratch {
+			s.jscratch = b[:0]
+		}
+		if err == nil {
+			rec.segmentsJSON = b
+		}
 	}
 	s.journalLocked(rec)
 }
 
-// maxJournalScratch keeps an outsized encoding (a restored session's
-// whole prefix) from staying pinned as a session's scratch.
+// maxJournalScratch keeps an outsized encoding (a commit of a restored
+// session's whole plan) from staying pinned as a session's scratch.
 const maxJournalScratch = 16 << 10
 
-// encodeCommittedLocked encodes the committed segments that no piece
-// covers yet as one more piece, and reports whether the pieces cover
-// the whole committed prefix. A segment that does not encode (a
-// non-finite float, which encoding/json rejects too) leaves them short
-// for good, and the records go through encoding/json whole. Call with
-// mu held.
-func (s *Session) encodeCommittedLocked() bool {
-	if s.jcovered == len(s.committed) {
-		return true
+// pieceBytes is the size of the buffers encodePieces fills.
+const pieceBytes = 64 << 10
+
+// encodePieces encodes segs as the pieces of a checkpoint's spliced
+// prefix (see Record.AppendJSON): whole objects, each piece in a buffer
+// of pieceBytes (less for the last few segments) that it fills to
+// within one object. So encoding the prefix allocates about its encoded
+// size once, where one buffer grown by append would allocate about
+// twice that. It returns nil for an empty prefix or one with a segment
+// that does not encode, and the record then goes through encoding/json
+// whole.
+func encodePieces(segs []schedule.Segment) [][]byte {
+	const most = len(",") + segjson.MaxObject
+	var pieces [][]byte
+	var b []byte
+	for i := range segs {
+		if cap(b)-len(b) < most {
+			if len(b) > 0 {
+				pieces = append(pieces, b)
+			}
+			b = make([]byte, 0, min(pieceBytes, (len(segs)-i)*most))
+		} else {
+			b = append(b, ',')
+		}
+		var err error
+		if b, err = segjson.Fields.AppendObjects(b, segs[i:i+1]); err != nil {
+			return nil
+		}
 	}
-	b, err := segjson.Fields.AppendObjects(s.jscratch[:0], s.committed[s.jcovered:])
-	if cap(b) <= maxJournalScratch {
-		s.jscratch = b[:0]
+	if len(b) > 0 {
+		pieces = append(pieces, b)
 	}
-	if err != nil {
-		return false
-	}
-	s.jsegs = append(s.jsegs, bytes.Clone(b))
-	s.jcovered = len(s.committed)
-	return true
+	return pieces
 }
 
 // publishBufferedLocked drains any events buffered for a journal append
@@ -346,7 +374,7 @@ func (s *Session) AttachJournal(j Journal) error {
 		return fmt.Errorf("dispatch: nil journal")
 	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	defer s.unlock()
 	if s.closed {
 		return ErrSessionClosed
 	}
@@ -371,7 +399,7 @@ func (s *Session) AttachJournal(j Journal) error {
 // resurrecting the session. Idempotent; Finish seals implicitly.
 func (s *Session) Seal(reason string) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	defer s.unlock()
 	if s.cfg.Journal == nil || s.jbroken || s.sealed {
 		return
 	}

@@ -99,11 +99,8 @@ type Session struct {
 	plan      []schedule.Segment // current plan suffix, times ≥ now
 	realized  float64            // energy of committed
 
-	// spare is the plan suffix's second buffer: a commit keeps the
-	// unexecuted segments in it and swaps it with plan, so neither is
-	// reallocated once both reach the plan's size. deltaAt indexes a
-	// commit's deltas by task and is cleared by each commit.
-	spare   []schedule.Segment
+	// deltaAt indexes a commit's deltas by task and is cleared by each
+	// commit.
 	deltaAt map[int]int
 
 	pending         []int // task IDs awaiting their first plan
@@ -130,11 +127,8 @@ type Session struct {
 	jbuf    []Event
 	jbroken bool
 	sealed  bool
-	// jsegs holds committed[:jcovered] encoded for the journal, one
-	// piece per commit (see Record.AppendJSON); jscratch is the buffer a
-	// piece is formatted in before it is copied out at its exact size.
-	jsegs    [][]byte
-	jcovered int
+	// jscratch is the buffer a commit record's segments are encoded in
+	// (see Record.AppendJSON), reused by every commit.
 	jscratch []byte
 }
 
@@ -223,10 +217,25 @@ func (s *Session) Arrive(ctx context.Context, at float64, batch task.Set) (admit
 			return 0, 0, fmt.Errorf("%w: deadline %g not after effective release %g", ErrBadArrival, tk.Deadline, eff)
 		}
 	}
+	admitted, shed, err = s.admit(at, batch)
+	if err != nil {
+		return 0, 0, err
+	}
+	s.notifyShed(shed)
+	if s.cfg.Debounce <= 0 && admitted > 0 {
+		if err := s.Flush(ctx); err != nil {
+			return admitted, shed, err
+		}
+	}
+	return admitted, shed, nil
+}
 
+// admit takes a validated batch into the task table, up to the backlog
+// bound, and journals it. With a debounce window it arms the timer.
+func (s *Session) admit(at float64, batch task.Set) (admitted, shed int, err error) {
 	s.mu.Lock()
+	defer s.unlock()
 	if s.closed || s.finished {
-		s.mu.Unlock()
 		return 0, 0, ErrSessionClosed
 	}
 	if at < s.now {
@@ -266,20 +275,25 @@ func (s *Session) Arrive(ctx context.Context, at float64, batch task.Set) (admit
 		// the caller sends is backed by the log per the fsync policy.
 		s.journalLocked(rec)
 	}
-	debounced := s.cfg.Debounce > 0
-	if debounced && admitted > 0 && !s.timerSet {
+	if s.cfg.Debounce > 0 && admitted > 0 && !s.timerSet {
 		s.timerSet = true
 		s.timer = time.AfterFunc(s.cfg.Debounce, s.timerFlush)
 	}
-	s.mu.Unlock()
-
-	s.notifyShed(shed)
-	if !debounced && admitted > 0 {
-		if err := s.Flush(ctx); err != nil {
-			return admitted, shed, err
-		}
-	}
 	return admitted, shed, nil
+}
+
+// unlock ends a critical section of mu; every section that changes the
+// session defers it. A section that panics (a journal's Append, say)
+// may leave the state half changed, so unlock then closes the session
+// before the panic goes on: mu is released on every path, and later
+// calls get ErrSessionClosed instead of blocking for good.
+func (s *Session) unlock() {
+	if r := recover(); r != nil {
+		s.closeLocked()
+		s.mu.Unlock()
+		panic(r)
+	}
+	s.mu.Unlock()
 }
 
 // timerFlush fires when a debounce window closes.
@@ -305,107 +319,135 @@ func (s *Session) Flush(ctx context.Context) error {
 	return s.flushLocked(ctx)
 }
 
-// flushLocked is Flush with flushMu already held.
+// solveJob is one residual solve: the pending tasks it plans, the
+// residual instance and the session IDs of its tasks, and the failed
+// attempts before it.
+type solveJob struct {
+	batch    []int
+	residual task.Set
+	ids      []int
+	attempts int
+}
+
+// flushLocked is Flush with flushMu already held. Each round holds mu
+// to set a solve up and to settle it, never while it runs.
 func (s *Session) flushLocked(ctx context.Context) error {
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			return ErrSessionClosed
+		job, shedN, done, err := s.nextSolve()
+		s.notifyShed(shedN)
+		if done {
+			return err
 		}
-		if s.finished || len(s.pending) == 0 {
-			s.mu.Unlock()
-			return nil
-		}
-		// The admission instant is the latest arrival in the coalesced
-		// batch: everything the session "executed" before it is frozen.
-		t1 := s.now
-		for _, id := range s.pending {
-			if a := s.tasks[id].ArrivedAt; a > t1 {
-				t1 = a
-			}
-		}
-		prevNow := s.now
-		done, deltas := s.commitToLocked(t1)
-		if s.cfg.Journal != nil && (len(done) > 0 || s.now > prevNow) {
-			s.journalCommitLocked(done, deltas)
-		}
-		// Pending tasks whose window closed inside the debounce gap can
-		// no longer run; shed them rather than poison the residual.
-		batch := make([]int, 0, len(s.pending))
-		var expired []int
-		for _, id := range s.pending {
-			if s.tasks[id].Deadline <= t1+tolerance {
-				expired = append(expired, id)
-			} else {
-				batch = append(batch, id)
-			}
-		}
-		s.pending = nil
-		shedN := len(expired)
-		if shedN > 0 {
-			s.shedIDsLocked(expired, "expired")
-			if s.cfg.Journal != nil {
-				s.journalLocked(&Record{Kind: RecShed, ShedIDs: expired, Count: shedN, Reason: "expired"})
-			}
-		}
-		if len(batch) == 0 {
-			s.pendingAttempts = 0
-			s.mu.Unlock()
-			s.notifyShed(shedN)
+		if len(job.batch) == 0 {
 			continue
 		}
-		residual, ids := s.residualLocked()
-		attempts := s.pendingAttempts
-		solve, m, pm := s.cfg.Solve, s.cfg.Cores, s.cfg.Model
-		s.mu.Unlock()
-		s.notifyShed(shedN)
-
 		start := time.Now()
-		plan, _, err := solve(ctx, residual, m, pm)
+		plan, _, err := s.cfg.Solve(ctx, job.residual, s.cfg.Cores, s.cfg.Model)
 		latency := time.Since(start)
 		if s.cfg.Hooks.Replan != nil {
 			s.cfg.Hooks.Replan(latency, err)
 		}
-
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			return ErrSessionClosed
-		}
+		shedN, err = s.settleSolve(job, plan, err, latency)
+		s.notifyShed(shedN)
 		if err != nil {
-			s.emitLocked(Event{Type: EventError, Reason: err.Error()})
-			if attempts+1 > s.cfg.MaxRetries {
-				// Out of retries: shed the batch so the session never
-				// wedges. Previously planned tasks keep the old plan
-				// suffix and still complete.
-				s.shedIDsLocked(batch, "replan-failed")
-				if s.cfg.Journal != nil {
-					s.journalLocked(&Record{Kind: RecShed, ShedIDs: batch, Count: len(batch), Reason: "replan-failed"})
-				}
-				s.pendingAttempts = 0
-				s.mu.Unlock()
-				s.notifyShed(len(batch))
-				continue
-			}
-			s.pendingAttempts = attempts + 1
-			s.pending = append(batch, s.pending...)
-			if s.cfg.Journal != nil {
-				s.journalLocked(&Record{Kind: RecError, Reason: err.Error()})
-			}
-			s.mu.Unlock()
-			continue
+			return err
+		}
+	}
+}
+
+// nextSolve commits the plan up to the latest pending arrival, sheds the
+// pending tasks whose window closed meanwhile, and sets up the residual
+// solve of the rest (an empty batch when none is left). done reports
+// that nothing is pending, the session is finished, or, with
+// ErrSessionClosed, closed. shedN is for Hooks.Shed.
+func (s *Session) nextSolve() (job solveJob, shedN int, done bool, err error) {
+	s.mu.Lock()
+	defer s.unlock()
+	if s.closed {
+		return job, 0, true, ErrSessionClosed
+	}
+	if s.finished || len(s.pending) == 0 {
+		return job, 0, true, nil
+	}
+	// The admission instant is the latest arrival in the coalesced
+	// batch: everything the session "executed" before it is frozen.
+	t1 := s.now
+	for _, id := range s.pending {
+		if a := s.tasks[id].ArrivedAt; a > t1 {
+			t1 = a
+		}
+	}
+	prevNow := s.now
+	committed, deltas := s.commitToLocked(t1)
+	if s.cfg.Journal != nil && (len(committed) > 0 || s.now > prevNow) {
+		s.journalCommitLocked(committed, deltas)
+	}
+	// Pending tasks whose window closed inside the debounce gap can
+	// no longer run; shed them rather than poison the residual.
+	batch := make([]int, 0, len(s.pending))
+	var expired []int
+	for _, id := range s.pending {
+		if s.tasks[id].Deadline <= t1+tolerance {
+			expired = append(expired, id)
+		} else {
+			batch = append(batch, id)
+		}
+	}
+	s.pending = nil
+	if shedN = len(expired); shedN > 0 {
+		s.shedIDsLocked(expired, "expired")
+		if s.cfg.Journal != nil {
+			s.journalLocked(&Record{Kind: RecShed, ShedIDs: expired, Count: shedN, Reason: "expired"})
+		}
+	}
+	if len(batch) == 0 {
+		s.pendingAttempts = 0
+		return job, shedN, false, nil
+	}
+	job.residual, job.ids = s.residualLocked()
+	job.batch, job.attempts = batch, s.pendingAttempts
+	return job, shedN, false, nil
+}
+
+// settleSolve applies the outcome of job's solve: it installs a plan,
+// or queues the batch for a retry, or, out of retries, sheds it.
+// shedN is for Hooks.Shed; the error is ErrSessionClosed when the
+// session closed during the solve.
+func (s *Session) settleSolve(job solveJob, plan *schedule.Schedule, solveErr error, latency time.Duration) (shedN int, err error) {
+	s.mu.Lock()
+	defer s.unlock()
+	if s.closed {
+		return 0, ErrSessionClosed
+	}
+	if solveErr == nil {
+		s.pendingAttempts = 0
+		s.installPlanLocked(plan, job.ids, len(job.batch), latency)
+		if s.cfg.Journal != nil {
+			s.journalLocked(&Record{Kind: RecReplan, Count: len(job.batch)})
+		}
+		return 0, nil
+	}
+	s.emitLocked(Event{Type: EventError, Reason: solveErr.Error()})
+	if job.attempts+1 > s.cfg.MaxRetries {
+		// Out of retries: shed the batch so the session never wedges.
+		// Previously planned tasks keep the old plan suffix and still
+		// complete.
+		s.shedIDsLocked(job.batch, "replan-failed")
+		if s.cfg.Journal != nil {
+			s.journalLocked(&Record{Kind: RecShed, ShedIDs: job.batch, Count: len(job.batch), Reason: "replan-failed"})
 		}
 		s.pendingAttempts = 0
-		s.installPlanLocked(plan, ids, len(batch), latency)
-		if s.cfg.Journal != nil {
-			s.journalLocked(&Record{Kind: RecReplan, Count: len(batch)})
-		}
-		s.mu.Unlock()
+		return len(job.batch), nil
 	}
+	s.pendingAttempts = job.attempts + 1
+	s.pending = append(job.batch, s.pending...)
+	if s.cfg.Journal != nil {
+		s.journalLocked(&Record{Kind: RecError, Reason: solveErr.Error()})
+	}
+	return 0, nil
 }
 
 // commitToLocked freezes the plan prefix before t1 as committed
@@ -419,8 +461,11 @@ func (s *Session) commitToLocked(t1 float64) ([]schedule.Segment, []CommitDelta)
 	if t1 < s.now {
 		t1 = s.now
 	}
+	s.growCommittedLocked(len(s.plan))
 	base := len(s.committed)
-	keep := s.spare[:0]
+	// The segments that stay move down in place: a write never passes
+	// the read.
+	keep := s.plan[:0]
 	for _, seg := range s.plan {
 		switch {
 		case seg.Start >= t1-tolerance:
@@ -434,7 +479,7 @@ func (s *Session) commitToLocked(t1 float64) ([]schedule.Segment, []CommitDelta)
 			keep = append(keep, tail)
 		}
 	}
-	s.plan, s.spare = keep, s.plan[:0]
+	s.plan = keep
 	done := s.committed[base:len(s.committed):len(s.committed)]
 	// Completions must be observed in time order.
 	slices.SortFunc(done, func(a, b schedule.Segment) int {
@@ -488,6 +533,18 @@ func (s *Session) commitToLocked(t1 float64) ([]schedule.Segment, []CommitDelta)
 	return done, deltas
 }
 
+// growCommittedLocked makes room for n more committed segments. When
+// the prefix has to move it at least doubles its capacity: append alone
+// grows a large slice by about a quarter, so a long session would copy
+// its prefix many times over. The prefix is only ever appended to, so a
+// snapshot or record that shares the old array still reads the same
+// segments. Call with mu held.
+func (s *Session) growCommittedLocked(n int) {
+	if len(s.committed)+n > cap(s.committed) {
+		s.committed = slices.Grow(s.committed, max(n, cap(s.committed)))
+	}
+}
+
 // residualLocked projects the live workload onto a fresh instance for
 // the solver: every unfinished, non-shed task with its remaining work,
 // released no earlier than now. Call with mu held. ids maps residual
@@ -512,17 +569,22 @@ func (s *Session) residualLocked() (task.Set, []int) {
 	return residual, ids
 }
 
-// installPlanLocked replaces the plan suffix with a fresh residual
-// solution, remapping solver task IDs to session IDs. Call with mu held.
+// installPlanLocked takes a fresh residual solution as the plan suffix,
+// remapping solver task IDs to session IDs in place. A successful solve
+// hands its schedule over (see SolveFunc), so its segments become the
+// suffix without a copy, and the suffix they replace goes with plan to
+// schedule.Recycle, for a later solve to build in. Call with mu held.
 func (s *Session) installPlanLocked(plan *schedule.Schedule, ids []int, batchN int, latency time.Duration) {
-	s.plan = s.plan[:0]
+	segs := plan.Segments[:0]
 	for _, seg := range plan.Segments {
 		if seg.Task < 0 || seg.Task >= len(ids) {
 			continue // unreachable behind the validator guardrail
 		}
 		seg.Task = ids[seg.Task]
-		s.plan = append(s.plan, seg)
+		segs = append(segs, seg)
 	}
+	plan.Segments, s.plan = s.plan, segs
+	schedule.Recycle(plan)
 	s.replans++
 	s.emitLocked(Event{
 		Type:      EventReplan,
@@ -544,20 +606,35 @@ func (s *Session) Finish(ctx context.Context) (*FinalReport, error) {
 		if err := s.flushLocked(ctx); err != nil {
 			return nil, err
 		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			return nil, ErrSessionClosed
-		}
-		if s.finished {
-			f := s.final
-			s.mu.Unlock()
+		f, fresh, err := s.commitAll()
+		switch {
+		case err != nil:
+			return nil, err
+		case f != nil && !fresh:
+			return f, nil
+		case f != nil:
+			s.account(ctx, f)
+			s.publishFinal(f)
 			return f, nil
 		}
-		if len(s.pending) == 0 {
-			break // mu stays held
-		}
-		s.mu.Unlock()
+	}
+}
+
+// commitAll marks the session finished, commits the whole plan and
+// returns the report's realized part, fresh. A session finished before
+// returns its report, not fresh; one with arrivals pending again
+// returns nil, for Finish to flush them first.
+func (s *Session) commitAll() (f *FinalReport, fresh bool, err error) {
+	s.mu.Lock()
+	defer s.unlock()
+	if s.closed {
+		return nil, false, ErrSessionClosed
+	}
+	if s.finished {
+		return s.final, false, nil
+	}
+	if len(s.pending) > 0 {
+		return nil, false, nil
 	}
 	s.finished = true
 	horizon := s.now
@@ -572,7 +649,7 @@ func (s *Session) Finish(ctx context.Context) (*FinalReport, error) {
 		s.journalCommitLocked(done, deltas)
 	}
 
-	f := &FinalReport{
+	f = &FinalReport{
 		RealizedEnergy: s.realized,
 		Replans:        s.replans,
 		Commits:        s.commits,
@@ -608,37 +685,44 @@ func (s *Session) Finish(ctx context.Context) (*FinalReport, error) {
 			f.Schedule.Add(seg)
 		}
 	}
-	skipRatio := s.cfg.SkipRatio
-	m, pm := s.cfg.Cores, s.cfg.Model
-	// The retrospective accounting below can be expensive; release mu so
-	// reads and subscribers stay live. finished=true keeps every mutation
-	// path out, flushMu is still held, and s.final is only published once
-	// f stops changing.
-	s.mu.Unlock()
+	return f, true, nil
+}
 
-	if len(f.Tasks) > 0 {
-		res := check.Audit(f.Schedule, f.Tasks, m, pm, check.DefaultOptions())
-		for _, v := range res.Violations {
-			f.Violations = append(f.Violations, v.Error())
-		}
-		if res.OK() {
-			f.Sim = &res.Profile
-		}
-		if skipRatio {
-			f.OptError = "skipped"
-		} else if d, err := interval.Decompose(f.Tasks, 1e-9); err != nil {
-			f.OptError = err.Error()
-		} else if sol, err := opt.Solve(d, m, pm, opt.Options{Context: ctx}); err != nil {
-			f.OptError = err.Error()
-		} else {
-			f.OptimalEnergy = sol.Energy
-			if sol.Energy > 0 {
-				f.CompetitiveRatio = f.RealizedEnergy / sol.Energy
-			}
+// account audits f's realized schedule and prices it against the
+// clairvoyant optimum. It can be expensive, so it runs without mu:
+// reads and subscribers stay live, finished keeps every mutation path
+// out, flushMu is still held, and s.final is only published once f
+// stops changing.
+func (s *Session) account(ctx context.Context, f *FinalReport) {
+	if len(f.Tasks) == 0 {
+		return
+	}
+	m, pm := s.cfg.Cores, s.cfg.Model
+	res := check.Audit(f.Schedule, f.Tasks, m, pm, check.DefaultOptions())
+	for _, v := range res.Violations {
+		f.Violations = append(f.Violations, v.Error())
+	}
+	if res.OK() {
+		f.Sim = &res.Profile
+	}
+	if s.cfg.SkipRatio {
+		f.OptError = "skipped"
+	} else if d, err := interval.Decompose(f.Tasks, 1e-9); err != nil {
+		f.OptError = err.Error()
+	} else if sol, err := opt.Solve(d, m, pm, opt.Options{Context: ctx}); err != nil {
+		f.OptError = err.Error()
+	} else {
+		f.OptimalEnergy = sol.Energy
+		if sol.Energy > 0 {
+			f.CompetitiveRatio = f.RealizedEnergy / sol.Energy
 		}
 	}
+}
 
+// publishFinal publishes the finished report and seals the journal.
+func (s *Session) publishFinal(f *FinalReport) {
 	s.mu.Lock()
+	defer s.unlock()
 	s.final = f
 	s.emitLocked(Event{
 		Type:    EventFinal,
@@ -654,8 +738,6 @@ func (s *Session) Finish(ctx context.Context) (*FinalReport, error) {
 			s.publishBufferedLocked()
 		}
 	}
-	s.mu.Unlock()
-	return f, nil
 }
 
 // Close tears the session down: the debounce timer is stopped and every
@@ -664,6 +746,11 @@ func (s *Session) Finish(ctx context.Context) (*FinalReport, error) {
 func (s *Session) Close() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.closeLocked()
+}
+
+// closeLocked is Close with mu held.
+func (s *Session) closeLocked() {
 	if s.closed {
 		return
 	}

@@ -12,6 +12,7 @@ package ideal
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/interval"
 	"repro/internal/numeric"
@@ -46,13 +47,24 @@ type Plan struct {
 
 // Build computes the ideal plan for every task.
 func Build(ts task.Set, m power.Model) (*Plan, error) {
-	if err := ts.Validate(); err != nil {
+	p := new(Plan)
+	if err := BuildInto(p, ts, m); err != nil {
 		return nil, err
+	}
+	return p, nil
+}
+
+// BuildInto is Build computing into p, whose task table it reuses:
+// whatever p held before is overwritten.
+func BuildInto(p *Plan, ts task.Set, m power.Model) error {
+	if err := ts.Validate(); err != nil {
+		return err
 	}
 	if err := m.Validate(); err != nil {
-		return nil, err
+		return err
 	}
-	p := &Plan{Model: m, Tasks: make([]TaskPlan, len(ts))}
+	p.Model = m
+	p.Tasks = slices.Grow(p.Tasks[:0], len(ts))[:len(ts)]
 	var total numeric.KahanSum
 	fstar := m.CriticalFrequency()
 	for i, tk := range ts {
@@ -68,7 +80,7 @@ func Build(ts task.Set, m power.Model) (*Plan, error) {
 		total.Add(e)
 	}
 	p.TotalEnergy = total.Value()
-	return p, nil
+	return nil
 }
 
 // MustBuild is Build but panics on error.

@@ -7,6 +7,7 @@ package interval
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/task"
@@ -61,30 +62,48 @@ type Decomposition struct {
 	// seq is the shared index sequence 0..N−2; SubsOf returns subslices
 	// of it so no per-task index slices are allocated.
 	seq []int
+	// overlap backs every subinterval's Overlapping list.
+	overlap []int
 }
 
 // Decompose builds the decomposition. Boundary values closer than tol are
 // merged (tol <= 0 means exact distinctness; pass a small epsilon for
 // float-generated workloads).
 func Decompose(ts task.Set, tol float64) (*Decomposition, error) {
-	if err := ts.Validate(); err != nil {
+	d := new(Decomposition)
+	if err := DecomposeInto(d, ts, tol); err != nil {
 		return nil, err
 	}
-	pts := ts.TimePoints(tol)
+	return d, nil
+}
+
+// DecomposeInto is Decompose building into d, whose buffers it reuses:
+// whatever d held before, and every slice it handed out, is
+// overwritten. A solver that decomposes instance after instance and
+// lets no decomposition outlive the next keeps one d for all of them.
+func DecomposeInto(d *Decomposition, ts task.Set, tol float64) error {
+	if err := ts.Validate(); err != nil {
+		return err
+	}
+	pts := slices.Grow(d.Points[:0], 2*len(ts))
+	for _, t := range ts {
+		pts = append(pts, t.Release, t.Deadline)
+	}
+	pts = task.MergePoints(pts, tol)
 	if len(pts) < 2 {
-		return nil, fmt.Errorf("interval: degenerate decomposition with %d points", len(pts))
+		return fmt.Errorf("interval: degenerate decomposition with %d points", len(pts))
 	}
 	nsubs := len(pts) - 1
-	d := &Decomposition{
-		Tasks:  ts,
-		Points: pts,
-		Subs:   make([]Subinterval, nsubs),
-		first:  make([]int, len(ts)),
-		last:   make([]int, len(ts)),
-		seq:    make([]int, nsubs),
-	}
-	for j := range d.seq {
-		d.seq[j] = j
+	d.Tasks, d.Points = ts, pts
+	d.Subs = slices.Grow(d.Subs[:0], nsubs)[:nsubs]
+	d.first = slices.Grow(d.first[:0], len(ts))[:len(ts)]
+	d.last = slices.Grow(d.last[:0], len(ts))[:len(ts)]
+	// seq first holds the difference array of the overlap counts, then
+	// the counts, and last the index sequence it is named for.
+	seq := slices.Grow(d.seq[:0], nsubs)[:nsubs]
+	clear(seq)
+	d.seq = seq
+	for j := range d.Subs {
 		d.Subs[j] = Subinterval{Index: j, Start: pts[j], End: pts[j+1]}
 	}
 	// With merged boundaries a task window may start/end strictly inside
@@ -93,33 +112,42 @@ func Decompose(ts task.Set, tol float64) (*Decomposition, error) {
 	// conditions are monotone in j (starts and ends both ascend), so the
 	// eligible run is [first, last] with the endpoints found by binary
 	// search over the boundary arrays.
-	counts := make([]int, nsubs)
-	total := 0
 	for i, t := range ts {
 		// first: smallest j with Release ≤ Start_j + tol.
 		lo := sort.Search(nsubs, func(j int) bool { return t.Release <= d.Subs[j].Start+tol })
 		// last: largest j with End_j − tol ≤ Deadline.
 		hi := sort.Search(nsubs, func(j int) bool { return d.Subs[j].End-tol > t.Deadline }) - 1
 		d.first[i], d.last[i] = lo, hi
-		for j := lo; j <= hi; j++ {
-			counts[j]++
-			total++
+		if lo <= hi {
+			seq[lo]++
+			if hi+1 < nsubs {
+				seq[hi+1]--
+			}
 		}
+	}
+	total := 0
+	for j := range seq {
+		if j > 0 {
+			seq[j] += seq[j-1]
+		}
+		total += seq[j]
 	}
 	// Carve every subinterval's Overlapping list (ascending task IDs, as
 	// tasks are visited in ID order) out of one shared backing array.
-	backing := make([]int, total)
+	backing := slices.Grow(d.overlap[:0], total)[:total]
+	d.overlap = backing
 	off := 0
-	for j := 0; j < nsubs; j++ {
-		d.Subs[j].Overlapping = backing[off : off : off+counts[j]]
-		off += counts[j]
+	for j := range d.Subs {
+		d.Subs[j].Overlapping = backing[off : off : off+seq[j]]
+		off += seq[j]
+		seq[j] = j
 	}
 	for i := range ts {
 		for j := d.first[i]; j <= d.last[i]; j++ {
 			d.Subs[j].Overlapping = append(d.Subs[j].Overlapping, ts[i].ID)
 		}
 	}
-	return d, nil
+	return nil
 }
 
 // MustDecompose is Decompose but panics on error.

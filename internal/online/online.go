@@ -21,6 +21,7 @@ package online
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -48,10 +49,20 @@ type Result struct {
 
 const workEps = 1e-9
 
-// solvers holds the replanner's core.Solvers between runs: a schedd
-// session re-plans on every arrival, and a fresh Solver would regrow its
-// arenas each time.
-var solvers = sync.Pool{New: func() any { return core.NewSolver() }}
+// replanners holds replanners between runs: a schedd session re-plans
+// on every arrival, and a fresh one would regrow its arenas each time.
+var replanners = sync.Pool{New: func() any { return new(replanner) }}
+
+// replanner is ReplanDER's working memory: the Solver and the per-run
+// buffers, none of which a run's Result holds.
+type replanner struct {
+	sv        core.Solver
+	releases  []float64
+	remaining []float64
+	residual  task.Set
+	origID    []int
+	plan      []schedule.Segment
+}
 
 // ReplanDER runs the event-driven re-planning policy and checks the
 // realized schedule with the universal validator.
@@ -66,18 +77,18 @@ func ReplanDER(ts task.Set, m int, pm power.Model) (*Result, error) {
 	return r, nil
 }
 
-// replanDER is ReplanDER without the feasibility check. Its Solver
+// replanDER is ReplanDER without the feasibility check. Its replanner
 // goes back to the pool only after a run that returned, never after a
 // panic; nothing the run returns aliases it.
 func replanDER(ts task.Set, m int, pm power.Model) (*Result, error) {
-	sv := solvers.Get().(*core.Solver)
-	r, err := replanWith(sv, ts, m, pm)
-	solvers.Put(sv)
+	rp := replanners.Get().(*replanner)
+	r, err := rp.run(ts, m, pm)
+	replanners.Put(rp)
 	return r, err
 }
 
-// replanWith is replanDER planning with sv.
-func replanWith(sv *core.Solver, ts task.Set, m int, pm power.Model) (*Result, error) {
+// run is replanDER planning with rp's memory.
+func (rp *replanner) run(ts task.Set, m int, pm power.Model) (*Result, error) {
 	if err := ts.Validate(); err != nil {
 		return nil, err
 	}
@@ -88,15 +99,28 @@ func replanWith(sv *core.Solver, ts task.Set, m int, pm power.Model) (*Result, e
 		return nil, fmt.Errorf("online: need at least one core, have %d", m)
 	}
 	// Distinct release times in ascending order are the planning events.
-	releases := distinctReleases(ts)
-	remaining := make([]float64, len(ts))
+	releases := distinctReleases(rp.releases[:0], ts)
+	rp.releases = releases
+	remaining := slices.Grow(rp.remaining[:0], len(ts))[:len(ts)]
+	rp.remaining = remaining
+	// A run whose one planning event plans every task (every schedd
+	// session replan) is that plan under unchanged task IDs (no segment
+	// starts before the release, and none is empty), so the plan is built
+	// straight into out, which comes from schedule.Reuse: a caller that
+	// recycles the schedules it is done with plans without allocating.
+	whole := len(releases) == 1
 	for i, tk := range ts {
 		remaining[i] = tk.Work
+		whole = whole && tk.Work > workEps
 	}
-	out := schedule.New(ts, m)
+	var out *schedule.Schedule
+	if whole {
+		out = schedule.Reuse(ts, m)
+	} else {
+		out = schedule.New(ts, m)
+	}
 	replans := 0
-	residual := make(task.Set, 0, len(ts))
-	origID := make([]int, 0, len(ts))
+	residual, origID := rp.residual, rp.origID
 	for k, t0 := range releases {
 		t1 := math.Inf(1)
 		if k+1 < len(releases) {
@@ -116,24 +140,25 @@ func replanWith(sv *core.Solver, ts task.Set, m int, pm power.Model) (*Result, e
 				origID = append(origID, i)
 			}
 		}
+		rp.residual, rp.origID = residual, origID
 		if len(residual) == 0 {
 			continue
 		}
 		// Only S^F is followed, so S^I is not built. ReplanDER's final
-		// check covers every segment taken from plan.
-		plan, err := sv.Final(residual, m, pm, alloc.DER, core.Options{Tolerance: 1e-9, SkipValidation: true})
+		// check covers every segment taken from the plan.
+		buf := rp.plan[:0]
+		if whole {
+			buf = out.Segments[:0]
+		}
+		segs, err := rp.sv.AppendFinal(buf, residual, m, pm, alloc.DER, core.Options{Tolerance: 1e-9, SkipValidation: true})
 		if err != nil {
 			return nil, fmt.Errorf("online: replanning at t=%g: %w", t0, err)
 		}
 		replans++
-		// A run whose one planning event plans every task is that plan
-		// under unchanged task IDs (no segment starts before t0, and none
-		// is empty), so out takes the plan's segments, not a copy.
-		segs := plan.Final.Segments
-		whole := len(releases) == 1 && len(residual) == len(ts)
 		if whole {
 			out.Segments = segs
 		} else {
+			rp.plan = segs
 			out.Grow(len(segs))
 		}
 		for _, seg := range segs {
@@ -174,7 +199,7 @@ func FixedSpeedEDF(ts task.Set, m int, pm power.Model, speed float64) (*Result, 
 	if !(speed > 0) {
 		return nil, fmt.Errorf("online: speed %g must be positive", speed)
 	}
-	releases := distinctReleases(ts)
+	releases := distinctReleases(nil, ts)
 	remaining := make([]float64, len(ts))
 	completion := make([]float64, len(ts))
 	for i, tk := range ts {
@@ -294,21 +319,20 @@ func assignCores(running []int, coreOf []int, m int) {
 	}
 }
 
-func distinctReleases(ts task.Set) []float64 {
-	rs := make([]float64, 0, len(ts))
+// distinctReleases appends ts's distinct release times, ascending, to
+// the empty dst.
+func distinctReleases(dst []float64, ts task.Set) []float64 {
 	for _, tk := range ts {
-		rs = append(rs, tk.Release)
+		dst = append(dst, tk.Release)
 	}
-	sort.Float64s(rs)
-	out := rs[:0]
-	for _, r := range rs {
+	sort.Float64s(dst)
+	out := dst[:0]
+	for _, r := range dst {
 		if len(out) == 0 || r > out[len(out)-1]+1e-12 {
 			out = append(out, r)
 		}
 	}
-	cp := make([]float64, len(out))
-	copy(cp, out)
-	return cp
+	return out
 }
 
 func nextRelease(releases []float64, t float64) (float64, bool) {

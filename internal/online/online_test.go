@@ -13,6 +13,7 @@ import (
 	"repro/internal/feas"
 	"repro/internal/interval"
 	"repro/internal/power"
+	"repro/internal/schedule"
 	"repro/internal/task"
 )
 
@@ -216,9 +217,10 @@ func BenchmarkFixedSpeedEDF(b *testing.B) {
 
 // TestReplanDERPooledSolversConcurrent runs ReplanDER from several
 // goroutines at once on instances of different sizes and core counts,
-// so that pooled Solvers move between runs of every shape, and checks
-// each schedule bit for bit against a run with a fresh core.Solver.
-// Run it under -race.
+// so that pooled replanners move between runs of every shape, and checks
+// each schedule bit for bit against a run with a fresh replanner. Each
+// checked schedule is recycled, so later one-release runs build into
+// schedules that other workers' runs planned before. Run it under -race.
 func TestReplanDERPooledSolversConcurrent(t *testing.T) {
 	pm := power.Unit(3, 0.1)
 	for w := 0; w < 4; w++ {
@@ -233,15 +235,16 @@ func TestReplanDERPooledSolversConcurrent(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, err := replanWith(core.NewSolver(), ts, m, pm)
+				want, err := new(replanner).run(ts, m, pm)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if got.Replans != want.Replans || math.Float64bits(got.Energy) != math.Float64bits(want.Energy) ||
 					!slices.Equal(got.Schedule.Segments, want.Schedule.Segments) {
-					t.Fatalf("n=%d m=%d: pooled run differs from a fresh Solver's: %d replans, energy %v; want %d, %v",
+					t.Fatalf("n=%d m=%d: pooled run differs from a fresh replanner's: %d replans, energy %v; want %d, %v",
 						len(ts), m, got.Replans, got.Energy, want.Replans, want.Energy)
 				}
+				schedule.Recycle(got.Schedule)
 			}
 		})
 	}
@@ -249,8 +252,8 @@ func TestReplanDERPooledSolversConcurrent(t *testing.T) {
 
 // A run with one release plans every task once, so its schedule is that
 // plan segment for segment: no planned segment starts before the release
-// or is empty, which is what lets replanWith return the plan's segments
-// without copying them.
+// or is empty, which is what lets the replanner build the plan straight
+// into the schedule it returns.
 func TestReplanDERSimultaneousIsPlan(t *testing.T) {
 	pm := power.Unit(3, 0.1)
 	rng := rand.New(rand.NewSource(61))

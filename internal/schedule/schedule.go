@@ -10,6 +10,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"sync"
 
 	"repro/internal/numeric"
 	"repro/internal/power"
@@ -62,6 +63,31 @@ func (s *Schedule) Add(seg Segment) {
 // builders that know the segment count up front avoid append regrowth.
 func (s *Schedule) Grow(n int) {
 	s.Segments = slices.Grow(s.Segments, n)
+}
+
+// recycled holds schedules given back by Recycle, each with the segment
+// buffer it came with, for Reuse to hand out again.
+var recycled sync.Pool
+
+// Reuse is New, but the schedule and its empty segment buffer are a
+// recycled pair when Recycle has pooled one. A solver that builds the
+// same kind of schedule over and over takes its output from here, and
+// its caller recycles what it is done with; nothing else changes.
+func Reuse(ts task.Set, cores int) *Schedule {
+	s, _ := recycled.Get().(*Schedule)
+	if s == nil {
+		return New(ts, cores)
+	}
+	s.Tasks, s.Cores = ts, cores
+	return s
+}
+
+// Recycle gives s and its segment buffer to a later Reuse. The caller
+// must own both outright: nothing may hold s or its segments, or read
+// them again.
+func Recycle(s *Schedule) {
+	s.Tasks, s.Segments = nil, s.Segments[:0]
+	recycled.Put(s)
 }
 
 func cmpSegment(a, b Segment) int {

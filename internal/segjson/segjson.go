@@ -35,6 +35,10 @@ type Keys struct {
 // fixed is the length of everything in one object but its values.
 const fixed = len(`{"task":,"core":,"start":,"end":,"frequency":}`)
 
+// MaxObject bounds the length of one segment object: everything but
+// its values, two integers of at most 20 bytes and three floats.
+const MaxObject = fixed + 2*len("-9223372036854775808") + 3*maxFloatJSON
+
 // newKeys returns the keys of an object whose fields, in order, hold a
 // segment's task, core, start, end and frequency. Each name has the
 // length of the wire's.
@@ -90,6 +94,94 @@ func (k *Keys) AppendObjects(b []byte, segs []schedule.Segment) ([]byte, error) 
 }
 
 func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
+
+// FloatCache remembers the encodings of recently formatted floats in a
+// small direct-mapped table. It serves an array that is encoded once,
+// such as a session's realized schedule: measured first, so that its
+// buffer is allocated at its exact size, and then written. Such an
+// array in time order repeats its floats close together (a boundary
+// ends one segment and starts the next, a task keeps its frequency), so
+// the table catches most repeats in both passes without an Encoder's
+// memo of every distinct value, which costs more than the body it
+// serves. The zero value is ready to use.
+type FloatCache struct {
+	bits [cacheSlots]uint64
+	size [cacheSlots]uint8 // 0 for an empty slot: no float encodes empty
+	text [cacheSlots][maxFloatJSON]byte
+}
+
+const (
+	cacheBits  = 10
+	cacheSlots = 1 << cacheBits
+	// maxFloatJSON bounds appendFloat's output: a sign, "0.", five
+	// zeros and 17 digits below 1, or a sign, 17 digits, "e-" and a
+	// three-digit exponent in exponent form.
+	maxFloatJSON = 25
+)
+
+// encode returns f's encoding from the table, formatting it on a miss.
+// f must be finite.
+func (c *FloatCache) encode(f float64) []byte {
+	bits := math.Float64bits(f)
+	i := (bits * 0x9e3779b97f4a7c15) >> (64 - cacheBits)
+	if c.size[i] == 0 || c.bits[i] != bits {
+		c.bits[i] = bits
+		c.size[i] = uint8(len(appendFloat(c.text[i][:0], f)))
+	}
+	return c.text[i][:c.size[i]]
+}
+
+// ArrayLen returns the length of segs encoded as an array by
+// AppendArray, null for nil segs. It fails, as encoding/json does, on a
+// NaN or infinite value.
+func (k *Keys) ArrayLen(segs []schedule.Segment, c *FloatCache) (int, error) {
+	if segs == nil {
+		return len("null"), nil
+	}
+	n := len("[]")
+	if len(segs) > 0 {
+		n += len(segs)*fixed + len(segs) - 1
+	}
+	for i := range segs {
+		s := &segs[i]
+		n += intLen(s.Task) + intLen(s.Core)
+		for _, f := range [3]float64{s.Start, s.End, s.Frequency} {
+			if !finite(f) {
+				return 0, fmt.Errorf("segjson: segment %d: unsupported value: %s", i, strconv.FormatFloat(f, 'g', -1, 64))
+			}
+			n += len(c.encode(f))
+		}
+	}
+	return n, nil
+}
+
+// AppendArray appends segs as an array, null for nil segs as
+// encoding/json writes a nil slice. Call it on segs that ArrayLen
+// accepted.
+func (k *Keys) AppendArray(b []byte, segs []schedule.Segment, c *FloatCache) []byte {
+	if segs == nil {
+		return append(b, "null"...)
+	}
+	b = append(b, '[')
+	for i := range segs {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		s := &segs[i]
+		b = append(b, k.task[:]...)
+		b = strconv.AppendInt(b, int64(s.Task), 10)
+		b = append(b, k.core[:]...)
+		b = strconv.AppendInt(b, int64(s.Core), 10)
+		b = append(b, k.start[:]...)
+		b = append(b, c.encode(s.Start)...)
+		b = append(b, k.end[:]...)
+		b = append(b, c.encode(s.End)...)
+		b = append(b, k.freq[:]...)
+		b = append(b, c.encode(s.Frequency)...)
+		b = append(b, '}')
+	}
+	return append(b, ']')
+}
 
 // Encoder appends a whole segment array, formatting each distinct
 // float64 bit pattern once. A served schedule repeats few distinct

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/schedule"
@@ -60,6 +61,65 @@ func TestFieldsMatchJSON(t *testing.T) {
 		if !bytes.Equal(got, want) || n != len(got) {
 			t.Errorf("nil=%v: measured %d, got %d bytes\n%s\nwant %s", s == nil, n, len(got), got, want)
 		}
+		var c FloatCache
+		if n, err = Fields.ArrayLen(s, &c); err != nil {
+			t.Fatal(err)
+		}
+		if got = Fields.AppendArray(make([]byte, 0, n), s, &c); !bytes.Equal(got, want) || cap(got) != n {
+			t.Errorf("nil=%v: ArrayLen %d, AppendArray %d bytes (cap %d)\n%s\nwant %s", s == nil, n, len(got), cap(got), got, want)
+		}
+	}
+}
+
+// Random floats, far more distinct values than a FloatCache has slots,
+// encode through it as encoding/json writes them, and no float or
+// segment object outgrows the bounds the cache and MaxObject assume.
+func TestFloatCacheRandom(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	segs := make([]schedule.Segment, 20000)
+	float := func() float64 {
+		for {
+			f := math.Float64frombits(rng.Uint64())
+			if rng.Intn(2) == 0 {
+				f = (rng.Float64() - 0.5) * math.Pow(10, float64(rng.Intn(50)-25))
+			}
+			if finite(f) {
+				return f
+			}
+		}
+	}
+	for i := range segs {
+		segs[i] = schedule.Segment{Task: int(rng.Int63()) - rng.Intn(2)*math.MaxInt64, Core: -rng.Intn(1 << 20),
+			Start: float(), End: float(), Frequency: float()}
+		// Repeats, as a schedule has, so that the cache also hits.
+		if i > 0 && rng.Intn(3) == 0 {
+			segs[i].Start = segs[i-1].End
+		}
+	}
+	segs = append(segs, schedule.Segment{Task: math.MinInt64, Core: math.MinInt64,
+		Start: -1.2345678901234567e-300, End: -0.0000012345678901234567, Frequency: -123456789012345680000})
+	want, err := json.Marshal(segs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var c FloatCache
+	n, err := Fields.ArrayLen(segs, &c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := Fields.AppendArray(make([]byte, 0, n), segs, &c); !bytes.Equal(got, want) || len(got) != n {
+		t.Fatalf("AppendArray differs from json.Marshal (%d bytes, measured %d, want %d)", len(got), n, len(want))
+	}
+	for i := range segs {
+		obj, err := Fields.AppendObjects(nil, segs[i:i+1])
+		if err != nil || len(obj) > MaxObject {
+			t.Fatalf("segment %v encodes in %d bytes (%v), MaxObject %d", segs[i], len(obj), err, MaxObject)
+		}
+		for _, f := range []float64{segs[i].Start, segs[i].End, segs[i].Frequency} {
+			if n := len(appendFloat(nil, f)); n > maxFloatJSON {
+				t.Fatalf("%v encodes in %d bytes, maxFloatJSON %d", f, n, maxFloatJSON)
+			}
+		}
 	}
 }
 
@@ -75,6 +135,9 @@ func TestNonFiniteFails(t *testing.T) {
 			t.Errorf("Measure accepted %v", bad)
 		}
 		e.Release()
+		if _, err := Wire.ArrayLen(segs, new(FloatCache)); err == nil {
+			t.Errorf("ArrayLen accepted %v", bad)
+		}
 	}
 }
 

@@ -7,12 +7,14 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"net/http"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/fault"
+	"repro/internal/server/wire"
 )
 
 // TestFallbackBreakerOpen503 pins the last rung of the degradation
@@ -124,6 +126,27 @@ func TestFeasibleHandlerRejects(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /v1/feasible: %d, want 405", resp.StatusCode)
+	}
+}
+
+// TestCoresCeiling sends one core over MaxCores to the one-shot
+// endpoints: each answers 400 with the exact message, before any solve.
+func TestCoresCeiling(t *testing.T) {
+	_, hs := newTestServer(t, Config{})
+	body := []byte(`{"cores": 1025, "tasks": [{"release":0,"work":1,"deadline":2}]}`)
+	for _, path := range []string{"/v1/schedule", "/v1/feasible"} {
+		resp, payload := postJSON(t, hs.URL+path, body)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400: %s", path, resp.StatusCode, payload)
+		}
+		checkEnvelope(t, payload, http.StatusBadRequest, wire.CodeBadRequest)
+		var env wire.ErrorEnvelope
+		if err := json.Unmarshal(payload, &env); err != nil {
+			t.Fatal(err)
+		}
+		if want := "cores must be <= 1024, have 1025"; env.Error.Message != want {
+			t.Errorf("%s: message %q, want %q", path, env.Error.Message, want)
+		}
 	}
 }
 

@@ -155,19 +155,19 @@ func (w *missWriter) miss() bool { return bytes.Contains(w.head[:w.n], missMarke
 
 // TestSessionArrivalAllocBytes caps the mean bytes one session arrival
 // allocates on a journaled schedd, through Server.Handler, at about 1.2×
-// the measured 85–87 KB. The trace has perfbench's session-journaled
+// the measured 44–49 KB. The trace has perfbench's session-journaled
 // shape: Poisson batches of 1–3 tasks at rate 0.25 on 4 cores, which
 // keeps about 20 tasks live. The mean is taken over arrivals 101–200 of
 // one session, after 100 that fill its buffers; it includes the one
-// checkpoint the session writes in that window, about 11 KB of it per
-// arrival. Skipped under -race, which adds its own allocations.
+// checkpoint the session writes in that window. Skipped under -race,
+// which adds its own allocations.
 func TestSessionArrivalAllocBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation sizes")
 	}
 	const (
 		warm, measured = 100, 100
-		ceiling        = 100 << 10
+		ceiling        = 57 << 10
 	)
 	srv := New(Config{DataDir: t.TempDir()})
 	t.Cleanup(srv.Close)
@@ -211,7 +211,9 @@ func TestSessionArrivalAllocBytes(t *testing.T) {
 		serve(http.MethodPost, "/v1/sessions/alloc/tasks", body, http.StatusOK)
 	}
 	runtime.ReadMemStats(&after)
-	if got := (after.TotalAlloc - before.TotalAlloc) / measured; got > ceiling {
+	got := (after.TotalAlloc - before.TotalAlloc) / measured
+	t.Logf("a journaled session arrival allocates %d bytes", got)
+	if got > ceiling {
 		t.Errorf("a journaled session arrival allocates %d bytes, ceiling %d", got, ceiling)
 	}
 }

@@ -84,6 +84,9 @@ func TestSessionOpenErrorTable(t *testing.T) {
 		return &bad
 	}
 	longID := strings.Repeat("x", 65)
+	manyCores := *snap
+	manyCores.Cores = MaxCores + 1
+	tooManyCores := "cores must be <= 1024, have 1025"
 
 	type row struct {
 		name string
@@ -96,6 +99,8 @@ func TestSessionOpenErrorTable(t *testing.T) {
 		prepare func(*Server)
 		status  int
 		code    wire.ErrorCode
+		// message, when set, is the exact error message.
+		message string
 	}
 	drain := func(s *Server) { s.draining.Store(true) }
 	closeManager := func(s *Server) { s.sessions.Close() }
@@ -103,6 +108,9 @@ func TestSessionOpenErrorTable(t *testing.T) {
 		{name: "create/zero cores", path: create,
 			body:   wire.SessionCreateRequest{Cores: 0, Model: model},
 			status: http.StatusBadRequest, code: wire.CodeBadRequest},
+		{name: "create/cores above the ceiling", path: create,
+			body:   wire.SessionCreateRequest{Cores: MaxCores + 1, Model: model},
+			status: http.StatusBadRequest, code: wire.CodeBadRequest, message: tooManyCores},
 		{name: "create/bad model", path: create,
 			body:   wire.SessionCreateRequest{Cores: 2, Model: wire.ModelJSON{Alpha: 1}},
 			status: http.StatusBadRequest, code: wire.CodeBadRequest},
@@ -167,6 +175,9 @@ func TestSessionOpenErrorTable(t *testing.T) {
 		{name: "restore/bad snapshot", path: restore,
 			body:   wire.SessionRestoreRequest{ID: "next", Snapshot: &badSnap},
 			status: http.StatusUnprocessableEntity, code: wire.CodeUnprocessable},
+		{name: "restore/cores above the ceiling", path: restore,
+			body:   wire.SessionRestoreRequest{ID: "next", Snapshot: &manyCores},
+			status: http.StatusBadRequest, code: wire.CodeBadRequest, message: tooManyCores},
 		{name: "restore/segment of task 7", path: restore,
 			body:   wire.SessionRestoreRequest{ID: "next", Snapshot: foreignSeg(7)},
 			status: http.StatusUnprocessableEntity, code: wire.CodeUnprocessable},
@@ -220,6 +231,12 @@ func TestSessionOpenErrorTable(t *testing.T) {
 					t.Fatalf("status %d, want %d: %s", resp.StatusCode, tc.status, payload)
 				}
 				checkEnvelope(t, payload, tc.status, tc.code)
+				if tc.message != "" {
+					var env wire.ErrorEnvelope
+					if err := json.Unmarshal(payload, &env); err != nil || env.Error.Message != tc.message {
+						t.Errorf("error message %q (%v), want %q", env.Error.Message, err, tc.message)
+					}
+				}
 				retry := tc.status == http.StatusTooManyRequests || tc.status == http.StatusServiceUnavailable
 				if got := resp.Header.Get("Retry-After") != ""; got != retry {
 					t.Errorf("Retry-After present = %t, want %t", got, retry)

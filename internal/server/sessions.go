@@ -196,8 +196,8 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		wire.WriteError(w, http.StatusBadRequest, wire.CodeBadRequest, "%v", err)
 		return
 	}
-	if req.Cores <= 0 {
-		wire.WriteError(w, http.StatusBadRequest, wire.CodeBadRequest, "cores must be >= 1, have %d", req.Cores)
+	if err := checkCores(req.Cores); err != nil {
+		wire.WriteError(w, http.StatusBadRequest, wire.CodeBadRequest, "%v", err)
 		return
 	}
 	pm, err := req.Model.Model()
@@ -428,18 +428,25 @@ func (s *Server) handleSessionEvents(w http.ResponseWriter, r *http.Request) {
 		select {
 		case <-r.Context().Done():
 			return
-		case ev, ok := <-events:
-			if !ok {
+		case ev, open := <-events:
+			// Every event already queued goes out with this one, in one
+			// write and one flush.
+			var err error
+			if open {
+				open, err = enc.addQueued(ev, events)
+			}
+			if !open {
 				// Session closed: emit a terminal comment so clients can
 				// distinguish a graceful end from a dropped connection.
-				fmt.Fprintf(w, ": stream closed\n\n")
-				flusher.Flush()
-				return
+				enc.buf = append(enc.buf, ": stream closed\n\n"...)
 			}
-			if err := enc.writeEvent(ev); err != nil {
+			if enc.flush() != nil {
 				return // client went away mid-write
 			}
 			flusher.Flush()
+			if !open || err != nil {
+				return
+			}
 		}
 	}
 }
@@ -497,6 +504,12 @@ func (s *Server) handleSessionRestore(w http.ResponseWriter, r *http.Request) {
 	}
 	if req.Snapshot == nil {
 		wire.WriteError(w, http.StatusBadRequest, wire.CodeBadRequest, "restore requires a snapshot")
+		return
+	}
+	// A snapshot without cores is one dispatch.Restore refuses (422);
+	// one with too many is a request schedd does not serve.
+	if req.Snapshot.Cores > MaxCores {
+		wire.WriteError(w, http.StatusBadRequest, wire.CodeBadRequest, "%v", checkCores(req.Snapshot.Cores))
 		return
 	}
 	if req.DebounceMS < 0 || req.Backlog < 0 {

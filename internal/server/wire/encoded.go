@@ -102,8 +102,11 @@ var sessionFinalZero = segjson.ZeroPrefix(SessionFinalResponse{})
 // is not read): byte for byte what json.Marshal writes for r with
 // Segments set to the SegmentJSON form of segs, a nil segs encoding as
 // null. encoding/json writes every other field; the segment array, most
-// of the body, is appended directly as in EncodeSchedule. The body is
-// allocated once, at its exact size.
+// of the body, is appended directly. The body is allocated once, at its
+// exact size. A session's realized schedule is encoded once, so unlike
+// EncodeSchedule this measures and writes it through a small
+// segjson.FloatCache rather than an Encoder's memo of its distinct
+// values, which for a long session costs more than the body.
 func EncodeSessionFinal(r *SessionFinalResponse, segs []schedule.Segment) ([]byte, error) {
 	head := *r
 	head.Segments, head.Sim = nil, nil
@@ -115,15 +118,14 @@ func EncodeSessionFinal(r *SessionFinalResponse, segs []schedule.Segment) ([]byt
 	if err != nil {
 		return nil, err
 	}
-	se := segjson.NewEncoder(segjson.Wire)
-	defer se.Release()
-	n, err := se.Measure(segs)
+	cache := new(segjson.FloatCache)
+	n, err := segjson.Wire.ArrayLen(segs, cache)
 	if err != nil {
 		return nil, err
 	}
 	body := make([]byte, 0, len(hb)+n+len(tb))
 	body = append(body, hb...)
-	body = se.AppendArray(body, segs)
+	body = segjson.Wire.AppendArray(body, segs, cache)
 	return append(body, tb...), nil
 }
 

@@ -1,6 +1,11 @@
 package wire
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+
+	"repro/internal/schedule"
+)
 
 // BenchmarkEncodeSchedule encodes a served S^F2 reply to a paper-default
 // n=100 instance on 16 cores: the encode every solve-cache miss runs.
@@ -14,5 +19,37 @@ func BenchmarkEncodeSchedule(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.SetBytes(int64(len(enc.Body)))
+	}
+}
+
+// BenchmarkEncodeSessionFinal encodes a DELETE reply whose realized
+// schedule is two served S^F2 replies laid end to end in time, about
+// the 10 000 segments a 200-batch session commits. A session ends once
+// in hundreds of arrivals, with collections between, so each encode
+// starts with the sync.Pools empty: two collections, untimed, clear
+// them.
+func BenchmarkEncodeSessionFinal(b *testing.B) {
+	parts, _ := servedReplies(b, 2)
+	var segs []schedule.Segment
+	for k, part := range parts {
+		shift := 1000 * float64(k)
+		for _, seg := range part {
+			seg.Start, seg.End = seg.Start+shift, seg.End+shift
+			segs = append(segs, seg)
+		}
+	}
+	resp := SessionFinalResponse{Version: Version, ID: "bench", Algorithm: "ReplanDER", Cores: 16}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		runtime.GC()
+		runtime.GC()
+		b.StartTimer()
+		body, err := EncodeSessionFinal(&resp, segs)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.SetBytes(int64(len(body)))
 	}
 }

@@ -166,6 +166,18 @@ func (s Set) TimePoints(tol float64) []float64 {
 	for _, t := range s {
 		pts = append(pts, t.Release, t.Deadline)
 	}
+	pts = MergePoints(pts, tol)
+	// Copy so the result does not alias the scratch slice's backing array
+	// in a surprising way for callers that append to it.
+	res := make([]float64, len(pts))
+	copy(res, pts)
+	return res
+}
+
+// MergePoints sorts pts in place and merges values closer than tol into
+// the first of them, as TimePoints does; it returns the merged prefix
+// of pts.
+func MergePoints(pts []float64, tol float64) []float64 {
 	sort.Float64s(pts)
 	out := pts[:0]
 	for _, p := range pts {
@@ -173,11 +185,7 @@ func (s Set) TimePoints(tol float64) []float64 {
 			out = append(out, p)
 		}
 	}
-	// Copy so the result does not alias the scratch slice's backing array
-	// in a surprising way for callers that append to it.
-	res := make([]float64, len(out))
-	copy(res, out)
-	return res
+	return out
 }
 
 // SortedByDeadline returns a copy of the set ordered by increasing
