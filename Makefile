@@ -28,7 +28,8 @@ stress:
 # independent oracles on randomized instances, the journal replay
 # engine against arbitrary log bytes, the validator's sweep against
 # its naive all-pairs reference on arbitrary segment lists, and the
-# pre-encoded schedule replies and spliced journal records against
+# pre-encoded schedule replies, the spliced journal records and the
+# segment arrays behind both (through one pooled float cache) against
 # encoding/json. The
 # checked-in corpus under testdata/fuzz/ also replays during plain
 # `make test`.
@@ -40,6 +41,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz=FuzzAudit -fuzztime=10s -fuzzminimizetime=0x ./internal/check
 	$(GO) test -run '^$$' -fuzz=FuzzEncodedResponse -fuzztime=10s -fuzzminimizetime=0x ./internal/server
 	$(GO) test -run '^$$' -fuzz=FuzzJournalRecord -fuzztime=10s -fuzzminimizetime=0x ./internal/dispatch
+	$(GO) test -run '^$$' -fuzz=FuzzSegmentArray -fuzztime=10s -fuzzminimizetime=0x ./internal/segjson
 
 # Short soak of the differential harness: every registered scheduler
 # against every oracle (validator, simulator, max-flow feasibility,

@@ -2,7 +2,6 @@ package dispatch
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/schedule"
 	"repro/internal/segjson"
@@ -26,11 +25,7 @@ import (
 // session never reuses what it hands over: a commit record's Segments
 // are a view of the session's committed prefix, which is append-only,
 // a snapshot's Committed is a capped view of the same prefix, and every
-// other slice is the record's own. The one exception is unexported: the
-// encoded segments that rec.AppendJSON splices in are the session's
-// scratch, dropped from rec when Append returns, so AppendJSON takes
-// its fast path only when called inside Append (journal.Writer does)
-// and goes through encoding/json, to the same bytes, after it.
+// other slice is the record's own.
 //
 // The journal decides when the log wants compacting: Append calls
 // rec.RequestCheckpoint on a delta record once a checkpoint would pay
@@ -117,14 +112,6 @@ type Record struct {
 	// Events made durable by this record.
 	Events []Event `json:"events,omitempty"`
 
-	// segmentsJSON is Segments and committedJSON is Snapshot.Committed
-	// as the session encoded them for this record: objects without the
-	// array's brackets, committedJSON in comma-separated pieces.
-	// AppendJSON copies them in, so that a commit's segments are
-	// formatted straight into the session's reused scratch and a
-	// checkpoint's prefix into buffers of about its size, not grown.
-	segmentsJSON  []byte
-	committedJSON [][]byte
 	// checkpointDue is the journal's request for a checkpoint after
 	// this record (see RequestCheckpoint).
 	checkpointDue bool
@@ -145,25 +132,34 @@ var (
 
 // AppendJSON appends rec's JSON encoding to b: byte for byte what
 // json.Marshal(rec) returns, and an error where it fails. encoding/json
-// writes every field but a segment array the session encoded for the
-// record (a commit record's Segments, a create or checkpoint record's
-// Snapshot.Committed), which is copied in.
+// writes every field but the segment array that is most of a record (a
+// commit record's Segments, a create or checkpoint record's
+// Snapshot.Committed), which segjson appends straight into b, measured
+// first so that b grows once.
 //
 // The splices follow the field order of Record and Snapshot, which is
 // the log format: a field added to either must be added to the field
 // lists below too.
 func (rec *Record) AppendJSON(b []byte) ([]byte, error) {
+	var out []byte
+	var err error
 	switch {
-	case rec.Snapshot != nil && len(rec.committedJSON) > 0:
-		return rec.appendCheckpoint(b)
-	case len(rec.Segments) > 0 && rec.segmentsJSON != nil:
-		return rec.appendCommit(b)
+	case rec.Snapshot != nil:
+		out, err = rec.appendCheckpoint(b)
+	case len(rec.Segments) > 0:
+		out, err = rec.appendCommit(b)
+	default:
+		return segjson.AppendJSON(b, rec, "", "")
 	}
-	return segjson.AppendJSON(b, rec, "", "")
+	if err != nil {
+		// encoding/json reports the failure as json.Marshal does.
+		return segjson.AppendJSON(b, rec, "", "")
+	}
+	return out, nil
 }
 
-// appendCommit writes the fields ahead of Segments, the spliced
-// segments, and the fields behind them.
+// appendCommit writes the fields ahead of Segments, the segments, and
+// the fields behind them.
 func (rec *Record) appendCommit(b []byte) ([]byte, error) {
 	head := Record{
 		Kind: rec.Kind, Clock: rec.Clock, Seq: rec.Seq, Realized: rec.Realized,
@@ -174,18 +170,18 @@ func (rec *Record) appendCommit(b []byte) ([]byte, error) {
 	if err != nil {
 		return b, err
 	}
-	b = append(b, `,"segments":[`...)
-	b = append(b, rec.segmentsJSON...)
-	b = append(b, ']')
-	tail := Record{
+	tail, err := segjson.AppendJSON(nil, &Record{
 		Deltas: rec.Deltas, ShedIDs: rec.ShedIDs, Count: rec.Count, Reason: rec.Reason,
-		Snapshot: rec.Snapshot, Events: rec.Events,
+		Events: rec.Events,
+	}, recordZero, "")
+	if err != nil {
+		return b, err
 	}
-	return segjson.AppendJSON(b, &tail, recordZero, "")
+	return segjson.Fields.Splice(append(b, `,"segments":`...), rec.Segments, tail)
 }
 
 // appendCheckpoint writes the fields ahead of Snapshot, the snapshot
-// with its spliced committed prefix, and the record's events.
+// with its committed prefix, and the record's events.
 func (rec *Record) appendCheckpoint(b []byte) ([]byte, error) {
 	head := *rec
 	head.Snapshot, head.Events = nil, nil
@@ -199,10 +195,8 @@ func (rec *Record) appendCheckpoint(b []byte) ([]byte, error) {
 	if b, err = segjson.AppendJSON(b, &snap, "", "null}"); err != nil {
 		return b, err
 	}
-	// The prefix is most of the record. The fields behind it are encoded
-	// first, so that room for both is made at once rather than by
-	// append's growth steps, which would allocate several times the
-	// record's size.
+	// The fields behind the prefix are encoded first, so that Splice
+	// makes room for them and the prefix at once.
 	tail, err := segjson.AppendJSON(nil, &Snapshot{Events: rec.Snapshot.Events}, snapshotZero, "")
 	if err != nil {
 		return b, err
@@ -210,19 +204,7 @@ func (rec *Record) appendCheckpoint(b []byte) ([]byte, error) {
 	if tail, err = segjson.AppendJSON(tail, &Record{Events: rec.Events}, recordZero, ""); err != nil {
 		return b, err
 	}
-	n := len(rec.committedJSON) + 1 + len(tail)
-	for _, piece := range rec.committedJSON {
-		n += len(piece)
-	}
-	b = append(slices.Grow(b, n), '[')
-	for i, piece := range rec.committedJSON {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = append(b, piece...)
-	}
-	b = append(b, ']')
-	return append(b, tail...), nil
+	return segjson.Fields.Splice(b, rec.Snapshot.Committed, tail)
 }
 
 // journalLocked stamps rec with the post-state counters and the
@@ -254,9 +236,6 @@ func (s *Session) journalLocked(rec *Record) {
 		}
 	}
 	err := s.cfg.Journal.Append(rec)
-	// The encoded splices are the session's: a journal that keeps rec
-	// encodes it with encoding/json from here on.
-	rec.segmentsJSON, rec.committedJSON = nil, nil
 	for _, ev := range rec.Events {
 		s.hub.emit(ev)
 	}
@@ -284,75 +263,9 @@ func (s *Session) journalLocked(rec *Record) {
 
 // checkpointLocked journals a create or checkpoint record of the whole
 // session state. Its snapshot shares the committed prefix, which only
-// ever grows, instead of copying it, and the record carries the prefix
-// encoded in pieces (see encodePieces). Call with mu held.
+// ever grows, instead of copying it. Call with mu held.
 func (s *Session) checkpointLocked(kind RecordKind) {
-	rec := &Record{Kind: kind, Snapshot: s.snapshotLocked()}
-	if s.cfg.Journal != nil && !s.jbroken {
-		rec.committedJSON = encodePieces(s.committed)
-	}
-	s.journalLocked(rec)
-}
-
-// journalCommitLocked journals the commit of done, the segments
-// commitToLocked just appended to the committed prefix, with their
-// execution-state deltas. The segments are encoded in the session's
-// scratch, which the next commit reuses: the journal reads the encoding
-// during Append (see Journal), and journalLocked drops it from the
-// record once Append returns. A segment that does not encode (a
-// non-finite float, which encoding/json rejects too) sends the record
-// through encoding/json whole. Call with mu held.
-func (s *Session) journalCommitLocked(done []schedule.Segment, deltas []CommitDelta) {
-	rec := &Record{Kind: RecCommit, Segments: done, Deltas: deltas}
-	if len(done) > 0 && !s.jbroken {
-		b, err := segjson.Fields.AppendObjects(s.jscratch[:0], done)
-		if cap(b) <= maxJournalScratch {
-			s.jscratch = b[:0]
-		}
-		if err == nil {
-			rec.segmentsJSON = b
-		}
-	}
-	s.journalLocked(rec)
-}
-
-// maxJournalScratch keeps an outsized encoding (a commit of a restored
-// session's whole plan) from staying pinned as a session's scratch.
-const maxJournalScratch = 16 << 10
-
-// pieceBytes is the size of the buffers encodePieces fills.
-const pieceBytes = 64 << 10
-
-// encodePieces encodes segs as the pieces of a checkpoint's spliced
-// prefix (see Record.AppendJSON): whole objects, each piece in a buffer
-// of pieceBytes (less for the last few segments) that it fills to
-// within one object. So encoding the prefix allocates about its encoded
-// size once, where one buffer grown by append would allocate about
-// twice that. It returns nil for an empty prefix or one with a segment
-// that does not encode, and the record then goes through encoding/json
-// whole.
-func encodePieces(segs []schedule.Segment) [][]byte {
-	const most = len(",") + segjson.MaxObject
-	var pieces [][]byte
-	var b []byte
-	for i := range segs {
-		if cap(b)-len(b) < most {
-			if len(b) > 0 {
-				pieces = append(pieces, b)
-			}
-			b = make([]byte, 0, min(pieceBytes, (len(segs)-i)*most))
-		} else {
-			b = append(b, ',')
-		}
-		var err error
-		if b, err = segjson.Fields.AppendObjects(b, segs[i:i+1]); err != nil {
-			return nil
-		}
-	}
-	if len(b) > 0 {
-		pieces = append(pieces, b)
-	}
-	return pieces
+	s.journalLocked(&Record{Kind: kind, Snapshot: s.snapshotLocked()})
 }
 
 // publishBufferedLocked drains any events buffered for a journal append

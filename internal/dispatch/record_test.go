@@ -8,21 +8,22 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/fault"
 	"repro/internal/power"
 	"repro/internal/schedule"
-	"repro/internal/segjson"
 	"repro/internal/task"
 )
 
 // diffJournal checks every record a session journals: AppendJSON must
 // return json.Marshal's bytes, or fail where it fails. It counts the
-// records that took each splice, so a test can tell the splices ran,
-// and requests a checkpoint every `every` delta records. It keeps every
-// record with its encoding, as a journal may, so checkKept can tell
-// whether the session changed one after handing it over.
+// records that splice a segment array (commits with segments, and
+// snapshot records), so a test can tell the splices ran, and requests a
+// checkpoint every `every` delta records. It keeps every record with
+// its encoding, as a journal may, so checkKept can tell whether the
+// session changed one after handing it over.
 type diffJournal struct {
 	t                     *testing.T
 	records               int
@@ -36,12 +37,15 @@ type diffJournal struct {
 }
 
 // checkKept fails the test if a kept record no longer encodes as it did
-// when it was appended.
+// when it was appended, through json.Marshal or AppendJSON.
 func (j *diffJournal) checkKept() {
 	j.t.Helper()
 	for i, rec := range j.kept {
 		if got, err := json.Marshal(rec); err != nil || !bytes.Equal(got, j.keptJSON[i]) {
 			j.t.Errorf("kept %s record changed after Append (%v):\ngot  %s\nwant %s", rec.Kind, err, got, j.keptJSON[i])
+		}
+		if got, err := rec.AppendJSON(nil); err != nil || !bytes.Equal(got, j.keptJSON[i]) {
+			j.t.Errorf("kept %s record's AppendJSON changed after Append (%v):\ngot  %s\nwant %s", rec.Kind, err, got, j.keptJSON[i])
 		}
 	}
 }
@@ -53,10 +57,10 @@ func (j *diffJournal) Append(rec *Record) error {
 		j.kinds = make(map[RecordKind]int)
 	}
 	j.kinds[rec.Kind]++
-	if rec.segmentsJSON != nil {
+	if rec.Kind == RecCommit && len(rec.Segments) > 0 {
 		j.commits++
 	}
-	if rec.committedJSON != nil {
+	if rec.Snapshot != nil {
 		j.checkpoints++
 		j.lastSnapshotCommitted = len(rec.Snapshot.Committed)
 	}
@@ -115,8 +119,8 @@ func driveDiff(t *testing.T, s *Session, rng *rand.Rand, batches int, from float
 // Every record of whole journaled sessions, through New, periodic
 // checkpoints, backlog sheds, solver faults (error records and
 // replan-failed sheds), Snapshot → Restore → AttachJournal, Seal and
-// Finish, is byte-identical to json.Marshal, and the commits and
-// checkpoints take the splice.
+// Finish, is byte-identical to json.Marshal, and commits with segments
+// and checkpoints are among them.
 func TestJournalRecordsMatchJSON(t *testing.T) {
 	faulty := fault.New(fault.Plan{Rates: map[fault.Point]float64{fault.AllocError: 0.3}, Seed: 3})
 	solve, err := registrySolve(DefaultAlgorithm)
@@ -163,8 +167,8 @@ func TestJournalRecordsMatchJSON(t *testing.T) {
 	}
 	s1.Close()
 
-	// The restored session's first record is a checkpoint whose whole
-	// committed prefix is the one piece AttachJournal seeds.
+	// The restored session's first record is a checkpoint of its whole
+	// committed prefix.
 	j2 := &diffJournal{t: t, every: 9}
 	c2 := cfg
 	c2.Journal = j2
@@ -241,9 +245,9 @@ func fuzzFloats(raw []byte, extra ...float64) []float64 {
 	return out
 }
 
-// FuzzJournalRecord builds records of every kind, with both splices
-// taken wherever they apply, and requires AppendJSON to return
-// json.Marshal's bytes, or an error where json.Marshal fails.
+// FuzzJournalRecord builds records of every kind, with segment arrays
+// wherever they apply, and requires AppendJSON to return json.Marshal's
+// bytes, or an error where json.Marshal fails.
 func FuzzJournalRecord(f *testing.F) {
 	bits := func(fs ...float64) []byte {
 		var b []byte
@@ -265,6 +269,9 @@ func FuzzJournalRecord(f *testing.F) {
 		fs := fuzzFloats(raw, a, b, c)
 		at := func(i int) float64 { return fs[i%len(fs)] }
 		segs := make([]schedule.Segment, int(n%7))
+		if len(segs) == 0 && kind%2 == 1 {
+			segs = nil // a snapshot's committed: null
+		}
 		for i := range segs {
 			segs[i] = schedule.Segment{Task: i*7 - 3, Core: int(n) - i, Start: at(3*i + 1), End: at(3*i + 2), Frequency: at(3*i + 3)}
 		}
@@ -300,25 +307,8 @@ func FuzzJournalRecord(f *testing.F) {
 			if n&32 != 0 {
 				rec.Segments = segs // encoded by encoding/json, ahead of the splice
 			}
-			// Cut the prefix into pieces, one per "commit".
-			for lo := 0; lo < len(segs); {
-				hi := lo + 1 + int(kind)%3
-				if hi > len(segs) {
-					hi = len(segs)
-				}
-				piece, err := segjson.Fields.AppendObjects(nil, segs[lo:hi])
-				if err != nil {
-					rec.committedJSON = nil
-					break
-				}
-				rec.committedJSON = append(rec.committedJSON, piece)
-				lo = hi
-			}
 		default:
 			rec.Segments = segs
-			if piece, err := segjson.Fields.AppendObjects(nil, segs); err == nil {
-				rec.segmentsJSON = piece
-			}
 		}
 		if kind%5 == 0 {
 			rec.Events = nil
@@ -336,4 +326,53 @@ func FuzzJournalRecord(f *testing.F) {
 			t.Fatalf("AppendJSON differs from json.Marshal:\ngot  %s\nwant %s", got, want)
 		}
 	})
+}
+
+// A checkpoint's AppendJSON measures its committed prefix before it
+// writes it, so a prefix of 10 000 segments costs one buffer of about
+// the record's size, not the several that append's growth steps would
+// allocate. Skipped under -race, which drops pooled float caches at
+// random.
+func TestCheckpointAppendAllocBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops sync.Pool entries at random")
+	}
+	rng := rand.New(rand.NewSource(3))
+	snap := &Snapshot{Algorithm: DefaultAlgorithm, Cores: 4, Model: testModel(), Now: 2500.125}
+	for i := 0; i < 400; i++ {
+		r := rng.Float64() * 2500
+		snap.Tasks = append(snap.Tasks, TaskState{Release: r, Work: rng.Float64() * 8, Deadline: r + 20*rng.Float64(), ArrivedAt: r, Done: true, CompletedAt: r + 5})
+	}
+	at := make([]float64, 4)
+	for i := 0; i < 10000; i++ {
+		core, task := i%4, rng.Intn(len(snap.Tasks))
+		end := at[core] + rng.Float64()
+		snap.Committed = append(snap.Committed, schedule.Segment{Task: task, Core: core, Start: at[core], End: end, Frequency: 0.5 + float64(task)/800})
+		at[core] = end
+	}
+	for i := 0; i < 64; i++ {
+		snap.Events = append(snap.Events, Event{Seq: int64(i), Type: EventCommit, Clock: float64(i) * 1.5, Task: -1, Count: 3, Energy: float64(i) * 0.75})
+	}
+	rec := &Record{Kind: RecCheckpoint, Clock: snap.Now, Seq: 64, Snapshot: snap}
+	want, err := json.Marshal(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The least of a few runs, so that a collection that empties the
+	// cache pool during one run does not count.
+	least := uint64(math.MaxUint64)
+	for run := 0; run < 5; run++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		got, err := rec.AppendJSON(nil)
+		runtime.ReadMemStats(&after)
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("AppendJSON differs from json.Marshal (%v)", err)
+		}
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	t.Logf("a %d-byte checkpoint allocates %d bytes", len(want), least)
+	if limit := uint64(len(want)) * 11 / 10; least > limit {
+		t.Errorf("a %d-byte checkpoint allocates %d bytes, ceiling %d (1.1×)", len(want), least, limit)
+	}
 }

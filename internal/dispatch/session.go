@@ -127,9 +127,6 @@ type Session struct {
 	jbuf    []Event
 	jbroken bool
 	sealed  bool
-	// jscratch is the buffer a commit record's segments are encoded in
-	// (see Record.AppendJSON), reused by every commit.
-	jscratch []byte
 }
 
 // New creates a session. The zero virtual clock is 0; the first arrival
@@ -383,7 +380,7 @@ func (s *Session) nextSolve() (job solveJob, shedN int, done bool, err error) {
 	prevNow := s.now
 	committed, deltas := s.commitToLocked(t1)
 	if s.cfg.Journal != nil && (len(committed) > 0 || s.now > prevNow) {
-		s.journalCommitLocked(committed, deltas)
+		s.journalLocked(&Record{Kind: RecCommit, Segments: committed, Deltas: deltas})
 	}
 	// Pending tasks whose window closed inside the debounce gap can
 	// no longer run; shed them rather than poison the residual.
@@ -646,7 +643,7 @@ func (s *Session) commitAll() (f *FinalReport, fresh bool, err error) {
 	prevNow := s.now
 	done, deltas := s.commitToLocked(horizon)
 	if s.cfg.Journal != nil && (len(done) > 0 || s.now > prevNow) {
-		s.journalCommitLocked(done, deltas)
+		s.journalLocked(&Record{Kind: RecCommit, Segments: done, Deltas: deltas})
 	}
 
 	f = &FinalReport{

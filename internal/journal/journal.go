@@ -8,7 +8,7 @@
 //	[4B payload length LE][4B CRC32C of payload][JSON-encoded Record]
 //
 // The payload is json.Marshal(rec) byte for byte; Record.AppendJSON
-// writes it without formatting a committed segment a second time.
+// writes it straight into the frame buffer, which grows at most once.
 //
 // Segments rotate at Options.SegmentBytes. A create/checkpoint record
 // always starts a fresh segment and — once durable — deletes every

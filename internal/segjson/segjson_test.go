@@ -2,6 +2,7 @@ package segjson
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"math"
 	"math/rand"
@@ -28,52 +29,63 @@ func edgeSegments() []schedule.Segment {
 	return segs
 }
 
-// Fields writes what encoding/json writes for schedule.Segment, both as
-// objects and, through an Encoder, as a whole array.
+// wireSegment has the fields and tags of wire.SegmentJSON, which this
+// package cannot import.
+type wireSegment struct {
+	Task      int     `json:"task"`
+	Core      int     `json:"core"`
+	Start     float64 `json:"start"`
+	End       float64 `json:"end"`
+	Frequency float64 `json:"frequency"`
+}
+
+// marshal returns what encoding/json writes for segs with k's keys.
+func marshal(k *Keys, segs []schedule.Segment) ([]byte, error) {
+	if k == Fields || segs == nil {
+		return json.Marshal(segs)
+	}
+	ws := make([]wireSegment, len(segs))
+	for i, s := range segs {
+		ws[i] = wireSegment(s)
+	}
+	return json.Marshal(ws)
+}
+
+// Fields and Wire write what encoding/json writes, measured exactly,
+// and Splice fits the array and its tail into a buffer with room for
+// exactly them.
 func TestFieldsMatchJSON(t *testing.T) {
-	segs := edgeSegments()
-	want, err := json.Marshal(segs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	objs, err := Fields.AppendObjects([]byte("["), segs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := append(objs, ']'); !bytes.Equal(got, want) {
-		t.Errorf("AppendObjects:\ngot  %s\nwant %s", got, want)
-	}
-	for _, s := range [][]schedule.Segment{nil, {}, segs} {
-		e := NewEncoder(Fields)
-		n, err := e.Measure(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := e.AppendArray(make([]byte, 0, n), s)
-		e.Release()
-		if cap(got) != n {
-			t.Errorf("nil=%v: the array outgrew its measured %d bytes (cap %d)", s == nil, n, cap(got))
-		}
-		want, err := json.Marshal(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want) || n != len(got) {
-			t.Errorf("nil=%v: measured %d, got %d bytes\n%s\nwant %s", s == nil, n, len(got), got, want)
-		}
-		var c FloatCache
-		if n, err = Fields.ArrayLen(s, &c); err != nil {
-			t.Fatal(err)
-		}
-		if got = Fields.AppendArray(make([]byte, 0, n), s, &c); !bytes.Equal(got, want) || cap(got) != n {
-			t.Errorf("nil=%v: ArrayLen %d, AppendArray %d bytes (cap %d)\n%s\nwant %s", s == nil, n, len(got), cap(got), got, want)
+	for _, s := range [][]schedule.Segment{nil, {}, edgeSegments()} {
+		for _, k := range []*Keys{Fields, Wire} {
+			want, err := marshal(k, s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var c FloatCache
+			n, err := k.ArrayLen(s, &c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := k.AppendArray(make([]byte, 0, n), s, &c); !bytes.Equal(got, want) || cap(got) != n {
+				t.Errorf("nil=%v: ArrayLen %d, AppendArray %d bytes (cap %d)\n%s\nwant %s", s == nil, n, len(got), cap(got), got, want)
+			}
+			// A buffer with room for exactly the result is not reallocated.
+			want = []byte(`{"segments":` + string(want) + "}")
+			head := append(make([]byte, 0, len(want)), `{"segments":`...)
+			got, err := k.Splice(head, s, []byte("}"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) || &got[0] != &head[:1][0] {
+				t.Errorf("nil=%v: Splice wrote %d bytes (cap %d, reallocated %v)\n%s\nwant %s", s == nil, len(got), cap(got), &got[0] != &head[:1][0], got, want)
+			}
 		}
 	}
 }
 
 // Random floats, far more distinct values than a FloatCache has slots,
-// encode through it as encoding/json writes them, and no float or
-// segment object outgrows the bounds the cache and MaxObject assume.
+// encode through it as encoding/json writes them, and no float
+// outgrows the slot the cache holds it in.
 func TestFloatCacheRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	segs := make([]schedule.Segment, 20000)
@@ -111,10 +123,6 @@ func TestFloatCacheRandom(t *testing.T) {
 		t.Fatalf("AppendArray differs from json.Marshal (%d bytes, measured %d, want %d)", len(got), n, len(want))
 	}
 	for i := range segs {
-		obj, err := Fields.AppendObjects(nil, segs[i:i+1])
-		if err != nil || len(obj) > MaxObject {
-			t.Fatalf("segment %v encodes in %d bytes (%v), MaxObject %d", segs[i], len(obj), err, MaxObject)
-		}
 		for _, f := range []float64{segs[i].Start, segs[i].End, segs[i].Frequency} {
 			if n := len(appendFloat(nil, f)); n > maxFloatJSON {
 				t.Fatalf("%v encodes in %d bytes, maxFloatJSON %d", f, n, maxFloatJSON)
@@ -123,22 +131,79 @@ func TestFloatCacheRandom(t *testing.T) {
 	}
 }
 
-// A non-finite segment float fails both ways of writing it.
+// A non-finite segment float fails both the measure and the splice,
+// which leaves its buffer as it was.
 func TestNonFiniteFails(t *testing.T) {
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		segs := []schedule.Segment{{Start: 0, End: 1, Frequency: 1}, {Start: 1, End: bad, Frequency: 1}}
-		if _, err := Wire.AppendObjects(nil, segs); err == nil {
-			t.Errorf("AppendObjects encoded %v", bad)
-		}
-		e := NewEncoder(Wire)
-		if _, err := e.Measure(segs); err == nil {
-			t.Errorf("Measure accepted %v", bad)
-		}
-		e.Release()
 		if _, err := Wire.ArrayLen(segs, new(FloatCache)); err == nil {
 			t.Errorf("ArrayLen accepted %v", bad)
 		}
+		if got, err := Wire.Splice([]byte("head"), segs, []byte("tail")); err == nil || string(got) != "head" {
+			t.Errorf("Splice of %v: %q, %v", bad, got, err)
+		}
 	}
+}
+
+// collider returns a float whose bits differ from f's but share its
+// FloatCache slot, chosen by salt.
+func collider(f float64, salt uint64) float64 {
+	const inv = 0xf1de83e19937733d // inv*slotHash = 1 mod 2^64
+	h := math.Float64bits(f) * slotHash
+	low := uint64(1)<<(64-cacheBits) - 1
+	if salt&low == 0 {
+		salt = 1
+	}
+	return math.Float64frombits((h ^ salt&low) * inv)
+}
+
+// FuzzSegmentArray encodes arrays through one pooled cache that is
+// never reset, each float followed by one that shares its slot and
+// then by itself again, so every input meets slots left by the inputs
+// before it and by its own colliding values. For both key sets,
+// AppendArray must write json.Marshal's bytes and ArrayLen their
+// length, and both must fail on a NaN or infinite value, as
+// json.Marshal does.
+func FuzzSegmentArray(f *testing.F) {
+	bits := func(fs ...float64) []byte {
+		var b []byte
+		for _, v := range fs {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+		}
+		return b
+	}
+	f.Add(int64(3), int64(-1), uint64(1), bits(edgeFloats...))
+	f.Add(int64(math.MinInt64), int64(math.MaxInt64), uint64(1<<50), bits(0.5, 1e-7, 1e21, 123456.789))
+	f.Add(int64(0), int64(0), uint64(7), bits(1, 2, math.NaN()))
+	f.Add(int64(-9), int64(4), uint64(12345), bits(math.Inf(-1), 0))
+	c := caches.Get().(*FloatCache)
+	f.Fuzz(func(t *testing.T, task, core int64, salt uint64, raw []byte) {
+		var fs []float64
+		for ; len(raw) >= 8; raw = raw[8:] {
+			v := math.Float64frombits(binary.LittleEndian.Uint64(raw))
+			fs = append(fs, v, collider(v, salt), v)
+		}
+		var segs []schedule.Segment
+		for i := 0; i+3 <= len(fs); i += 3 {
+			segs = append(segs, schedule.Segment{Task: int(task) + i, Core: int(core) - i, Start: fs[i], End: fs[i+1], Frequency: fs[i+2]})
+		}
+		for _, k := range []*Keys{Wire, Fields} {
+			want, werr := marshal(k, segs)
+			n, err := k.ArrayLen(segs, c)
+			switch {
+			case werr != nil:
+				if err == nil {
+					t.Fatalf("json.Marshal fails (%v), ArrayLen does not", werr)
+				}
+				continue
+			case err != nil:
+				t.Fatalf("ArrayLen: %v (json.Marshal: %s)", err, want)
+			}
+			if got := k.AppendArray([]byte("x"), segs, c); !bytes.Equal(got[1:], want) || n != len(want) {
+				t.Fatalf("ArrayLen %d, AppendArray %d bytes:\n%s\nwant %s", n, len(got)-1, got[1:], want)
+			}
+		}
+	})
 }
 
 // AppendJSON cuts exactly the prefix and suffix it is given, and

@@ -196,9 +196,11 @@ func TestConcurrentSessionsMatchSerial(t *testing.T) {
 const abandonAt = 5
 
 // abandoned is the schedule a test-abandon solve finished after its
-// deadline, with a copy of its segments taken when it finished.
+// deadline, with a copy of its segments taken when it finished; done
+// is closed once that solve has recorded them.
 var abandoned struct {
 	calls atomic.Int64
+	done  chan struct{}
 	mu    sync.Mutex
 	sched *schedule.Schedule
 	segs  []schedule.Segment
@@ -208,6 +210,7 @@ func init() {
 	// test-abandon is ReplanDER, except that one call (abandonAt)
 	// finishes only after its deadline has passed, so runSolve has
 	// stopped waiting for it.
+	abandoned.done = make(chan struct{})
 	check.Register(check.Entry{
 		Name: "test-abandon",
 		Run: func(ctx context.Context, ts task.Set, m int, pm power.Model) (*schedule.Schedule, float64, error) {
@@ -221,6 +224,7 @@ func init() {
 			abandoned.mu.Lock()
 			abandoned.sched, abandoned.segs = s, slices.Clone(s.Segments)
 			abandoned.mu.Unlock()
+			close(abandoned.done)
 			return s, energy, nil
 		},
 	})
@@ -240,9 +244,21 @@ func TestAbandonedSolveKeepsItsSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	waited := false
 	for _, a := range tr {
 		if resp, ar := arrive(t, hs.URL, "abandon", a.At, a.Tasks); resp.StatusCode != http.StatusOK || ar.Shed > 0 {
 			t.Fatalf("arrival at %g: status %d, %+v", a.At, resp.StatusCode, ar)
+		}
+		// The arrivals after the overrunning solve has returned its
+		// schedule are the ones that could recycle it; without this
+		// wait they can all be served before it returns.
+		if !waited && abandoned.calls.Load() >= abandonAt {
+			select {
+			case <-abandoned.done:
+			case <-time.After(10 * time.Second):
+				t.Fatal("the solve that overran its deadline never returned")
+			}
+			waited = true
 		}
 	}
 	resp, final := deleteSession(t, hs.URL, "abandon")

@@ -154,10 +154,10 @@ func (w *missWriter) Write(p []byte) (int, error) {
 func (w *missWriter) miss() bool { return bytes.Contains(w.head[:w.n], missMarker) }
 
 // TestSessionArrivalAllocBytes caps the mean bytes one session arrival
-// allocates on a journaled schedd, through Server.Handler, at about 1.2×
-// the measured 44–49 KB. The trace has perfbench's session-journaled
-// shape: Poisson batches of 1–3 tasks at rate 0.25 on 4 cores, which
-// keeps about 20 tasks live. The mean is taken over arrivals 101–200 of
+// allocates on a journaled schedd, through Server.Handler, at about
+// 1.15× the highest of the measured 36–40 KB. The trace has perfbench's
+// session-journaled shape: Poisson batches of 1–3 tasks at rate 0.25 on
+// 4 cores, which keeps about 20 tasks live. The mean is taken over arrivals 101–200 of
 // one session, after 100 that fill its buffers; it includes the one
 // checkpoint the session writes in that window. Skipped under -race,
 // which adds its own allocations.
@@ -167,7 +167,7 @@ func TestSessionArrivalAllocBytes(t *testing.T) {
 	}
 	const (
 		warm, measured = 100, 100
-		ceiling        = 57 << 10
+		ceiling        = 45 << 10
 	)
 	srv := New(Config{DataDir: t.TempDir()})
 	t.Cleanup(srv.Close)

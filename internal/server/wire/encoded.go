@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net"
+	"slices"
 	"strconv"
 
 	"repro/internal/schedule"
@@ -41,7 +42,7 @@ const (
 //
 // Every field but the segment array goes through encoding/json, which
 // owns string escaping. The array, almost all of the body, is appended
-// directly, formatting each distinct float once (see segjson.Encoder).
+// directly (see segjson.Keys.Splice), and the body is allocated once.
 func EncodeSchedule(r *ScheduleResponse, segs []schedule.Segment) (*EncodedSchedule, error) {
 	v := *r
 	v.Cached, v.Segments, v.ElapsedMS = false, nil, 0
@@ -57,20 +58,15 @@ func EncodeSchedule(r *ScheduleResponse, segs []schedule.Segment) (*EncodedSched
 	if err != nil {
 		return nil, err
 	}
-	head, tail := frame[:at+len(frameHead)], frame[at+len(frameHead+"null"):]
-
-	se := segjson.NewEncoder(segjson.Wire)
-	defer se.Release()
-	n, err := se.Measure(segs)
+	// The head is clipped, so that the body is a new buffer of exactly
+	// its size rather than an overwrite of the tail that follows it.
+	head, tail := slices.Clip(frame[:at+len(frameHead)]), frame[at+len(frameHead+"null"):]
+	body, err := segjson.Wire.Splice(head, segs, tail)
 	if err != nil {
 		return nil, err
 	}
-	body := make([]byte, 0, len(head)+n+len(tail))
-	body = append(body, head...)
-	body = se.AppendArray(body, segs)
-	body = append(body, tail...)
 	c := at + len(cachedField)
-	e := len(head) + n + len(`,`+elapsedField)
+	e := len(body) - len(tail) + len(`,`+elapsedField)
 	return &EncodedSchedule{Body: body, cachedAt: c, elapsedAt: e}, nil
 }
 
@@ -102,11 +98,7 @@ var sessionFinalZero = segjson.ZeroPrefix(SessionFinalResponse{})
 // is not read): byte for byte what json.Marshal writes for r with
 // Segments set to the SegmentJSON form of segs, a nil segs encoding as
 // null. encoding/json writes every other field; the segment array, most
-// of the body, is appended directly. The body is allocated once, at its
-// exact size. A session's realized schedule is encoded once, so unlike
-// EncodeSchedule this measures and writes it through a small
-// segjson.FloatCache rather than an Encoder's memo of its distinct
-// values, which for a long session costs more than the body.
+// of the body, is appended directly, as EncodeSchedule appends it.
 func EncodeSessionFinal(r *SessionFinalResponse, segs []schedule.Segment) ([]byte, error) {
 	head := *r
 	head.Segments, head.Sim = nil, nil
@@ -118,15 +110,8 @@ func EncodeSessionFinal(r *SessionFinalResponse, segs []schedule.Segment) ([]byt
 	if err != nil {
 		return nil, err
 	}
-	cache := new(segjson.FloatCache)
-	n, err := segjson.Wire.ArrayLen(segs, cache)
-	if err != nil {
-		return nil, err
-	}
-	body := make([]byte, 0, len(hb)+n+len(tb))
-	body = append(body, hb...)
-	body = segjson.Wire.AppendArray(body, segs, cache)
-	return append(body, tb...), nil
+	// Clipped, so that the body is allocated at exactly its size.
+	return segjson.Wire.Splice(slices.Clip(hb), segs, tb)
 }
 
 // EncodedBatchItem is one item for EncodeBatch: the spliced Parts of

@@ -30,8 +30,8 @@ func encoderOutput(t *testing.T, v any) []byte {
 	return buf.Bytes()
 }
 
-// segmentsJSON is the wire form of segs, keeping nil as nil.
-func segmentsJSON(segs []schedule.Segment) []SegmentJSON {
+// wireSegments is the wire form of segs, keeping nil as nil.
+func wireSegments(segs []schedule.Segment) []SegmentJSON {
 	if segs == nil {
 		return nil
 	}
@@ -45,7 +45,7 @@ func TestEncodeScheduleSplices(t *testing.T) {
 	resp := ScheduleResponse{
 		Version: Version, Algorithm: `S^F2 "cached":false,"segments":null,"elapsed_ms":0`, Cores: 2,
 		Energy: 1.5, Verified: true, Cached: true, ElapsedMS: 99,
-		Segments: segmentsJSON(segs),
+		Segments: wireSegments(segs),
 		Degraded: true, FallbackAlgorithm: "MaxFreq",
 		Sim: &SimReportJSON{Energy: 1.5, Violations: []string{`"elapsed_ms":0`}},
 	}
@@ -80,7 +80,7 @@ func TestEncodeScheduleSplices(t *testing.T) {
 // encoding/json writes them; a non-finite segment float is an error.
 func TestEncodeScheduleSegmentEdges(t *testing.T) {
 	for _, segs := range [][]schedule.Segment{nil, {}} {
-		resp := ScheduleResponse{Algorithm: "S^F2", Cores: 1, Segments: segmentsJSON(segs)}
+		resp := ScheduleResponse{Algorithm: "S^F2", Cores: 1, Segments: wireSegments(segs)}
 		enc, err := EncodeSchedule(&resp, segs)
 		if err != nil {
 			t.Fatal(err)
@@ -134,13 +134,13 @@ func servedReplies(tb testing.TB, count int) ([][]schedule.Segment, []ScheduleRe
 
 // On replies the size the server serves, the encoded body equals
 // json.Marshal's output for the equivalent ScheduleResponse, also with
-// several goroutines sharing the pooled float memo.
+// several goroutines sharing the pooled float caches.
 func TestEncodeScheduleMatchesJSON(t *testing.T) {
 	segs, resps := servedReplies(t, 20)
 	want := make([][]byte, len(segs))
 	for i := range segs {
 		v := resps[i]
-		v.Segments = segmentsJSON(segs[i])
+		v.Segments = wireSegments(segs[i])
 		b, err := json.Marshal(v)
 		if err != nil {
 			t.Fatal(err)
@@ -173,7 +173,7 @@ func TestEncodeScheduleMatchesJSON(t *testing.T) {
 
 // TestEncodeScheduleAllocs pins the encoder's allocations on a served
 // S^F2 n=100, m=16 reply: the body, the frame encoding/json marshals
-// and the result, with the float memo pooled (json.Marshal of the
+// and the result, with the float cache pooled (json.Marshal of the
 // equivalent struct, plus the SegmentJSON copy it needs, takes 6 to 7).
 func TestEncodeScheduleAllocs(t *testing.T) {
 	segs, resps := servedReplies(t, 1)
@@ -261,7 +261,7 @@ func TestEncodeSessionFinalMatchesJSON(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", tc.name, err)
 			}
-			resp.Segments = segmentsJSON(tc.segs)
+			resp.Segments = wireSegments(tc.segs)
 			want, err := json.Marshal(resp)
 			if err != nil {
 				t.Fatal(err)

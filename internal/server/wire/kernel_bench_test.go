@@ -7,14 +7,18 @@ import (
 	"repro/internal/schedule"
 )
 
-// BenchmarkEncodeSchedule encodes a served S^F2 reply to a paper-default
-// n=100 instance on 16 cores: the encode every solve-cache miss runs.
+// BenchmarkEncodeSchedule encodes served S^F2 replies to paper-default
+// n=100 instances on 16 cores: the encode every solve-cache miss runs.
+// It rotates over 8 distinct replies, as a server's misses are, so that
+// no cache carried from one encode to the next reads warmer than it
+// would in service.
 func BenchmarkEncodeSchedule(b *testing.B) {
-	segs, resps := servedReplies(b, 1)
+	segs, resps := servedReplies(b, 8)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		enc, err := EncodeSchedule(&resps[0], segs[0])
+		k := i % len(segs)
+		enc, err := EncodeSchedule(&resps[k], segs[k])
 		if err != nil {
 			b.Fatal(err)
 		}
