@@ -146,12 +146,13 @@ bench:
 # Small-case benchmark smoke for CI: exercises the matrix end to end
 # without meaningful machine-time cost, then runs every benchmark of
 # the packages with a kernel_bench_test.go once, so the per-layer
-# kernel benchmarks keep compiling and running.
+# kernel benchmarks keep compiling and running, with -benchmem, so the
+# log shows what each allocates per op.
 KERNEL_BENCH_PKGS = $(patsubst %/kernel_bench_test.go,./%,$(shell find internal -name kernel_bench_test.go))
 bench-smoke:
 	$(GO) run ./cmd/schedbench -quick -o bench-smoke.json
 	cat bench-smoke.json
-	$(GO) test -run '^$$' -bench . -benchtime=1x $(KERNEL_BENCH_PKGS)
+	$(GO) test -run '^$$' -bench . -benchtime=1x -benchmem $(KERNEL_BENCH_PKGS)
 
 clean:
 	$(GO) clean ./...

@@ -107,11 +107,6 @@ type Report struct {
 	Quantized *discrete.Assignment
 }
 
-// solverPool recycles core.Solver scratch arenas across Solve calls, so
-// a serving loop pays the hot path's steady-state allocation cost (what
-// escapes into the Report) rather than rebuilding scratch per request.
-var solverPool = sync.Pool{New: func() any { return core.NewSolver() }}
-
 // Solve runs one scheduling instance described by spec under ctx.
 //
 // Cancellation: the subinterval pipeline (MethodDER, MethodEven) and the
@@ -165,10 +160,12 @@ func solve(ctx context.Context, spec Spec) (*Report, error) {
 		if method == MethodEven {
 			am = Even
 		}
-		sv := solverPool.Get().(*core.Solver)
+		// A pooled Solver: a serving loop pays only what escapes into
+		// the Report, not the scratch arenas, per request.
+		sv := core.GetSolver()
 		res, err := sv.Schedule(spec.Tasks, spec.Cores, spec.Model, am,
 			core.Options{Tolerance: tol, Context: ctx})
-		solverPool.Put(sv)
+		core.PutSolver(sv)
 		if err != nil {
 			return nil, err
 		}

@@ -21,6 +21,16 @@ import (
 // Runners must honor ctx: when the request driving the run is canceled
 // (schedd timeout, client disconnect) the runner should abort promptly
 // and return ctx.Err() rather than solving to completion.
+//
+// Handoff: a successful run hands over a schedule that nothing else
+// holds, neither the schedule nor its segments, so the caller owns both
+// outright. A caller that is done with them may give them to
+// schedule.Recycle, where a runner that builds with schedule.Reuse (the
+// Section V schedulers, ReplanDER) picks them up: schedd recycles a
+// one-shot solve's schedule once its reply is encoded, and a session a
+// plan once a later one replaces it. A caller keeps, and never recycles,
+// the schedule of a run it stopped waiting for; a runner never recycles
+// a schedule it has returned.
 type Runner func(ctx context.Context, ts task.Set, m int, pm power.Model) (*schedule.Schedule, float64, error)
 
 // Entry is one registered scheduler.

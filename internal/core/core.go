@@ -21,15 +21,16 @@
 // The hot path is allocation-lean: a Solver holds scratch arenas (slot
 // buffers, pack requests and pieces, per-task frequency tables) that are
 // reused across calls, so a serving loop allocates only what escapes into
-// the returned Result. A caller that keeps only S^F's segments
-// (Solver.AppendFinal) has the stages built in the Solver's arenas too
-// and allocates nothing per solve.
+// the returned Result. A caller that keeps only one schedule's segments
+// (Solver.AppendFinal, Solver.AppendIntermediate) has the stages built
+// in the Solver's arenas too and allocates nothing per solve.
 package core
 
 import (
 	"context"
 	"fmt"
 	"slices"
+	"sync"
 
 	"repro/internal/alloc"
 	"repro/internal/check"
@@ -94,9 +95,10 @@ const ctxCheckStride = 32
 // Solver runs the Section V pipeline while reusing scratch buffers across
 // calls. The zero value is ready to use; a Solver must not be used from
 // multiple goroutines at once. A caller that solves from many goroutines
-// keeps its Solvers in a sync.Pool, as internal/online's replanner does:
-// nothing a call returns aliases the Solver, so it can go back to the
-// pool as soon as the call returns, but not after a panic inside it.
+// takes its Solvers from a pool (GetSolver, or a pool of its own, as
+// internal/online's replanner has): nothing a call returns aliases the
+// Solver, so it can go back to the pool as soon as the call returns, but
+// not after a panic inside it.
 type Solver struct {
 	allocB alloc.Builder
 
@@ -105,11 +107,26 @@ type Solver struct {
 	freqOf  []float64
 	useTime []float64
 
-	// scratch is the Result AppendFinal builds on: its stages and tables
-	// are rebuilt in place by every call, as none of them leaves it.
+	// scratch is the Result AppendFinal and AppendIntermediate build on:
+	// its stages and tables are rebuilt in place by every call, as none
+	// of them leaves it.
 	scratch Result
 	out     schedule.Schedule
 }
+
+// solvers pools the Solvers of one-shot solves, the registry runners'
+// and easched.Solve's, so that a serving loop does not build scratch
+// arenas for every request.
+var solvers = sync.Pool{New: func() any { return new(Solver) }}
+
+// GetSolver returns a Solver from the package's pool, for calls from
+// one goroutine until PutSolver gives it back.
+func GetSolver() *Solver { return solvers.Get().(*Solver) }
+
+// PutSolver gives sv back to the package's pool once its last call has
+// returned. A Solver whose call panicked must not go back: its scratch
+// may be half built.
+func PutSolver(sv *Solver) { solvers.Put(sv) }
 
 // NewSolver returns an empty Solver. Identical to new(Solver); exists for
 // call-site clarity.
@@ -123,15 +140,10 @@ func Schedule(ts task.Set, m int, pm power.Model, method alloc.Method, opts Opti
 
 // Schedule runs the full pipeline of Section V for one allocation method,
 // reusing the solver's scratch arenas. It builds both S^I and S^F; a
-// caller that takes only one of them should call Intermediate or Final.
+// caller that takes only one of them should call Final,
+// AppendIntermediate or AppendFinal.
 func (sv *Solver) Schedule(ts task.Set, m int, pm power.Model, method alloc.Method, opts Options) (*Result, error) {
 	return sv.solve(ts, m, pm, method, opts, (*Solver).intermediate, (*Solver).final)
-}
-
-// Intermediate runs the pipeline up to S^I only: the returned Result has
-// no Final, FinalFrequencies or AvailableTime.
-func (sv *Solver) Intermediate(ts task.Set, m int, pm power.Model, method alloc.Method, opts Options) (*Result, error) {
-	return sv.solve(ts, m, pm, method, opts, (*Solver).intermediate)
 }
 
 // Final runs the pipeline up to S^F only: S^F needs the allocation
@@ -141,30 +153,49 @@ func (sv *Solver) Final(ts task.Set, m int, pm power.Model, method alloc.Method,
 	return sv.solve(ts, m, pm, method, opts, (*Solver).final)
 }
 
-// AppendFinal runs the pipeline up to S^F, as Final does, and appends
-// S^F's segments to dst. Nothing else of the solve leaves the Solver:
-// the decomposition, ideal plan, allocation and frequency tables are
-// built in the Solver's own scratch and overwritten by its next
-// AppendFinal, so a caller that keeps only the schedule (internal/online's
-// replanner) solves instance after instance without allocating them
-// again. The Solver keeps no reference to dst or ts once it returns.
-func (sv *Solver) AppendFinal(dst []schedule.Segment, ts task.Set, m int, pm power.Model, method alloc.Method, opts Options) ([]schedule.Segment, error) {
+// AppendFinal runs the pipeline up to S^F, as Final does, appends
+// S^F's segments to dst and returns them with E^F. Nothing else of the
+// solve leaves the Solver: the decomposition, ideal plan, allocation and
+// frequency tables are built in the Solver's own scratch and overwritten
+// by its next append, so a caller that keeps only the schedule
+// (internal/online's replanner, the registry runners) solves instance
+// after instance without allocating them again. The Solver keeps no
+// reference to dst or ts once it returns.
+func (sv *Solver) AppendFinal(dst []schedule.Segment, ts task.Set, m int, pm power.Model, method alloc.Method, opts Options) ([]schedule.Segment, float64, error) {
+	return sv.appendSchedule(dst, ts, m, pm, method, opts, true)
+}
+
+// AppendIntermediate is AppendFinal for S^I: it appends S^I's segments
+// to dst and returns them with E^I.
+func (sv *Solver) AppendIntermediate(dst []schedule.Segment, ts task.Set, m int, pm power.Model, method alloc.Method, opts Options) ([]schedule.Segment, float64, error) {
+	return sv.appendSchedule(dst, ts, m, pm, method, opts, false)
+}
+
+// appendSchedule builds S^F (final) or S^I in the Solver's scratch
+// Result, with dst as the schedule's segment buffer.
+func (sv *Solver) appendSchedule(dst []schedule.Segment, ts task.Set, m int, pm power.Model, method alloc.Method, opts Options, final bool) ([]schedule.Segment, float64, error) {
 	r := &sv.scratch
 	if r.Decomp == nil {
 		r.Decomp, r.Ideal, r.Alloc = new(interval.Decomposition), new(ideal.Plan), new(alloc.Allocation)
 	}
 	sv.out.Segments = dst
-	r.Final = &sv.out
+	build, energy := (*Solver).intermediate, &r.IntermediateEnergy
+	r.Intermediate = &sv.out
+	if final {
+		build, energy = (*Solver).final, &r.FinalEnergy
+		r.Intermediate, r.Final = nil, &sv.out
+	}
 	err := sv.prepare(r, ts, m, pm, method, opts)
 	if err == nil {
-		err = sv.final(r, opts)
+		err = build(sv, r, opts)
 	}
+	var e float64
 	if err == nil {
-		dst = sv.out.Segments
+		dst, e = sv.out.Segments, *energy
 	}
 	sv.out = schedule.Schedule{}
-	r.Tasks, r.Decomp.Tasks, r.Final = nil, nil, nil
-	return dst, err
+	r.Tasks, r.Decomp.Tasks, r.Intermediate, r.Final = nil, nil, nil, nil
+	return dst, e, err
 }
 
 // solve runs the stages every schedule shares, then builds, in order,
@@ -286,7 +317,13 @@ func (sv *Solver) grow(d *interval.Decomposition, m int) int {
 func (sv *Solver) buildIntermediate(ctx context.Context, r *Result) error {
 	segs := sv.grow(r.Decomp, r.Cores)
 	freqOf := sv.freqOf[:len(r.Tasks)]
-	sched := schedule.New(r.Tasks, r.Cores)
+	// A Result that arrives with an Intermediate builds into it
+	// (AppendIntermediate).
+	sched := r.Intermediate
+	if sched == nil {
+		sched = schedule.New(r.Tasks, r.Cores)
+	}
+	sched.Tasks, sched.Cores = r.Tasks, r.Cores
 	sched.Grow(segs)
 	var energy numeric.KahanSum
 	for j := range r.Decomp.Subs {

@@ -33,7 +33,8 @@ func sameSegments(a, b []schedule.Segment) bool {
 
 // Each registry runner builds only the schedule it returns; that
 // schedule and its energy must be bit-identical to the matching half of
-// the full pipeline's Result.
+// the full pipeline's Result, also when it is built in a recycled
+// schedule that a run on another instance left.
 func TestRunnersMatchSchedule(t *testing.T) {
 	runners := []struct {
 		name   string
@@ -71,13 +72,15 @@ func TestRunnersMatchSchedule(t *testing.T) {
 			if math.Float64bits(gotE) != math.Float64bits(wantE) {
 				t.Errorf("trial %d %s: energy %v, Schedule's %v", trial, r.name, gotE, wantE)
 			}
+			// The next runs build in this schedule's buffer.
+			schedule.Recycle(got)
 		}
 	}
 }
 
-// Final and Intermediate each grow their own scratch, so either runs on
-// a fresh Solver, and a Solver reused across sizes and entry points
-// returns what a fresh one does.
+// Final, AppendFinal and AppendIntermediate each grow their own
+// scratch, so any of them runs on a fresh Solver, and a Solver reused
+// across sizes and entry points returns what a fresh one does.
 func TestSolverSingleScheduleEntryPoints(t *testing.T) {
 	ts := task.SectionVDExample()
 	pm := power.Unit(3, 0)
@@ -91,12 +94,13 @@ func TestSolverSingleScheduleEntryPoints(t *testing.T) {
 	if got := res.FinalEnergy; math.Abs(got-31.8362) > 5e-4 {
 		t.Errorf("E^F2 = %.4f, paper reports 31.8362", got)
 	}
-	res, err = NewSolver().Intermediate(ts, 4, pm, alloc.Even, Options{})
+	segs, energy, err := NewSolver().AppendIntermediate(nil, ts, 4, pm, alloc.Even, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Final != nil || res.FinalFrequencies != nil {
-		t.Error("Intermediate built S^F")
+	want := MustSchedule(ts, 4, pm, alloc.Even, Options{})
+	if !sameSegments(segs, want.Intermediate.Segments) || energy != want.IntermediateEnergy {
+		t.Error("a fresh Solver's AppendIntermediate differs from Schedule's S^I")
 	}
 
 	rng := rand.New(rand.NewSource(7))
@@ -112,15 +116,19 @@ func TestSolverSingleScheduleEntryPoints(t *testing.T) {
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
-		inter, err := sv.Intermediate(ts, 8, pm, alloc.DER, opts)
+		inter, interE, err := sv.AppendIntermediate(nil, ts, 8, pm, alloc.DER, opts)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
-		if !sameSegments(fin.Final.Segments, full.Final.Segments) || fin.FinalEnergy != full.FinalEnergy {
+		appended, appendedE, err := sv.AppendFinal(nil, ts, 8, pm, alloc.DER, opts)
+		if err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		if !sameSegments(fin.Final.Segments, full.Final.Segments) || fin.FinalEnergy != full.FinalEnergy ||
+			!sameSegments(appended, full.Final.Segments) || appendedE != full.FinalEnergy {
 			t.Errorf("n=%d: reused Solver's S^F differs from Schedule's", n)
 		}
-		if !sameSegments(inter.Intermediate.Segments, full.Intermediate.Segments) ||
-			inter.IntermediateEnergy != full.IntermediateEnergy {
+		if !sameSegments(inter, full.Intermediate.Segments) || interE != full.IntermediateEnergy {
 			t.Errorf("n=%d: reused Solver's S^I differs from Schedule's", n)
 		}
 	}

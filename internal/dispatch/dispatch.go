@@ -63,15 +63,13 @@ var (
 // sessions default to the registered scheduler plus an in-band
 // check.Validate.
 //
-// A successful solve hands its schedule over to the session: the
-// session takes the segments as its plan suffix, rewriting their task
-// IDs in place, and once a later plan replaces them it passes them,
-// with the schedule, to schedule.Recycle, where a solver building with
-// schedule.Reuse (internal/online's replanner) picks them up. So a
-// SolveFunc returns a schedule that nothing else holds, as every
-// registered scheduler does. The session never touches the schedule of
-// a failed solve, nor of one it stopped waiting for: a solve abandoned
-// at its deadline keeps what it built.
+// A successful solve hands its schedule over to the session under
+// check.Runner's handoff rule, which every registered scheduler keeps:
+// the session takes the segments as its plan suffix, rewriting their
+// task IDs in place, and once a later plan replaces them it passes
+// them, with the schedule, to schedule.Recycle. The session never
+// touches the schedule of a failed solve, nor of one it stopped waiting
+// for: a solve abandoned at its deadline keeps what it built.
 type SolveFunc func(ctx context.Context, ts task.Set, m int, pm power.Model) (*schedule.Schedule, float64, error)
 
 // Hooks are optional observability callbacks. They are invoked outside

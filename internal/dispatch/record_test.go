@@ -331,7 +331,7 @@ func FuzzJournalRecord(f *testing.F) {
 // A checkpoint's AppendJSON measures its committed prefix before it
 // writes it, so a prefix of 10 000 segments costs one buffer of about
 // the record's size, not the several that append's growth steps would
-// allocate. Skipped under -race, which drops pooled float caches at
+// allocate. Skipped under -race, which drops pooled encoders at
 // random.
 func TestCheckpointAppendAllocBytes(t *testing.T) {
 	if raceEnabled {

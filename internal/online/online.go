@@ -150,7 +150,7 @@ func (rp *replanner) run(ts task.Set, m int, pm power.Model) (*Result, error) {
 		if whole {
 			buf = out.Segments[:0]
 		}
-		segs, err := rp.sv.AppendFinal(buf, residual, m, pm, alloc.DER, core.Options{Tolerance: 1e-9, SkipValidation: true})
+		segs, _, err := rp.sv.AppendFinal(buf, residual, m, pm, alloc.DER, core.Options{Tolerance: 1e-9, SkipValidation: true})
 		if err != nil {
 			return nil, fmt.Errorf("online: replanning at t=%g: %w", t0, err)
 		}

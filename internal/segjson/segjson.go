@@ -6,7 +6,7 @@
 // session's committed prefix, and formatting their floats is almost all
 // of their cost. The wire replies (lower-case keys, wire.SegmentJSON)
 // and the journal records (schedule.Segment's own field names) share
-// this one appender, Keys.Splice over a pooled FloatCache; Keys selects
+// this one appender, Keys.Splice over a reused FloatCache; Keys selects
 // the field names.
 package segjson
 
@@ -15,6 +15,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"math/bits"
+	"runtime"
 	"strconv"
 	"sync"
 
@@ -71,20 +73,26 @@ func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
 // next, a task keeps its frequency): the table catches most repeats
 // without a memo of every distinct value. Each slot is checked against
 // its float's bits, so a cache serves array after array without a
-// reset; Splice takes one from a pool. The zero value is ready to use.
+// reset; Splice takes an idle one. Each array uses a part of the
+// table sized to it, so a short one neither allocates nor touches a
+// large table. The zero value is ready to use.
 type FloatCache struct {
-	bits [cacheSlots]uint64
-	size [cacheSlots]uint8 // 0 for an empty slot: no float encodes empty
-	text [cacheSlots][maxFloatJSON]byte
+	shift uint // 64 − log2 of the slots the current array uses
+	bits  []uint64
+	size  []uint8 // 0 for an empty slot: no float encodes empty
+	text  [][maxFloatJSON]byte
 }
 
 const (
-	// cacheBits sizes the table, 16384 slots (557 KB), by measurement:
+	// cacheBits bounds the table, 16384 slots (557 KB), by measurement:
 	// a served S^F2 reply (n=100, m=16: about 6 000 segments, 2 000 to
 	// 3 000 distinct floats) encodes 2–8% faster through it than
-	// through 8192 slots, and about 18% faster than through 4096.
-	cacheBits  = 14
-	cacheSlots = 1 << cacheBits
+	// through 8192 slots, and about 18% faster than through 4096. A
+	// shorter array uses about two slots per segment (at least 64, 2 KB
+	// of table), as that reply does, so that a journal commit of a few
+	// dozen segments neither allocates nor zeroes a table that size.
+	cacheBits    = 14
+	minCacheBits = 6
 	// maxFloatJSON bounds appendFloat's output: a sign, "0.", five
 	// zeros and 17 digits below 1, or a sign, 17 digits, "e-" and a
 	// three-digit exponent in exponent form.
@@ -93,7 +101,50 @@ const (
 	slotHash = 0x9e3779b97f4a7c15
 )
 
-var caches = sync.Pool{New: func() any { return new(FloatCache) }}
+// caches holds idle FloatCaches for Splice. Unlike a sync.Pool, which
+// drops what it holds across two collections, it keeps them: a session
+// journals its longest array, a checkpoint of its whole committed
+// prefix, once in hundreds of commits and many collections, and would
+// grow a new table for each. It holds as many caches as Splices run at
+// once, at most GOMAXPROCS, each with at most the largest table.
+var caches = make(chan *FloatCache, runtime.GOMAXPROCS(0))
+
+// takeCache returns an idle FloatCache, or a new one.
+func takeCache() *FloatCache {
+	select {
+	case c := <-caches:
+		return c
+	default:
+		return new(FloatCache)
+	}
+}
+
+// putCache gives c back to the idle caches, unless they are full.
+func putCache(c *FloatCache) {
+	select {
+	case caches <- c:
+	default:
+	}
+}
+
+// fit readies c for an array of n segments: the array uses the first
+// 1<<b slots of the table, b = tableBits(n), which grows to them if it
+// is shorter. A longer table keeps its other slots for a longer array.
+func (c *FloatCache) fit(n int) {
+	b := tableBits(n)
+	if len(c.bits) < 1<<b {
+		c.bits = make([]uint64, 1<<b)
+		c.size = make([]uint8, 1<<b)
+		c.text = make([][maxFloatJSON]byte, 1<<b)
+	}
+	c.shift = uint(64 - b)
+}
+
+// tableBits returns the log2 of the slot count for an array of n
+// segments.
+func tableBits(n int) int {
+	return min(max(bits.Len(uint(2*n)), minCacheBits), cacheBits)
+}
 
 // Splice appends segs as an array, null for nil segs as encoding/json
 // writes a nil slice, and then tail, the encoding of what follows the
@@ -101,8 +152,8 @@ var caches = sync.Pool{New: func() any { return new(FloatCache) }}
 // exactly its final size. It fails, as encoding/json does, on a NaN or
 // infinite value, and then returns b unchanged.
 func (k *Keys) Splice(b []byte, segs []schedule.Segment, tail []byte) ([]byte, error) {
-	c := caches.Get().(*FloatCache)
-	defer caches.Put(c)
+	c := takeCache()
+	defer putCache(c)
 	n, err := k.ArrayLen(segs, c)
 	if err != nil {
 		return b, err
@@ -115,15 +166,24 @@ func (k *Keys) Splice(b []byte, segs []schedule.Segment, tail []byte) ([]byte, e
 }
 
 // encode returns f's encoding from the table, formatting it on a miss.
-// f must be finite.
+// f must be finite, and c must have a table.
 func (c *FloatCache) encode(f float64) []byte {
 	bits := math.Float64bits(f)
-	i := (bits * slotHash) >> (64 - cacheBits)
-	if c.size[i] == 0 || c.bits[i] != bits {
-		c.bits[i] = bits
-		c.size[i] = uint8(len(appendFloat(c.text[i][:0], f)))
+	i := (bits * slotHash) >> (c.shift & 63)
+	// The three tables have one length: checked once, for bits.
+	n := len(c.bits)
+	size, text := c.size[:n], c.text[:n]
+	if c.bits[i] != bits || size[i] == 0 {
+		c.fill(i, f)
 	}
-	return c.text[i][:c.size[i]]
+	return text[i][:size[i]]
+}
+
+// fill formats f into slot i. Out of line, it leaves encode's hit path
+// short.
+func (c *FloatCache) fill(i uint64, f float64) {
+	c.bits[i] = math.Float64bits(f)
+	c.size[i] = uint8(len(appendFloat(c.text[i][:0], f)))
 }
 
 // ArrayLen returns the length of segs encoded as an array by
@@ -133,6 +193,7 @@ func (k *Keys) ArrayLen(segs []schedule.Segment, c *FloatCache) (int, error) {
 	if segs == nil {
 		return len("null"), nil
 	}
+	c.fit(len(segs))
 	n := len("[]")
 	if len(segs) > 0 {
 		n += len(segs)*fixed + len(segs) - 1
@@ -157,6 +218,7 @@ func (k *Keys) AppendArray(b []byte, segs []schedule.Segment, c *FloatCache) []b
 	if segs == nil {
 		return append(b, "null"...)
 	}
+	c.fit(len(segs))
 	b = append(b, '[')
 	for i := range segs {
 		if i > 0 {

@@ -146,18 +146,18 @@ func TestNonFiniteFails(t *testing.T) {
 }
 
 // collider returns a float whose bits differ from f's but share its
-// FloatCache slot, chosen by salt.
-func collider(f float64, salt uint64) float64 {
+// slot in c, chosen by salt.
+func collider(c *FloatCache, f float64, salt uint64) float64 {
 	const inv = 0xf1de83e19937733d // inv*slotHash = 1 mod 2^64
 	h := math.Float64bits(f) * slotHash
-	low := uint64(1)<<(64-cacheBits) - 1
+	low := uint64(1)<<c.shift - 1
 	if salt&low == 0 {
 		salt = 1
 	}
 	return math.Float64frombits((h ^ salt&low) * inv)
 }
 
-// FuzzSegmentArray encodes arrays through one pooled cache that is
+// FuzzSegmentArray encodes arrays through one idle cache that is
 // never reset, each float followed by one that shares its slot and
 // then by itself again, so every input meets slots left by the inputs
 // before it and by its own colliding values. For both key sets,
@@ -176,12 +176,13 @@ func FuzzSegmentArray(f *testing.F) {
 	f.Add(int64(math.MinInt64), int64(math.MaxInt64), uint64(1<<50), bits(0.5, 1e-7, 1e21, 123456.789))
 	f.Add(int64(0), int64(0), uint64(7), bits(1, 2, math.NaN()))
 	f.Add(int64(-9), int64(4), uint64(12345), bits(math.Inf(-1), 0))
-	c := caches.Get().(*FloatCache)
+	c := takeCache()
 	f.Fuzz(func(t *testing.T, task, core int64, salt uint64, raw []byte) {
+		c.fit(len(raw) / 8) // the slots ArrayLen and AppendArray use
 		var fs []float64
 		for ; len(raw) >= 8; raw = raw[8:] {
 			v := math.Float64frombits(binary.LittleEndian.Uint64(raw))
-			fs = append(fs, v, collider(v, salt), v)
+			fs = append(fs, v, collider(c, v, salt), v)
 		}
 		var segs []schedule.Segment
 		for i := 0; i+3 <= len(fs); i += 3 {
@@ -204,6 +205,28 @@ func FuzzSegmentArray(f *testing.F) {
 			}
 		}
 	})
+}
+
+// An array uses about two slots per segment: a journal commit of a few
+// dozen segments a small table, a served S^F2 reply of about 6 000
+// segments (n=100, m=16) the largest, 16384 slots. A table grows to
+// the slots an array uses and keeps them for a later, shorter one.
+func TestTableSize(t *testing.T) {
+	for _, c := range []struct{ segs, slots int }{
+		{0, 64}, {1, 64}, {31, 64}, {32, 128}, {60, 128}, {1000, 2048},
+		{4095, 8192}, {4096, 16384}, {6000, 16384}, {1 << 20, 16384},
+	} {
+		var fc FloatCache
+		fc.fit(c.segs)
+		if got := 1 << (64 - fc.shift); got != c.slots || len(fc.bits) != got || len(fc.size) != got || len(fc.text) != got {
+			t.Errorf("%d segments use %d slots of a %d-slot table, want %d", c.segs, got, len(fc.bits), c.slots)
+		}
+		table := &fc.bits[0]
+		fc.fit(1)
+		if fc.shift != 64-minCacheBits || &fc.bits[0] != table {
+			t.Errorf("after %d segments, 1 segment uses %d slots of a new table %v", c.segs, 1<<(64-fc.shift), &fc.bits[0] != table)
+		}
+	}
 }
 
 // AppendJSON cuts exactly the prefix and suffix it is given, and

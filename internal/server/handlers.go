@@ -260,31 +260,33 @@ func breakerCountable(status int, err error) bool {
 // integrity check), strict decode and validation, circuit breaker,
 // admission, solve under a per-item timeout, validator guardrail,
 // fallback chain, encode, cache fill — and returns the encoded reply
-// plus the realized schedule (nil exactly when the reply is a cache
-// hit), or an HTTP-style status and error. Shared by POST /v1/schedule
-// and each item of POST /v1/schedule/batch.
+// and whether it came from the cache, or an HTTP-style status and
+// error. Shared by POST /v1/schedule and each item of POST
+// /v1/schedule/batch.
+//
+// A verified solve hands its schedule to solveOne (see check.Runner),
+// which gives it to schedule.Recycle as soon as the reply is encoded,
+// on the primary and the fallback path alike: the reply's bytes are all
+// that outlives the solve. A failed solve's schedule, and that of one
+// runSolve stopped waiting for, never gets here.
 //
 // body is the request's JSON bytes, which key the cache; req is their
 // strict decode, or nil to decode body only when the cache cannot
 // answer. A body already in the cache goes straight to the fault
 // points and the lookup; any other body gets its 400 or 404 before
 // them.
-func (s *Server) solveOne(reqCtx context.Context, body []byte, req *wire.ScheduleRequest) (*wire.EncodedSchedule, *schedule.Schedule, int, error) {
+func (s *Server) solveOne(reqCtx context.Context, body []byte, req *wire.ScheduleRequest) (enc *wire.EncodedSchedule, cached bool, code int, err error) {
 	key := cacheKey(sha256.Sum256(body))
-	var (
-		in   instance
-		code int
-		err  error
-	)
+	var in instance
 	if !s.cache.Contains(key) {
 		if in, code, err = s.parse(body, req); err != nil {
-			return nil, nil, code, err
+			return nil, false, code, err
 		}
 	}
 
 	// Transient-I/O fault point: a retryable 503, upstream of everything.
 	if ferr := s.faults().Err(fault.IOError); ferr != nil {
-		return nil, nil, http.StatusServiceUnavailable,
+		return nil, false, http.StatusServiceUnavailable,
 			fmt.Errorf("transient backend error: %w", ferr)
 	}
 
@@ -293,7 +295,7 @@ func (s *Server) solveOne(reqCtx context.Context, body []byte, req *wire.Schedul
 	}
 	if enc, ok, corrupted := s.cache.Get(key); ok {
 		s.metrics.cacheHits.Add(1)
-		return enc, nil, http.StatusOK, nil
+		return enc, true, http.StatusOK, nil
 	} else if corrupted {
 		// Detected corruption degrades to a re-solve, never to a wrong
 		// answer: the entry was dropped, so this is now a clean miss.
@@ -303,7 +305,7 @@ func (s *Server) solveOne(reqCtx context.Context, body []byte, req *wire.Schedul
 	if in.req == nil {
 		// The entry Contains saw is gone: corrupted, or evicted since.
 		if in, code, err = s.parse(body, req); err != nil {
-			return nil, nil, code, err
+			return nil, false, code, err
 		}
 	}
 	req, entry, pm := in.req, in.entry, in.pm
@@ -313,13 +315,13 @@ func (s *Server) solveOne(reqCtx context.Context, body []byte, req *wire.Schedul
 	if primaryErr == nil {
 		enc, err := encodeResponse(req, res, "")
 		if err != nil {
-			return nil, nil, http.StatusInternalServerError, err
+			return nil, false, http.StatusInternalServerError, err
 		}
 		s.cache.Put(key, enc)
-		return enc, res.sched, http.StatusOK, nil
+		return enc, false, http.StatusOK, nil
 	}
 	if !fallbackEligible(primaryStatus, primaryErr) {
-		return nil, nil, primaryStatus, primaryErr
+		return nil, false, primaryStatus, primaryErr
 	}
 
 	// Fallback chain: requested algorithm failed (or its breaker is
@@ -329,26 +331,25 @@ func (s *Server) solveOne(reqCtx context.Context, body []byte, req *wire.Schedul
 	// not pin the baseline's answer.
 	fb := s.fallbackEntry(req.Algorithm)
 	if fb == nil {
-		return nil, nil, primaryStatus, primaryErr
+		return nil, false, primaryStatus, primaryErr
 	}
 	res, _ = s.guardedSolve(reqCtx, *fb, req, pm, true)
 	if err := res.err; err != nil {
 		s.metrics.fallbackFailures.Add(1)
 		if errors.Is(err, errBreakerOpen) {
-			return nil, nil, http.StatusServiceUnavailable,
+			return nil, false, http.StatusServiceUnavailable,
 				fmt.Errorf("%v; fallback %q %w", primaryErr, fb.Name, errBreakerOpen)
 		}
-		return nil, nil, http.StatusServiceUnavailable,
+		return nil, false, http.StatusServiceUnavailable,
 			fmt.Errorf("%v; fallback %q also failed: %v", primaryErr, fb.Name, err)
 	}
 	s.metrics.degraded.Add(1)
 	s.cfg.Logger.Printf("msg=%q algorithm=%q fallback=%q cause=%q",
 		"degraded response", req.Algorithm, fb.Name, primaryErr)
-	enc, err := encodeResponse(req, res, fb.Name)
-	if err != nil {
-		return nil, nil, http.StatusInternalServerError, err
+	if enc, err = encodeResponse(req, res, fb.Name); err != nil {
+		return nil, false, http.StatusInternalServerError, err
 	}
-	return enc, res.sched, http.StatusOK, nil
+	return enc, false, http.StatusOK, nil
 }
 
 // instance is a schedule request that decoded and validated, with the
@@ -389,9 +390,12 @@ func (s *Server) parse(body []byte, req *wire.ScheduleRequest) (instance, int, e
 // only schedules that passed the guardrail get here, and the reply's
 // execution profile is the one that guardrail's audit derived. A
 // non-empty fallback marks the reply degraded, produced by that
-// algorithm.
+// algorithm. The solve's schedule goes to schedule.Recycle once it is
+// encoded, or fails to: nothing else holds it, and the reply holds none
+// of it.
 func encodeResponse(req *wire.ScheduleRequest, res solveResult, fallback string) (*wire.EncodedSchedule, error) {
 	sched := res.sched
+	defer schedule.Recycle(sched)
 	segs := sched.Segments
 	if segs == nil {
 		segs = []schedule.Segment{} // served replies carry an array, never null
@@ -465,7 +469,7 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		wire.WriteError(w, http.StatusBadRequest, wire.CodeBadRequest, "%v", err)
 		return
 	}
-	enc, sched, code, err := s.solveOne(r.Context(), body.Bytes(), nil)
+	enc, cached, code, err := s.solveOne(r.Context(), body.Bytes(), nil)
 	body.Release() // nothing solveOne returns refers to the body
 	if err != nil {
 		if code == http.StatusTooManyRequests || code == http.StatusServiceUnavailable {
@@ -474,7 +478,7 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		writeErrorFor(w, code, err)
 		return
 	}
-	s.respondSchedule(w, r, enc, sched, sinceMS(start))
+	s.respondSchedule(w, r, enc, cached, sinceMS(start))
 }
 
 // sinceMS is the wall time since start in milliseconds.
@@ -540,10 +544,10 @@ func (s *Server) handleScheduleBatch(w http.ResponseWriter, r *http.Request) {
 			defer wg.Done()
 			for i := range idx {
 				itemStart := time.Now()
-				enc, sched, code, err := s.solveOne(r.Context(), raw[i], &reqs[i])
+				enc, cached, code, err := s.solveOne(r.Context(), raw[i], &reqs[i])
 				if err == nil {
 					var parts net.Buffers
-					if parts, err = enc.Parts(sched == nil, sinceMS(itemStart)); err == nil {
+					if parts, err = enc.Parts(cached, sinceMS(itemStart)); err == nil {
 						items[i].Response = parts
 						continue
 					}
@@ -586,23 +590,22 @@ func writeEncoded(w http.ResponseWriter, parts net.Buffers) {
 
 // respondSchedule writes either the encoded schedule reply or, with
 // ?trace=chrome, a Chrome trace-event document of the schedule (ready
-// for chrome://tracing / Perfetto). A cache hit (sched == nil) decodes
-// the schedule from the stored reply, only on this path.
-func (s *Server) respondSchedule(w http.ResponseWriter, r *http.Request, enc *wire.EncodedSchedule, sched *schedule.Schedule, elapsedMS float64) {
+// for chrome://tracing / Perfetto), which it decodes from the reply's
+// bytes, only on this path: every float round-trips through its JSON
+// form, so a cache hit and a miss trace alike.
+func (s *Server) respondSchedule(w http.ResponseWriter, r *http.Request, enc *wire.EncodedSchedule, cached bool, elapsedMS float64) {
 	if r.URL.Query().Get("trace") == "chrome" {
-		if sched == nil {
-			var resp wire.ScheduleResponse
-			if err := json.Unmarshal(enc.Body, &resp); err != nil {
-				writeErrorFor(w, http.StatusInternalServerError, fmt.Errorf("decode cached response: %w", err))
-				return
-			}
-			sched = &schedule.Schedule{Cores: resp.Cores}
-			for _, seg := range resp.Segments {
-				sched.Add(schedule.Segment{
-					Task: seg.Task, Core: seg.Core,
-					Start: seg.Start, End: seg.End, Frequency: seg.Frequency,
-				})
-			}
+		var resp wire.ScheduleResponse
+		if err := json.Unmarshal(enc.Body, &resp); err != nil {
+			writeErrorFor(w, http.StatusInternalServerError, fmt.Errorf("decode response: %w", err))
+			return
+		}
+		sched := &schedule.Schedule{Cores: resp.Cores}
+		for _, seg := range resp.Segments {
+			sched.Add(schedule.Segment{
+				Task: seg.Task, Core: seg.Core,
+				Start: seg.Start, End: seg.End, Frequency: seg.Frequency,
+			})
 		}
 		w.Header().Set("Content-Type", "application/json")
 		w.Header().Set("Content-Disposition", `attachment; filename="schedule.trace.json"`)
@@ -611,7 +614,7 @@ func (s *Server) respondSchedule(w http.ResponseWriter, r *http.Request, enc *wi
 		}
 		return
 	}
-	parts, err := enc.Parts(sched == nil, elapsedMS)
+	parts, err := enc.Parts(cached, elapsedMS)
 	if err != nil {
 		writeErrorFor(w, http.StatusInternalServerError, err)
 		return

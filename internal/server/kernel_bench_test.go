@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/server/wire"
@@ -134,6 +135,7 @@ type missWriter struct {
 	code   int
 	head   [256]byte
 	n      int
+	total  int // bytes written
 }
 
 func (w *missWriter) Header() http.Header { return w.header }
@@ -147,11 +149,58 @@ func (w *missWriter) WriteHeader(code int) {
 func (w *missWriter) Write(p []byte) (int, error) {
 	w.WriteHeader(http.StatusOK)
 	w.n += copy(w.head[w.n:], p)
+	w.total += len(p)
 	return len(p), nil
 }
 
 // miss reports whether the reply says it missed the cache.
 func (w *missWriter) miss() bool { return bytes.Contains(w.head[:w.n], missMarker) }
+
+// TestColdSolveAllocBytes caps the bytes one warmed cold S^F2 solve
+// (a paper-default n=100 instance on 16 cores, about 600 KB of reply)
+// allocates through Server.Handler at 1.15× its reply body: the reply,
+// which the cache keeps, is almost all of it, as the solver's stages
+// and the schedule come from pools and the schedule goes back once the
+// reply is encoded. The bound is on the median of 21 solves, each
+// measured alone after 20 that fill the pools: a solve that finds a
+// pool emptied by a collection (sync.Pool drops what sat idle through
+// two) refills it, and that is not the steady state. Skipped under
+// -race, which adds its own allocations.
+func TestColdSolveAllocBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation sizes")
+	}
+	const warm, measured = 20, 21
+	srv := New(Config{})
+	t.Cleanup(srv.Close)
+	h := srv.Handler()
+	bodies := paperBodies(t, warm+measured)
+	serve := func(body []byte) int {
+		w := &missWriter{header: make(http.Header)}
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/schedule", bytes.NewReader(body)))
+		if w.code != http.StatusOK || !w.miss() {
+			t.Fatalf("status %d, miss %v", w.code, w.miss())
+		}
+		return w.total
+	}
+	for _, body := range bodies[:warm] {
+		serve(body)
+	}
+	ratios := make([]float64, measured)
+	var before, after runtime.MemStats
+	for i, body := range bodies[warm:] {
+		runtime.ReadMemStats(&before)
+		reply := serve(body)
+		runtime.ReadMemStats(&after)
+		ratios[i] = float64(after.TotalAlloc-before.TotalAlloc) / float64(reply)
+	}
+	slices.Sort(ratios)
+	got := ratios[measured/2]
+	t.Logf("a warmed cold solve allocates %.3f× its reply (median; least %.3f×, most %.3f×)", got, ratios[0], ratios[measured-1])
+	if got > 1.15 {
+		t.Errorf("a warmed cold solve allocates %.3f× its reply, ceiling 1.15", got)
+	}
+}
 
 // TestSessionArrivalAllocBytes caps the mean bytes one session arrival
 // allocates on a journaled schedd, through Server.Handler, at about

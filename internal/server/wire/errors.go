@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"reflect"
 	"strconv"
 	"sync"
 )
@@ -161,7 +162,24 @@ func readBody(w http.ResponseWriter, r *http.Request, buf []byte) ([]byte, error
 
 // Decode decodes data, one JSON value, into v, rejecting unknown fields
 // and trailing data.
+//
+// Most bodies take json.Unmarshal, which reads data in place, where a
+// json.Decoder copies it into a buffer of its own first: Unmarshal
+// accepts exactly one value, and then a scan that finds every object
+// key spelled as a field of the Go type at its place (ownKeys) shows
+// that a strict decode would have found no unknown field either. Any
+// other body, one Unmarshal rejects included, is decoded again by the
+// strict decoder, so its error is the strict decoder's.
 func Decode(data []byte, v any) error {
+	if json.Unmarshal(data, v) == nil && ownKeys(data, reflect.TypeOf(v)) {
+		return nil
+	}
+	return decodeStrict(data, v)
+}
+
+// decodeStrict is Decode through a json.Decoder that disallows unknown
+// fields.
+func decodeStrict(data []byte, v any) error {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
