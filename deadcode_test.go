@@ -349,7 +349,15 @@ func (im *srcImporter) uses(nodes ...ast.Node) []types.Object {
 		}
 		ast.Inspect(n, func(n ast.Node) bool {
 			if id, ok := n.(*ast.Ident); ok {
-				if obj := im.info.Uses[id]; obj != nil {
+				// A method or field of an instantiated generic type
+				// is its own object; the declaration is its origin's.
+				switch obj := im.info.Uses[id].(type) {
+				case nil:
+				case *types.Func:
+					objs = append(objs, obj.Origin())
+				case *types.Var:
+					objs = append(objs, obj.Origin())
+				default:
 					objs = append(objs, obj)
 				}
 			}

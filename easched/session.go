@@ -2,6 +2,7 @@ package easched
 
 import (
 	"context"
+	"slices"
 	"time"
 
 	"repro/internal/dispatch"
@@ -107,8 +108,9 @@ func (s *Session) Flush(ctx context.Context) error { return s.s.Flush(ctx) }
 // Stats reports a point-in-time summary.
 func (s *Session) Stats() SessionStats { return s.s.Stats() }
 
-// Committed returns the immutable executed prefix of the schedule.
-func (s *Session) Committed() []Segment { return s.s.Committed() }
+// Committed returns the immutable executed prefix of the schedule, a
+// copy the caller owns.
+func (s *Session) Committed() []Segment { return slices.Clone(s.s.Committed()) }
 
 // Plan returns the current plan suffix (from the session clock on).
 func (s *Session) Plan() []Segment { return s.s.Plan() }
@@ -116,15 +118,22 @@ func (s *Session) Plan() []Segment { return s.s.Plan() }
 // Finish runs the session to its horizon, validates the realized
 // schedule, accounts it against the clairvoyant offline optimum and
 // returns the final report. It is idempotent; arrivals after Finish
-// fail with a closed-session error.
+// fail with a closed-session error. The report's schedule is a copy the
+// caller owns.
 func (s *Session) Finish(ctx context.Context) (*SessionReport, error) {
-	return s.s.Finish(ctx)
+	f, err := s.s.Finish(ctx)
+	return ownReport(f), err
 }
 
 // Snapshot checkpoints the session (pending arrivals are flushed
-// first). The snapshot is JSON-serializable.
+// first). The snapshot is JSON-serializable, and the caller owns it.
 func (s *Session) Snapshot(ctx context.Context) (*SessionSnapshot, error) {
-	return s.s.Snapshot(ctx)
+	snap, err := s.s.Snapshot(ctx)
+	if err != nil {
+		return nil, err
+	}
+	snap.Committed = slices.Clone(snap.Committed)
+	return snap, nil
 }
 
 // RestoreSession rebuilds a session from a Snapshot and re-plans its
@@ -142,5 +151,18 @@ func RestoreSession(ctx context.Context, snap *SessionSnapshot) (*Session, error
 // finish the remaining plan — call Finish first for a final report.
 func (s *Session) Close() { s.s.Close() }
 
-// Final returns the report of a finished session (nil before Finish).
-func (s *Session) Final() *SessionReport { return s.s.Final() }
+// Final returns the report of a finished session (nil before Finish),
+// with a schedule the caller owns.
+func (s *Session) Final() *SessionReport { return ownReport(s.s.Final()) }
+
+// ownReport returns a copy of f whose schedule, which may be a view of
+// the session's committed prefix, is a copy too.
+func ownReport(f *SessionReport) *SessionReport {
+	if f == nil || f.Schedule == nil {
+		return f
+	}
+	own, sched := *f, *f.Schedule
+	sched.Segments = slices.Clone(sched.Segments)
+	own.Schedule = &sched
+	return &own
+}

@@ -88,3 +88,51 @@ func TestSessionSnapshotRoundTrip(t *testing.T) {
 		t.Fatalf("restored session final: %+v", f)
 	}
 }
+
+// The session shares its committed prefix with its own reads, but every
+// slice the public API returns is the caller's: writing to one changes
+// no later read.
+func TestSessionReadsAreOwned(t *testing.T) {
+	ctx := context.Background()
+	s, err := NewSession(SessionConfig{Cores: 2, Model: NewModel(3, 0.05), SkipRatio: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if _, _, err := s.Arrive(ctx, 0, MustTasks(T(0, 2, 8), T(0, 1, 4))); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := s.Arrive(ctx, 3, MustTasks(T(3, 2, 10))); err != nil {
+		t.Fatal(err)
+	}
+	want := s.Committed()
+	if len(want) == 0 {
+		t.Fatal("nothing committed")
+	}
+	snap, err := s.Snapshot(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Committed()[0].Frequency = 99
+	snap.Committed[0].Frequency = 99
+	if got := s.Committed(); got[0] != want[0] {
+		t.Fatalf("a write to a returned prefix changed the session's: %v, want %v", got[0], want[0])
+	}
+	f, err := s.Finish(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// No task was shed, so the session's report shares its prefix.
+	want = s.Committed()
+	if len(f.Schedule.Segments) != len(want) {
+		t.Fatalf("final schedule has %d segments, the prefix %d", len(f.Schedule.Segments), len(want))
+	}
+	f.Schedule.Segments[0].Frequency = 99
+	s.Final().Schedule.Segments[0].Frequency = 99
+	if got := s.Committed(); got[0] != want[0] {
+		t.Fatalf("a write to a final schedule changed the prefix: %v, want %v", got[0], want[0])
+	}
+	if got := s.Final().Schedule.Segments[0]; got != want[0] {
+		t.Fatalf("a write to a final schedule changed the report: %v, want %v", got, want[0])
+	}
+}

@@ -16,19 +16,19 @@
 //     than O(slices·S). Audit also derives the schedule's execution
 //     profile (Profile) from the same ranks, the figures a served reply
 //     carries, which sim.Run derives independently; Validate, which has
-//     no use for it, skips it. An audit's working memory is pooled
-//     across audits, and returns to the pool only after an audit that
-//     did not panic; nothing an audit returns (Result, its Violations
-//     and Work, the Profile's slices) aliases it;
+//     no use for it, skips it. An audit's working memory is kept
+//     across audits in a free list, and returns to it only after an
+//     audit that did not panic; nothing an audit returns (Result, its
+//     Violations and Work, the Profile's slices) aliases it;
 //   - a registry lets every scheduler package self-register a runner, so
 //     new schedulers are picked up by the cross-checks without edits here;
 //     Entry.RunVerified runs one with panic containment and the audit,
 //     and Entry.RunAudited also returns the profile.
 //
-// check imports only numeric, power, schedule and task, so every
-// scheduler package (core, yds, partition, online, opt, capped) checks
-// its own output with Validate. The differential harness, which runs
-// all registered schedulers on one instance against the other
+// check imports only freelist, numeric, power, schedule and task, so
+// every scheduler package (core, yds, partition, online, opt, capped)
+// checks its own output with Validate. The differential harness, which
+// runs all registered schedulers on one instance against the other
 // independent oracles (sim.Run, the max-flow feasibility test, the
 // convex optimal solver and its realized schedule, the small-instance
 // brute-force optimum), lives in internal/crosscheck.
@@ -38,8 +38,8 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
 
+	"repro/internal/freelist"
 	"repro/internal/numeric"
 	"repro/internal/power"
 	"repro/internal/schedule"
@@ -218,9 +218,12 @@ func audit(s *schedule.Schedule, ts task.Set, m int, pm power.Model, opts Option
 		}
 	}
 
-	// The scratch goes back to the pool only once the passes that use it
-	// have returned: after a panic it is dropped.
-	sc := scratchPool.Get().(*scratch)
+	// The scratch goes back only once the passes that use it have
+	// returned: after a panic it is dropped.
+	sc := scratches.Get()
+	if sc == nil {
+		sc = new(scratch)
+	}
 	runs := sc.findRuns(sweep, m, opts.Tol*1e-3)
 	segPower := take(&sc.segPower, len(sweep))
 	for i := range sweep {
@@ -230,7 +233,7 @@ func audit(s *schedule.Schedule, ts task.Set, m int, pm power.Model, opts Option
 	if profile {
 		res.Profile = sc.executionProfile(sweep, segPower, &runs, ts, s.Cores)
 	}
-	scratchPool.Put(sc)
+	scratches.Put(sc)
 
 	// Work conservation, from the sweep's own integration.
 	for _, tk := range ts {
@@ -257,7 +260,7 @@ func audit(s *schedule.Schedule, ts task.Set, m int, pm power.Model, opts Option
 // scratch is one audit's working memory: the segment powers, the
 // boundary pass's cache, boundaries and ranks, the sweep's counters and
 // work sums, and the profile walks' buffers. Audits take it from
-// scratchPool, so the guardrail that runs on every solve and every
+// scratches, so the guardrail that runs on every solve and every
 // session replan does not allocate it afresh; nothing an audit returns
 // aliases it.
 type scratch struct {
@@ -272,7 +275,10 @@ type scratch struct {
 	walk     []int32
 }
 
-var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+// scratches holds idle scratch. Collections do not empty it, so an
+// audit that follows one, or the rare audit of a whole session at its
+// end, finds its buffers grown.
+var scratches = freelist.New[scratch]()
 
 // take resizes *buf to length n, reallocating it only when it is too
 // short, and returns it. The contents are stale: the caller sets or

@@ -50,8 +50,10 @@ func (e Entry) RunSafe(ctx context.Context, ts task.Set, m int, pm power.Model) 
 }
 
 // RunVerified is RunSafe followed by Validate: it returns only a
-// schedule the universal validator accepts. An invalid schedule becomes
-// an error wrapping ErrInvalidSchedule that names the first violation.
+// schedule the universal validator accepts, with an energy that agrees
+// with the validator's re-integration. An invalid schedule or a wrong
+// energy becomes an error wrapping ErrInvalidSchedule that names the
+// first violation.
 // Every caller that serves or scores a registered scheduler's output
 // goes through this (or RunAudited), so the registry runners need not
 // check themselves.
@@ -66,14 +68,17 @@ func (e Entry) RunAudited(ctx context.Context, ts task.Set, m int, pm power.Mode
 	return e.runChecked(ctx, ts, m, pm, true)
 }
 
-// runChecked is RunSafe followed by the audit, which derives the
+// runChecked is RunSafe followed by the audit, which also checks the
+// energy the runner reports, since callers serve it, and derives the
 // execution profile only when profile is set.
 func (e Entry) runChecked(ctx context.Context, ts task.Set, m int, pm power.Model, profile bool) (*schedule.Schedule, float64, Profile, error) {
 	s, energy, err := e.RunSafe(ctx, ts, m, pm)
 	if err != nil {
 		return nil, 0, Profile{}, err
 	}
-	res := audit(s, ts, m, pm, DefaultOptions(), profile)
+	opts := DefaultOptions()
+	opts.ReportedEnergy = energy
+	res := audit(s, ts, m, pm, opts, profile)
 	if v := res.Violations; len(v) > 0 {
 		return nil, 0, Profile{}, fmt.Errorf("%w: %v (+%d more)", ErrInvalidSchedule, v[0], len(v)-1)
 	}

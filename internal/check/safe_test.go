@@ -63,11 +63,12 @@ func TestRunVerified(t *testing.T) {
 	// Half the required work: a work-conservation violation.
 	short := schedule.New(ts, 1)
 	short.Add(schedule.Segment{Task: 0, Core: 0, Start: 0, End: 1, Frequency: 0.5})
-	returning := func(s *schedule.Schedule) check.Runner {
+	reporting := func(s *schedule.Schedule, energy float64) check.Runner {
 		return func(context.Context, task.Set, int, power.Model) (*schedule.Schedule, float64, error) {
-			return s, s.Energy(pm), nil
+			return s, energy, nil
 		}
 	}
+	returning := func(s *schedule.Schedule) check.Runner { return reporting(s, s.Energy(pm)) }
 	tests := []struct {
 		name string
 		run  check.Runner
@@ -76,6 +77,9 @@ func TestRunVerified(t *testing.T) {
 	}{
 		{"valid", returning(valid), nil, ""},
 		{"invalid", returning(short), check.ErrInvalidSchedule, check.Validate(short, ts, 1, pm)[0].Error()},
+		// A valid schedule whose runner over-reports its energy by 1%:
+		// the energy is served with it, so it is checked too.
+		{"over-reported", reporting(valid, 1.01*valid.Energy(pm)), check.ErrInvalidSchedule, "reported energy"},
 		{"panic", func(context.Context, task.Set, int, power.Model) (*schedule.Schedule, float64, error) {
 			panic("boom")
 		}, check.ErrSolverPanic, "boom"},
@@ -84,6 +88,11 @@ func TestRunVerified(t *testing.T) {
 		t.Run(tt.name, func(t *testing.T) {
 			e := check.Entry{Name: tt.name, Run: tt.run}
 			s, energy, err := e.RunVerified(context.Background(), ts, 1, pm)
+			// RunAudited runs the same checks.
+			as, aenergy, _, aerr := e.RunAudited(context.Background(), ts, 1, pm)
+			if as != s || aenergy != energy || (aerr == nil) != (err == nil) || aerr != nil && aerr.Error() != err.Error() {
+				t.Fatalf("RunAudited: %p %g %v; RunVerified: %p %g %v", as, aenergy, aerr, s, energy, err)
+			}
 			if tt.want == nil {
 				if err != nil || s != valid || energy != valid.Energy(pm) {
 					t.Fatalf("valid result altered: %p %g %v, want %p %g", s, energy, err, valid, valid.Energy(pm))

@@ -30,10 +30,10 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sync"
 
 	"repro/internal/alloc"
 	"repro/internal/check"
+	"repro/internal/freelist"
 	"repro/internal/ideal"
 	"repro/internal/interval"
 	"repro/internal/numeric"
@@ -114,18 +114,24 @@ type Solver struct {
 	out     schedule.Schedule
 }
 
-// solvers pools the Solvers of one-shot solves, the registry runners'
-// and easched.Solve's, so that a serving loop does not build scratch
-// arenas for every request.
-var solvers = sync.Pool{New: func() any { return new(Solver) }}
+// solvers holds the idle Solvers of one-shot solves, the registry
+// runners' and easched.Solve's, so that a serving loop does not build
+// scratch arenas for every request. Collections do not empty it, so a
+// solve that follows one finds its arenas grown.
+var solvers = freelist.New[Solver]()
 
-// GetSolver returns a Solver from the package's pool, for calls from
-// one goroutine until PutSolver gives it back.
-func GetSolver() *Solver { return solvers.Get().(*Solver) }
+// GetSolver returns an idle Solver of the package's, or a new one, for
+// calls from one goroutine until PutSolver gives it back.
+func GetSolver() *Solver {
+	if sv := solvers.Get(); sv != nil {
+		return sv
+	}
+	return new(Solver)
+}
 
-// PutSolver gives sv back to the package's pool once its last call has
-// returned. A Solver whose call panicked must not go back: its scratch
-// may be half built.
+// PutSolver gives sv back to the package's idle Solvers once its last
+// call has returned. A Solver whose call panicked must not go back: its
+// scratch may be half built.
 func PutSolver(sv *Solver) { solvers.Put(sv) }
 
 // NewSolver returns an empty Solver. Identical to new(Solver); exists for

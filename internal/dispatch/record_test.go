@@ -151,15 +151,16 @@ func TestJournalRecordsMatchJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A snapshot that leaves the session owns its committed prefix,
-	// though a journal checkpoint shares the session's.
+	// A snapshot's committed prefix, like a journal checkpoint's and
+	// Committed's, is a view of the session's, capped so that an append
+	// to it cannot write into the session's array.
 	mine, err := s1.Snapshot(ctx)
 	if err != nil || len(mine.Committed) == 0 {
 		t.Fatalf("snapshot: %v, %d committed", err, len(mine.Committed))
 	}
-	mine.Committed[0].Frequency = 99
-	if s1.Committed()[0].Frequency == 99 {
-		t.Fatal("Snapshot shares the session's committed prefix")
+	live := s1.Committed()
+	if cap(mine.Committed) != len(mine.Committed) || cap(live) != len(live) || &mine.Committed[0] != &live[0] {
+		t.Fatal("Snapshot's or Committed's prefix is not a capped view of the session's")
 	}
 	s1.Seal("evicted")
 	if _, err := s1.Finish(ctx); err != nil {

@@ -70,7 +70,11 @@ type FinalReport struct {
 	// each back to its session task ID.
 	Tasks   task.Set
 	TaskIDs []int
-	// Schedule is the realized committed schedule over Tasks.
+	// Schedule is the realized committed schedule over Tasks. Its
+	// Segments are read-only: when no admitted task was shed and every
+	// committed segment has a positive duration, they are a view of the
+	// session's committed prefix (see Session.Committed), whose task IDs
+	// are then the effective instance's.
 	Schedule *schedule.Schedule
 	// Violations lists in-band validator findings against the realized
 	// schedule (empty in a correct run).
@@ -675,6 +679,12 @@ func (s *Session) commitAll() (f *FinalReport, fresh bool, err error) {
 		}
 	}
 	f.Schedule = schedule.New(f.Tasks, s.cfg.Cores)
+	if len(f.Tasks) == len(s.tasks) && !slices.ContainsFunc(s.committed, dropped) {
+		// Every session ID is its effective ID and Add would keep every
+		// segment: the schedule is the prefix, which no longer grows.
+		f.Schedule.Segments = s.committed[:len(s.committed):len(s.committed)]
+		return f, true, nil
+	}
 	f.Schedule.Grow(len(s.committed))
 	for _, seg := range s.committed {
 		if id := effID[seg.Task]; id >= 0 {
@@ -684,6 +694,9 @@ func (s *Session) commitAll() (f *FinalReport, fresh bool, err error) {
 	}
 	return f, true, nil
 }
+
+// dropped reports whether schedule.Add drops seg.
+func dropped(seg schedule.Segment) bool { return seg.Duration() <= 0 }
 
 // account audits f's realized schedule and prices it against the
 // clairvoyant optimum. It can be expensive, so it runs without mu:
@@ -800,12 +813,14 @@ func (s *Session) Stats() Stats {
 	}
 }
 
-// Committed returns a copy of the immutable realized prefix. Segment
-// Task fields are session task IDs.
+// Committed returns the immutable realized prefix as a read-only view:
+// the session only ever appends to the prefix, and the view's capacity
+// ends at its length, so what it shows never changes, but the caller
+// must not write to it. Segment Task fields are session task IDs.
 func (s *Session) Committed() []schedule.Segment {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return slices.Clone(s.committed)
+	return s.committed[:len(s.committed):len(s.committed)]
 }
 
 // Plan returns a copy of the current plan suffix (times ≥ Now).

@@ -55,7 +55,9 @@ type Snapshot struct {
 }
 
 // Snapshot captures the session's state after draining pending
-// arrivals, so the snapshot never contains an unplanned batch.
+// arrivals, so the snapshot never contains an unplanned batch. Its
+// Committed is a read-only view of the session's committed prefix
+// (see Committed), nil when the prefix is empty; the rest is a copy.
 func (s *Session) Snapshot(ctx context.Context) (*Snapshot, error) {
 	if err := s.Flush(ctx); err != nil {
 		return nil, err
@@ -63,14 +65,14 @@ func (s *Session) Snapshot(ctx context.Context) (*Snapshot, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	snap := s.snapshotLocked()
-	snap.Committed = append([]schedule.Segment(nil), snap.Committed...)
+	if len(snap.Committed) == 0 {
+		snap.Committed = nil
+	}
 	return snap, nil
 }
 
-// snapshotLocked copies the current state, except that Committed shares
-// the committed prefix; call with mu held. The prefix only ever grows,
-// so the shared slice never changes, but a snapshot that leaves the
-// session copies it.
+// snapshotLocked copies the current state, except that Committed is a
+// view of the committed prefix; call with mu held.
 func (s *Session) snapshotLocked() *Snapshot {
 	return &Snapshot{
 		Algorithm: s.cfg.Algorithm,

@@ -242,3 +242,45 @@ func TestReplayRefusesMalformedRecords(t *testing.T) {
 		t.Errorf("refused records changed an empty fold: %+v", empty)
 	}
 }
+
+// A finished session's schedule is its committed prefix itself when
+// every session ID is an effective ID and schedule.Add keeps every
+// segment; otherwise it is a renumbered copy without the segments Add
+// drops and those of shed tasks.
+func TestFinalScheduleSharesPrefix(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name   string
+		edit   func(*Snapshot)
+		shared bool
+		tasks  []int // the session task of each final segment
+	}{
+		{"shared", func(*Snapshot) {}, true, []int{0, 1, 2, 3}},
+		{"zero duration", func(s *Snapshot) { s.Committed[2].End = s.Committed[2].Start }, false, []int{0, 1, 3}},
+		{"shed task", func(s *Snapshot) { s.Tasks[1].Shed = true }, false, []int{0, 2, 3}},
+	} {
+		snap := agedSnapshot(4)
+		tc.edit(snap)
+		s, err := Restore(ctx, snap, testConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := s.Finish(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		segs, prefix := f.Schedule.Segments, s.Committed()
+		if shared := &segs[0] == &prefix[0]; shared != tc.shared || cap(segs) != len(segs) && shared {
+			t.Errorf("%s: shared %v (cap %d, len %d), want %v", tc.name, shared, cap(segs), len(segs), tc.shared)
+		}
+		if len(segs) != len(tc.tasks) {
+			t.Fatalf("%s: %d segments, want %d", tc.name, len(segs), len(tc.tasks))
+		}
+		for i, seg := range segs {
+			if id := f.TaskIDs[seg.Task]; id != tc.tasks[i] || seg.Start != prefix[id].Start {
+				t.Errorf("%s: segment %d is %v of session task %d, want task %d", tc.name, i, seg, id, tc.tasks[i])
+			}
+		}
+		s.Close()
+	}
+}

@@ -10,8 +10,8 @@ import (
 	"math"
 	"slices"
 	"sort"
-	"sync"
 
+	"repro/internal/freelist"
 	"repro/internal/numeric"
 	"repro/internal/power"
 	"repro/internal/task"
@@ -66,15 +66,16 @@ func (s *Schedule) Grow(n int) {
 }
 
 // recycled holds schedules given back by Recycle, each with the segment
-// buffer it came with, for Reuse to hand out again.
-var recycled sync.Pool
+// buffer it came with, for Reuse to hand out again. Collections do not
+// empty it, so a solve that follows one builds in a grown buffer.
+var recycled = freelist.New[Schedule]()
 
 // Reuse is New, but the schedule and its empty segment buffer are a
 // recycled pair when Recycle has pooled one. A solver that builds the
 // same kind of schedule over and over takes its output from here, and
 // its caller recycles what it is done with; nothing else changes.
 func Reuse(ts task.Set, cores int) *Schedule {
-	s, _ := recycled.Get().(*Schedule)
+	s := recycled.Get()
 	if s == nil {
 		return New(ts, cores)
 	}

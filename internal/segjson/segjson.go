@@ -6,7 +6,9 @@
 // session's committed prefix, and formatting their floats is almost all
 // of their cost. The wire replies (lower-case keys, wire.SegmentJSON)
 // and the journal records (schedule.Segment's own field names) share
-// this one appender, Keys.Splice over a reused FloatCache; Keys selects
+// this one appender over a reused FloatCache: Keys.Splice into a body
+// built whole, or Keys.WriteArray streamed in pieces after ArrayLen
+// has measured it (wire.WriteSpliced's session replies). Keys selects
 // the field names.
 package segjson
 
@@ -14,12 +16,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"math/bits"
-	"runtime"
 	"strconv"
 	"sync"
 
+	"repro/internal/freelist"
 	"repro/internal/schedule"
 )
 
@@ -81,6 +84,8 @@ type FloatCache struct {
 	bits  []uint64
 	size  []uint8 // 0 for an empty slot: no float encodes empty
 	text  [][maxFloatJSON]byte
+	// piece is the buffer WriteArray builds its pieces in.
+	piece []byte
 }
 
 const (
@@ -101,31 +106,25 @@ const (
 	slotHash = 0x9e3779b97f4a7c15
 )
 
-// caches holds idle FloatCaches for Splice. Unlike a sync.Pool, which
-// drops what it holds across two collections, it keeps them: a session
-// journals its longest array, a checkpoint of its whole committed
-// prefix, once in hundreds of commits and many collections, and would
-// grow a new table for each. It holds as many caches as Splices run at
-// once, at most GOMAXPROCS, each with at most the largest table.
-var caches = make(chan *FloatCache, runtime.GOMAXPROCS(0))
+// caches holds idle FloatCaches. Unlike a sync.Pool, which drops what
+// it holds across two collections, it keeps them: a session journals
+// its longest array, a checkpoint of its whole committed prefix, once
+// in hundreds of commits and many collections, and would grow a new
+// table for each.
+var caches = freelist.New[FloatCache]()
 
-// takeCache returns an idle FloatCache, or a new one.
-func takeCache() *FloatCache {
-	select {
-	case c := <-caches:
+// TakeCache returns an idle FloatCache, or a new one. Give it back with
+// PutCache once the arrays it measured are written.
+func TakeCache() *FloatCache {
+	if c := caches.Get(); c != nil {
 		return c
-	default:
-		return new(FloatCache)
 	}
+	return new(FloatCache)
 }
 
-// putCache gives c back to the idle caches, unless they are full.
-func putCache(c *FloatCache) {
-	select {
-	case caches <- c:
-	default:
-	}
-}
+// PutCache gives c back to the idle caches. The caller must not use it
+// afterwards.
+func PutCache(c *FloatCache) { caches.Put(c) }
 
 // fit readies c for an array of n segments: the array uses the first
 // 1<<b slots of the table, b = tableBits(n), which grows to them if it
@@ -152,8 +151,8 @@ func tableBits(n int) int {
 // exactly its final size. It fails, as encoding/json does, on a NaN or
 // infinite value, and then returns b unchanged.
 func (k *Keys) Splice(b []byte, segs []schedule.Segment, tail []byte) ([]byte, error) {
-	c := takeCache()
-	defer putCache(c)
+	c := TakeCache()
+	defer PutCache(c)
 	n, err := k.ArrayLen(segs, c)
 	if err != nil {
 		return b, err
@@ -219,7 +218,50 @@ func (k *Keys) AppendArray(b []byte, segs []schedule.Segment, c *FloatCache) []b
 		return append(b, "null"...)
 	}
 	c.fit(len(segs))
-	b = append(b, '[')
+	b = k.appendObjects(append(b, '['), segs, c)
+	return append(b, ']')
+}
+
+const (
+	// pieceBytes is the size of the buffer WriteArray writes through: a
+	// few dozen writes for the 10 000 segments a long session commits.
+	pieceBytes = 32 << 10
+	// maxObject bounds one object and the comma before it.
+	maxObject = len(",") + fixed + 2*len("-9223372036854775808") + 3*maxFloatJSON
+)
+
+// WriteArray writes segs to w, byte for byte as AppendArray appends
+// them, in pieces built in one buffer that c keeps, so that an array is
+// never held whole. Call it on segs that ArrayLen accepted.
+func (k *Keys) WriteArray(w io.Writer, segs []schedule.Segment, c *FloatCache) error {
+	if segs == nil {
+		_, err := io.WriteString(w, "null")
+		return err
+	}
+	if c.piece == nil {
+		c.piece = make([]byte, 0, pieceBytes)
+	}
+	per := max(1, cap(c.piece)/maxObject) // segments per piece
+	c.fit(len(segs))
+	b := append(c.piece[:0], '[')
+	for {
+		n := min(per, len(segs))
+		b = k.appendObjects(b, segs[:n], c)
+		if segs = segs[n:]; len(segs) == 0 {
+			break
+		}
+		if _, err := w.Write(append(b, ',')); err != nil {
+			return err
+		}
+		b = b[:0]
+	}
+	_, err := w.Write(append(b, ']'))
+	return err
+}
+
+// appendObjects appends segs as comma-separated objects. c must be fit
+// to the array they belong to.
+func (k *Keys) appendObjects(b []byte, segs []schedule.Segment, c *FloatCache) []byte {
 	for i := range segs {
 		if i > 0 {
 			b = append(b, ',')
@@ -237,7 +279,7 @@ func (k *Keys) AppendArray(b []byte, segs []schedule.Segment, c *FloatCache) []b
 		b = append(b, c.encode(s.Frequency)...)
 		b = append(b, '}')
 	}
-	return append(b, ']')
+	return b
 }
 
 // appendFloat appends a finite f as encoding/json writes a float64:

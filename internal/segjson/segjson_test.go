@@ -163,7 +163,9 @@ func collider(c *FloatCache, f float64, salt uint64) float64 {
 // before it and by its own colliding values. For both key sets,
 // AppendArray must write json.Marshal's bytes and ArrayLen their
 // length, and both must fail on a NaN or infinite value, as
-// json.Marshal does.
+// json.Marshal does. WriteArray, through a buffer of piece bytes,
+// must write AppendArray's bytes. null selects a nil array, whatever
+// raw holds.
 func FuzzSegmentArray(f *testing.F) {
 	bits := func(fs ...float64) []byte {
 		var b []byte
@@ -172,21 +174,28 @@ func FuzzSegmentArray(f *testing.F) {
 		}
 		return b
 	}
-	f.Add(int64(3), int64(-1), uint64(1), bits(edgeFloats...))
-	f.Add(int64(math.MinInt64), int64(math.MaxInt64), uint64(1<<50), bits(0.5, 1e-7, 1e21, 123456.789))
-	f.Add(int64(0), int64(0), uint64(7), bits(1, 2, math.NaN()))
-	f.Add(int64(-9), int64(4), uint64(12345), bits(math.Inf(-1), 0))
-	c := takeCache()
-	f.Fuzz(func(t *testing.T, task, core int64, salt uint64, raw []byte) {
+	f.Add(int64(3), int64(-1), uint64(1), bits(edgeFloats...), false, uint16(0))
+	f.Add(int64(math.MinInt64), int64(math.MaxInt64), uint64(1<<50), bits(0.5, 1e-7, 1e21, 123456.789), false, uint16(200))
+	f.Add(int64(0), int64(0), uint64(7), bits(1, 2, math.NaN()), false, uint16(pieceBytes))
+	f.Add(int64(-9), int64(4), uint64(12345), bits(math.Inf(-1), 0), false, uint16(1))
+	f.Add(int64(0), int64(0), uint64(1), []byte{}, true, uint16(1))                       // nil
+	f.Add(int64(0), int64(0), uint64(1), []byte{}, false, uint16(1))                      // empty
+	f.Add(int64(2), int64(1), uint64(3), bits(0.25), false, uint16(maxObject))            // one segment
+	f.Add(int64(2), int64(1), uint64(3), bits(edgeFloats...), false, uint16(2*maxObject)) // two per piece
+	c := TakeCache()
+	f.Fuzz(func(t *testing.T, task, core int64, salt uint64, raw []byte, null bool, piece uint16) {
 		c.fit(len(raw) / 8) // the slots ArrayLen and AppendArray use
 		var fs []float64
 		for ; len(raw) >= 8; raw = raw[8:] {
 			v := math.Float64frombits(binary.LittleEndian.Uint64(raw))
 			fs = append(fs, v, collider(c, v, salt), v)
 		}
-		var segs []schedule.Segment
+		segs := []schedule.Segment{}
 		for i := 0; i+3 <= len(fs); i += 3 {
 			segs = append(segs, schedule.Segment{Task: int(task) + i, Core: int(core) - i, Start: fs[i], End: fs[i+1], Frequency: fs[i+2]})
+		}
+		if null {
+			segs = nil
 		}
 		for _, k := range []*Keys{Wire, Fields} {
 			want, werr := marshal(k, segs)
@@ -203,9 +212,31 @@ func FuzzSegmentArray(f *testing.F) {
 			if got := k.AppendArray([]byte("x"), segs, c); !bytes.Equal(got[1:], want) || n != len(want) {
 				t.Fatalf("ArrayLen %d, AppendArray %d bytes:\n%s\nwant %s", n, len(got)-1, got[1:], want)
 			}
+			c.piece = make([]byte, 0, piece)
+			var w pieceWriter
+			if err := k.WriteArray(&w, segs, c); err != nil || !bytes.Equal(w.Bytes(), want) {
+				t.Fatalf("WriteArray through %d bytes (%v):\n%s\nwant %s", piece, err, w.Bytes(), want)
+			}
+			if per := max(1, int(piece)/maxObject); w.pieces != max(1, (len(segs)+per-1)/per) {
+				t.Fatalf("WriteArray wrote %d segments through %d bytes in %d pieces", len(segs), piece, w.pieces)
+			}
 		}
 	})
 }
+
+// pieceWriter keeps what is written to it and counts the writes.
+type pieceWriter struct {
+	bytes.Buffer
+	pieces int
+}
+
+func (w *pieceWriter) Write(p []byte) (int, error) {
+	w.pieces++
+	return w.Buffer.Write(p)
+}
+
+// WriteString is the path io.WriteString takes: one write.
+func (w *pieceWriter) WriteString(s string) (int, error) { return w.Write([]byte(s)) }
 
 // An array uses about two slots per segment: a journal commit of a few
 // dozen segments a small table, a served S^F2 reply of about 6 000

@@ -60,27 +60,37 @@ func (c *solveCache) Contains(key cacheKey) bool {
 }
 
 // Get returns the cached outcome for key, promoting it to most recent.
-// A hit whose integrity checksum no longer matches is evicted and
-// reported as corrupted (and a miss), so the caller re-solves instead of
-// shipping a damaged schedule.
+// A hit whose integrity checksum no longer matches is a miss, so the
+// caller re-solves instead of shipping a damaged schedule; the one Get
+// that evicts the entry reports it corrupted. The checksum runs outside
+// the lock, so concurrent lookups do not wait behind it.
 func (c *solveCache) Get(key cacheKey) (val *wire.EncodedSchedule, ok, corrupted bool) {
 	if c.capacity <= 0 {
 		return nil, false, false
 	}
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	el, found := c.byKey[key]
 	if !found {
+		c.mu.Unlock()
 		return nil, false, false
 	}
 	e := el.Value.(*cacheEntry)
-	if crc32.Checksum(e.val.Body, castagnoli) != e.sum {
+	val, sum := e.val, e.sum
+	c.order.MoveToFront(el)
+	c.mu.Unlock()
+	if crc32.Checksum(val.Body, castagnoli) == sum {
+		return val, true, false
+	}
+	// Evict the entry only if it still holds the damaged value: a Put
+	// since may have replaced it, or another Get evicted it.
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, found := c.byKey[key]; found && el.Value.(*cacheEntry).val == val {
 		c.order.Remove(el)
 		delete(c.byKey, key)
 		return nil, false, true
 	}
-	c.order.MoveToFront(el)
-	return e.val, true, false
+	return nil, false, false
 }
 
 // Put inserts (or refreshes) the outcome for key, evicting the least

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"crypto/sha256"
+	"sync"
 	"testing"
 
 	"repro/internal/schedule"
@@ -90,6 +91,68 @@ func TestSolveCacheCorrupt(t *testing.T) {
 	c.Put(k, a)
 	if v, ok, corrupted := c.Get(k); !ok || corrupted || v != a {
 		t.Fatal("Put did not restore the entry")
+	}
+}
+
+// Concurrent Gets of a corrupted entry, which checksum outside the
+// lock, never return its bytes, and exactly one evicts it and reports
+// the corruption; a Put racing them keeps the value it stores, which no
+// Get that read the damaged one may evict.
+func TestSolveCacheConcurrentCorrupt(t *testing.T) {
+	const getters = 8
+	segs := make([]schedule.Segment, 20000) // a body that takes a while to checksum
+	for i := range segs {
+		segs[i] = schedule.Segment{Task: i, Start: float64(i), End: float64(i) + 0.5, Frequency: 0.5}
+	}
+	good, err := wire.EncodeSchedule(&wire.ScheduleResponse{Algorithm: "a", Cores: 1}, segs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < 20; round++ {
+		c := newSolveCache(2)
+		k := bytesKey("a")
+		c.Put(k, good)
+		c.Corrupt(k)
+		var (
+			wg        sync.WaitGroup
+			mu        sync.Mutex
+			corrupted int
+		)
+		start := make(chan struct{})
+		for g := 0; g < getters; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				v, ok, corrupt := c.Get(k)
+				if (v != nil || ok) && v != good {
+					t.Errorf("a Get returned damaged bytes (ok=%v)", ok)
+				}
+				if corrupt {
+					mu.Lock()
+					corrupted++
+					mu.Unlock()
+				}
+			}()
+		}
+		put := round%2 == 1 // every other round, a Put races the Gets
+		if put {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				c.Put(k, good)
+			}()
+		}
+		close(start)
+		wg.Wait()
+		v, ok, _ := c.Get(k)
+		switch {
+		case !put && (corrupted != 1 || ok || c.order.Len() != 0):
+			t.Fatalf("round %d: %d Gets reported the corruption, entry left %v, want 1 and evicted", round, corrupted, ok)
+		case put && (corrupted > 1 || !ok || v != good):
+			t.Fatalf("round %d: %d Gets reported the corruption, and the value the racing Put stored is gone (%v)", round, corrupted, ok)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -11,6 +12,9 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/dispatch"
+	"repro/internal/power"
+	"repro/internal/schedule"
 	"repro/internal/server/wire"
 	"repro/internal/task"
 )
@@ -170,7 +174,7 @@ func TestColdSolveAllocBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation sizes")
 	}
-	const warm, measured = 20, 21
+	const warm, measured, afterGC = 20, 21, 3
 	srv := New(Config{})
 	t.Cleanup(srv.Close)
 	h := srv.Handler()
@@ -199,6 +203,18 @@ func TestColdSolveAllocBytes(t *testing.T) {
 	t.Logf("a warmed cold solve allocates %.3f× its reply (median; least %.3f×, most %.3f×)", got, ratios[0], ratios[measured-1])
 	if got > 1.15 {
 		t.Errorf("a warmed cold solve allocates %.3f× its reply, ceiling 1.15", got)
+	}
+	for i, body := range paperBodies(t, warm+measured+afterGC)[warm+measured:] {
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		reply := serve(body)
+		runtime.ReadMemStats(&after)
+		got := float64(after.TotalAlloc-before.TotalAlloc) / float64(reply)
+		t.Logf("a cold solve after two collections allocates %.3f× its reply", got)
+		if got > 1.15 {
+			t.Errorf("cold solve %d after two collections allocates %.3f× its reply, ceiling 1.15", i, got)
+		}
 	}
 }
 
@@ -265,4 +281,77 @@ func TestSessionArrivalAllocBytes(t *testing.T) {
 	if got > ceiling {
 		t.Errorf("a journaled session arrival allocates %d bytes, ceiling %d", got, ceiling)
 	}
+}
+
+// BenchmarkSessionReplies serves the three session replies that carry
+// the whole committed prefix, GET …/schedule, GET …/snapshot and
+// DELETE, through Server.Handler, for sessions restored from aged
+// snapshots: a session at virtual time age that has completed age
+// tasks, one per unit of time, each in one committed segment on 2
+// cores (as internal/dispatch's agedSnapshot builds them). The router
+// takes a snapshot after every routed arrival, so the snapshot's cost
+// at age is what each arrival pays there. Each DELETE is of a session
+// restored untimed just before it; the reports skip the clairvoyant
+// optimum, as perfbench's sessions do. body_B is the reply's length.
+func BenchmarkSessionReplies(b *testing.B) {
+	for _, age := range []int{100, 800, 3200} {
+		restore, err := json.Marshal(wire.SessionRestoreRequest{ID: "aged", Snapshot: agedSnapshot(age), SkipRatio: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, reply := range []struct{ name, method, path string }{
+			{"schedule", http.MethodGet, "/v1/sessions/aged/schedule"},
+			{"snapshot", http.MethodGet, "/v1/sessions/aged/snapshot"},
+			{"delete", http.MethodDelete, "/v1/sessions/aged"},
+		} {
+			b.Run(fmt.Sprintf("%s/age=%d", reply.name, age), func(b *testing.B) {
+				srv := New(Config{})
+				defer srv.Close()
+				h := srv.Handler()
+				serve := func(method, path string, body []byte, want int) int {
+					w := &missWriter{header: make(http.Header)}
+					h.ServeHTTP(w, httptest.NewRequest(method, path, bytes.NewReader(body)))
+					if w.code != want {
+						b.Fatalf("%s %s: status %d: %s", method, path, w.code, w.head[:w.n])
+					}
+					return w.total
+				}
+				once := reply.method != http.MethodDelete
+				if once {
+					serve(http.MethodPost, "/v1/sessions/restore", restore, http.StatusCreated)
+				}
+				var n int
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if !once {
+						b.StopTimer()
+						serve(http.MethodPost, "/v1/sessions/restore", restore, http.StatusCreated)
+						b.StartTimer()
+					}
+					n = serve(reply.method, reply.path, nil, http.StatusOK)
+				}
+				b.ReportMetric(float64(n), "body_B")
+			})
+		}
+	}
+}
+
+// agedSnapshot is a session at virtual time age that has completed age
+// tasks, one admitted per unit of time, each in one committed segment.
+func agedSnapshot(age int) *dispatch.Snapshot {
+	pm := power.Unit(3, 0.05)
+	snap := &dispatch.Snapshot{
+		Algorithm: dispatch.DefaultAlgorithm, Cores: 2, Model: pm, Now: float64(age),
+		Replans: age, Commits: age, Seq: 3 * int64(age),
+		Tasks:     make([]dispatch.TaskState, age),
+		Committed: make([]schedule.Segment, age),
+	}
+	for i := range snap.Tasks {
+		at := float64(i)
+		snap.Tasks[i] = dispatch.TaskState{Release: at, Work: 0.5, Deadline: at + 2, ArrivedAt: at, Done: true, CompletedAt: at + 0.5}
+		snap.Committed[i] = schedule.Segment{Task: i, Start: at, End: at + 0.5, Frequency: 1}
+		snap.Realized += pm.EnergyForTime(0.5, 1)
+	}
+	return snap
 }

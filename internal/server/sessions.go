@@ -12,6 +12,7 @@ import (
 	"repro/internal/journal"
 	"repro/internal/power"
 	"repro/internal/schedule"
+	"repro/internal/segjson"
 	"repro/internal/server/wire"
 	"repro/internal/task"
 )
@@ -323,15 +324,26 @@ func (s *Server) handleSessionSchedule(w http.ResponseWriter, r *http.Request) {
 		wire.WriteError(w, statusForCtxErr(err), errorCode(statusForCtxErr(err), err), "flush interrupted: %v", err)
 		return
 	}
-	wire.WriteJSON(w, http.StatusOK, wire.SessionScheduleResponse{
+	resp := wire.SessionScheduleResponse{
 		Version:   wire.Version,
 		ID:        id,
 		Algorithm: sess.Algorithm(),
 		Cores:     sess.Cores(),
 		Stats:     sess.Stats(),
-		Committed: wire.FromSegments(sess.Committed()),
-		Planned:   wire.FromSegments(sess.Plan()),
-	})
+	}
+	// Both are arrays, [] when empty.
+	committed, planned := sess.Committed(), sess.Plan()
+	if committed == nil {
+		committed = []schedule.Segment{}
+	}
+	if planned == nil {
+		planned = []schedule.Segment{}
+	}
+	if err := wire.WriteSpliced(w, http.StatusOK, &resp,
+		wire.Splice{Key: "committed", Keys: segjson.Wire, Segs: committed},
+		wire.Splice{Key: "planned", Keys: segjson.Wire, Segs: planned}); err != nil {
+		wire.WriteError(w, http.StatusInternalServerError, wire.CodeInternal, "encode schedule: %v", err)
+	}
 }
 
 // handleSessionDelete serves DELETE /v1/sessions/{id}: run the session
@@ -383,15 +395,9 @@ func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
 			segs = []schedule.Segment{}
 		}
 	}
-	body, err := wire.EncodeSessionFinal(&resp, segs)
-	if err != nil {
+	if err := wire.WriteSpliced(w, http.StatusOK, &resp, wire.Splice{Key: "segments", Keys: segjson.Wire, Segs: segs}); err != nil {
 		wire.WriteError(w, http.StatusInternalServerError, wire.CodeInternal, "encode final report: %v", err)
-		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(body)
-	_, _ = w.Write([]byte("\n")) // as json.Encoder ends a body
 }
 
 // handleSessionEvents serves GET /v1/sessions/{id}/events as a
@@ -472,11 +478,15 @@ func (s *Server) handleSessionSnapshot(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.metrics.sessionSnapshots.Add(1)
-	wire.WriteJSON(w, http.StatusOK, wire.SessionSnapshotResponse{
+	committed := snap.Committed
+	snap.Committed = nil
+	if err := wire.WriteSpliced(w, http.StatusOK, &wire.SessionSnapshotResponse{
 		Version:  wire.Version,
 		ID:       id,
 		Snapshot: snap,
-	})
+	}, wire.Splice{Key: "committed", Keys: segjson.Fields, Segs: committed}); err != nil {
+		wire.WriteError(w, http.StatusInternalServerError, wire.CodeInternal, "encode snapshot: %v", err)
+	}
 }
 
 // handleSessionRestore serves POST /v1/sessions/restore: rebuild a live

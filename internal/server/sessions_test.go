@@ -8,7 +8,9 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -530,4 +532,117 @@ func mustTasks(t *testing.T, tasks ...task.Task) task.Set {
 		t.Fatal(err)
 	}
 	return s
+}
+
+// TestSessionRepliesMatchJSON: the GET schedule, GET snapshot and
+// DELETE replies, which splice the committed prefix in, are byte for
+// byte what encoding/json writes for the response types built from the
+// session's own copies, and carry that length as Content-Length. The
+// sessions are an empty one, one whose final schedule is its committed
+// prefix (no admitted task shed), and one whose final schedule must be
+// renumbered (a task shed on expiry inside the debounce window).
+func TestSessionRepliesMatchJSON(t *testing.T) {
+	srv := New(Config{})
+	t.Cleanup(srv.Close)
+	h := srv.Handler()
+	serve := func(method, path string, body any, want int) *httptest.ResponseRecorder {
+		t.Helper()
+		var rd io.Reader
+		if body != nil {
+			b, err := json.Marshal(body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rd = bytes.NewReader(b)
+		}
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(method, path, rd))
+		if w.Code != want {
+			t.Fatalf("%s %s: status %d, want %d: %s", method, path, w.Code, want, w.Body.Bytes())
+		}
+		return w
+	}
+	same := func(name string, w *httptest.ResponseRecorder, v any) {
+		t.Helper()
+		var want bytes.Buffer
+		if err := json.NewEncoder(&want).Encode(v); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(w.Body.Bytes(), want.Bytes()) {
+			t.Errorf("%s:\ngot  %.400s\nwant %.400s", name, w.Body.Bytes(), want.Bytes())
+		}
+		if n := w.Header().Get("Content-Length"); n != fmt.Sprint(want.Len()) {
+			t.Errorf("%s: Content-Length %q, body %d bytes", name, n, want.Len())
+		}
+	}
+	pm := wire.ModelJSON{Alpha: 3, P0: 0.05}
+	for _, tc := range []struct {
+		name     string
+		debounce float64
+		arrivals []wire.ArrivalRequest
+		shed     bool
+	}{
+		{name: "empty"},
+		{name: "shared", arrivals: []wire.ArrivalRequest{
+			{At: 0, Tasks: task.Set{{Release: 0, Work: 2, Deadline: 6}, {Release: 0, Work: 1, Deadline: 4}}},
+			{At: 3, Tasks: task.Set{{Release: 3, Work: 2, Deadline: 10}}},
+			{At: 5, Tasks: task.Set{{Release: 5, Work: 1.5, Deadline: 9}, {Release: 6, Work: 0.5, Deadline: 12}}},
+		}},
+		// The debounce window outlasts the test: the flush before each
+		// read runs the batch, and the first arrival's window closed
+		// before the second's, so it is shed.
+		{name: "renumbered", debounce: 60000, shed: true, arrivals: []wire.ArrivalRequest{
+			{At: 0, Tasks: task.Set{{Release: 0, Work: 2, Deadline: 6}}},
+			{At: 1, Tasks: task.Set{{Release: 1, Work: 0.5, Deadline: 2}}},
+			{At: 4, Tasks: task.Set{{Release: 4, Work: 1, Deadline: 9}}},
+		}},
+	} {
+		id := "replies-" + tc.name
+		serve(http.MethodPost, "/v1/sessions", wire.SessionCreateRequest{ID: id, Cores: 2, Model: pm, DebounceMS: tc.debounce}, http.StatusCreated)
+		sess := srv.sessions.Get(id)
+		for i, a := range tc.arrivals {
+			serve(http.MethodPost, "/v1/sessions/"+id+"/tasks", a, http.StatusOK)
+			if i == 0 && tc.debounce > 0 {
+				// The first batch is planned before the next arrives.
+				if err := sess.Flush(context.Background()); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+
+		w := serve(http.MethodGet, "/v1/sessions/"+id+"/schedule", nil, http.StatusOK)
+		same(tc.name+" schedule", w, wire.SessionScheduleResponse{
+			Version: wire.Version, ID: id, Algorithm: sess.Algorithm(), Cores: sess.Cores(), Stats: sess.Stats(),
+			Committed: wire.Segments(&schedule.Schedule{Segments: slices.Clone(sess.Committed())}),
+			Planned:   wire.Segments(&schedule.Schedule{Segments: sess.Plan()}),
+		})
+		if st := sess.Stats(); (st.Shed > 0) != tc.shed || (tc.name != "empty") != (len(sess.Committed()) > 0) {
+			t.Fatalf("%s: %d shed, %d committed", tc.name, st.Shed, len(sess.Committed()))
+		}
+
+		w = serve(http.MethodGet, "/v1/sessions/"+id+"/snapshot", nil, http.StatusOK)
+		snap, err := sess.Snapshot(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap.Committed = slices.Clone(snap.Committed)
+		same(tc.name+" snapshot", w, wire.SessionSnapshotResponse{Version: wire.Version, ID: id, Snapshot: snap})
+
+		w = serve(http.MethodDelete, "/v1/sessions/"+id, nil, http.StatusOK)
+		f := sess.Final()
+		if segs := f.Schedule.Segments; len(segs) > 0 && (&segs[0] == &sess.Committed()[0]) == tc.shed {
+			t.Fatalf("%s: final schedule shares the committed prefix: %v", tc.name, !tc.shed)
+		}
+		want := wire.SessionFinalResponse{
+			Version: wire.Version, ID: id, Algorithm: sess.Algorithm(), Cores: sess.Cores(),
+			RealizedEnergy: f.RealizedEnergy, OptimalEnergy: f.OptimalEnergy, CompetitiveRatio: f.CompetitiveRatio,
+			OptError: f.OptError, Replans: f.Replans, Commits: f.Commits, Completed: f.Completed, Shed: f.Shed,
+			Missed: f.Missed, Horizon: f.Horizon, Violations: f.Violations, Tasks: f.Tasks,
+			Segments: wire.Segments(f.Schedule),
+		}
+		if f.Sim != nil {
+			want.Sim = wire.ProfileReport(*f.Sim)
+		}
+		same(tc.name+" final", w, want)
+	}
 }

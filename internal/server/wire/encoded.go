@@ -5,9 +5,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"net"
+	"net/http"
 	"slices"
 	"strconv"
 
+	"repro/internal/freelist"
 	"repro/internal/schedule"
 	"repro/internal/segjson"
 )
@@ -90,28 +92,84 @@ func (e *EncodedSchedule) Parts(cached bool, elapsedMS float64) (net.Buffers, er
 	}, nil
 }
 
-// sessionFinalZero is what the always-written fields of a zero
-// SessionFinalResponse encode to, up to the fields after Segments.
-var sessionFinalZero = segjson.ZeroPrefix(SessionFinalResponse{})
+// Splice is a segment array that WriteSpliced writes in place of the
+// null encoding/json writes for a nil slice field of the reply.
+type Splice struct {
+	// Key is the field's JSON key. The first "key":null after the
+	// splice before it is the one replaced, so the key must not occur
+	// in a value ahead of it.
+	Key  string
+	Keys *segjson.Keys
+	// Segs is written as AppendArray writes it: null when nil.
+	Segs []schedule.Segment
+}
 
-// EncodeSessionFinal encodes r with segs in place of r.Segments (which
-// is not read): byte for byte what json.Marshal writes for r with
-// Segments set to the SegmentJSON form of segs, a nil segs encoding as
-// null. encoding/json writes every other field; the segment array, most
-// of the body, is appended directly, as EncodeSchedule appends it.
-func EncodeSessionFinal(r *SessionFinalResponse, segs []schedule.Segment) ([]byte, error) {
-	head := *r
-	head.Segments, head.Sim = nil, nil
-	hb, err := segjson.AppendJSON(nil, &head, "", "null}")
-	if err != nil {
-		return nil, err
+// newline ends a reply body, as json.Encoder ends each value.
+var newline = []byte("\n")
+
+// frames holds idle buffers for WriteSpliced's encoding/json output,
+// which it keeps until the reply is written: a snapshot's task table,
+// most of its frame, grows with the session.
+var frames = freelist.New[[]byte]()
+
+// WriteSpliced writes a reply with the given status: byte for byte
+// what json.NewEncoder(w).Encode(v) writes for v with each splice's
+// segments in its field, trailing newline included. v holds those
+// fields nil; encoding/json writes every other field. Every array is
+// measured before anything is written, so the reply carries a
+// Content-Length, and then streamed in pieces through one small buffer,
+// so it is never held whole. On an error (a non-finite value, or a v
+// without a splice's field) nothing is written and the caller answers
+// instead; an error writing to w is dropped, as WriteJSON drops it.
+func WriteSpliced(w http.ResponseWriter, status int, v any, splices ...Splice) error {
+	buf := frames.Get()
+	if buf == nil {
+		buf = new([]byte)
 	}
-	tb, err := segjson.AppendJSON(nil, &SessionFinalResponse{Sim: r.Sim}, sessionFinalZero, "")
+	defer frames.Put(buf)
+	frame, err := segjson.AppendJSON((*buf)[:0], v, "", "")
 	if err != nil {
-		return nil, err
+		return err
 	}
-	// Clipped, so that the body is allocated at exactly its size.
-	return segjson.Wire.Splice(slices.Clip(hb), segs, tb)
+	*buf = frame
+	// cut[i] is where splice i's null starts in frame.
+	cut := make([]int, len(splices))
+	c := segjson.TakeCache()
+	defer segjson.PutCache(c)
+	size, from := len(frame)+len(newline), 0
+	for i, sp := range splices {
+		key := `"` + sp.Key + `":`
+		at, err := index(frame[from:], key+"null")
+		if err != nil {
+			return err
+		}
+		cut[i] = from + at + len(key)
+		from = cut[i] + len("null")
+		n, err := sp.Keys.ArrayLen(sp.Segs, c)
+		if err != nil {
+			return err
+		}
+		size += n - len("null")
+	}
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(size))
+	w.WriteHeader(status)
+	// A failed write means the client is gone: there is no one left to
+	// answer, so the rest is not written.
+	from = 0
+	for i, sp := range splices {
+		if _, err := w.Write(frame[from:cut[i]]); err != nil {
+			return nil
+		}
+		if err := sp.Keys.WriteArray(w, sp.Segs, c); err != nil {
+			return nil
+		}
+		from = cut[i] + len("null")
+	}
+	_, _ = w.Write(frame[from:])
+	_, _ = w.Write(newline)
+	return nil
 }
 
 // EncodedBatchItem is one item for EncodeBatch: the spliced Parts of

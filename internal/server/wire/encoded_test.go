@@ -5,13 +5,18 @@ import (
 	"encoding/json"
 	"math"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"strconv"
 	"sync"
 	"testing"
 
 	"repro/internal/alloc"
 	"repro/internal/core"
+	"repro/internal/dispatch"
 	"repro/internal/power"
 	"repro/internal/schedule"
+	"repro/internal/segjson"
 	"repro/internal/sim"
 	"repro/internal/task"
 )
@@ -232,11 +237,14 @@ func TestIndexMissingLiteral(t *testing.T) {
 	}
 }
 
-// The DELETE /v1/sessions/{id} body equals json.Marshal's output for
-// the equivalent SessionFinalResponse on nil, empty and edge-valued
-// segment arrays, with and without the sim report; a non-finite value
-// anywhere is an error.
-func TestEncodeSessionFinalMatchesJSON(t *testing.T) {
+// WriteSpliced writes what json.NewEncoder writes for the DELETE
+// /v1/sessions/{id} report on nil, empty and edge-valued segment
+// arrays, with and without the sim report, for the GET schedule reply
+// with two arrays and for the GET snapshot reply with schedule.Segment's
+// keys, each with an exact Content-Length. A non-finite value anywhere,
+// or a reply without a splice's field, is an error before anything is
+// written.
+func TestWriteSplicedMatchesJSON(t *testing.T) {
 	negZero := math.Copysign(0, -1)
 	cases := []struct {
 		name string
@@ -247,41 +255,83 @@ func TestEncodeSessionFinalMatchesJSON(t *testing.T) {
 		{"-0", []schedule.Segment{{Task: 0, Core: 0, Start: negZero, End: 0.5, Frequency: 1}}},
 		{"1e-7", []schedule.Segment{{Task: 1, Core: 2, Start: 1e-7, End: 2e-7, Frequency: 1e-7}}},
 		{"1e21", []schedule.Segment{{Task: 2, Core: 1, Start: 1e20, End: 1e21, Frequency: 1e21}, {Task: 0, Core: 0, Start: 0, End: 1, Frequency: 0.999999}}},
+		{"long", servedSegments(t)},
+	}
+	check := func(name string, want []byte, v any, splices ...Splice) {
+		t.Helper()
+		w := httptest.NewRecorder()
+		if err := WriteSpliced(w, http.StatusCreated, v, splices...); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got := w.Body.Bytes()
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s:\ngot  %.300s\nwant %.300s", name, got, want)
+		}
+		if w.Code != http.StatusCreated || w.Header().Get("Content-Length") != strconv.Itoa(len(want)) || w.Header().Get("Content-Type") != "application/json" {
+			t.Errorf("%s: status %d, header %v, want Content-Length %d", name, w.Code, w.Header(), len(want))
+		}
+	}
+	encode := func(v any) []byte {
+		t.Helper()
+		var b bytes.Buffer
+		if err := json.NewEncoder(&b).Encode(v); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
 	}
 	for _, tc := range cases {
 		for _, sim := range []*SimReportJSON{nil, {Energy: 1.5, Preemptions: 2, Violations: []string{`<a href="&">`}}} {
 			resp := SessionFinalResponse{
-				Version: Version, ID: "s-1", Algorithm: `Replan"DER"`, Cores: 4,
-				RealizedEnergy: 12.5, CompetitiveRatio: 1.25, OptError: "skipped < >",
+				Version: Version, ID: "s-1", Algorithm: `Replan"DER" "segments":null`, Cores: 4,
+				RealizedEnergy: 12.5, CompetitiveRatio: 1.25, OptError: "skipped < >",
 				Replans: 3, Commits: 2, Completed: 2, Shed: 1, Missed: []int{4}, Horizon: 1e21,
 				Violations: []string{"v&1"}, Tasks: task.Set{{ID: 0, Release: 0, Work: 1, Deadline: 2}},
 				Sim: sim,
 			}
-			got, err := EncodeSessionFinal(&resp, tc.segs)
-			if err != nil {
-				t.Fatalf("%s: %v", tc.name, err)
-			}
+			head := resp
 			resp.Segments = wireSegments(tc.segs)
-			want, err := json.Marshal(resp)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Errorf("%s (sim %v):\ngot  %s\nwant %s", tc.name, sim != nil, got, want)
-			}
-			if len(got) != cap(got) {
-				t.Errorf("%s: body len %d, cap %d: not sized exactly", tc.name, len(got), cap(got))
-			}
+			check(tc.name+" final", encode(resp), &head, Splice{Key: "segments", Keys: segjson.Wire, Segs: tc.segs})
 		}
+		planned := cases[4].segs
+		sched := SessionScheduleResponse{Version: Version, ID: "s-2", Algorithm: "ReplanDER", Cores: 2, Stats: SessionStats{Commits: 3}}
+		head := sched
+		sched.Committed, sched.Planned = wireSegments(tc.segs), wireSegments(planned)
+		check(tc.name+" schedule", encode(sched), &head,
+			Splice{Key: "committed", Keys: segjson.Wire, Segs: tc.segs},
+			Splice{Key: "planned", Keys: segjson.Wire, Segs: planned})
+		snap := &SessionSnapshot{Algorithm: "ReplanDER", Cores: 2, Tasks: []dispatch.TaskState{{Work: 1, Deadline: 2}}, Committed: tc.segs}
+		want := encode(SessionSnapshotResponse{Version: Version, ID: "s-3", Snapshot: snap})
+		bare := *snap
+		bare.Committed = nil
+		check(tc.name+" snapshot", want, &SessionSnapshotResponse{Version: Version, ID: "s-3", Snapshot: &bare},
+			Splice{Key: "committed", Keys: segjson.Fields, Segs: tc.segs})
 	}
 	bad := []schedule.Segment{{Start: 0, End: 1, Frequency: math.NaN()}}
-	if _, err := EncodeSessionFinal(&SessionFinalResponse{}, bad); err == nil {
-		t.Error("a NaN segment frequency was encoded")
+	for _, tc := range []struct {
+		name string
+		v    any
+		sp   []Splice
+	}{
+		{"NaN frequency", &SessionFinalResponse{}, []Splice{{Key: "segments", Keys: segjson.Wire, Segs: bad}}},
+		{"infinite horizon", &SessionFinalResponse{Horizon: math.Inf(1)}, nil},
+		{"NaN sim energy", &SessionFinalResponse{Sim: &SimReportJSON{Energy: math.NaN()}}, nil},
+		{"no such field", &SessionFinalResponse{}, []Splice{{Key: "segment", Keys: segjson.Wire}}},
+		{"field not nil", &SessionScheduleResponse{Committed: []SegmentJSON{}}, []Splice{{Key: "committed", Keys: segjson.Wire}}},
+		{"fields out of order", &SessionScheduleResponse{}, []Splice{{Key: "planned", Keys: segjson.Wire}, {Key: "committed", Keys: segjson.Wire}}},
+	} {
+		w := httptest.NewRecorder()
+		if err := WriteSpliced(w, http.StatusOK, tc.v, tc.sp...); err == nil {
+			t.Errorf("%s: written", tc.name)
+		}
+		if w.Body.Len() != 0 || len(w.Header()) != 0 {
+			t.Errorf("%s: wrote %q with header %v before failing", tc.name, w.Body.Bytes(), w.Header())
+		}
 	}
-	if _, err := EncodeSessionFinal(&SessionFinalResponse{Horizon: math.Inf(1)}, nil); err == nil {
-		t.Error("an infinite horizon was encoded")
-	}
-	if _, err := EncodeSessionFinal(&SessionFinalResponse{Sim: &SimReportJSON{Energy: math.NaN()}}, nil); err == nil {
-		t.Error("a NaN sim energy was encoded")
-	}
+}
+
+// servedSegments returns the segments of a served S^F2 reply, several
+// pieces of WriteArray long.
+func servedSegments(tb testing.TB) []schedule.Segment {
+	segs, _ := servedReplies(tb, 1)
+	return segs[0]
 }

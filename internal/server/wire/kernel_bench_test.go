@@ -3,10 +3,12 @@ package wire
 import (
 	"encoding/json"
 	"math/rand"
+	"net/http"
 	"runtime"
 	"testing"
 
 	"repro/internal/schedule"
+	"repro/internal/segjson"
 	"repro/internal/task"
 )
 
@@ -52,13 +54,13 @@ func BenchmarkEncodeSchedule(b *testing.B) {
 	}
 }
 
-// BenchmarkEncodeSessionFinal encodes a DELETE reply whose realized
+// BenchmarkWriteSessionFinal writes a DELETE reply whose realized
 // schedule is two served S^F2 replies laid end to end in time, about
-// the 10 000 segments a 200-batch session commits. A session ends once
-// in hundreds of arrivals, with collections between, so each encode
-// starts with the sync.Pools empty: two collections, untimed, clear
-// them.
-func BenchmarkEncodeSessionFinal(b *testing.B) {
+// the 10 000 segments a 200-batch session commits, to a writer that
+// drops it, as a connection does. A session ends once in hundreds of
+// arrivals, with collections between, so each write starts after two
+// collections, untimed.
+func BenchmarkWriteSessionFinal(b *testing.B) {
 	parts, _ := servedReplies(b, 2)
 	var segs []schedule.Segment
 	for k, part := range parts {
@@ -69,17 +71,31 @@ func BenchmarkEncodeSessionFinal(b *testing.B) {
 		}
 	}
 	resp := SessionFinalResponse{Version: Version, ID: "bench", Algorithm: "ReplanDER", Cores: 16}
+	w := &discard{header: make(http.Header)}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		runtime.GC()
 		runtime.GC()
+		w.n = 0
 		b.StartTimer()
-		body, err := EncodeSessionFinal(&resp, segs)
-		if err != nil {
+		if err := WriteSpliced(w, http.StatusOK, &resp, Splice{Key: "segments", Keys: segjson.Wire, Segs: segs}); err != nil {
 			b.Fatal(err)
 		}
-		b.SetBytes(int64(len(body)))
+		b.SetBytes(int64(w.n))
 	}
+}
+
+// discard is a ResponseWriter that counts the body and drops it.
+type discard struct {
+	header http.Header
+	n      int
+}
+
+func (w *discard) Header() http.Header { return w.header }
+func (w *discard) WriteHeader(int)     {}
+func (w *discard) Write(p []byte) (int, error) {
+	w.n += len(p)
+	return len(p), nil
 }

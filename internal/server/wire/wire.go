@@ -284,7 +284,9 @@ type ArrivalResponse struct {
 
 // SessionScheduleResponse is the body of GET /v1/sessions/{id}/schedule:
 // the immutable committed prefix plus the current plan suffix. Segment
-// task fields are session task IDs (arrival order).
+// task fields are session task IDs (arrival order). schedd writes it
+// with WriteSpliced, Committed and Planned spliced in; both are arrays,
+// [] when empty.
 type SessionScheduleResponse struct {
 	Version   int           `json:"version,omitempty"`
 	ID        string        `json:"id"`
@@ -299,9 +301,7 @@ type SessionScheduleResponse struct {
 // session is run to its horizon, accounted against the clairvoyant
 // offline optimum, and torn down. Tasks and Segments carry the full
 // effective instance and realized schedule so clients can re-validate
-// out-of-band. schedd encodes it with EncodeSessionFinal, which splices
-// the segment array in: Segments must stay the field before Sim, the
-// last one.
+// out-of-band. schedd writes it with WriteSpliced, Segments spliced in.
 type SessionFinalResponse struct {
 	Version          int            `json:"version,omitempty"`
 	ID               string         `json:"id"`
@@ -330,7 +330,9 @@ type SessionSnapshot = dispatch.Snapshot
 // SessionSnapshotResponse is the body of GET /v1/sessions/{id}/snapshot:
 // a point-in-time portable capture of the session, restorable on any
 // backend via POST /v1/sessions/restore. Taking a snapshot does not
-// disturb the session.
+// disturb the session. schedd writes it with WriteSpliced, the
+// snapshot's committed prefix spliced in with schedule.Segment's field
+// names, null when it is empty.
 type SessionSnapshotResponse struct {
 	Version  int              `json:"version,omitempty"`
 	ID       string           `json:"id"`
@@ -350,17 +352,10 @@ type SessionRestoreRequest struct {
 }
 
 // Segments converts a schedule's segments to the wire form.
-func Segments(s *schedule.Schedule) []SegmentJSON { return FromSegments(s.Segments) }
-
-// FromSegments converts raw segments (a schedule's, or a session's
-// committed or planned slices) to the wire form.
-func FromSegments(segs []schedule.Segment) []SegmentJSON {
-	out := make([]SegmentJSON, len(segs))
-	for i, seg := range segs {
-		out[i] = SegmentJSON{
-			Task: seg.Task, Core: seg.Core,
-			Start: seg.Start, End: seg.End, Frequency: seg.Frequency,
-		}
+func Segments(s *schedule.Schedule) []SegmentJSON {
+	out := make([]SegmentJSON, len(s.Segments))
+	for i, seg := range s.Segments {
+		out[i] = SegmentJSON(seg)
 	}
 	return out
 }
